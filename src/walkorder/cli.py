@@ -68,9 +68,16 @@ def parse_measure(text: str) -> Measure:
     data = json.loads(text)
     if not isinstance(data, dict) or "dim" not in data or "atoms" not in data:
         raise ValueError('measure files need {"dim": ..., "atoms": [...]}')
-    dim = int(data["dim"])
+    if not isinstance(data["atoms"], list):
+        raise ValueError('"atoms" must be a list of {"x": ..., "w": ...} objects')
+    try:
+        dim = int(data["dim"])
+    except (TypeError, ValueError):
+        raise ValueError(f'"dim" must be an integer, got {data["dim"]!r}') from None
     atoms = []
-    for entry in data["atoms"]:
+    for i, entry in enumerate(data["atoms"]):
+        if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
+            raise ValueError(f'atom {i} must be an object with "x" and "w", got {entry!r}')
         atoms.append((parse_point(entry["x"], dim), parse_rational(entry["w"])))
     return Measure(dim, atoms)
 
@@ -121,6 +128,8 @@ def load_measure(path: str, normalize: bool = False) -> Measure:
             m = parse_measure(fh.read())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return m.normalized() if normalize else m
 
 

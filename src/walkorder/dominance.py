@@ -10,7 +10,6 @@ exactly.  growth_exponent finds the smallest k with nu <= delta_{k*unit} * mu.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,24 +46,17 @@ def min_n(
 ) -> MinNResult:
     """Smallest n0 such that X^{*n} <= Y^{*n} for every n in [n0, n_max].
 
-    Each power is recomputed independently by repeated squaring, so the
-    n-loop parallelizes; verdict assembly is deterministic.
+    Each power is computed independently by repeated squaring.  ``workers``
+    is accepted for interface compatibility and has no effect: the n-loop
+    runs serially, since threads only add overhead to this pure-Python work.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     _require_probability_pair(X, Y)
-
-    def check(n: int):
-        verdict = leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone)
-        return n, verdict
-
-    ns = range(1, n_max + 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check, ns))
-    else:
-        results = [check(n) for n in ns]
-
+    results = [
+        (n, leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone))
+        for n in range(1, n_max + 1)
+    ]
     failures = [(n, v.witness_upset) for n, v in results if not v.dominated]
     if failures and failures[-1][0] == n_max:
         return MinNResult(found=False, n0=None, stable_through=n_max, failures=failures)

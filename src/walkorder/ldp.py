@@ -119,18 +119,28 @@ def _rate_1d(mu: Measure, c, direction: Direction, opts: RateOptions) -> RateRes
     if c_r == tilt.z_max:
         return RateResult(-log_rat(tilt.w_max), (direction, math.inf), EXACT_LIMIT)
     cf = float(c_r)
+    # c_r < z_max exactly, but cf may round to float(z_max), where the float
+    # tilted mean saturates: stop doubling there, and bound both loops.
+    zf = float(tilt.z_max)
     hi = 1.0
-    while tilt.tilted_mean(hi) <= cf:
+    for _ in range(opts.max_iter):
+        m = tilt.tilted_mean(hi)
+        if m > cf or m >= zf:
+            break
         hi *= 2.0
     lo = 0.0
-    while hi - lo > opts.bisect_tol:
+    for _ in range(opts.max_iter):
+        if hi - lo <= opts.bisect_tol:
+            break
         mid = (lo + hi) / 2
         if tilt.tilted_mean(mid) < cf:
             lo = mid
         else:
             hi = mid
     r = (lo + hi) / 2
-    return RateResult(r * cf - tilt.log_mgf(r), (direction, r), GRID_REFINED)
+    # 0 <= I(c) <= -log w_max on [mean, z_max]; rounding may step outside
+    value = min(max(r * cf - tilt.log_mgf(r), 0.0), -log_rat(tilt.w_max))
+    return RateResult(value, (direction, r), GRID_REFINED)
 
 
 def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:

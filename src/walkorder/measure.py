@@ -7,12 +7,28 @@ powers by repeated squaring, translation, and pushforward along a linear
 functional.  Atom coalescing uses exact point equality; there is no epsilon
 merging anywhere.
 
+Convolution runs on an exact integer lattice.  The support of a measure lies
+in ``a + diag(h) Z^d``: ``a_i`` is the smallest i-th coordinate and ``h_i``
+the rational gcd of the offsets ``x_i - a_i`` (1 when they are all 0).  With
+``D`` the lcm of the weight denominators, an atom becomes an int offset
+vector ``k`` and an int weight ``w * D``, and ``k`` is packed into one int
+key by mixed radix.  The radixes bound every offset the result can reach
+(``n * span_i + 1`` for an n-th power, ``span_mu + span_nu + 1`` for a
+product on the common step ``gcd(h_mu, h_nu)``), so keys add without carries
+and the kernel is ``out[x + y] += cx * cy`` over plain ints in any dimension.
+Rationals are built once, when the result is decoded: the point is
+``n a + h k`` and the weight ``c / D^n``.  The encoding is a bijection on the
+support and keeps atom order, so results equal those of the pairwise
+rational loop exactly, atom order included.
+
 All values are immutable after construction and every operation is a pure
 function, so measures may be shared freely between concurrent workers.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -164,27 +180,91 @@ def mix(terms: Iterable[tuple]) -> Measure:
     return Measure._raw(dim, acc)
 
 
-def _convolve_into(a: dict, b: dict, cap: int | None) -> dict:
-    out: dict[Point, Rational] = {}
-    for x, wx in a.items():
-        for y, wy in b.items():
-            key = tuple(xc + yc for xc, yc in zip(x, y))
-            w = wx * wy
-            if key in out:
-                out[key] += w
-            else:
-                out[key] = w
-                if cap is not None and len(out) > cap:
-                    raise AtomBudgetExceeded(
-                        f"convolution support exceeded the atom cap of {cap}"
-                    )
+def _lattice(measures: Sequence[Measure]) -> tuple:
+    """Put the atoms of nonempty measures on one integer lattice.
+
+    Returns ``(scales, steps, lows, offsets)``: coordinate i of the j-th
+    atom of ``measures[m]`` is ``(lows[m][i] + steps[i] * k[i]) / scales[i]``
+    with ``k = offsets[m][j]``, a tuple of non-negative ints.
+    """
+    dim = measures[0].dim
+    scales = [
+        math.lcm(*{x[i].denominator for m in measures for x in m._atoms}) for i in range(dim)
+    ]
+    ints = [
+        [tuple(c.numerator * (s // c.denominator) for c, s in zip(x, scales)) for x in m._atoms]
+        for m in measures
+    ]
+    lows = [tuple(map(min, zip(*pts))) for pts in ints]
+    steps = [
+        math.gcd(*(p[i] - low[i] for pts, low in zip(ints, lows) for p in pts)) or 1
+        for i in range(dim)
+    ]
+    offsets = [
+        [tuple((c - a) // h for c, a, h in zip(p, low, steps)) for p in pts]
+        for pts, low in zip(ints, lows)
+    ]
+    return scales, steps, lows, offsets
+
+
+def _pack(mu: Measure, offsets: list, radices: Sequence[int]) -> tuple[dict, int]:
+    """Mixed-radix int keys (coordinate 0 least significant) to int weights
+    ``w * D``, in atom order; returns the map and the common denominator D."""
+    weights = mu._atoms.values()
+    denom = math.lcm(*(w.denominator for w in weights))
+    packed = {}
+    for k, w in zip(offsets, weights):
+        key = 0
+        for ki, r in zip(reversed(k), reversed(radices)):
+            key = key * r + ki
+        packed[key] = w.numerator * (denom // w.denominator)
+    return packed, denom
+
+
+def _convolve_packed(a: dict, b: dict, cap: int | None) -> dict:
+    # Keys add like the points they encode, and new keys are inserted in pair
+    # order, so atom order matches the pairwise loop over the points.  The
+    # support only grows, so checking the cap once per row raises on exactly
+    # the inputs a check per insertion would.
+    out: defaultdict[int, int] = defaultdict(int)
+    for x, cx in a.items():
+        for y, cy in b.items():
+            out[x + y] += cx * cy
+        if cap is not None and len(out) > cap:
+            raise AtomBudgetExceeded(f"convolution support exceeded the atom cap of {cap}")
     return out
+
+
+def _unpack(
+    packed: dict, radices: Sequence[int], origin: Sequence[int], steps, scales, denom: int
+) -> dict:
+    """Rational atoms from packed ones: point ``(origin + steps * k) / scales``
+    and weight ``c / denom``."""
+    atoms: dict[Point, Rational] = {}
+    frame = tuple(zip(radices, origin, steps, scales))
+    for key, c in packed.items():
+        pt = []
+        for r, a, h, s in frame:
+            key, k = divmod(key, r)
+            pt.append(rat(a + h * k, s))
+        atoms[tuple(pt)] = rat(c, denom)
+    return atoms
 
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Convolution: atoms are pairwise sums with weight products coalesced."""
     _require_same_dim(mu, nu)
-    return Measure._raw(mu.dim, _convolve_into(mu._atoms, nu._atoms, None))
+    if not mu._atoms or not nu._atoms:
+        return Measure._raw(mu.dim, {})
+    scales, steps, (low_mu, low_nu), (k_mu, k_nu) = _lattice((mu, nu))
+    radices = [
+        max(k[i] for k in k_mu) + max(k[i] for k in k_nu) + 1 for i in range(mu.dim)
+    ]
+    a, d_mu = _pack(mu, k_mu, radices)
+    b, d_nu = _pack(nu, k_nu, radices)
+    origin = [x + y for x, y in zip(low_mu, low_nu)]
+    out = _convolve_packed(a, b, None)
+    return Measure._raw(mu.dim, _unpack(out, radices, origin, steps, scales, d_mu * d_nu))
 
 
 def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
@@ -196,17 +276,24 @@ def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
     """
     if n < 0:
         raise ValueError("convolution power requires n >= 0")
-    origin = (rat(0),) * mu.dim
-    acc: dict[Point, Rational] = {origin: rat(1)}
-    base = dict(mu._atoms)
-    k = n
+    if n == 0:
+        return Measure._raw(mu.dim, {(rat(0),) * mu.dim: rat(1)})
+    if not mu._atoms:
+        return Measure._raw(mu.dim, {})
+    scales, steps, (low,), (offsets,) = _lattice((mu,))
+    # offsets of a sum of at most n atoms stay below these radices: no carries
+    radices = [n * max(k[i] for k in offsets) + 1 for i in range(mu.dim)]
+    base, denom = _pack(mu, offsets, radices)
+    acc, k = {0: 1}, n
     while k:
         if k & 1:
-            acc = _convolve_into(acc, base, cap)
+            acc = _convolve_packed(acc, base, cap)
         k >>= 1
         if k:
-            base = _convolve_into(base, base, cap)
-    return Measure._raw(mu.dim, acc)
+            base = _convolve_packed(base, base, cap)
+    del base  # free the int squares before rationals are built
+    origin = [n * a for a in low]
+    return Measure._raw(mu.dim, _unpack(acc, radices, origin, steps, scales, denom**n))
 
 
 def shift(mu: Measure, a: Sequence) -> Measure:

@@ -1,8 +1,8 @@
 """Exact rational arithmetic with a switchable backend.
 
 Every coordinate, weight and threshold in this package is an exact rational.
-The backend is ``gmpy2.mpq`` when importable (roughly an order of magnitude
-faster on convolution-heavy workloads) and ``fractions.Fraction`` otherwise.
+The backend is ``gmpy2.mpq`` when importable and ``fractions.Fraction``
+otherwise.
 Set ``WALKORDER_BACKEND`` to ``gmpy2`` or ``python`` to force a choice; the
 default ``auto`` prefers gmpy2.  Both backends hash and compare identically,
 so values from either may be mixed, but everything constructed through this
@@ -72,10 +72,6 @@ def as_rat(value) -> Rational:
 def rat_str(q) -> str:
     """Canonical string form: "p/q" in lowest terms, or "p" for integers."""
     return str(q)
-
-
-def rat_floor(q) -> int:
-    return int(math.floor(q))
 
 
 def rat_ceil(q) -> int:

@@ -196,6 +196,30 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "broken.json:1:" in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"dim": 1, "atoms": [{"x": ["0"]}]}',
+            '{"dim": 1, "atoms": [{"w": "1"}]}',
+            '[{"x": ["0"], "w": "1"}]',
+            '"measure"',
+            '{"dim": 1, "atoms": {"x": ["0"], "w": "1"}}',
+            '{"dim": 1, "atoms": [["0", "1"]]}',
+            '{"dim": [1], "atoms": []}',
+        ],
+        ids=[
+            "missing-w", "missing-x", "list-json", "string-json", "atoms-object", "atom-list",
+            "dim-list",
+        ],
+    )
+    def test_malformed_measure_exit1(self, capsys, tmp_path, files, payload):
+        bad = tmp_path / "malformed.json"
+        bad.write_text(payload)
+        code = main(["order-check", files["d0"], str(bad), "--json", "-"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR
 

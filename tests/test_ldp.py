@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,6 +146,30 @@ class TestRateFunction:
         b2 = Measure(2, {(0, 0): "1/2", (1, 1): "1/2"})
         res = rate_function(b2, (2, 0), orthant2)
         assert res.value == math.inf and res.certified == EXACT_LIMIT
+
+    def test_threshold_rounding_to_support_max_returns(self):
+        # float(1 - 10**-20) == 1.0 == float(z_max): the tilt bracket must stay
+        # finite.  Run in a subprocess so a hang fails the test instead of
+        # stalling the suite.
+        code = (
+            "from walkorder import Cone, Measure, rate_function\n"
+            "from walkorder.rational import rat\n"
+            "b = Measure(1, {(0,): '1/2', (1,): '1/2'})\n"
+            "res = rate_function(b, (1 - rat(1, 10**20),), Cone.halfline())\n"
+            "print(repr(res.value))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=30
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("rate_function did not return within 30 s")
+        assert proc.returncode == 0, proc.stderr
+        value = float(proc.stdout)
+        assert math.isfinite(value) and 0.0 <= value <= LN2
+        assert value == pytest.approx(LN2, abs=1e-9)
 
 
 class TestRelativeRateRhs:

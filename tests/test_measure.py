@@ -168,6 +168,97 @@ class TestConvolvePower:
             convolve_power(mu, 40, cap=50)
 
 
+def naive_convolve(a: dict, b: dict) -> dict:
+    """Reference convolution: the pairwise loop over exact rational points."""
+    out = {}
+    for x, wx in a.items():
+        for y, wy in b.items():
+            key = tuple(p + q for p, q in zip(x, y))
+            out[key] = out.get(key, 0) + wx * wy
+    return out
+
+
+def naive_power_sizes(a: dict, dim: int, n: int) -> tuple[dict, list[int]]:
+    """a^n by the repeated-squaring schedule of convolve_power, with the atom
+    count of every intermediate product."""
+    acc, base, sizes = {(rat(0),) * dim: rat(1)}, a, []
+    while n:
+        if n & 1:
+            acc = naive_convolve(acc, base)
+            sizes.append(len(acc))
+        n >>= 1
+        if n:
+            base = naive_convolve(base, base)
+            sizes.append(len(base))
+    return acc, sizes
+
+
+@pytest.fixture(scope="module")
+def hyp():
+    return pytest.importorskip("hypothesis")
+
+
+def measures_on(hyp, dim: int):
+    """Strategy: 1 to 5 atoms with coordinates in (1/6)Z, negatives included,
+    so steps such as 1/3 and 1/2 are off the integer lattice."""
+    st = hyp.strategies
+    coord = st.builds(rat, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+    weight = st.builds(rat, st.integers(1, 9), st.sampled_from([1, 2, 4, 5, 7]))
+    points = st.tuples(*[coord] * dim)
+    return st.dictionaries(points, weight, min_size=1, max_size=5).map(
+        lambda atoms: Measure(dim, atoms)
+    )
+
+
+def kernel_settings(hyp):
+    return hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+class TestLatticeKernel:
+    """convolve and convolve_power against the naive rational oracle."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_convolve_matches_oracle(self, hyp, dim):
+        @kernel_settings(hyp)
+        @hyp.given(measures_on(hyp, dim), measures_on(hyp, dim))
+        def check(mu, nu):
+            conv = convolve(mu, nu)
+            # same atoms, values and insertion order as the pairwise loop
+            assert list(conv.atoms.items()) == list(naive_convolve(mu.atoms, nu.atoms).items())
+            assert conv.mass() == mu.mass() * nu.mass()
+
+        check()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_power_matches_oracle(self, hyp, dim):
+        st = hyp.strategies
+
+        @kernel_settings(hyp)
+        @hyp.given(measures_on(hyp, dim), st.sampled_from([0, 1, 2, 4, 8, 3, 5, 7]))
+        def check(mu, n):
+            power = convolve_power(mu, n)
+            expected, _ = naive_power_sizes(dict(mu.atoms), dim, n)
+            assert list(power.atoms.items()) == list(expected.items())
+            assert power.mass() == mu.mass() ** n
+
+        check()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_cap_is_the_largest_intermediate(self, hyp, dim):
+        st = hyp.strategies
+
+        @kernel_settings(hyp)
+        @hyp.given(measures_on(hyp, dim), st.sampled_from([1, 2, 4, 3, 5, 7]))
+        def check(mu, n):
+            expected, sizes = naive_power_sizes(dict(mu.atoms), dim, n)
+            cap = max(sizes)
+            assert dict(convolve_power(mu, n, cap=cap).atoms) == expected
+            with pytest.raises(AtomBudgetExceeded, match=f"atom cap of {cap - 1}$"):
+                convolve_power(mu, n, cap=cap - 1)
+
+        check()
+
+
 class TestShiftProject:
     def test_shift_examples(self):
         assert shift(m1({0: 1}), (2,)) == m1({2: 1})
