@@ -21,7 +21,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
@@ -64,16 +63,28 @@ def parse_point(obj, dim: int | None = None) -> tuple:
     return pt
 
 
+def _parse_dim(value) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f'"dim" must be an integer, got {value!r}') from None
+
+
+def _parse_points(data: dict, key: str, dim: int) -> list | None:
+    if key not in data:
+        return None
+    if not isinstance(data[key], list):
+        raise ValueError(f'"{key}" must be a list of points, got {data[key]!r}')
+    return [parse_point(p, dim) for p in data[key]]
+
+
 def parse_measure(text: str) -> Measure:
     data = json.loads(text)
     if not isinstance(data, dict) or "dim" not in data or "atoms" not in data:
         raise ValueError('measure files need {"dim": ..., "atoms": [...]}')
     if not isinstance(data["atoms"], list):
         raise ValueError('"atoms" must be a list of {"x": ..., "w": ...} objects')
-    try:
-        dim = int(data["dim"])
-    except (TypeError, ValueError):
-        raise ValueError(f'"dim" must be an integer, got {data["dim"]!r}') from None
+    dim = _parse_dim(data["dim"])
     atoms = []
     for i, entry in enumerate(data["atoms"]):
         if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
@@ -95,8 +106,10 @@ def serialize_measure(m: Measure) -> str:
 
 def parse_cone(text: str) -> Cone:
     data = json.loads(text)
+    if not isinstance(data, dict) or "dim" not in data:
+        raise ValueError('cone files need {"dim": ..., "kind": ...}')
     kind = data.get("kind", "generators")
-    dim = int(data["dim"])
+    dim = _parse_dim(data["dim"])
     unit = parse_point(data["unit"], dim) if "unit" in data else None
     if kind == "halfline":
         if dim != 1:
@@ -105,8 +118,8 @@ def parse_cone(text: str) -> Cone:
     if kind == "orthant":
         return Cone.orthant(dim, unit=unit)
     if kind == "generators":
-        rays = [parse_point(r, dim) for r in data["rays"]] if "rays" in data else None
-        normals = [parse_point(n, dim) for n in data["normals"]] if "normals" in data else None
+        rays = _parse_points(data, "rays", dim)
+        normals = _parse_points(data, "normals", dim)
         return Cone.from_generators(dim, rays=rays, normals=normals, unit=unit)
     raise ValueError(f"unknown cone kind {kind!r}")
 
@@ -143,6 +156,8 @@ def load_cone(spec: str, dim: int) -> Cone:
             return parse_cone(fh.read())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{spec}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ValueError(f"{spec}: {exc}") from None
 
 
 # -- report helpers --------------------------------------------------------------
@@ -161,7 +176,8 @@ def point_json(pt) -> list:
 
 
 def direction_json(d: Direction) -> dict:
-    return {"t": point_json(d.t), "normalization": rat_str(d.normalization)}
+    # directions are normalized to <t, unit> = 1; the field keeps the report format
+    return {"t": point_json(d.t), "normalization": "1"}
 
 
 def radial_json(r: float) -> object:
@@ -186,18 +202,11 @@ def _base_report(command: str, seed: int, **extra) -> dict:
 # -- commands --------------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-
-
 def _spectrum_opts(args) -> SpectrumOptions:
     return SpectrumOptions(
         margin_tol=args.margin_tol,
         n_samples=args.samples,
         seed=args.seed,
-        workers=args.workers,
     )
 
 
@@ -280,7 +289,7 @@ def _cmd_min_n(args) -> int:
     X = load_measure(args.X, args.normalize)
     Y = load_measure(args.Y, args.normalize)
     cone = load_cone(args.cone, X.dim)
-    result = min_n(X, Y, cone, n_max=args.n_max, workers=args.workers)
+    result = min_n(X, Y, cone, n_max=args.n_max)
     report = _base_report(
         "min-n",
         args.seed,
@@ -429,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=32)
         p.add_argument("--margin-tol", type=float, default=1e-9, dest="margin_tol")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
         p.add_argument("--csv", default=None, help="write curve/table CSV to this path")
         p.add_argument("--json", default=None, help="write the JSON report here ('-' = stdout)")
         p.add_argument("--normalize", action="store_true", help="rescale inputs to mass 1")

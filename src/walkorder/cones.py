@@ -41,10 +41,9 @@ class SplitMix64:
 
 @dataclass(frozen=True)
 class Direction:
-    """A dual-cone direction t, with its normalization <t, unit>."""
+    """A dual-cone direction t, normalized so that <t, unit> = 1."""
 
     t: Point
-    normalization: Rational
 
 
 def _dot(a: Point, b: Point) -> Rational:
@@ -291,7 +290,7 @@ class Cone:
         def push(t: Point) -> None:
             if t not in seen:
                 seen.add(t)
-                out.append(Direction(t=t, normalization=_dot(t, self.unit)))
+                out.append(Direction(t=t))
 
         for t in base:
             push(t)

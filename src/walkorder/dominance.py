@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .cones import Cone
 from .errors import DimensionMismatch
-from .measure import DEFAULT_ATOM_CAP, Measure, convolve, convolve_power, shift
+from .measure import DEFAULT_ATOM_CAP, Measure, convolve, convolve_power, require_probability, shift
 from .rational import Rational, ZERO, as_rat, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .stochorder import leq_st, leq_st_1d, tail_mass
@@ -42,17 +42,15 @@ def min_n(
     cone: Cone,
     n_max: int = 64,
     cap: int = DEFAULT_ATOM_CAP,
-    workers: int = 1,
 ) -> MinNResult:
     """Smallest n0 such that X^{*n} <= Y^{*n} for every n in [n0, n_max].
 
-    Each power is computed independently by repeated squaring.  ``workers``
-    is accepted for interface compatibility and has no effect: the n-loop
-    runs serially, since threads only add overhead to this pure-Python work.
+    Each power is computed independently by repeated squaring.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    _require_probability_pair(X, Y)
+    require_probability(X, "X")
+    require_probability(Y, "Y")
     results = [
         (n, leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone))
         for n in range(1, n_max + 1)
@@ -80,7 +78,8 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     """
     if X.dim != 1 or Y.dim != 1:
         raise DimensionMismatch("catalyst_1d requires 1-D measures")
-    _require_probability_pair(X, Y)
+    require_probability(X, "X")
+    require_probability(Y, "Y")
     grid_pts = sorted({as_rat(g) for g in grid})
     if not grid_pts:
         raise ValueError("catalyst grid must be nonempty")
@@ -147,7 +146,8 @@ def growth_exponent(mu: Measure, nu: Measure, cone: Cone) -> int:
     Existence is guaranteed with k at most twice the bounding constant of the
     joint support, which is used as a hard stop.
     """
-    _require_probability_pair(mu, nu)
+    require_probability(mu, "mu")
+    require_probability(nu, "nu")
     bound = 2 * cone.bounding_k(list(mu.atoms) + list(nu.atoms))
     for k in range(bound + 1):
         shifted = shift(mu, tuple(rat(k) * uc for uc in cone.unit))
@@ -156,8 +156,3 @@ def growth_exponent(mu: Measure, nu: Measure, cone: Cone) -> int:
     raise RuntimeError(
         "no growth exponent found within the guaranteed bound; cone data is inconsistent"
     )
-
-
-def _require_probability_pair(X: Measure, Y: Measure) -> None:
-    if not (X.is_probability() and Y.is_probability()):
-        raise ValueError("both measures must be normalized to total mass 1")

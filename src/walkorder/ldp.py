@@ -24,9 +24,18 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cones import Cone, Direction, require_same_dim
-from .errors import DimensionMismatch
-from .measure import DEFAULT_ATOM_CAP, Measure, as_point, convolve_power, project, shift
-from .rational import Rational, ZERO, as_rat, log_rat, rat
+from .measure import (
+    DEFAULT_ATOM_CAP,
+    Measure,
+    as_point,
+    convolve_power,
+    project,
+    require_equal_dims,
+    require_probability,
+    shift,
+)
+from .rational import as_rat, log_rat, rat
+from .spectrum import _golden_min, _Projected
 from .stochorder import tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
@@ -51,14 +60,9 @@ class RateResult:
     certified: str  # exact-limit | grid-refined | lower-bound
 
 
-def _require_probability(mu: Measure, name: str = "measure") -> None:
-    if not mu.is_probability():
-        raise ValueError(f"{name} must be normalized to total mass 1")
-
-
 def log_mgf(mu: Measure, t: Sequence) -> float:
     """log E[exp(<t, X>)] for a probability measure, float with stabilization."""
-    _require_probability(mu)
+    require_probability(mu, "measure")
     tv = as_point(t, mu.dim)
     exps = []
     ws = []
@@ -71,36 +75,12 @@ def log_mgf(mu: Measure, t: Sequence) -> float:
     return float(m + math.log(float(np.dot(w, np.exp(a - m)))))
 
 
-class _Tilt1D:
-    """Float view of a projected measure for tilt computations."""
-
-    def __init__(self, proj: Measure):
-        items = sorted(proj.atoms.items())
-        self.z = np.array([float(x[0]) for x, _ in items])
-        self.w = np.array([float(wt) for _, wt in items])
-        self.z_min: Rational = items[0][0][0]
-        self.z_max: Rational = items[-1][0][0]
-        self.w_max: Rational = items[-1][1]
-        self.mean: Rational = sum((x[0] * wt for x, wt in items), ZERO)
-
-    def log_mgf(self, r: float) -> float:
-        a = r * self.z
-        m = a.max()
-        return float(m + math.log(float(np.dot(self.w, np.exp(a - m)))))
-
-    def tilted_mean(self, r: float) -> float:
-        a = r * self.z
-        m = a.max()
-        e = self.w * np.exp(a - m)
-        return float(np.dot(e, self.z) / e.sum())
-
-
 def rate_function(
     mu: Measure, c: Sequence, cone: Cone, opts: RateOptions | None = None
 ) -> RateResult:
     """Legendre-Fenchel transform sup_{t in dual cone} <t,c> - log E[e^{<t,X>}]."""
     opts = opts or RateOptions()
-    _require_probability(mu)
+    require_probability(mu, "measure")
     require_same_dim(cone, mu.dim)
     cp = as_point(c, mu.dim)
     if mu.dim == 1:
@@ -110,18 +90,18 @@ def rate_function(
 
 
 def _rate_1d(mu: Measure, c, direction: Direction, opts: RateOptions) -> RateResult:
-    tilt = _Tilt1D(project(mu, direction.t))
+    tilt = _Projected(project(mu, direction.t))
     c_r = sum(tc * cc for tc, cc in zip(direction.t, c))
-    if c_r > tilt.z_max:
+    if c_r > tilt.max:
         return RateResult(math.inf, None, EXACT_LIMIT)
     if c_r <= tilt.mean:
         return RateResult(0.0, (direction, 0.0), EXACT_LIMIT)
-    if c_r == tilt.z_max:
+    if c_r == tilt.max:
         return RateResult(-log_rat(tilt.w_max), (direction, math.inf), EXACT_LIMIT)
     cf = float(c_r)
-    # c_r < z_max exactly, but cf may round to float(z_max), where the float
+    # c_r < tilt.max exactly, but cf may round to float(tilt.max), where the float
     # tilted mean saturates: stop doubling there, and bound both loops.
-    zf = float(tilt.z_max)
+    zf = float(tilt.max)
     hi = 1.0
     for _ in range(opts.max_iter):
         m = tilt.tilted_mean(hi)
@@ -138,7 +118,7 @@ def _rate_1d(mu: Measure, c, direction: Direction, opts: RateOptions) -> RateRes
         else:
             hi = mid
     r = (lo + hi) / 2
-    # 0 <= I(c) <= -log w_max on [mean, z_max]; rounding may step outside
+    # 0 <= I(c) <= -log w_max on [mean, max]; rounding may step outside
     value = min(max(r * cf - tilt.log_mgf(r), 0.0), -log_rat(tilt.w_max))
     return RateResult(value, (direction, r), GRID_REFINED)
 
@@ -225,20 +205,19 @@ def relative_rate_rhs(
     log-ratio of the weights at tied maxima otherwise.
     """
     opts = opts or RateOptions()
-    _require_probability(X, "X")
-    _require_probability(Y, "Y")
+    require_probability(X, "X")
+    require_probability(Y, "Y")
     require_same_dim(cone, X.dim)
-    if X.dim != Y.dim:
-        raise DimensionMismatch(f"measure dimensions differ: {X.dim} vs {Y.dim}")
+    require_equal_dims(X, Y)
 
     best_val = 0.0
     best: Optional[tuple] = None
     for d in cone.dual_directions(opts.n_samples, opts.seed):
-        px = _Tilt1D(project(X, d.t))
-        py = _Tilt1D(project(Y, d.t))
-        if px.z_max > py.z_max:
+        px = _Projected(project(X, d.t))
+        py = _Projected(project(Y, d.t))
+        if px.max > py.max:
             return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
-        if px.z_max == py.z_max:
+        if px.max == py.max:
             limit = log_rat(px.w_max / py.w_max)
             if limit > best_val:
                 best_val, best = limit, (d, math.inf)
@@ -259,35 +238,12 @@ def relative_rate_rhs(
                 lo = thetas[max(idx - 1, 0)]
                 hi = thetas[min(idx + 1, len(thetas) - 1)]
                 if lo < hi:
-                    theta_star, neg = _golden_max(g, lo, hi, opts.refine_tol)
-                    if neg > best_val:
-                        best_val, best = neg, (d, math.tan(theta_star))
+                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi, opts.refine_tol)
+                    if -neg > best_val:
+                        best_val, best = -neg, (d, math.tan(theta_star))
             if v > best_val:
                 best_val, best = float(v), (d, float(math.tan(thetas[idx])))
     return RateResult(best_val, best, GRID_REFINED)
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    theta, val = _golden_min_impl(lambda x: -f(x), lo, hi, tol)
-    return theta, -val
-
-
-def _golden_min_impl(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (c, fc) if fc <= fd else (d, fd)
 
 
 def relative_rate_curve(
@@ -295,12 +251,12 @@ def relative_rate_curve(
 ) -> list:
     """Sampled radial profile rows (ray index, theta, r, g(r)) for CSV export."""
     opts = opts or RateOptions()
-    _require_probability(X, "X")
-    _require_probability(Y, "Y")
+    require_probability(X, "X")
+    require_probability(Y, "Y")
     rows = []
     for ray_idx, d in enumerate(cone.dual_directions(opts.n_samples, opts.seed)):
-        px = _Tilt1D(project(X, d.t))
-        py = _Tilt1D(project(Y, d.t))
+        px = _Projected(project(X, d.t))
+        py = _Projected(project(Y, d.t))
         for k in range(1, 257):
             theta = (math.pi / 2) * k / 257
             r = math.tan(theta)
@@ -334,8 +290,8 @@ def relative_rate_lhs(
     e = as_rat(eps)
     if e <= 0:
         raise ValueError("eps must be positive")
-    _require_probability(X, "X")
-    _require_probability(Y, "Y")
+    require_probability(X, "X")
+    require_probability(Y, "Y")
     require_same_dim(cone, X.dim)
 
     inv_n = rat(1, n)
@@ -377,7 +333,7 @@ def cramer_empirical(mu: Measure, c: Sequence, cone: Cone, n: int, cap: int = DE
     """(1/n) log P(X_1 + ... + X_n >= n*c), exact mass then float; -inf if empty."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    _require_probability(mu)
+    require_probability(mu, "measure")
     require_same_dim(cone, mu.dim)
     cp = as_point(c, mu.dim)
     power = convolve_power(mu, n, cap)

@@ -22,7 +22,7 @@ support and keeps atom order, so results equal those of the pairwise
 rational loop exactly, atom order included.
 
 All values are immutable after construction and every operation is a pure
-function, so measures may be shared freely between concurrent workers.
+function, so a measure may be shared by any number of callers.
 """
 
 from __future__ import annotations
@@ -145,9 +145,16 @@ class Measure:
         return f"Measure(dim={self._dim}, {{{inner}{extra}}})"
 
 
-def _require_same_dim(a: Measure, b: Measure) -> None:
+def require_equal_dims(a: Measure, b: Measure) -> None:
+    """Raise DimensionMismatch unless the two measures share a dimension."""
     if a.dim != b.dim:
         raise DimensionMismatch(f"measure dimensions differ: {a.dim} vs {b.dim}")
+
+
+def require_probability(mu: Measure, name: str) -> None:
+    """Raise ValueError unless ``mu`` has total mass 1; ``name`` labels it."""
+    if not mu.is_probability():
+        raise ValueError(f"{name} must be normalized to total mass 1")
 
 
 def delta(x: Sequence) -> Measure:
@@ -253,7 +260,7 @@ def _unpack(
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Convolution: atoms are pairwise sums with weight products coalesced."""
-    _require_same_dim(mu, nu)
+    require_equal_dims(mu, nu)
     if not mu._atoms or not nu._atoms:
         return Measure._raw(mu.dim, {})
     scales, steps, (low_mu, low_nu), (k_mu, k_nu) = _lattice((mu, nu))

@@ -1,40 +1,20 @@
-"""Exact rational arithmetic with a switchable backend.
+"""Exact rational arithmetic on ``fractions.Fraction``.
 
 Every coordinate, weight and threshold in this package is an exact rational.
-The backend is ``gmpy2.mpq`` when importable and ``fractions.Fraction``
-otherwise.
-Set ``WALKORDER_BACKEND`` to ``gmpy2`` or ``python`` to force a choice; the
-default ``auto`` prefers gmpy2.  Both backends hash and compare identically,
-so values from either may be mixed, but everything constructed through this
-module uses the active backend.
+Values are ``fractions.Fraction``; the convolution kernel in ``measure`` runs
+on plain ints and builds rationals only when it decodes its result.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
 from fractions import Fraction
 
-_choice = os.environ.get("WALKORDER_BACKEND", "auto").lower()
-if _choice not in ("auto", "gmpy2", "python"):
-    raise RuntimeError(f"WALKORDER_BACKEND must be auto, gmpy2 or python, got {_choice!r}")
+#: Name of the rational type in use, recorded by the benchmark harness.
+BACKEND = "python"
 
-if _choice in ("auto", "gmpy2"):
-    try:
-        from gmpy2 import mpq as _ratio_type
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        if _choice == "gmpy2":
-            raise
-        _ratio_type = Fraction
-        BACKEND = "python"
-else:
-    _ratio_type = Fraction
-    BACKEND = "python"
-
-# annotation alias; both backends register with the Rational ABC
+# annotation alias; Fraction registers with the Rational ABC
 Rational = numbers.Rational
 
 
@@ -45,10 +25,8 @@ def rat(numerator, denominator=None) -> Rational:
     exactly to 1/10) or scientific notation ("1e-3").
     """
     if denominator is not None:
-        return _ratio_type(numerator, denominator)
-    if isinstance(numerator, str):
-        return _ratio_type(Fraction(numerator))
-    return _ratio_type(numerator)
+        return Fraction(numerator, denominator)
+    return Fraction(numerator)
 
 
 ZERO = rat(0)
@@ -56,8 +34,8 @@ ONE = rat(1)
 
 
 def as_rat(value) -> Rational:
-    """Convert to the backend rational type, rejecting inexact input."""
-    if isinstance(value, _ratio_type):
+    """Convert to ``Fraction``, rejecting inexact input."""
+    if isinstance(value, Fraction):
         return value
     if isinstance(value, (int, str)):
         return rat(value)

@@ -23,13 +23,12 @@ guess.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cones import Cone, Direction
-from .measure import Measure, project
+from .measure import Measure, project, require_probability
 from .rational import Rational, ZERO
 
 STRICT = "Strict"
@@ -58,7 +57,6 @@ class SpectrumOptions:
     refine_tol: float = 1e-12
     n_samples: int = 32
     seed: int = 0
-    workers: int = 1
 
 
 @dataclass
@@ -80,9 +78,14 @@ class SpectralReport:
 
 
 class _Projected:
-    """Float and exact views of a projected 1-D probability measure."""
+    """Float and exact views of a projected 1-D probability measure.
 
-    __slots__ = ("z", "w", "min", "max", "mean")
+    The spectral sweep and the relative-rate profile both evaluate the
+    stabilised log-MGF ``log E[exp(r Z)]`` of this law; ``lev_at(r)`` is
+    ``log_mgf(r) / r`` away from the exceptional points.
+    """
+
+    __slots__ = ("z", "w", "min", "max", "w_max", "mean")
 
     def __init__(self, proj: Measure):
         items = sorted(proj.atoms.items())
@@ -90,16 +93,26 @@ class _Projected:
         self.w = np.array([float(wt) for _, wt in items])
         self.min: Rational = items[0][0][0]
         self.max: Rational = items[-1][0][0]
+        self.w_max: Rational = items[-1][1]
         self.mean: Rational = sum((x[0] * wt for x, wt in items), ZERO)
+
+    def log_mgf(self, r: float) -> float:
+        a = r * self.z
+        m = a.max()
+        return float(m + math.log(float(np.dot(self.w, np.exp(a - m)))))
+
+    def tilted_mean(self, r: float) -> float:
+        a = r * self.z
+        m = a.max()
+        e = self.w * np.exp(a - m)
+        return float(np.dot(e, self.z) / e.sum())
 
     def lev_at(self, r: float) -> float:
         if r == 0.0:
             return float(self.mean)
         if math.isinf(r):
             return float(self.max) if r > 0 else float(self.min)
-        a = r * self.z
-        m = a.max()
-        return float((m + math.log(float(np.dot(self.w, np.exp(a - m))))) / r)
+        return self.log_mgf(r) / r
 
     def lev_curve(self, rs: np.ndarray) -> np.ndarray:
         a = rs[:, None] * self.z[None, :]
@@ -112,14 +125,9 @@ class _Projected:
         return vals
 
 
-def _require_probability(mu: Measure, name: str) -> None:
-    if not mu.is_probability():
-        raise ValueError(f"{name} must be normalized to total mass 1")
-
-
 def lev(mu: Measure, sp: SpectrumPoint) -> float:
     """Logarithmic evaluation of a probability measure at a spectrum point."""
-    _require_probability(mu, "measure")
+    require_probability(mu, "measure")
     return _Projected(project(mu, sp.direction.t)).lev_at(sp.radial)
 
 
@@ -151,8 +159,8 @@ def compare_on_ray(
     golden section until the theta bracket is below refine_tol.
     """
     opts = opts or SpectrumOptions()
-    _require_probability(X, "X")
-    _require_probability(Y, "Y")
+    require_probability(X, "X")
+    require_probability(Y, "Y")
     px = _Projected(project(X, t.t))
     py = _Projected(project(Y, t.t))
 
@@ -235,11 +243,7 @@ def spectral_verdict(
     """
     opts = opts or SpectrumOptions()
     directions = cone.dual_directions(opts.n_samples, opts.seed)
-    if opts.workers > 1:
-        with ThreadPoolExecutor(max_workers=opts.workers) as pool:
-            per_ray = list(pool.map(lambda d: compare_on_ray(X, Y, d, opts), directions))
-    else:
-        per_ray = [compare_on_ray(X, Y, d, opts) for d in directions]
+    per_ray = [compare_on_ray(X, Y, d, opts) for d in directions]
 
     witnesses: list[SpectrumPoint] = []
     verdict = STRICT

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .cones import Cone, require_same_dim
 from .errors import DimensionMismatch, MassMismatch
-from .measure import Measure, as_point
+from .measure import Measure, as_point, require_equal_dims
 from .rational import Rational, ZERO
 from .solvers import TransportInstance, transport_feasible
 
@@ -109,7 +109,8 @@ def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     {(x, y) : x <= y}.  On failure the min-cut yields supply atoms A with
     mu(A) > nu(upset of A), returned as upset generators.
     """
-    _require_dims(mu, nu, cone)
+    require_equal_dims(mu, nu)
+    require_same_dim(cone, mu.dim)
     _check_masses(mu, nu)
     supp_mu = mu.support()
     supp_nu = nu.support()
@@ -140,13 +141,8 @@ def supp_dominates(mu: Measure, nu: Measure, cone: Cone) -> bool:
     A sufficient condition for dominance at equal masses (the product
     coupling is then supported on the order relation).
     """
-    _require_dims(mu, nu, cone)
+    require_equal_dims(mu, nu)
+    require_same_dim(cone, mu.dim)
     return all(
         cone.leq_point(x, y) for x in mu.atoms for y in nu.atoms
     )
-
-
-def _require_dims(mu: Measure, nu: Measure, cone: Cone) -> None:
-    if mu.dim != nu.dim:
-        raise DimensionMismatch(f"measure dimensions differ: {mu.dim} vs {nu.dim}")
-    require_same_dim(cone, mu.dim)

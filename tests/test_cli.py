@@ -220,6 +220,25 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "[1]",
+            '{"kind": "orthant"}',
+            '{"dim": 2, "kind": "generators"}',
+            '{"dim": "two", "kind": "orthant"}',
+            '{"dim": 1, "rays": 5}',
+        ],
+        ids=["list-json", "missing-dim", "no-rays-or-normals", "dim-string", "rays-number"],
+    )
+    def test_malformed_cone_exit1(self, capsys, tmp_path, files, payload):
+        bad = tmp_path / "cone.json"
+        bad.write_text(payload)
+        code = main(["order-check", files["d0"], files["d1"], "--cone", str(bad), "--json", "-"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR
 

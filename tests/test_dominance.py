@@ -92,12 +92,6 @@ class TestMinN:
             assert spectral_verdict(X, Y, halfline).verdict != VIOLATED
         assert found_cases == 10
 
-    def test_workers_agree(self, halfline, curated_pair):
-        X, Y = curated_pair
-        seq = min_n(X, Y, halfline, n_max=12, workers=1)
-        par = min_n(X, Y, halfline, n_max=12, workers=4)
-        assert (seq.found, seq.n0, seq.failures) == (par.found, par.n0, par.failures)
-
     def test_atom_budget_propagates(self, halfline):
         mu = m1({0: "1/3", "1/3": "1/3", "1/2": "1/3"})
         with pytest.raises(AtomBudgetExceeded):

@@ -30,6 +30,7 @@ from walkorder.spectrum import (
     TIE_ON_RAY,
     VIOLATED,
     VIOLATED_ON_RAY,
+    _golden_min,
     _Projected,
 )
 
@@ -130,6 +131,51 @@ class TestLevInvariants:
             assert lev(mu, SpectrumPoint(d, r)) == lev(one_d, SpectrumPoint(t1, r))
 
 
+class TestProjected:
+    """The identities the spectral sweep and the relative rate share."""
+
+    def test_lev_at_is_log_mgf_over_r_bit_for_bit(self):
+        rng = random.Random(57)
+        d = direction_1d()
+        radials = [s * 10.0**k * f for s in (1, -1) for k in range(-6, 4) for f in (1.0, 0.37)]
+        for _ in range(20):
+            p = _Projected(project(random_measure_1d(rng, max_atoms=5).normalized(), d.t))
+            for r in radials:
+                # the stabilised expression lev_at used before log_mgf existed
+                a = r * p.z
+                m = a.max()
+                direct = float((m + math.log(float(np.dot(p.w, np.exp(a - m))))) / r)
+                assert p.lev_at(r) == p.log_mgf(r) / r == direct
+
+    def test_golden_min_of_negation_is_golden_max(self):
+        def golden_max(f, lo, hi, tol):
+            # the maximiser relative_rate_rhs used before it called _golden_min:
+            # golden-section minimisation of -f, with the minimum negated back
+            invphi = (math.sqrt(5) - 1) / 2
+            a, b = lo, hi
+            c = b - invphi * (b - a)
+            d = a + invphi * (b - a)
+            fc, fd = -f(c), -f(d)
+            while (b - a) > tol:
+                if fc <= fd:
+                    b, d, fd = d, c, fc
+                    c = b - invphi * (b - a)
+                    fc = -f(c)
+                else:
+                    a, c, fc = c, d, fd
+                    d = a + invphi * (b - a)
+                    fd = -f(d)
+            theta, val = (c, fc) if fc <= fd else (d, fd)
+            return theta, -val
+
+        def f(x):
+            return math.log1p(x) - 0.8 * x * x + 0.25 * x
+
+        for lo, hi, tol in ((0.0, 1.0, 1e-12), (0.05, 0.3, 1e-9), (0.2, 1.4, 1e-6)):
+            theta, neg = _golden_min(lambda x: -f(x), lo, hi, tol)
+            assert (theta, -neg) == golden_max(f, lo, hi, tol)
+
+
 class TestCompareOnRay:
     def test_constant_gap(self):
         rc = compare_on_ray(delta((0,)), delta((1,)), direction_1d())
@@ -194,13 +240,6 @@ class TestSpectralVerdict:
         rep = spectral_verdict(X, Y, orthant2, SpectrumOptions(n_samples=8))
         assert rep.verdict == STRICT
         assert rep.sampled_only
-
-    def test_workers_do_not_change_result(self, halfline, curated_pair):
-        X, Y = curated_pair
-        seq = spectral_verdict(X, Y, halfline, SpectrumOptions(workers=1))
-        par = spectral_verdict(X, Y, halfline, SpectrumOptions(workers=4))
-        assert seq.verdict == par.verdict
-        assert [rc.min_margin for rc in seq.per_ray] == [rc.min_margin for rc in par.per_ray]
 
 
 class TestForwardNecessity:
