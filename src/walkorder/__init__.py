@@ -40,7 +40,7 @@ from .spectrum import (
     lev,
     spectral_verdict,
 )
-from .stochorder import CouplingPlan, OrderVerdict, leq_st, leq_st_1d, supp_dominates, upset_mass
+from .stochorder import CouplingPlan, OrderVerdict, leq_st, upset_mass
 
 __all__ = [
     "AtomBudgetExceeded",
@@ -71,7 +71,6 @@ __all__ = [
     "delta",
     "growth_exponent",
     "leq_st",
-    "leq_st_1d",
     "lev",
     "log_mgf",
     "min_n",
@@ -83,6 +82,5 @@ __all__ = [
     "relative_rate_rhs",
     "shift",
     "spectral_verdict",
-    "supp_dominates",
     "upset_mass",
 ]

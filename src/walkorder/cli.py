@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from . import __version__
 from .cones import Cone, Direction
 from .dominance import catalyst_1d, default_catalyst_grid, min_n
-from .errors import AtomBudgetExceeded, MassMismatch
+from .errors import AtomBudgetExceeded, DimensionMismatch, MassMismatch
 from .ldp import (
     RateOptions,
     cramer_empirical,
@@ -104,12 +104,15 @@ def serialize_measure(m: Measure) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def parse_cone(text: str) -> Cone:
+def parse_cone(text: str, expected_dim: int | None = None) -> Cone:
     data = json.loads(text)
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError('cone files need {"dim": ..., "kind": ...}')
     kind = data.get("kind", "generators")
     dim = _parse_dim(data["dim"])
+    # checked before the cone is built: building costs O(dim^3) exact work
+    if expected_dim is not None and dim != expected_dim:
+        raise DimensionMismatch(f"cone dimension {dim} does not match {expected_dim}")
     unit = parse_point(data["unit"], dim) if "unit" in data else None
     if kind == "halfline":
         if dim != 1:
@@ -153,7 +156,7 @@ def load_cone(spec: str, dim: int) -> Cone:
         return Cone.orthant(dim)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
-            return parse_cone(fh.read())
+            return parse_cone(fh.read(), dim)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{spec}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except ValueError as exc:

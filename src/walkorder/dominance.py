@@ -18,7 +18,7 @@ from .errors import DimensionMismatch
 from .measure import DEFAULT_ATOM_CAP, Measure, convolve, convolve_power, require_probability, shift
 from .rational import Rational, ZERO, as_rat, rat
 from .solvers import LinearFeasibility, lp_feasible
-from .stochorder import leq_st, leq_st_1d, tail_mass
+from .stochorder import leq_st, tail_mass
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ def min_n(
 ) -> MinNResult:
     """Smallest n0 such that X^{*n} <= Y^{*n} for every n in [n0, n_max].
 
-    Each power is computed independently by repeated squaring.
+    Each power is computed independently by repeated squaring and compared
+    with ``leq_st``, which takes its 1-D tail sweep for 1-D walks.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -72,7 +73,7 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
 
     states X*Z <= Y*Z at c.  These thresholds are all the points where either
     tail can change, so the constraint set is exhaustive.  A feasible weight
-    vector is re-verified with the exact 1-D order decider before it is
+    vector is re-verified with ``leq_st`` on the half-line before it is
     returned; None means no catalyst exists on this grid (a grid-relative
     statement, not a refutation).
     """
@@ -95,7 +96,7 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     if solution is None:
         return None
     Z = Measure(1, {(g,): w for g, w in zip(grid_pts, solution) if w > 0})
-    verified = leq_st_1d(convolve(X, Z), convolve(Y, Z)).dominated
+    verified = leq_st(convolve(X, Z), convolve(Y, Z), Cone.halfline()).dominated
     return Catalyst(Z=Z, grid_step=_grid_step(grid_pts), verified=verified)
 
 

@@ -35,7 +35,7 @@ from .measure import (
     shift,
 )
 from .rational import as_rat, log_rat, rat
-from .spectrum import _golden_min, _Projected
+from .spectrum import _golden_min, _log_sum_exp, _Projected
 from .stochorder import tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
@@ -69,10 +69,7 @@ def log_mgf(mu: Measure, t: Sequence) -> float:
     for x, w in sorted(mu.atoms.items()):
         exps.append(float(sum(tc * xc for tc, xc in zip(tv, x))))
         ws.append(float(w))
-    a = np.asarray(exps)
-    w = np.asarray(ws)
-    m = a.max()
-    return float(m + math.log(float(np.dot(w, np.exp(a - m)))))
+    return _log_sum_exp(np.asarray(exps), np.asarray(ws))
 
 
 def rate_function(
@@ -138,9 +135,7 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     ws = np.array([float(w) for _, w in sorted(mu.atoms.items())])
 
     def objective(t: np.ndarray) -> float:
-        a = zs @ t
-        m = a.max()
-        return float(t @ cf - (m + math.log(float(np.dot(ws, np.exp(a - m))))))
+        return float(t @ cf - _log_sum_exp(zs @ t, ws))
 
     def tilted_mean_vec(t: np.ndarray) -> np.ndarray:
         a = zs @ t

@@ -77,6 +77,12 @@ class SpectralReport:
     seed: int
 
 
+def _log_sum_exp(a: np.ndarray, w: np.ndarray) -> float:
+    """Stabilised log(sum_i w_i exp(a_i)): the log-MGF of weights w at exponents a."""
+    m = a.max()
+    return float(m + math.log(float(np.dot(w, np.exp(a - m)))))
+
+
 class _Projected:
     """Float and exact views of a projected 1-D probability measure.
 
@@ -97,9 +103,7 @@ class _Projected:
         self.mean: Rational = sum((x[0] * wt for x, wt in items), ZERO)
 
     def log_mgf(self, r: float) -> float:
-        a = r * self.z
-        m = a.max()
-        return float(m + math.log(float(np.dot(self.w, np.exp(a - m)))))
+        return _log_sum_exp(r * self.z, self.w)
 
     def tilted_mean(self, r: float) -> float:
         a = r * self.z

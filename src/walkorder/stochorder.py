@@ -1,10 +1,12 @@
-"""Exact deciders for the stochastic preorder between finitely supported measures.
+"""Exact decider for the stochastic preorder between finitely supported measures.
 
-Two routes are provided: a 1-D fast path comparing closed-tail masses at
-every support point, and a general path that reduces to bipartite
-transportation feasibility over the admissible pairs {(x, y) : x <= y}.
-Both return a certificate: a coupling supported on the order relation when
-dominated, or generators of a violating closed upset when not.
+``leq_st`` is the one decider and picks its route: a single sweep over closed
+tails in 1-D, transportation feasibility over the admissible pairs
+{(x, y) : x <= y} otherwise.  Both return a certificate: a coupling supported
+on the order relation when dominated, or generators of a violating closed
+upset when not.  In 1-D the two routes give equal certificates: the comonotone
+(quantile) coupling, or the minimal min cut (Strassen 1965; Kamae, Krengel &
+O'Brien 1977).
 """
 
 from __future__ import annotations
@@ -52,37 +54,53 @@ def tail_mass(mu: Measure, c) -> Rational:
     return sum((w for x, w in mu.atoms.items() if x[0] >= cp), ZERO)
 
 
-def _check_masses(mu: Measure, nu: Measure) -> None:
+def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
+    """Decide mu <= nu in the stochastic order induced by the cone.
+
+    Dominated iff a coupling is supported on {(x, y) : x <= y}; otherwise the
+    witness is a set A of mu's atoms with mu(A) > nu(upset of A).
+    """
+    require_equal_dims(mu, nu)
+    require_same_dim(cone, mu.dim)
     if mu.mass() != nu.mass():
         raise MassMismatch(
             f"total masses differ ({mu.mass()} vs {nu.mass()}); "
             "stochastic comparability requires equal normalization"
         )
+    if mu.dim == 1:
+        return _leq_sweep(mu, nu, cone)
+    return _leq_flow(mu, nu, cone)
 
 
-def leq_st_1d(mu: Measure, nu: Measure) -> OrderVerdict:
-    """1-D stochastic order via closed-tail comparison at every support point.
-
-    The tail functions are piecewise constant, so checking thresholds in the
-    union of the two supports is exhaustive.  On success the witness is the
-    quantile coupling; on failure, the first violating threshold.
-    """
-    if mu.dim != 1 or nu.dim != 1:
-        raise DimensionMismatch("leq_st_1d requires 1-D measures")
-    _check_masses(mu, nu)
-    thresholds = sorted({x[0] for x in mu.atoms} | {y[0] for y in nu.atoms})
-    for c in thresholds:
-        if tail_mass(mu, c) > tail_mass(nu, c):
-            return OrderVerdict(False, None, [(c,)])
+def _leq_sweep(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
+    # The cone is [0, inf) or (-inf, 0].  Walk supp mu from the top of the order
+    # down with gap = mu(up c) - nu(up c); the highest c of largest positive gap
+    # generates the minimal min cut.
+    ascending = cone.normals[0][0] > 0
+    xs = sorted(mu.atoms.items(), reverse=ascending)
+    ys = sorted(nu.atoms.items(), reverse=ascending)
+    gap = best = ZERO
+    cut = j = 0
+    for i, (x, w) in enumerate(xs):
+        gap += w
+        while j < len(ys) and (ys[j][0] >= x if ascending else ys[j][0] <= x):
+            gap -= ys[j][1]
+            j += 1
+        if gap > best:
+            best, cut = gap, i + 1
+    if cut:
+        return OrderVerdict(False, None, sorted(x for x, _ in xs[:cut]))
     return OrderVerdict(True, _quantile_coupling(mu, nu), None)
 
 
 def _quantile_coupling(mu: Measure, nu: Measure) -> CouplingPlan:
     # pair off mass at equal quantile levels; under tail dominance every
-    # matched pair is ordered
+    # matched pair is ordered, and entries come out in sorted (x, y) order
     xs = sorted(mu.atoms.items())
     ys = sorted(nu.atoms.items())
     entries: dict = {}
+    if not xs:
+        return CouplingPlan(entries)
     i = j = 0
     rem_x, rem_y = xs[0][1], ys[0][1]
     while True:
@@ -102,16 +120,9 @@ def _quantile_coupling(mu: Measure, nu: Measure) -> CouplingPlan:
     return CouplingPlan(entries)
 
 
-def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
-    """General stochastic-order decider via transportation feasibility.
-
-    Feasible iff max flow saturates the supplies over admissible edges
-    {(x, y) : x <= y}.  On failure the min-cut yields supply atoms A with
-    mu(A) > nu(upset of A), returned as upset generators.
-    """
-    require_equal_dims(mu, nu)
-    require_same_dim(cone, mu.dim)
-    _check_masses(mu, nu)
+def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
+    # Feasible iff max flow saturates the supplies over admissible edges
+    # {(x, y) : x <= y}; on failure the min cut is the supply set A.
     supp_mu = mu.support()
     supp_nu = nu.support()
     edges = [
@@ -133,16 +144,3 @@ def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
         return OrderVerdict(True, CouplingPlan(plan), None)
     witness = sorted(supp_mu[i] for i in result.cut)
     return OrderVerdict(False, None, witness)
-
-
-def supp_dominates(mu: Measure, nu: Measure, cone: Cone) -> bool:
-    """True iff every support point of mu is below every support point of nu.
-
-    A sufficient condition for dominance at equal masses (the product
-    coupling is then supported on the order relation).
-    """
-    require_equal_dims(mu, nu)
-    require_same_dim(cone, mu.dim)
-    return all(
-        cone.leq_point(x, y) for x in mu.atoms for y in nu.atoms
-    )

@@ -22,7 +22,6 @@ from walkorder import (
     cramer_empirical,
     growth_exponent,
     leq_st,
-    leq_st_1d,
     min_n,
     project,
     rate_function,
@@ -34,6 +33,7 @@ from walkorder import (
 from walkorder.cli import main
 from walkorder.rational import log_rat, rat
 from walkorder.spectrum import SpectrumOptions, VIOLATED, _Projected
+from walkorder.stochorder import _leq_flow
 
 from conftest import bernoulli, random_measure_1d
 
@@ -44,6 +44,11 @@ RATE_34 = math.log(2) + 0.75 * math.log(0.75) + 0.25 * math.log(0.25)
 
 CURATED_X = Measure(1, {("2/5",): "1/10", ("3/5",): "9/10"})
 CURATED_Y = Measure(1, {("1/2",): "1/2", ("4/5",): "1/2"})
+
+
+def certificate(v) -> tuple:
+    plan = None if v.witness_coupling is None else list(v.witness_coupling.entries.items())
+    return v.dominated, v.witness_upset, plan
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -57,9 +62,9 @@ def test_criterion_1_order_decider_oracle_equivalence():
     for _ in range(200):
         mu = random_measure_1d(rng)
         nu = random_measure_1d(rng)
-        fast = leq_st_1d(mu, nu).dominated
-        flow = leq_st(mu, nu, HALF).dominated
-        if fast == flow:
+        fast = leq_st(mu, nu, HALF)
+        flow = _leq_flow(mu, nu, HALF)
+        if certificate(fast) == certificate(flow):
             agreements += 1
     elapsed = time.perf_counter() - t0
     ok = agreements == 200 and elapsed < 5.0
@@ -81,7 +86,7 @@ def test_criterion_2_forward_necessity():
         else:
             Y = random_measure_1d(rng, max_atoms=4, span=6).normalized()
         if not any(
-            leq_st_1d(convolve_power(X, n), convolve_power(Y, n)).dominated
+            leq_st(convolve_power(X, n), convolve_power(Y, n), HALF).dominated
             for n in range(1, 5)
         ):
             continue

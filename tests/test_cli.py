@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -238,6 +242,25 @@ class TestErrors:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
+
+    def test_large_cone_dim_mismatch_exits_fast(self, files):
+        # the dim mismatch must be caught before a 200-dim cone is built, which
+        # takes half a minute; a subprocess turns a stall into a failure
+        cone = files["dir"] / "cone200.json"
+        cone.write_text('{"dim": 200, "kind": "orthant"}')
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["order-check", files["d0"], files["d0"], "--cone", str(cone), "--json", "-"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "walkorder.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=20,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("order-check did not exit within 20 s")
+        assert proc.returncode == EXIT_ERROR
+        assert "cone dimension 200 does not match 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR

@@ -15,7 +15,6 @@ from walkorder import (
     delta,
     growth_exponent,
     leq_st,
-    leq_st_1d,
     min_n,
     shift,
     spectral_verdict,
@@ -57,7 +56,7 @@ class TestMinN:
         fails = [
             n
             for n in range(1, 17)
-            if not leq_st_1d(convolve_power(X, n), convolve_power(Y, n)).dominated
+            if not leq_st(convolve_power(X, n), convolve_power(Y, n), halfline).dominated
         ]
         assert fails == CURATED_FAILURES
 
@@ -104,15 +103,15 @@ class TestCatalyst:
         assert c is not None and c.verified
         assert c.Z == delta((0,))
 
-    def test_curated_pair_frozen_catalyst(self, curated_pair):
+    def test_curated_pair_frozen_catalyst(self, halfline, curated_pair):
         # regression baseline: the LP finds a verified catalyst on the grid
         # {0, 1/10, ..., 3} even though the pair is not dominated at n = 1
         X, Y = curated_pair
-        assert not leq_st_1d(X, Y).dominated
+        assert not leq_st(X, Y, halfline).dominated
         c = catalyst_1d(X, Y, [rat(k, 10) for k in range(31)])
         assert c is not None
         assert c.verified
-        assert leq_st_1d(convolve(X, c.Z), convolve(Y, c.Z)).dominated
+        assert leq_st(convolve(X, c.Z), convolve(Y, c.Z), halfline).dominated
         assert c.grid_step == rat(1, 10)
 
     def test_mean_violated_pair_not_found_on_any_grid(self):

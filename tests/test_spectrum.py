@@ -15,7 +15,7 @@ from walkorder import (
     compare_on_ray,
     convolve_power,
     delta,
-    leq_st_1d,
+    leq_st,
     lev,
     project,
     shift,
@@ -258,7 +258,7 @@ class TestForwardNecessity:
             else:
                 Y = random_measure_1d(rng, max_atoms=4, span=6).normalized()
             if not any(
-                leq_st_1d(convolve_power(X, n), convolve_power(Y, n)).dominated
+                leq_st(convolve_power(X, n), convolve_power(Y, n), halfline).dominated
                 for n in range(1, 5)
             ):
                 continue

@@ -13,13 +13,13 @@ from walkorder import (
     convolve,
     delta,
     leq_st,
-    leq_st_1d,
     mix,
     shift,
-    supp_dominates,
     upset_mass,
 )
+from walkorder import solvers, stochorder
 from walkorder.rational import ZERO, rat
+from walkorder.stochorder import _leq_flow
 
 from conftest import random_measure_1d
 
@@ -40,6 +40,12 @@ def check_coupling(plan, mu, nu, cone) -> None:
     assert col == dict(nu.atoms)
 
 
+def certificate(v) -> tuple:
+    """Verdict, upset witness and coupling entries in order, for exact comparison."""
+    plan = None if v.witness_coupling is None else list(v.witness_coupling.entries.items())
+    return v.dominated, v.witness_upset, plan
+
+
 class TestUpsetMass:
     def test_tail(self, halfline):
         b = m1({0: "1/2", 1: "1/2"})
@@ -55,22 +61,22 @@ class TestUpsetMass:
 
 
 class TestLeqSt1D:
-    def test_deltas(self):
-        assert leq_st_1d(delta((0,)), delta((1,))).dominated
+    def test_deltas(self, halfline):
+        assert leq_st(delta((0,)), delta((1,)), halfline).dominated
 
     def test_bernoulli_pair(self, halfline):
-        v = leq_st_1d(m1({0: "1/2", 1: "1/2"}), m1({0: "1/4", 1: "3/4"}))
+        v = leq_st(m1({0: "1/2", 1: "1/2"}), m1({0: "1/4", 1: "3/4"}), halfline)
         assert v.dominated
         check_coupling(v.witness_coupling, m1({0: "1/2", 1: "1/2"}), m1({0: "1/4", 1: "3/4"}), halfline)
 
-    def test_violation_witness(self):
-        v = leq_st_1d(m1({0: "1/2", 3: "1/2"}), delta((1,)))
+    def test_violation_witness(self, halfline):
+        v = leq_st(m1({0: "1/2", 3: "1/2"}), delta((1,)), halfline)
         assert not v.dominated
         assert v.witness_upset == [(rat(3),)]
 
-    def test_mass_mismatch(self):
+    def test_mass_mismatch(self, halfline):
         with pytest.raises(MassMismatch):
-            leq_st_1d(delta((0,)), m1({1: "1/2"}))
+            leq_st(delta((0,)), m1({1: "1/2"}), halfline)
 
 
 class TestLeqStGeneral:
@@ -110,24 +116,6 @@ class TestLeqStGeneral:
         assert not v.dominated and v.witness_upset == [(rat(0), rat(0))]
 
 
-class TestSuppDominates:
-    def test_examples(self, halfline):
-        assert supp_dominates(m1({0: "1/2", 1: "1/2"}), m1({2: "1/3", 3: "2/3"}), halfline)
-        assert supp_dominates(m1({0: "1/2", 1: "1/2"}), m1({1: 1}), halfline)
-        assert not supp_dominates(m1({0: "1/2", 3: "1/2"}), m1({1: 1}), halfline)
-
-    def test_implies_dominated_at_equal_mass(self, halfline):
-        rng = random.Random(41)
-        found = 0
-        for _ in range(50):
-            mu = random_measure_1d(rng, max_atoms=3, span=4)
-            nu = shift(random_measure_1d(rng, max_atoms=3, span=4), (9,))
-            if supp_dominates(mu, nu, halfline):
-                found += 1
-                assert leq_st(mu, nu, halfline).dominated
-        assert found > 0
-
-
 class TestAgreementAndCertificates:
     def test_fast_path_agrees_with_flow_path(self, halfline):
         rng = random.Random(42)
@@ -135,9 +123,9 @@ class TestAgreementAndCertificates:
         for _ in range(80):
             mu = random_measure_1d(rng)
             nu = random_measure_1d(rng)
-            v1 = leq_st_1d(mu, nu)
+            v1 = _leq_flow(mu, nu, halfline)
             v2 = leq_st(mu, nu, halfline)
-            assert v1.dominated == v2.dominated
+            assert certificate(v1) == certificate(v2)
             agree += 1
             if v2.dominated:
                 check_coupling(v2.witness_coupling, mu, nu, halfline)
@@ -152,10 +140,10 @@ class TestAgreementAndCertificates:
         while checked < 15:
             mu = random_measure_1d(rng, max_atoms=4, span=6)
             nu = random_measure_1d(rng, max_atoms=4, span=6)
-            if mu.mass() != nu.mass() or not leq_st_1d(mu, nu).dominated:
+            if mu.mass() != nu.mass() or not leq_st(mu, nu, halfline).dominated:
                 continue
             kappa = random_measure_1d(rng, max_atoms=3, span=6)
-            assert leq_st_1d(convolve(mu, kappa), convolve(nu, kappa)).dominated
+            assert leq_st(convolve(mu, kappa), convolve(nu, kappa), halfline).dominated
             checked += 1
 
     def test_reflexive(self, halfline):
@@ -175,3 +163,49 @@ class TestAgreementAndCertificates:
             assert leq_st(mu, nu, halfline).dominated
             assert leq_st(nu, rho, halfline).dominated
             assert leq_st(mu, rho, halfline).dominated
+
+
+# the three shapes a 1-D cone takes: [0, inf), (-inf, 0], and (-inf, 0] with
+# a scaled normal and unit
+CONES_1D = [
+    Cone.halfline(),
+    Cone(1, [(-1,)], [(-1,)], (-1,)),
+    Cone(1, [(-2,)], [(-3,)], (-5,)),
+]
+
+
+class TestSweepCertificates:
+    def test_sweep_certificates_equal_flow(self):
+        rng = random.Random(46)
+        seen = set()
+        for _ in range(150):
+            mu = random_measure_1d(rng, max_atoms=rng.randint(1, 8), span=rng.choice([2, 6, 24]))
+            if rng.random() < 0.4:
+                # nearby pairs: each atom moved by a small lattice step
+                nu = Measure(1, [((x[0] + rng.randint(-1, 3),), w) for x, w in mu.atoms.items()])
+            else:
+                nu = random_measure_1d(rng, max_atoms=rng.randint(1, 8), span=rng.choice([2, 6, 24]))
+            for cone in CONES_1D:
+                v = leq_st(mu, nu, cone)
+                assert certificate(v) == certificate(_leq_flow(mu, nu, cone))
+                seen.add((cone.normals[0][0] > 0, v.dominated))
+        assert len(seen) == 4  # both verdicts on both orientations
+
+    def test_zero_mass_pair(self):
+        empty = Measure(1, {})
+        for cone in CONES_1D:
+            v = leq_st(empty, empty, cone)
+            assert certificate(v) == certificate(_leq_flow(empty, empty, cone)) == (True, None, [])
+
+    def test_one_dimensional_route_skips_flow_and_leq_point(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("1-D leq_st must not build order edges or run the flow")
+
+        monkeypatch.setattr(Cone, "leq_point", forbidden)
+        monkeypatch.setattr(solvers, "transport_feasible", forbidden)
+        monkeypatch.setattr(stochorder, "transport_feasible", forbidden)
+        mu = m1({0: "1/2", 1: "1/2"})
+        nu = m1({1: "1/2", 2: "1/2"})
+        for cone in CONES_1D:
+            # one direction is dominated and the other is not, on either orientation
+            assert {leq_st(mu, nu, cone).dominated, leq_st(nu, mu, cone).dominated} == {True, False}
