@@ -22,7 +22,6 @@ from .ldp import (
 from .measure import (
     DEFAULT_ATOM_CAP,
     Measure,
-    coarsen,
     convolve,
     convolve_power,
     delta,
@@ -63,7 +62,6 @@ __all__ = [
     "SpectrumPoint",
     "as_rat",
     "catalyst_1d",
-    "coarsen",
     "compare_on_ray",
     "convolve",
     "convolve_power",

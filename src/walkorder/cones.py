@@ -10,7 +10,7 @@ up to 3 a built-in converter can fill in a missing side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -54,17 +54,12 @@ def _is_zero(v: Point) -> bool:
     return all(c == 0 for c in v)
 
 
-def _primitive(v: Point) -> Point:
+def _primitive(v: Point) -> tuple[int, ...]:
     """Scale a nonzero rational vector to coprime integers, keeping sign."""
-    den_lcm = 1
-    for c in v:
-        d = int(c.denominator)
-        den_lcm = den_lcm * d // gcd(den_lcm, d)
-    ints = [int(c * den_lcm) for c in v]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
-    return tuple(rat(c // g) for c in ints)
+    den = lcm(*(c.denominator for c in v))
+    ints = [c.numerator * (den // c.denominator) for c in v]
+    g = gcd(*ints)
+    return tuple(c // g for c in ints)
 
 
 def _rank(vectors: Sequence[Point], dim: int) -> int:
@@ -115,7 +110,7 @@ def _normals_from_rays(dim: int, rays: Sequence[Point]) -> list[Point]:
         p = _primitive(n)
         if p not in seen:
             seen.add(p)
-            normals.append(p)
+            normals.append(as_point(p))
     if not normals:
         raise ValueError("cone has a trivial dual; supply normals explicitly")
     return normals
@@ -158,7 +153,7 @@ def _rays_from_normals(dim: int, normals: Sequence[Point]) -> list[Point]:
         p = _primitive(r)
         if p not in seen:
             seen.add(p)
-            rays.append(p)
+            rays.append(as_point(p))
     if not rays or _rank(rays, dim) < dim:
         raise ValueError("could not recover spanning rays; supply rays explicitly")
     return rays
@@ -167,7 +162,7 @@ def _rays_from_normals(dim: int, normals: Sequence[Point]) -> list[Point]:
 class Cone:
     """Polyhedral positive cone on R^d with a designated interior order unit."""
 
-    __slots__ = ("dim", "rays", "normals", "unit", "kind")
+    __slots__ = ("dim", "rays", "normals", "unit", "kind", "_int_normals")
 
     def __init__(
         self,
@@ -198,6 +193,8 @@ class Cone:
         for n in self.normals:
             if _dot(n, self.unit) <= 0:
                 raise ValueError(f"unit {self.unit} is not interior (normal {n})")
+        # each normal as coprime ints: same sign of <n, x> for every x
+        self._int_normals = tuple(_primitive(n) for n in self.normals)
 
     # -- constructors --------------------------------------------------------
 
@@ -237,22 +234,20 @@ class Cone:
 
     # -- order predicates ------------------------------------------------------
 
-    def contains(self, x: Sequence) -> bool:
-        pt = as_point(x, self.dim)
-        return all(_dot(n, pt) >= 0 for n in self.normals)
-
     def leq_point(self, x: Sequence, y: Sequence) -> bool:
-        """x <= y iff y - x lies in the cone."""
+        """x <= y iff y - x lies in the cone.
+
+        y - x is scaled to ints by the lcm of the coordinate denominators and
+        tested against the integer normals, so no rational is built.
+        """
         xp = as_point(x, self.dim)
         yp = as_point(y, self.dim)
-        return all(_dot(n, tuple(b - a for a, b in zip(xp, yp))) >= 0 for n in self.normals)
-
-    def is_order_unit(self, u: Sequence) -> bool:
-        """True iff u is interior and the cone is full-dimensional."""
-        up = as_point(u, self.dim)
-        if _rank(self.rays, self.dim) < self.dim:
-            return False
-        return all(_dot(n, up) > 0 for n in self.normals)
+        den = lcm(*(c.denominator for c in xp), *(c.denominator for c in yp))
+        diff = [
+            b.numerator * (den // b.denominator) - a.numerator * (den // a.denominator)
+            for a, b in zip(xp, yp)
+        ]
+        return all(sum(n * d for n, d in zip(normal, diff)) >= 0 for normal in self._int_normals)
 
     def bounding_k(self, points: Iterable[Sequence]) -> int:
         """Smallest k in N with -k*unit <= x <= k*unit for all given points."""

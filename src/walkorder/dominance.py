@@ -20,6 +20,9 @@ from .rational import Rational, ZERO, as_rat, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .stochorder import leq_st, tail_mass
 
+#: Largest catalyst grid: the LP's dense tableau grows as the square of it.
+MAX_CATALYST_GRID = 1024
+
 
 @dataclass(frozen=True)
 class MinNResult:
@@ -76,6 +79,10 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     vector is re-verified with ``leq_st`` on the half-line before it is
     returned; None means no catalyst exists on this grid (a grid-relative
     statement, not a refutation).
+
+    The LP's dense tableau has O(G^2) cells for a grid of G points, so a grid
+    of more than ``MAX_CATALYST_GRID`` points raises ``ValueError`` before
+    any row is built.
     """
     if X.dim != 1 or Y.dim != 1:
         raise DimensionMismatch("catalyst_1d requires 1-D measures")
@@ -84,12 +91,23 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     grid_pts = sorted({as_rat(g) for g in grid})
     if not grid_pts:
         raise ValueError("catalyst grid must be nonempty")
+    if len(grid_pts) > MAX_CATALYST_GRID:
+        raise ValueError(
+            f"catalyst grid has {len(grid_pts)} points, more than {MAX_CATALYST_GRID}; "
+            "use a coarser --grid-step"
+        )
 
     support = sorted({x[0] for x in X.atoms} | {y[0] for y in Y.atoms})
     thresholds = sorted({s + g for s in support for g in grid_pts})
+    gaps: dict = {}  # offset c - g -> tail_X - tail_Y there
     ineq_rows = []
     for c in thresholds:
-        row = [tail_mass(X, c - g) - tail_mass(Y, c - g) for g in grid_pts]
+        row = []
+        for g in grid_pts:
+            t = c - g
+            if t not in gaps:
+                gaps[t] = tail_mass(X, t) - tail_mass(Y, t)
+            row.append(gaps[t])
         ineq_rows.append((row, ZERO))
     eq_rows = [([rat(1)] * len(grid_pts), rat(1))]
     solution = lp_feasible(LinearFeasibility.build(len(grid_pts), ineq_rows, eq_rows))

@@ -323,41 +323,3 @@ def project(mu: Measure, t: Sequence) -> Measure:
         else:
             out[key] = w
     return Measure._raw(1, out)
-
-
-def coarsen(mu: Measure, u: Sequence, grid_step) -> Measure:
-    """Floor atoms to the lattice (grid_step * Z)^d, preserving mass.
-
-    The result nu is sandwiched between mu shifted down and up by 2*s*u
-    (s = grid_step); the sandwich is re-verified with the exact
-    stochastic-order decider for the orthant cone with order unit u, so a
-    unit with some coordinate below 1/2 is rejected rather than silently
-    producing an unordered coarsening.
-    """
-    s = as_rat(grid_step)
-    if s <= 0:
-        raise ValueError("grid_step must be positive")
-    uv = as_point(u, mu.dim)
-    if any(uc <= 0 for uc in uv):
-        raise ValueError("coarsening unit must have strictly positive coordinates")
-    floored: dict[Point, Rational] = {}
-    for x, w in mu._atoms.items():
-        key = tuple((xc // s) * s for xc in x)
-        if key in floored:
-            floored[key] += w
-        else:
-            floored[key] = w
-    nu = Measure._raw(mu.dim, floored)
-
-    from .cones import Cone  # deferred: cones/stochorder import this module
-    from .stochorder import leq_st
-
-    cone = Cone.orthant(mu.dim, unit=uv)
-    two_su = tuple(2 * s * uc for uc in uv)
-    lower = shift(mu, tuple(-c for c in two_su))
-    upper = shift(mu, two_su)
-    if not (leq_st(lower, nu, cone).dominated and leq_st(nu, upper, cone).dominated):
-        raise ValueError(
-            "coarsen sandwich contract failed: grid_step too coarse for this order unit"
-        )
-    return nu

@@ -2,17 +2,20 @@
 
 Transportation feasibility is decided by rational max-flow with shortest
 augmenting paths (greedy warm start, then BFS augmentation); linear
-feasibility by a phase-1 simplex with Bland's rule.  Everything is exact, so
-certificates never depend on a tolerance.
+feasibility by a phase-1 simplex with Bland's rule, whose tableau rows are
+plain ints, each up to a positive factor, and whose pivots are exactly those
+of the rational tableau.  Everything is exact, so certificates never depend
+on a tolerance.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .rational import Rational, ZERO, as_rat
+from .rational import Rational, ZERO, as_rat, rat
 
 
 @dataclass(frozen=True)
@@ -162,108 +165,109 @@ class LinearFeasibility:
 def lp_feasible(inst: LinearFeasibility) -> Optional[list]:
     """Phase-1 simplex with Bland's rule; returns a feasible point or None.
 
+    The tableau holds plain ints.  Each row, the objective row included,
+    stands for its rational values up to a positive factor: a constraint row
+    carries its denominator as the entry in its basic column, and the
+    objective row is read only for signs.  A pivot on entry p = P[c] of row P
+    replaces every other row R by p*R - R[c]*P and divides out the gcd of
+    the result; p > 0, so every factor stays positive.  The pivots are those
+    of the rational tableau: the entering column is the first with a negative
+    objective entry, the leaving row has the least ratio rhs / R[c] over
+    R[c] > 0 (compared by cross-multiplying, where the row factors cancel),
+    and ties go to the smaller basic column.
+
     Every returned point is re-checked exactly against all rows before it is
     handed back; infeasibility is declared only when the phase-1 optimum is
     strictly positive.
     """
     n = inst.num_vars
     n_ineq = len(inst.ineq_rows)
-    rows = []  # each: (coeffs over x, slack coefficient or 0, rhs) sign-normalized
-    for idx, (coeffs, rhs) in enumerate(inst.ineq_rows):
-        if rhs >= 0:
-            rows.append((coeffs, idx, as_rat(1), rhs))
-        else:
-            rows.append((tuple(-c for c in coeffs), idx, as_rat(-1), -rhs))
-    for coeffs, rhs in inst.eq_rows:
-        if rhs >= 0:
-            rows.append((coeffs, None, None, rhs))
-        else:
-            rows.append((tuple(-c for c in coeffs), None, None, -rhs))
-
-    # columns: x (n) | slacks (n_ineq) | artificials (added as needed) | rhs
-    tableau: list[list] = []
-    basis: list[int] = []
-    art_rows: list[int] = []
-    num_art = 0
-    for coeffs, slack_idx, slack_coeff, rhs in rows:
-        row = list(coeffs) + [ZERO] * n_ineq
-        if slack_idx is not None:
-            row[n + slack_idx] = slack_coeff
-        tableau.append([*row, rhs])
-        if slack_idx is not None and slack_coeff > 0:
-            basis.append(n + slack_idx)
-        else:
-            basis.append(-1)  # placeholder for an artificial
-            art_rows.append(len(tableau) - 1)
-            num_art += 1
+    rows = [(coeffs, rhs, idx) for idx, (coeffs, rhs) in enumerate(inst.ineq_rows)]
+    rows += [(coeffs, rhs, None) for coeffs, rhs in inst.eq_rows]
+    # every row but an inequality with rhs >= 0 starts on an artificial
+    num_art = sum(1 for _, rhs, slack in rows if slack is None or rhs < 0)
     total_cols = n + n_ineq + num_art
-    for r, row in enumerate(tableau):
-        rhs = row.pop()
-        row.extend([ZERO] * num_art)
-        row.append(rhs)
-        if r in art_rows:
-            a = n + n_ineq + art_rows.index(r)
-            row[a] = as_rat(1)
-            basis[r] = a
 
-    # objective: minimize the sum of artificials
-    obj = [ZERO] * (total_cols + 1)
-    for a in range(num_art):
-        obj[n + n_ineq + a] = as_rat(1)
-    for r, b in enumerate(basis):
-        if obj[b] != 0:
-            f = obj[b]
-            obj = [o - f * t for o, t in zip(obj, tableau[r])]
+    # columns: x (n) | slacks (n_ineq) | artificials | rhs; each row is scaled
+    # to ints by the lcm of its denominators, negated where rhs < 0
+    tableau: list[list[int]] = []
+    basis: list[int] = []
+    art = n + n_ineq
+    for coeffs, rhs, slack in rows:
+        den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        s = -den if rhs < 0 else den
+        row = [s * c.numerator // c.denominator for c in coeffs]
+        row += [0] * (n_ineq + num_art) + [s * rhs.numerator // rhs.denominator]
+        if slack is not None:
+            row[n + slack] = s
+        if slack is not None and s > 0:
+            basis.append(n + slack)
+        else:
+            row[art] = den
+            basis.append(art)
+            art += 1
+        tableau.append(row)
 
-    def pivot(row_idx: int, col: int) -> None:
-        nonlocal obj
-        prow = tableau[row_idx]
-        p = prow[col]
-        tableau[row_idx] = [c / p for c in prow]
-        prow = tableau[row_idx]
-        for r in range(len(tableau)):
-            if r != row_idx and tableau[r][col] != 0:
-                f = tableau[r][col]
-                tableau[r] = [a - f * b for a, b in zip(tableau[r], prow)]
-        if obj[col] != 0:
-            f = obj[col]
-            obj = [a - f * b for a, b in zip(obj, prow)]
-        basis[row_idx] = col
+    # objective: minimize the sum of artificials, priced out against their rows
+    arts = [r for r, b in enumerate(basis) if b >= n + n_ineq]
+    scale = lcm(*(tableau[r][basis[r]] for r in arts))
+    obj = [0] * (n + n_ineq) + [scale] * num_art + [0]
+    for r in arts:
+        f = scale // tableau[r][basis[r]]
+        obj = [o - f * v for o, v in zip(obj, tableau[r])]
 
     while True:
         entering = next((j for j in range(total_cols) if obj[j] < 0), None)
         if entering is None:
             break
         leaving = None
-        best = None
-        for r in range(len(tableau)):
-            a = tableau[r][entering]
+        for r, row in enumerate(tableau):
+            a = row[entering]
             if a > 0:
-                ratio = tableau[r][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
-                    best = ratio
+                if leaving is None:
+                    leaving = r
+                    continue
+                best = tableau[leaving]
+                lhs, rhs = row[-1] * best[entering], best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
                     leaving = r
         if leaving is None:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
-        pivot(leaving, entering)
+        prow = tableau[leaving]
+        p = prow[entering]
+        for r, row in enumerate(tableau):
+            if r != leaving and row[entering] != 0:
+                tableau[r] = _eliminate(row, prow, p, entering)
+        if obj[entering] != 0:
+            obj = _eliminate(obj, prow, p, entering)
+        basis[leaving] = entering
 
-    if -obj[-1] > 0:  # optimum value of sum of artificials
+    if obj[-1] < 0:  # optimum value of sum of artificials is positive
         return None
     x = [ZERO] * n
-    for r, b in enumerate(basis):
+    for row, b in zip(tableau, basis):
         if b < n:
-            x[b] = tableau[r][-1]
+            x[b] = rat(row[-1], row[b])
     _check_solution(inst, x)
     return x
+
+
+def _eliminate(row: list[int], prow: list[int], p: int, col: int) -> list[int]:
+    """p*row - row[col]*prow, which is 0 in column col, divided by its gcd."""
+    f = row[col]
+    out = [p * a - f * b for a, b in zip(row, prow)]
+    g = gcd(*out)
+    return [a // g for a in out] if g > 1 else out
 
 
 def _check_solution(inst: LinearFeasibility, x: Sequence) -> None:
     if any(v < 0 for v in x):
         raise RuntimeError("simplex returned a negative component")
+    support = [(j, v) for j, v in enumerate(x) if v != 0]
     for coeffs, rhs in inst.ineq_rows:
-        if sum(c * v for c, v in zip(coeffs, x)) > rhs:
+        if sum(coeffs[j] * v for j, v in support) > rhs:
             raise RuntimeError("simplex returned a point violating an inequality row")
     for coeffs, rhs in inst.eq_rows:
-        if sum(c * v for c, v in zip(coeffs, x)) != rhs:
+        if sum(coeffs[j] * v for j, v in support) != rhs:
             raise RuntimeError("simplex returned a point violating an equality row")

@@ -262,6 +262,25 @@ class TestErrors:
         assert "cone dimension 200 does not match 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_fine_catalyst_grid_exits_fast(self, files):
+        # 8001 grid points: the LP would take minutes, so the grid cap must
+        # stop it before any row is built; a subprocess turns a stall into a
+        # failure
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["catalyst", files["bern"], files["bern34"], "--grid-step", "1/2000", "--json", "-"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "walkorder.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=20,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("catalyst did not exit within 20 s")
+        assert proc.returncode == EXIT_ERROR
+        assert "catalyst grid has 8001 points, more than 1024" in proc.stderr
+        assert "--grid-step" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR
 

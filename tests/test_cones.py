@@ -46,8 +46,10 @@ class TestConstruction:
 
     def test_halfplane_normals_to_rays(self):
         cone = Cone.from_generators(2, normals=[(0, 1)], unit=(0, 1))
-        assert cone.contains((5, 0)) and cone.contains((-5, 0)) and cone.contains((0, 3))
-        assert not cone.contains((0, -1))
+        assert cone.leq_point((0, 0), (5, 0))
+        assert cone.leq_point((0, 0), (-5, 0))
+        assert cone.leq_point((0, 0), (0, 3))
+        assert not cone.leq_point((0, 0), (0, -1))
 
     def test_degenerate_rays_rejected(self):
         with pytest.raises(ValueError):
@@ -79,14 +81,35 @@ class TestLeqPoint:
             )
             assert orthant2.leq_point(x, y) == shifted
 
+    def test_matches_rational_dot_products(self):
+        # the integer predicate against <n, y - x> >= 0 over the rational normals
+        cones = [
+            Cone.halfline(),
+            Cone(1, [(-2,)], [("-3/2",)], (-5,)),  # (-inf, 0], non-primitive normal
+            Cone(2, [(1, 0), (1, 1)], [(0, "2/3"), (4, -4)], (2, 1)),
+            Cone.from_generators(2, normals=[(0, 1)], unit=(0, 1)),  # half-plane
+            Cone.orthant(3, unit=("1/2", 2, "3/4")),
+            Cone(3, [(1, 0, 0), (1, 1, 0), (1, 1, 1)], [(0, 0, "5/3"), (0, 6, -6), (1, -1, 0)], (3, 2, 1)),
+        ]
+        rng = random.Random(23)
+        for cone in cones:
+            outcomes = set()
+            for _ in range(200):
+                x, y = (
+                    tuple(rat(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(cone.dim))
+                    for _ in range(2)
+                )
+                expected = all(_dot(n, tuple(b - a for a, b in zip(x, y))) >= 0 for n in cone.normals)
+                assert cone.leq_point(x, y) == expected
+                assert cone.leq_point(x, x)
+                outcomes.add(expected)
+            assert outcomes == {True, False}
 
-class TestOrderUnit:
-    def test_orthant_examples(self, orthant2):
-        assert orthant2.is_order_unit((1, 1))
-        assert not orthant2.is_order_unit((1, 0))
-
-    def test_halfline(self, halfline):
-        assert halfline.is_order_unit((1,))
+    def test_floats_rejected(self, orthant2):
+        with pytest.raises(TypeError):
+            orthant2.leq_point((0.5, 0), (1, 1))
+        with pytest.raises(TypeError):
+            orthant2.leq_point((0, 0), (1, 1.0))
 
 
 class TestBoundingK:
@@ -178,3 +201,5 @@ class TestDimChecks:
     def test_leq_point_dim_mismatch(self, orthant2):
         with pytest.raises(DimensionMismatch):
             orthant2.leq_point((0,), (1, 1))
+        with pytest.raises(DimensionMismatch):
+            orthant2.leq_point((0, 0), (1, 1, 1))

@@ -8,14 +8,11 @@ import pytest
 
 from walkorder import (
     AtomBudgetExceeded,
-    Cone,
     DimensionMismatch,
     Measure,
-    coarsen,
     convolve,
     convolve_power,
     delta,
-    leq_st,
     mix,
     project,
     shift,
@@ -286,36 +283,3 @@ class TestShiftProject:
             b = random_measure_2d(rng, max_atoms=4)
             t = (rat(rng.randint(0, 3)), rat(rng.randint(1, 3)))
             assert project(convolve(a, b), t) == convolve(project(a, t), project(b, t))
-
-
-class TestCoarsen:
-    def test_single_atom(self):
-        assert coarsen(delta(("1/3",)), (1,), 1) == delta((0,))
-
-    def test_floor_to_grid(self):
-        mu = m1({"1/10": "1/2", "11/10": "1/2"})
-        assert coarsen(mu, (1,), 1) == m1({0: "1/2", 1: "1/2"})
-
-    def test_sandwich_verified_by_order_oracle(self):
-        # seven atoms on [0, 1], step 1/4: re-verify the sandwich directly
-        rng = random.Random(17)
-        atoms = {(rat(rng.randint(0, 16), 16),): rat(1, 7) for _ in range(7)}
-        mu = Measure(1, atoms)
-        nu = coarsen(mu, (1,), "1/4")
-        cone = Cone.halfline()
-        low = shift(mu, (rat(-1, 2),))
-        high = shift(mu, (rat(1, 2),))
-        assert leq_st(low, nu, cone).dominated
-        assert leq_st(nu, high, cone).dominated
-        assert nu.mass() == mu.mass()
-        assert all(p[0] % rat(1, 4) == 0 for p in nu.atoms)
-
-    def test_bad_step_rejected(self):
-        with pytest.raises(ValueError):
-            coarsen(delta((0,)), (1,), 0)
-
-    def test_tiny_unit_fails_sandwich_contract(self):
-        # flooring can move an atom down by almost a full step; a unit with a
-        # coordinate below 1/2 cannot absorb that inside [-2su, +2su]
-        with pytest.raises(ValueError, match="sandwich"):
-            coarsen(delta(("9/10",)), ("1/4",), 1)

@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
-from walkorder.rational import ZERO, rat
+from walkorder import dominance
+from walkorder.dominance import catalyst_1d, default_catalyst_grid
+from walkorder.rational import ZERO, as_rat, rat
 from walkorder.solvers import (
     LinearFeasibility,
     TransportInstance,
+    _eliminate,
     lp_feasible,
     transport_feasible,
 )
+
+from conftest import random_measure_1d
 
 
 def check_plan_conservation(inst: TransportInstance, plan: dict) -> None:
@@ -120,6 +126,198 @@ class TestLpFeasible:
     def test_infeasible_negative_rhs(self):
         inst = LinearFeasibility.build(1, ineq_rows=[((1,), -1)])
         assert lp_feasible(inst) is None
+
+
+def _lp_feasible_reference(inst: LinearFeasibility, ties: list | None = None):
+    """The phase-1 simplex on a ``Fraction`` tableau, kept as the reference.
+
+    Same pivots as ``lp_feasible``: Bland's entering column, least ratio,
+    ties to the smaller basic column.  ``ties`` collects one entry per ratio
+    tie, True when the tie moved the leaving row.
+    """
+    n = inst.num_vars
+    n_ineq = len(inst.ineq_rows)
+    rows = []
+    for idx, (coeffs, rhs) in enumerate(inst.ineq_rows):
+        if rhs >= 0:
+            rows.append((coeffs, idx, as_rat(1), rhs))
+        else:
+            rows.append((tuple(-c for c in coeffs), idx, as_rat(-1), -rhs))
+    for coeffs, rhs in inst.eq_rows:
+        if rhs >= 0:
+            rows.append((coeffs, None, None, rhs))
+        else:
+            rows.append((tuple(-c for c in coeffs), None, None, -rhs))
+
+    tableau: list[list] = []
+    basis: list[int] = []
+    art_rows: list[int] = []
+    num_art = 0
+    for coeffs, slack_idx, slack_coeff, rhs in rows:
+        row = list(coeffs) + [ZERO] * n_ineq
+        if slack_idx is not None:
+            row[n + slack_idx] = slack_coeff
+        tableau.append([*row, rhs])
+        if slack_idx is not None and slack_coeff > 0:
+            basis.append(n + slack_idx)
+        else:
+            basis.append(-1)
+            art_rows.append(len(tableau) - 1)
+            num_art += 1
+    total_cols = n + n_ineq + num_art
+    for r, row in enumerate(tableau):
+        rhs = row.pop()
+        row.extend([ZERO] * num_art)
+        row.append(rhs)
+        if r in art_rows:
+            a = n + n_ineq + art_rows.index(r)
+            row[a] = as_rat(1)
+            basis[r] = a
+
+    obj = [ZERO] * (total_cols + 1)
+    for a in range(num_art):
+        obj[n + n_ineq + a] = as_rat(1)
+    for r, b in enumerate(basis):
+        if obj[b] != 0:
+            f = obj[b]
+            obj = [o - f * t for o, t in zip(obj, tableau[r])]
+
+    def pivot(row_idx: int, col: int) -> None:
+        nonlocal obj
+        prow = tableau[row_idx]
+        p = prow[col]
+        tableau[row_idx] = [c / p for c in prow]
+        prow = tableau[row_idx]
+        for r in range(len(tableau)):
+            if r != row_idx and tableau[r][col] != 0:
+                f = tableau[r][col]
+                tableau[r] = [a - f * b for a, b in zip(tableau[r], prow)]
+        if obj[col] != 0:
+            f = obj[col]
+            obj = [a - f * b for a, b in zip(obj, prow)]
+        basis[row_idx] = col
+
+    while True:
+        entering = next((j for j in range(total_cols) if obj[j] < 0), None)
+        if entering is None:
+            break
+        leaving = None
+        best = None
+        for r in range(len(tableau)):
+            a = tableau[r][entering]
+            if a > 0:
+                ratio = tableau[r][-1] / a
+                if ties is not None and ratio == best:
+                    ties.append(basis[r] < basis[leaving])
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leaving]):
+                    best = ratio
+                    leaving = r
+        if leaving is None:
+            raise RuntimeError("phase-1 simplex detected an unbounded direction")
+        pivot(leaving, entering)
+
+    if -obj[-1] > 0:
+        return None
+    x = [ZERO] * n
+    for r, b in enumerate(basis):
+        if b < n:
+            x[b] = tableau[r][-1]
+    return x
+
+
+def _random_lp(rng: random.Random) -> LinearFeasibility:
+    """A small LP with integer or rational entries, often degenerate.
+
+    Zero right-hand sides and repeated rows make ratio ties; negative
+    right-hand sides and equality rows start on artificials.
+    """
+    n = rng.randint(1, 6)
+    den = rng.choice((1, 1, 2, 3, 4, 6))
+
+    def coeff():
+        return rat(rng.randint(-4, 4), rng.randint(1, den))
+
+    def rhs():
+        return rat(rng.choice((0, 0, rng.randint(-3, 3), rng.randint(1, 5))), rng.randint(1, den))
+
+    ineq = [([coeff() for _ in range(n)], rhs()) for _ in range(rng.randint(0, 6))]
+    eq = [([coeff() for _ in range(n)], rhs()) for _ in range(rng.randint(0, 3))]
+    if ineq and rng.random() < 0.4:
+        ineq.append(rng.choice(ineq))
+    if rng.random() < 0.5:  # a simplex constraint, as in the catalyst LP
+        eq.append(([rat(1)] * n, rat(1)))
+    return LinearFeasibility.build(n, ineq, eq)
+
+
+class TestIntTableau:
+    def test_matches_fraction_reference_on_random_lps(self):
+        rng = random.Random(41)
+        feasible = infeasible = 0
+        ties: list = []
+        for _ in range(600):
+            inst = _random_lp(rng)
+            expected = _lp_feasible_reference(inst, ties)
+            assert lp_feasible(inst) == expected
+            if expected is None:
+                infeasible += 1
+            else:
+                feasible += 1
+        assert feasible > 100 and infeasible > 100
+        assert any(ties) and not all(ties)  # ties both kept and moved the row
+
+    def test_matches_reference_on_catalyst_lps(self, monkeypatch, curated_pair):
+        seen = []
+
+        def both(inst):
+            seen.append(inst)
+            x = lp_feasible(inst)
+            assert x == _lp_feasible_reference(inst)
+            return x
+
+        monkeypatch.setattr(dominance, "lp_feasible", both)
+        X, Y = curated_pair
+        catalyst_1d(X, Y, default_catalyst_grid(X, Y))
+        rng = random.Random(42)
+        while len(seen) < 12:
+            X = random_measure_1d(rng, max_atoms=3, max_den=6, span=4).normalized()
+            Y = random_measure_1d(rng, max_atoms=3, max_den=6, span=4).normalized()
+            grid = default_catalyst_grid(X, Y)
+            if len(grid) <= 40:
+                catalyst_1d(X, Y, grid)
+
+    def test_eliminated_rows_are_primitive(self):
+        # without the gcd step entries double in length at every pivot
+        rng = random.Random(44)
+        for _ in range(200):
+            k = rng.randint(2, 8)
+            row = [rng.randint(-6, 6) * 12 for _ in range(k)]
+            prow = [rng.randint(-6, 6) * 6 for _ in range(k)]
+            col = rng.randrange(k)
+            p = prow[col] = 6 * rng.randint(1, 6)
+            out = _eliminate(row, prow, p, col)
+            exact = [p * a - row[col] * b for a, b in zip(row, prow)]
+            assert out[col] == 0
+            assert any(exact) or not any(out)
+            if any(exact):
+                g = math.gcd(*exact)
+                assert out == [a // g for a in exact] and math.gcd(*out) == 1
+
+    def test_feasibility_agrees_with_linprog(self):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        rng = random.Random(43)
+        for _ in range(200):
+            inst = _random_lp(rng)
+            n = inst.num_vars
+            ub = [[float(c) for c in coeffs] for coeffs, _ in inst.ineq_rows] or None
+            eq = [[float(c) for c in coeffs] for coeffs, _ in inst.eq_rows] or None
+            res = linprog(
+                [0.0] * n,
+                A_ub=ub, b_ub=[float(b) for _, b in inst.ineq_rows] or None,
+                A_eq=eq, b_eq=[float(b) for _, b in inst.eq_rows] or None,
+                bounds=[(0, None)] * n, method="highs",
+            )
+            assert res.status in (0, 2)
+            assert (lp_feasible(inst) is not None) == (res.status == 0)
 
 
 class TestCrossOracle:
