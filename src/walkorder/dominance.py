@@ -11,6 +11,7 @@ exactly.  growth_exponent finds the smallest k with nu <= delta_{k*unit} * mu.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cones import Cone
@@ -82,7 +83,8 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
 
     The LP's dense tableau has O(G^2) cells for a grid of G points, so a grid
     of more than ``MAX_CATALYST_GRID`` points raises ``ValueError`` before
-    any row is built.
+    any row is built.  Rows are built on the int lattice of one common
+    denominator, with one tail gap per distinct offset ``c - g``.
     """
     if X.dim != 1 or Y.dim != 1:
         raise DimensionMismatch("catalyst_1d requires 1-D measures")
@@ -91,22 +93,23 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     grid_pts = sorted({as_rat(g) for g in grid})
     if not grid_pts:
         raise ValueError("catalyst grid must be nonempty")
-    if len(grid_pts) > MAX_CATALYST_GRID:
-        raise ValueError(
-            f"catalyst grid has {len(grid_pts)} points, more than {MAX_CATALYST_GRID}; "
-            "use a coarser --grid-step"
-        )
+    _check_grid_size(len(grid_pts))
 
-    support = sorted({x[0] for x in X.atoms} | {y[0] for y in Y.atoms})
-    thresholds = sorted({s + g for s in support for g in grid_pts})
-    gaps: dict = {}  # offset c - g -> tail_X - tail_Y there
+    support = {x[0] for x in X.atoms} | {y[0] for y in Y.atoms}
+    # thresholds and offsets on ints: scaling by den > 0 keeps their order
+    den = lcm(*(q.denominator for q in support), *(g.denominator for g in grid_pts))
+    grid_int = [g.numerator * (den // g.denominator) for g in grid_pts]
+    support_int = {q.numerator * (den // q.denominator) for q in support}
+    thresholds = sorted({s + g for s in support_int for g in grid_int})
+    gaps: dict = {}  # offset (c - g) * den -> tail_X - tail_Y there
     ineq_rows = []
     for c in thresholds:
         row = []
-        for g in grid_pts:
+        for g in grid_int:
             t = c - g
             if t not in gaps:
-                gaps[t] = tail_mass(X, t) - tail_mass(Y, t)
+                q = rat(t, den)
+                gaps[t] = tail_mass(X, q) - tail_mass(Y, q)
             row.append(gaps[t])
         ineq_rows.append((row, ZERO))
     eq_rows = [([rat(1)] * len(grid_pts), rat(1))]
@@ -121,7 +124,9 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
 def default_catalyst_grid(X: Measure, Y: Measure, step=None) -> list:
     """Arithmetic grid from 0 spanning four times the joint support range.
 
-    The default step is the coarsest lattice step of the joint support.
+    The default step is the coarsest lattice step of the joint support.  A
+    grid of more than ``MAX_CATALYST_GRID`` points raises ``ValueError``
+    before any point is built, so a tiny step cannot exhaust memory.
     """
     support = sorted({x[0] for x in X.atoms} | {y[0] for y in Y.atoms})
     step = as_rat(step) if step is not None else _lattice_step(support)
@@ -129,7 +134,16 @@ def default_catalyst_grid(X: Measure, Y: Measure, step=None) -> list:
         raise ValueError("grid step must be positive")
     span = (support[-1] - support[0]) * 4
     count = max(int(span // step), 1)
+    _check_grid_size(count + 1)
     return [step * k for k in range(count + 1)]
+
+
+def _check_grid_size(points: int) -> None:
+    if points > MAX_CATALYST_GRID:
+        raise ValueError(
+            f"catalyst grid has {points} points, more than {MAX_CATALYST_GRID}; "
+            "use a coarser --grid-step"
+        )
 
 
 def _lattice_step(values: Sequence) -> Rational:
@@ -141,16 +155,8 @@ def _lattice_step(values: Sequence) -> Rational:
 
 
 def _rat_gcd(a, b) -> Rational:
-    from math import gcd
-
     a, b = abs(a), abs(b)
-    if a == 0:
-        return b
-    if b == 0:
-        return a
-    num = gcd(int(a.numerator), int(b.numerator))
-    den = int(a.denominator) * int(b.denominator) // gcd(int(a.denominator), int(b.denominator))
-    return rat(num, den)
+    return rat(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
 
 
 def _grid_step(grid_pts: list) -> Rational:

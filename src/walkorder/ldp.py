@@ -279,6 +279,10 @@ def relative_rate_lhs(
     plus the whole space in higher dimensions (a certified lower bound).
     A zero denominator with positive numerator gives +inf; 0/0 contributes
     nothing.
+
+    In one dimension the N thresholds are answered by ``tail_mass`` from
+    each measure's tail index, so the table costs O(N log N) per n on top
+    of the two convolution powers.
     """
     if n < 1:
         raise ValueError("n must be at least 1")

@@ -64,9 +64,15 @@ class Measure:
         fraction strings); floats are rejected.  Zero-weight atoms are
         dropped, negative weights are an error, and duplicate points are
         merged by summing weights.
+
+    A 1-D measure answers closed tail masses ``mu([c, inf))`` in O(log N)
+    from a private tail index: its atoms sorted ascending with their suffix
+    masses.  The index is built on the first query, in O(N log N), and kept
+    for the life of the value; measures are immutable, so it never goes
+    stale.
     """
 
-    __slots__ = ("_dim", "_atoms", "_mass")
+    __slots__ = ("_dim", "_atoms", "_mass", "_tails")
 
     def __init__(self, dim: int, atoms: Mapping | Iterable = ()):
         if dim < 1:
@@ -87,6 +93,7 @@ class Measure:
         self._dim = dim
         self._atoms = cleaned
         self._mass = sum(cleaned.values(), ZERO)
+        self._tails = None
 
     @classmethod
     def _raw(cls, dim: int, atoms: dict) -> "Measure":
@@ -96,6 +103,7 @@ class Measure:
         self._dim = dim
         self._atoms = atoms
         self._mass = sum(atoms.values(), ZERO)
+        self._tails = None
         return self
 
     @property
@@ -116,6 +124,18 @@ class Measure:
 
     def weight(self, point: Sequence) -> Rational:
         return self._atoms.get(as_point(point, self._dim), ZERO)
+
+    def _tail_index(self) -> tuple[list, list]:
+        """1-D only: ``(keys, suffix)`` with the atom coordinates ascending
+        and ``suffix[i]`` the mass at ``keys[i:]``, so that the closed tail
+        mass at c is ``suffix[bisect_left(keys, c)]``."""
+        if self._tails is None:
+            items = sorted(self._atoms.items())
+            suffix = [ZERO] * (len(items) + 1)
+            for i in range(len(items) - 1, -1, -1):
+                suffix[i] = suffix[i + 1] + items[i][1]
+            self._tails = ([x[0] for x, _ in items], suffix)
+        return self._tails
 
     def is_probability(self) -> bool:
         return self._mass == 1

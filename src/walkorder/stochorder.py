@@ -11,6 +11,7 @@ O'Brien 1977).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,11 +48,18 @@ def upset_mass(mu: Measure, cone: Cone, generators: Sequence) -> Rational:
 
 
 def tail_mass(mu: Measure, c) -> Rational:
-    """1-D closed tail mass mu([c, infinity))."""
+    """1-D closed tail mass mu([c, infinity)), exact.
+
+    ``c`` is an exact rational, an int, a fraction string or a 1-tuple of
+    one; floats raise TypeError.  The first call on a measure builds its tail
+    index in O(N log N); every call then costs one O(log N) bisection, so a
+    sweep over all N thresholds is O(N log N).
+    """
     if mu.dim != 1:
         raise DimensionMismatch("tail_mass requires a 1-D measure")
     cp = as_point((c,) if not isinstance(c, (tuple, list)) else c, 1)[0]
-    return sum((w for x, w in mu.atoms.items() if x[0] >= cp), ZERO)
+    keys, suffix = mu._tail_index()
+    return suffix[bisect_left(keys, cp)]
 
 
 def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:

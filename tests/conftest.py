@@ -55,10 +55,32 @@ def random_measure_2d(rng: random.Random, max_atoms: int = 5, max_den: int = 8) 
     return Measure(2, atoms)
 
 
+def measures_on(hyp, dim: int):
+    """Hypothesis strategy: 1 to 5 atoms with coordinates in (1/6)Z, negatives
+    included, so steps such as 1/3 and 1/2 are off the integer lattice."""
+    st = hyp.strategies
+    coord = st.builds(rat, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+    weight = st.builds(rat, st.integers(1, 9), st.sampled_from([1, 2, 4, 5, 7]))
+    points = st.tuples(*[coord] * dim)
+    return st.dictionaries(points, weight, min_size=1, max_size=5).map(
+        lambda atoms: Measure(dim, atoms)
+    )
+
+
+def kernel_settings(hyp):
+    """Derandomized Hypothesis settings, so every run draws the same examples."""
+    return hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
 def bernoulli(p) -> Measure:
     """Measure with mass p at 1 and 1-p at 0."""
     p = rat(str(p)) if isinstance(p, str) else rat(p)
     return Measure(1, {(0,): 1 - p, (1,): p})
+
+
+@pytest.fixture(scope="module")
+def hyp():
+    return pytest.importorskip("hypothesis")
 
 
 @pytest.fixture

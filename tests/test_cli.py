@@ -281,6 +281,36 @@ class TestErrors:
         assert "--grid-step" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_tiny_catalyst_grid_step_exits_fast(self, files):
+        # 4 * 10^10 grid points: the cap must apply before the grid list is
+        # built.  The child runs under a 1 GB address-space limit, so a return
+        # to building the list ends in MemoryError instead of taking the
+        # host's memory, and the timeout turns a stall into a failure.
+        resource = pytest.importorskip("resource")
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            OPENBLAS_NUM_THREADS="1",
+            OMP_NUM_THREADS="1",
+        )
+        argv = ["catalyst", files["bern"], files["bern34"], "--grid-step", "1/10000000000",
+                "--json", "-"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "walkorder.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=20, preexec_fn=limit_memory,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("catalyst did not exit within 20 s")
+        assert proc.returncode == EXIT_ERROR
+        assert "catalyst grid has 40000000001 points, more than 1024" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR
 

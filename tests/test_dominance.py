@@ -19,7 +19,7 @@ from walkorder import (
     shift,
     spectral_verdict,
 )
-from walkorder.dominance import default_catalyst_grid
+from walkorder.dominance import MAX_CATALYST_GRID, default_catalyst_grid
 from walkorder.rational import rat
 from walkorder.spectrum import VIOLATED
 
@@ -132,7 +132,10 @@ class TestCatalyst:
         for _ in range(40):
             X = random_measure_1d(rng, max_atoms=3, span=3).normalized()
             Y = random_measure_1d(rng, max_atoms=3, span=3).normalized()
-            grid = default_catalyst_grid(X, Y)
+            try:
+                grid = default_catalyst_grid(X, Y)
+            except ValueError:  # above MAX_CATALYST_GRID
+                continue
             if len(grid) > 40:
                 continue
             c = catalyst_1d(X, Y, grid)
@@ -140,6 +143,13 @@ class TestCatalyst:
                 returned += 1
                 assert c.verified
         assert returned > 0
+
+    def test_default_grid_capped_before_it_is_built(self):
+        # the grid spans 4, so step 4/1023 gives 1024 points and 1/256 gives 1025
+        X, Y = bernoulli("1/2"), bernoulli("3/4")
+        assert len(default_catalyst_grid(X, Y, step=rat(4, 1023))) == MAX_CATALYST_GRID
+        with pytest.raises(ValueError, match="catalyst grid has 1025 points, more than 1024"):
+            default_catalyst_grid(X, Y, step=rat(1, 256))
 
     def test_default_grid_uses_lattice_step(self, curated_pair):
         X, Y = curated_pair

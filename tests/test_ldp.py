@@ -16,6 +16,7 @@ import pytest
 from walkorder import (
     Cone,
     Measure,
+    convolve_power,
     cramer_empirical,
     delta,
     log_mgf,
@@ -238,6 +239,68 @@ class TestRelativeRateLhs:
             best = max(best, (log_rat(num) - log_rat(den)) / n)
         val = relative_rate_lhs(X, Y, halfline, n, eps)
         assert val == pytest.approx(best, abs=1e-12)
+
+
+def naive_relative_lhs_1d(X: Measure, Y: Measure, n: int, eps) -> float:
+    """relative_rate_lhs on the half-line as the O(N^2) scan it replaced: one
+    pass over every atom for each threshold."""
+    inv_n = rat(1, n)
+    num = {x[0] * inv_n: w for x, w in convolve_power(X, n).atoms.items()}
+    den = {y[0] * inv_n + eps: w for y, w in convolve_power(Y, n).atoms.items()}
+    best = -math.inf
+    for c in sorted(set(num) | set(den)):
+        a = sum((w for x, w in num.items() if x >= c), rat(0))
+        b = sum((w for y, w in den.items() if y >= c), rat(0))
+        if a == 0:
+            continue
+        if b == 0:
+            return math.inf
+        best = max(best, (log_rat(a) - log_rat(b)) / n)
+    return best
+
+
+class TestRelativeRateLhsTable:
+    """The tail-index table against the naive scan, float for float."""
+
+    def test_random_pairs_match_naive_scan(self, halfline):
+        rng = random.Random(72)
+        checked = set()
+        for _ in range(30):
+            X = random_measure_1d(rng, max_atoms=4, span=6).normalized()
+            Y = random_measure_1d(rng, max_atoms=4, span=6).normalized()
+            n = rng.choice([1, 2, 5, 8, 16])
+            eps = rng.choice([rat(1, 64), rat(1, 3), rat(2)])
+            val = relative_rate_lhs(X, Y, halfline, n, eps)
+            assert val == naive_relative_lhs_1d(X, Y, n, eps), (X, Y, n, eps)
+            checked.add(math.isinf(val))
+        assert checked == {False, True}  # finite and infinite suprema both seen
+
+    @pytest.mark.parametrize("n", [1, 7, 32, 100])
+    def test_bernoulli_pair_matches_naive_scan(self, halfline, n):
+        X, Y = bernoulli("3/4"), bernoulli("1/2")
+        val = relative_rate_lhs(X, Y, halfline, n, "1/64")
+        assert val == naive_relative_lhs_1d(X, Y, n, rat(1, 64))
+
+    def test_large_n_returns_fast(self):
+        # an O(N^2) scan of the thresholds takes about 11 s at n = 1024 on a
+        # 2-core x86 host, the tail index about 0.4 s; a subprocess turns a
+        # return to the scan into a failure instead of a slow suite
+        code = (
+            "from walkorder import Cone, Measure, relative_rate_lhs\n"
+            "X = Measure(1, {(0,): '1/4', (1,): '3/4'})\n"
+            "Y = Measure(1, {(0,): '1/2', (1,): '1/2'})\n"
+            "print(repr(relative_rate_lhs(X, Y, Cone.halfline(), 1024, '1/64')))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=5
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("relative_rate_lhs at n = 1024 did not return within 5 s")
+        assert proc.returncode == 0, proc.stderr
+        assert 0.0 < float(proc.stdout) < LN32
 
 
 class TestCramer:

@@ -19,7 +19,7 @@ from walkorder import (
 )
 from walkorder.rational import rat
 
-from conftest import random_measure_1d, random_measure_2d
+from conftest import kernel_settings, measures_on, random_measure_1d, random_measure_2d
 
 
 def m1(mapping) -> Measure:
@@ -188,27 +188,6 @@ def naive_power_sizes(a: dict, dim: int, n: int) -> tuple[dict, list[int]]:
             base = naive_convolve(base, base)
             sizes.append(len(base))
     return acc, sizes
-
-
-@pytest.fixture(scope="module")
-def hyp():
-    return pytest.importorskip("hypothesis")
-
-
-def measures_on(hyp, dim: int):
-    """Strategy: 1 to 5 atoms with coordinates in (1/6)Z, negatives included,
-    so steps such as 1/3 and 1/2 are off the integer lattice."""
-    st = hyp.strategies
-    coord = st.builds(rat, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
-    weight = st.builds(rat, st.integers(1, 9), st.sampled_from([1, 2, 4, 5, 7]))
-    points = st.tuples(*[coord] * dim)
-    return st.dictionaries(points, weight, min_size=1, max_size=5).map(
-        lambda atoms: Measure(dim, atoms)
-    )
-
-
-def kernel_settings(hyp):
-    return hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 class TestLatticeKernel:

@@ -8,9 +8,11 @@ import pytest
 
 from walkorder import (
     Cone,
+    DimensionMismatch,
     MassMismatch,
     Measure,
     convolve,
+    convolve_power,
     delta,
     leq_st,
     mix,
@@ -18,10 +20,11 @@ from walkorder import (
     upset_mass,
 )
 from walkorder import solvers, stochorder
+from walkorder.ldp import _scale_points
 from walkorder.rational import ZERO, rat
-from walkorder.stochorder import _leq_flow
+from walkorder.stochorder import _leq_flow, tail_mass
 
-from conftest import random_measure_1d
+from conftest import kernel_settings, measures_on, random_measure_1d
 
 
 def m1(mapping) -> Measure:
@@ -209,3 +212,85 @@ class TestSweepCertificates:
         for cone in CONES_1D:
             # one direction is dominated and the other is not, on either orientation
             assert {leq_st(mu, nu, cone).dominated, leq_st(nu, mu, cone).dominated} == {True, False}
+
+
+def naive_tail(mu: Measure, c):
+    """The O(N) scan that the tail index replaces."""
+    return sum((w for x, w in mu.atoms.items() if x[0] >= c), ZERO)
+
+
+def probe_thresholds(mu: Measure) -> list:
+    """Every atom, every midpoint between neighbours, and points below the
+    minimum and above the maximum."""
+    xs = sorted(x[0] for x in mu.atoms)
+    if not xs:
+        return [rat(0), rat(-5, 3), rat(7, 2)]
+    mids = [(a + b) / 2 for a, b in zip(xs, xs[1:])]
+    return xs + mids + [xs[0] - 1, xs[0] - rat(1, 7), xs[-1] + rat(1, 7), xs[-1] + 1]
+
+
+def threshold_forms(c) -> list:
+    forms = [c, (c,), [c], str(c)]
+    if c.denominator == 1:
+        forms.append(int(c))
+    return forms
+
+
+def assert_tails_exact(mu: Measure) -> None:
+    for c in probe_thresholds(mu):
+        expected = naive_tail(mu, c)
+        for form in threshold_forms(c):
+            got = tail_mass(mu, form)
+            assert got == expected and type(got) is type(expected), (c, form)
+
+
+class TestTailMass:
+    """tail_mass answers from a lazily built index; the naive scan is the oracle."""
+
+    def test_matches_naive_scan(self, hyp):
+        @kernel_settings(hyp)
+        @hyp.given(measures_on(hyp, 1))
+        def check(mu):
+            assert_tails_exact(mu)
+            assert_tails_exact(mu)  # repeated queries reuse the index
+
+        check()
+
+    def test_derived_measures(self, hyp):
+        st = hyp.strategies
+
+        @kernel_settings(hyp)
+        @hyp.given(
+            measures_on(hyp, 1),
+            st.sampled_from([0, 1, 2, 3, 5, 8]),
+            st.builds(rat, st.integers(-6, 6), st.sampled_from([1, 3, 4])),
+            st.builds(rat, st.integers(1, 5), st.sampled_from([1, 2, 7])),
+        )
+        def check(mu, n, a, f):
+            assert_tails_exact(mu)  # an index on the source must not leak
+            assert_tails_exact(convolve_power(mu, n))
+            assert_tails_exact(shift(mu, (a,)))
+            assert_tails_exact(_scale_points(mu, f))
+            assert_tails_exact(_scale_points(convolve_power(mu, n), f))
+
+        check()
+
+    def test_empty_measure(self):
+        for empty in (Measure(1, {}), Measure(1, {(3,): 0}), mix([(0, delta((1,)))])):
+            assert_tails_exact(empty)
+            assert tail_mass(empty, -10) == ZERO
+
+    def test_float_threshold_rejected(self):
+        mu = m1({0: "1/2", 1: "1/2"})
+        for c in (0.5, (0.5,), [1.0]):
+            with pytest.raises(TypeError):
+                tail_mass(mu, c)
+        with pytest.raises(TypeError):
+            tail_mass(Measure(1, {}), 0.5)
+
+    def test_two_dimensional_rejected(self):
+        mu = Measure(2, {(0, 0): "1/2", (1, 1): "1/2"})
+        with pytest.raises(DimensionMismatch):
+            tail_mass(mu, 0)
+        with pytest.raises(DimensionMismatch):
+            tail_mass(m1({0: 1}), (0, 0))
