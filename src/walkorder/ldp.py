@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add, mul
 from typing import Optional, Sequence
 
 import numpy as np
@@ -130,9 +132,11 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
             return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
 
     rays = [np.array([float(x) for x in d.t]) for d in directions]
+    cols = np.array(rays).T.tolist()
     cf = np.array([float(x) for x in c])
-    zs = np.array([[float(x) for x in pt] for pt in sorted(mu.atoms)])
-    ws = np.array([float(w) for _, w in sorted(mu.atoms.items())])
+    items = sorted(mu.atoms.items())
+    zs = np.array([[float(x) for x in pt] for pt, _ in items])
+    ws = np.array([float(w) for _, w in items])
 
     def objective(t: np.ndarray) -> float:
         return float(t @ cf - _log_sum_exp(zs @ t, ws))
@@ -149,7 +153,7 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     starts.append(np.full(len(rays), 1.0 / len(rays)))
     for lam0 in starts:
         lam = lam0.copy()
-        t = sum(l * r for l, r in zip(lam, rays))
+        t = _conic_combination(lam, cols)
         val = objective(t)
         step = 1.0
         for _ in range(opts.max_iter):
@@ -158,7 +162,7 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
             improved = False
             while step > 1e-18:
                 lam_new = np.maximum(lam + step * grad_lam, 0.0)
-                t_new = sum(l * r for l, r in zip(lam_new, rays))
+                t_new = _conic_combination(lam_new, cols)
                 val_new = objective(t_new)
                 if val_new > val + 1e-15:
                     lam, t, val = lam_new, t_new, val_new
@@ -176,6 +180,16 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     radial = float(best_t @ np.array([float(u) for u in cone.unit]))
     direction = _nearest_direction(best_t / radial, directions)
     return RateResult(best_val, (direction, radial), GRID_REFINED)
+
+
+def _conic_combination(lam: np.ndarray, cols: list) -> np.ndarray:
+    """``sum(l * r for l, r in zip(lam, rays))`` one coordinate at a time on
+    Python floats, where ``cols[i]`` lists coordinate i of every ray: the
+    same multiplies and adds in the same order from int 0, so the same
+    floats, without a numpy temporary per ray.  ``reduce`` rather than
+    ``sum``, which compensates float sums from Python 3.12 on."""
+    lam = lam.tolist()
+    return np.array([reduce(add, map(mul, lam, col), 0) for col in cols])
 
 
 def _nearest_direction(t_unit: np.ndarray, directions: list) -> Direction:
@@ -223,8 +237,8 @@ def relative_rate_rhs(
                 return 0.0  # both measures are normalized
             return px.log_mgf(r) - py.log_mgf(r)
 
-        thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1]
-        vals = np.array([g(th) for th in thetas])
+        thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
+        vals = [g(th) for th in thetas]
         for idx in range(len(thetas)):
             v = vals[idx]
             left = vals[idx - 1] if idx > 0 else -math.inf
@@ -237,7 +251,7 @@ def relative_rate_rhs(
                     if -neg > best_val:
                         best_val, best = -neg, (d, math.tan(theta_star))
             if v > best_val:
-                best_val, best = float(v), (d, float(math.tan(thetas[idx])))
+                best_val, best = v, (d, math.tan(thetas[idx]))
     return RateResult(best_val, best, GRID_REFINED)
 
 
@@ -322,9 +336,11 @@ def relative_rate_lhs(
 
 
 def _scale_points(mu: Measure, factor) -> Measure:
+    # factor must be nonzero (callers pass 1/n): the map is then one to one,
+    # so no atoms collide and the mass is mu's
     f = as_rat(factor)
     return Measure._raw(
-        mu.dim, {tuple(f * xc for xc in x): w for x, w in mu.atoms.items()}
+        mu.dim, {tuple(f * xc for xc in x): w for x, w in mu.atoms.items()}, mu.mass()
     )
 
 

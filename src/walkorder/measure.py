@@ -21,19 +21,27 @@ Rationals are built once, when the result is decoded: the point is
 support and keeps atom order, so results equal those of the pairwise
 rational loop exactly, atom order included.
 
+Projection runs on a per-measure integer view, in atom order: the
+coordinates as ints over one common denominator ``S`` and the weights as
+ints over the lcm ``D`` of their denominators.  A measure builds it on first
+use and keeps it; ``project`` hands its result the view it computed, which
+the float views of ``spectrum`` read.
+
 All values are immutable after construction and every operation is a pure
-function, so a measure may be shared by any number of callers.
+function, so a measure may be shared by any number of callers; the tail
+index and the integer view are derived from the atoms and never go stale.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AtomBudgetExceeded, DimensionMismatch
-from .rational import Rational, ZERO, as_rat, rat
+from .rational import ONE, Rational, ZERO, as_rat, rat
 
 #: Points are tuples of exact rationals; the tuple length is the dimension.
 Point = tuple
@@ -72,7 +80,7 @@ class Measure:
     stale.
     """
 
-    __slots__ = ("_dim", "_atoms", "_mass", "_tails")
+    __slots__ = ("_dim", "_atoms", "_mass", "_tails", "_ints")
 
     def __init__(self, dim: int, atoms: Mapping | Iterable = ()):
         if dim < 1:
@@ -94,16 +102,19 @@ class Measure:
         self._atoms = cleaned
         self._mass = sum(cleaned.values(), ZERO)
         self._tails = None
+        self._ints = None
 
     @classmethod
-    def _raw(cls, dim: int, atoms: dict) -> "Measure":
+    def _raw(cls, dim: int, atoms: dict, mass: Rational | None = None) -> "Measure":
         # Trusted constructor for internal hot paths: atoms must already be
-        # validated points with strictly positive rational weights.
+        # validated points with strictly positive rational weights, and
+        # ``mass``, when given, must equal the sum of the weights exactly.
         self = object.__new__(cls)
         self._dim = dim
         self._atoms = atoms
-        self._mass = sum(atoms.values(), ZERO)
+        self._mass = sum(atoms.values(), ZERO) if mass is None else mass
         self._tails = None
+        self._ints = None
         return self
 
     @property
@@ -137,6 +148,20 @@ class Measure:
             self._tails = ([x[0] for x, _ in items], suffix)
         return self._tails
 
+    def _int_view(self) -> tuple[int, list, int, list]:
+        """``(S, coords, D, weights)`` in atom order: the j-th atom is the
+        point ``coords[j] / S`` (a tuple of ints) with weight
+        ``weights[j] / D``, where S is a common denominator of every
+        coordinate and D one of every weight."""
+        if self._ints is None:
+            atoms = self._atoms
+            s = math.lcm(*{c.denominator for x in atoms for c in x})
+            d = math.lcm(*{w.denominator for w in atoms.values()})
+            coords = [tuple(c.numerator * (s // c.denominator) for c in x) for x in atoms]
+            weights = [w.numerator * (d // w.denominator) for w in atoms.values()]
+            self._ints = (s, coords, d, weights)
+        return self._ints
+
     def is_probability(self) -> bool:
         return self._mass == 1
 
@@ -147,7 +172,7 @@ class Measure:
         if self._mass == 1:
             return self
         m = self._mass
-        return Measure._raw(self._dim, {p: w / m for p, w in self._atoms.items()})
+        return Measure._raw(self._dim, {p: w / m for p, w in self._atoms.items()}, ONE)
 
     def __len__(self) -> int:
         return len(self._atoms)
@@ -291,7 +316,8 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     b, d_nu = _pack(nu, k_nu, radices)
     origin = [x + y for x, y in zip(low_mu, low_nu)]
     out = _convolve_packed(a, b, None)
-    return Measure._raw(mu.dim, _unpack(out, radices, origin, steps, scales, d_mu * d_nu))
+    atoms = _unpack(out, radices, origin, steps, scales, d_mu * d_nu)
+    return Measure._raw(mu.dim, atoms, mu._mass * nu._mass)
 
 
 def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
@@ -320,7 +346,8 @@ def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
             base = _convolve_packed(base, base, cap)
     del base  # free the int squares before rationals are built
     origin = [n * a for a in low]
-    return Measure._raw(mu.dim, _unpack(acc, radices, origin, steps, scales, denom**n))
+    atoms = _unpack(acc, radices, origin, steps, scales, denom**n)
+    return Measure._raw(mu.dim, atoms, mu._mass**n)
 
 
 def shift(mu: Measure, a: Sequence) -> Measure:
@@ -329,17 +356,31 @@ def shift(mu: Measure, a: Sequence) -> Measure:
     return Measure._raw(
         mu.dim,
         {tuple(xc + ac for xc, ac in zip(x, pt)): w for x, w in mu._atoms.items()},
+        mu._mass,
     )
 
 
 def project(mu: Measure, t: Sequence) -> Measure:
-    """Pushforward along the linear functional x -> <t, x>; a 1-D measure."""
+    """Pushforward along the linear functional x -> <t, x>; a 1-D measure.
+
+    Runs on ``mu``'s integer view: with ``t`` scaled to ints by the lcm T of
+    its denominators, atom x goes to the int key ``<T t, S x>``, equal keys
+    merge by summing int weights in first-occurrence order, and each atom is
+    built once as ``k / (S T)`` with weight ``w / D``.  The result equals
+    the rational pushforward exactly, atom order included, and carries the
+    integer view it was built from.
+    """
     tv = as_point(t, mu.dim)
-    out: dict[Point, Rational] = {}
-    for x, w in mu._atoms.items():
-        key = (sum(tc * xc for tc, xc in zip(tv, x)),)
-        if key in out:
-            out[key] += w
-        else:
-            out[key] = w
-    return Measure._raw(1, out)
+    scale = math.lcm(*(c.denominator for c in tv))
+    ti = [c.numerator * (scale // c.denominator) for c in tv]
+    s, coords, d, weights = mu._int_view()
+    merged: dict[int, int] = {}
+    for x, w in zip(coords, weights):
+        k = sum(map(mul, ti, x))
+        merged[k] = merged.get(k, 0) + w
+    den = s * scale
+    out = Measure._raw(
+        1, {(rat(k, den),): rat(w, d) for k, w in merged.items()}, mu._mass
+    )
+    out._ints = (den, [(k,) for k in merged], d, list(merged.values()))
+    return out

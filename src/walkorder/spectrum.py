@@ -29,7 +29,7 @@ import numpy as np
 
 from .cones import Cone, Direction
 from .measure import Measure, project, require_probability
-from .rational import Rational, ZERO
+from .rational import Rational, rat
 
 STRICT = "Strict"
 NON_STRICT_ONLY = "NonStrictOnly"
@@ -89,18 +89,26 @@ class _Projected:
     The spectral sweep and the relative-rate profile both evaluate the
     stabilised log-MGF ``log E[exp(r Z)]`` of this law; ``lev_at(r)`` is
     ``log_mgf(r) / r`` away from the exceptional points.
+
+    Both views come from the measure's integer view ``(S, keys, D, weights)``
+    with its ``(key, weight)`` pairs sorted by key.  The floats are
+    ``key / S`` and ``weight / D`` by int true division, which Python rounds
+    correctly, so each equals ``float`` of the exact rational bit for bit.
+    ``min``, ``max``, ``w_max`` and ``mean = sum(key * weight) / (S D)`` are
+    exact rationals, each built once.
     """
 
     __slots__ = ("z", "w", "min", "max", "w_max", "mean")
 
     def __init__(self, proj: Measure):
-        items = sorted(proj.atoms.items())
-        self.z = np.array([float(x[0]) for x, _ in items])
-        self.w = np.array([float(wt) for _, wt in items])
-        self.min: Rational = items[0][0][0]
-        self.max: Rational = items[-1][0][0]
-        self.w_max: Rational = items[-1][1]
-        self.mean: Rational = sum((x[0] * wt for x, wt in items), ZERO)
+        s, keys, d, weights = proj._int_view()
+        pairs = sorted(zip([k for (k,) in keys], weights))
+        self.z = np.array([k / s for k, _ in pairs])
+        self.w = np.array([wt / d for _, wt in pairs])
+        self.min: Rational = rat(pairs[0][0], s)
+        self.max: Rational = rat(pairs[-1][0], s)
+        self.w_max: Rational = rat(pairs[-1][1], d)
+        self.mean: Rational = rat(sum(k * wt for k, wt in pairs), s * d)
 
     def log_mgf(self, r: float) -> float:
         return _log_sum_exp(r * self.z, self.w)
@@ -178,7 +186,10 @@ def compare_on_ray(
     rs = np.tan(thetas)
     levx = px.lev_curve(rs)
     levy = py.lev_curve(rs)
-    margin = levy - levx
+    margin = (levy - levx).tolist()
+    # the scan and the sample rows read Python floats: the same values, and
+    # no numpy scalar per grid point
+    thetas, rs, levx, levy = thetas.tolist(), rs.tolist(), levx.tolist(), levy.tolist()
 
     def margin_at_theta(theta: float) -> float:
         r = math.tan(theta)
@@ -187,7 +198,7 @@ def compare_on_ray(
     candidates: list[tuple[float, float]] = [(float(m), r) for r, m in exact_margins]
     for idx in range(len(rs)):
         m = margin[idx]
-        candidates.append((float(m), float(rs[idx])))
+        candidates.append((m, rs[idx]))
         left = margin[idx - 1] if idx > 0 else math.inf
         right = margin[idx + 1] if idx + 1 < len(rs) else math.inf
         if m <= left and m <= right:
@@ -220,10 +231,7 @@ def compare_on_ray(
         verdict = INCONCLUSIVE_ON_RAY
 
     samples = [(-math.pi / 2, -math.inf, float(px.min), float(py.min), float(py.min - px.min))]
-    for k in range(len(rs)):
-        samples.append(
-            (float(thetas[k]), float(rs[k]), float(levx[k]), float(levy[k]), float(margin[k]))
-        )
+    samples += zip(thetas, rs, levx, levy, margin)
     samples.append((math.pi / 2, math.inf, float(px.max), float(py.max), float(py.max - px.max)))
 
     return RayComparison(

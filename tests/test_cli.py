@@ -15,6 +15,7 @@ from walkorder.cli import (
     EXIT_EPISTEMIC,
     EXIT_ERROR,
     EXIT_OK,
+    build_parser,
     load_measure,
     main,
     parse_cone,
@@ -313,6 +314,57 @@ class TestErrors:
 
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR
+
+
+class TestParserReuse:
+    """main builds its parser once per process and shares it between calls."""
+
+    def test_bad_argument_after_success_exits_2(self, capsys, files):
+        assert run(capsys, ["rate-fn", files["bern"], "--c", "3/4", "--json", "-"])[0] == EXIT_OK
+        for argv in (
+            ["rate-fn", files["bern"], "--c", "3/4", "--bogus"],
+            ["rate-fn", files["bern"]],
+            ["no-such-command"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "usage: walkorder" in captured.err and "error:" in captured.err
+
+    def test_version(self, capsys, files):
+        from walkorder import __version__
+
+        run(capsys, ["dominate", files["d0"], files["d1"], "--json", "-"])
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == f"walkorder {__version__}\n"
+
+    def test_identical_calls_write_identical_bytes(self, capsys, files):
+        out = files["dir"]
+        argv = [
+            "spectrum", files["X"], files["Y"], "--samples", "4",
+            "--json", str(out / "r.json"), "--csv", str(out / "r.csv"),
+        ]
+        written = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            written.append(((out / "r.json").read_bytes(), (out / "r.csv").read_bytes()))
+        assert written[0] == written[1]
+        # options of one call do not carry over to the next
+        assert run(capsys, ["rate-fn", files["bern"], "--c", "3/4", "--json", "-"]) == run(
+            capsys, ["rate-fn", files["bern"], "--c", "3/4", "--json", "-"]
+        )
+
+    def test_capsys_captures_every_call(self, capsys, files):
+        outs = [run(capsys, ["cramer", files["bern"], "--c", "3/4", "--json", "-"])[1] for _ in range(3)]
+        assert outs[0] and outs[0] == outs[1] == outs[2]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
 
 
 class TestDeterminism:

@@ -20,14 +20,17 @@ from walkorder import (
     cramer_empirical,
     delta,
     log_mgf,
+    mix,
     rate_function,
     relative_rate_lhs,
     relative_rate_rhs,
 )
-from walkorder.ldp import EXACT_LIMIT, GRID_REFINED
+from walkorder.ldp import EXACT_LIMIT, GRID_REFINED, RateOptions, _conic_combination
+from walkorder.measure import project, shift
+from walkorder.spectrum import _golden_min, _Projected
 from walkorder.rational import log_rat, rat
 
-from conftest import bernoulli, random_measure_1d
+from conftest import bernoulli, random_measure_1d, random_measure_2d
 
 LN2 = math.log(2)
 LN32 = math.log(3) - math.log(2)
@@ -194,6 +197,100 @@ class TestRelativeRateRhs:
         ]
         for X, Y in pairs:
             assert relative_rate_rhs(X, Y, halfline).value == 0.0
+
+
+def relative_rate_rhs_reference(X, Y, cone, opts=None):
+    """relative_rate_rhs as it was before its scan read Python floats: the
+    profile values in a numpy array, read back as numpy scalars."""
+    opts = opts or RateOptions()
+    best_val = 0.0
+    best = None
+    for d in cone.dual_directions(opts.n_samples, opts.seed):
+        px = _Projected(project(X, d.t))
+        py = _Projected(project(Y, d.t))
+        if px.max > py.max:
+            return math.inf, (d, math.inf)
+        if px.max == py.max:
+            limit = log_rat(px.w_max / py.w_max)
+            if limit > best_val:
+                best_val, best = limit, (d, math.inf)
+
+        def g(theta):
+            r = math.tan(theta)
+            if r == 0.0:
+                return 0.0
+            return px.log_mgf(r) - py.log_mgf(r)
+
+        thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1]
+        vals = np.array([g(th) for th in thetas])
+        for idx in range(len(thetas)):
+            v = vals[idx]
+            left = vals[idx - 1] if idx > 0 else -math.inf
+            right = vals[idx + 1] if idx + 1 < len(thetas) else -math.inf
+            if v >= left and v >= right:
+                lo = thetas[max(idx - 1, 0)]
+                hi = thetas[min(idx + 1, len(thetas) - 1)]
+                if lo < hi:
+                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi, opts.refine_tol)
+                    if -neg > best_val:
+                        best_val, best = -neg, (d, math.tan(theta_star))
+            if v > best_val:
+                best_val, best = float(v), (d, float(math.tan(thetas[idx])))
+    return best_val, best
+
+
+class TestRelativeRateRhsEquivalence:
+    def test_matches_the_numpy_scalar_loop(self, halfline, orthant2):
+        rng = random.Random(71)
+        finite = 0
+        for i in range(18):
+            cone, draw = (orthant2, random_measure_2d) if i % 2 else (halfline, random_measure_1d)
+            X = draw(rng, max_atoms=4).normalized()
+            kind = i % 3
+            if kind == 0:
+                Y = draw(rng, max_atoms=4).normalized()
+            elif kind == 1:
+                Y = shift(X, (rat(rng.randint(0, 2), 3),) * X.dim)
+            else:
+                # the same top on every ray with less weight there: a finite positive rate
+                low = tuple(min(c) - 1 for c in zip(*X.atoms))
+                Y = mix([(rat(1, 2), X), (rat(1, 2), delta(low))])
+            opts = RateOptions(grid_points=rng.choice([33, 129]), n_samples=6)
+            res = relative_rate_rhs(X, Y, cone, opts)
+            value, best = relative_rate_rhs_reference(X, Y, cone, opts)
+            assert type(res.value) is float and res.value.hex() == value.hex()
+            assert res.maximizer == best
+            if best is not None:
+                assert type(res.maximizer[1]) is float
+            finite += math.isfinite(value) and value > 0
+        assert finite >= 3
+
+
+class TestConicCombination:
+    def test_bitwise_equal_to_the_array_sum(self):
+        rng = np.random.default_rng(72)
+        for _ in range(300):
+            n_rays, dim = int(rng.integers(1, 49)), int(rng.integers(1, 4))
+            rays = [rng.normal(size=dim) * 10.0 ** rng.integers(-8, 8) for _ in range(n_rays)]
+            lam = rng.exponential(size=n_rays) * 10.0 ** rng.integers(-12, 4)
+            lam[rng.random(n_rays) < 0.3] = 0.0
+            lam[rng.random(n_rays) < 0.2] = -0.0
+            for r in rays:
+                r[rng.random(dim) < 0.2] = -0.0
+            lam = np.maximum(lam + 0.0 * lam, 0.0) if rng.random() < 0.5 else lam
+            expected = sum(l * r for l, r in zip(lam, rays))
+            got = _conic_combination(lam, np.array(rays).T.tolist())
+            assert got.dtype == expected.dtype == np.float64
+            assert got.tobytes() == expected.tobytes()
+
+    def test_signed_zeros(self):
+        lam = np.array([-0.0, 0.0, -0.0])
+        rays = [np.array([1.0, -2.0]), np.array([-0.0, 3.0]), np.array([-1.0, -0.0])]
+        expected = sum(l * r for l, r in zip(lam, rays))
+        got = _conic_combination(lam, np.array(rays).T.tolist())
+        assert got.tobytes() == expected.tobytes()
+        # int 0 + -0.0 is 0.0 in both
+        assert got.tolist() == [0.0, 0.0] and not np.signbit(got).any()
 
 
 class TestRelativeRateLhs:

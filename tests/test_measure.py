@@ -17,6 +17,7 @@ from walkorder import (
     project,
     shift,
 )
+from walkorder.ldp import _scale_points
 from walkorder.rational import rat
 
 from conftest import kernel_settings, measures_on, random_measure_1d, random_measure_2d
@@ -262,3 +263,129 @@ class TestShiftProject:
             b = random_measure_2d(rng, max_atoms=4)
             t = (rat(rng.randint(0, 3)), rat(rng.randint(1, 3)))
             assert project(convolve(a, b), t) == convolve(project(a, t), project(b, t))
+
+
+def naive_project(mu: Measure, t) -> dict:
+    """Reference pushforward: the rational loop over the atoms of mu."""
+    out = {}
+    for x, w in mu.atoms.items():
+        key = (sum(tc * xc for tc, xc in zip(t, x)),)
+        out[key] = out[key] + w if key in out else w
+    return out
+
+
+def functionals(hyp, dim: int):
+    """Hypothesis strategy: functionals with coordinates of mixed denominators,
+    negatives and zeros included."""
+    st = hyp.strategies
+    coord = st.builds(rat, st.integers(-7, 7), st.sampled_from([1, 2, 3, 5, 9]))
+    return st.tuples(*[coord] * dim)
+
+
+class TestIntegerView:
+    """project on the integer view against the rational pushforward."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_project_matches_rational_pushforward(self, hyp, dim):
+        merged = []
+
+        @kernel_settings(hyp)
+        @hyp.given(measures_on(hyp, dim), functionals(hyp, dim))
+        def check(mu, t):
+            # a twin of every atom moved along a vector orthogonal to t, so
+            # atoms merge in every dimension
+            v = (t[1], -t[0]) + (rat(0),) * (dim - 2) if dim > 1 else (rat(0),)
+            twins = [(tuple(a + b for a, b in zip(x, v)), w) for x, w in mu.atoms.items()]
+            for m in (mu, Measure(dim, list(mu.atoms.items()) + twins)):
+                expected = naive_project(m, t)
+                for tv in (t, [str(c) for c in t]):
+                    proj = project(m, tv)
+                    # same atoms, values and insertion order as the rational loop
+                    assert list(proj.atoms.items()) == list(expected.items())
+                    assert all(type(c) is type(rat(0)) for x in proj.atoms for c in x)
+                    assert proj.mass() == m.mass()
+                merged.append(len(expected) < len(m))
+
+        check()
+        assert any(merged)
+
+    def test_project_merges_and_keeps_first_occurrence_order(self):
+        mu = Measure(
+            2,
+            [
+                (("1/2", "1/3"), "1/3"),
+                (("-1/2", "5/3"), "1/6"),
+                ((2, "-1/5"), "1/4"),
+                ((-1, "1/3"), "1/4"),
+            ],
+        )
+        # <t, x> = 1/2, 1/2, 37/30, -1/2: the first two merge at the place of the first
+        expected = [
+            ((rat(1, 2),), rat(1, 2)),
+            ((rat(37, 30),), rat(1, 4)),
+            ((rat(-1, 2),), rat(1, 4)),
+        ]
+        assert list(project(mu, ("2/3", "1/2")).atoms.items()) == expected
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_view_decodes_to_the_atoms(self, hyp, dim):
+        @kernel_settings(hyp)
+        @hyp.given(measures_on(hyp, dim), functionals(hyp, dim))
+        def check(mu, t):
+            proj = project(mu, t)
+            for m in (mu, proj, Measure(1, proj.atoms)):
+                s, coords, d, weights = m._int_view()
+                assert all(type(v) is int for v in (s, d, *weights))
+                assert [tuple(rat(c, s) for c in x) for x in coords] == list(m.atoms)
+                assert [rat(w, d) for w in weights] == list(m.atoms.values())
+                assert m._int_view() is m._int_view()
+
+        check()
+
+    def test_empty_measure(self):
+        empty = Measure(2, {})
+        assert empty._int_view() == (1, [], 1, [])
+        assert len(project(empty, ("1/2", 3))) == 0
+        assert project(empty, (1, 1)).mass() == 0
+
+    def test_functional_is_checked(self):
+        mu = Measure(2, {(0, 1): 1})
+        with pytest.raises(DimensionMismatch):
+            project(mu, (1,))
+        with pytest.raises(TypeError):
+            project(mu, (0.5, 1))
+
+
+class TestKnownMass:
+    """Derived measures take their mass from the operation; it must equal the
+    exact sum of their weights."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mass_is_sum_of_weights(self, hyp, dim):
+        st = hyp.strategies
+        # a nonzero factor maps points one to one, as 1/n does in ldp
+        factor = st.builds(
+            rat, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 7])
+        )
+
+        @kernel_settings(hyp)
+        @hyp.given(
+            measures_on(hyp, dim),
+            measures_on(hyp, dim),
+            functionals(hyp, dim),
+            st.sampled_from([0, 1, 2, 3, 5]),
+            factor,
+        )
+        def check(mu, nu, a, n, f):
+            outputs = [
+                project(mu, a),
+                shift(mu, a),
+                _scale_points(mu, f),
+                mu.normalized(),
+                convolve(mu, nu),
+                convolve_power(mu, n),
+            ]
+            for out in outputs:
+                assert out.mass() == sum(out.atoms.values(), rat(0))
+
+        check()

@@ -24,6 +24,7 @@ from walkorder import (
 from walkorder.cones import Cone
 from walkorder.rational import rat
 from walkorder.spectrum import (
+    INCONCLUSIVE_ON_RAY,
     NON_STRICT_ONLY,
     STRICT,
     STRICT_ON_RAY,
@@ -34,7 +35,7 @@ from walkorder.spectrum import (
     _Projected,
 )
 
-from conftest import random_measure_1d
+from conftest import random_measure_1d, random_measure_2d
 
 
 def m1(mapping) -> Measure:
@@ -174,6 +175,170 @@ class TestProjected:
         for lo, hi, tol in ((0.0, 1.0, 1e-12), (0.05, 0.3, 1e-9), (0.2, 1.4, 1e-6)):
             theta, neg = _golden_min(lambda x: -f(x), lo, hi, tol)
             assert (theta, -neg) == golden_max(f, lo, hi, tol)
+
+
+def projected_reference(proj: Measure) -> _Projected:
+    """The float and exact views built from the sorted rational atoms, the
+    construction _Projected used before it read the integer view."""
+    items = sorted(proj.atoms.items())
+    ref = object.__new__(_Projected)
+    ref.z = np.array([float(x[0]) for x, _ in items])
+    ref.w = np.array([float(wt) for _, wt in items])
+    ref.min = items[0][0][0]
+    ref.max = items[-1][0][0]
+    ref.w_max = items[-1][1]
+    ref.mean = sum((x[0] * wt for x, wt in items), rat(0))
+    return ref
+
+
+def compare_on_ray_reference(X, Y, t, opts=None):
+    """compare_on_ray as it was before its scan read Python floats: the
+    reference views and numpy scalars at every grid point."""
+    opts = opts or SpectrumOptions()
+    px = projected_reference(project(X, t.t))
+    py = projected_reference(project(Y, t.t))
+    exact_margins = [
+        (-math.inf, py.min - px.min),
+        (0.0, py.mean - px.mean),
+        (math.inf, py.max - px.max),
+    ]
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, opts.grid_points + 2)[1:-1]
+    rs = np.tan(thetas)
+    levx = px.lev_curve(rs)
+    levy = py.lev_curve(rs)
+    margin = levy - levx
+
+    def margin_at_theta(theta):
+        r = math.tan(theta)
+        return py.lev_at(r) - px.lev_at(r)
+
+    candidates = [(float(m), r) for r, m in exact_margins]
+    for idx in range(len(rs)):
+        m = margin[idx]
+        candidates.append((float(m), float(rs[idx])))
+        left = margin[idx - 1] if idx > 0 else math.inf
+        right = margin[idx + 1] if idx + 1 < len(rs) else math.inf
+        if m <= left and m <= right:
+            lo = thetas[max(idx - 1, 0)]
+            hi = thetas[min(idx + 1, len(rs) - 1)]
+            if lo < hi:
+                theta_star, m_star = _golden_min(margin_at_theta, lo, hi, opts.refine_tol)
+                candidates.append((m_star, math.tan(theta_star)))
+    min_margin, argmin_radial = min(candidates, key=lambda c: (c[0], abs(c[1])))
+    exact_neg = [r for r, m in exact_margins if m < 0]
+    exact_tie = any(m == 0 for _, m in exact_margins)
+    all_exact_pos = all(m > 0 for _, m in exact_margins)
+    interior_min = min(
+        (c[0] for c in candidates if not math.isinf(c[1]) and c[1] != 0.0),
+        default=math.inf,
+    )
+    if exact_neg:
+        verdict = VIOLATED_ON_RAY
+        argmin_radial = exact_neg[0]
+    elif min_margin < -opts.margin_tol:
+        verdict = VIOLATED_ON_RAY
+    elif all_exact_pos and interior_min > opts.margin_tol:
+        verdict = STRICT_ON_RAY
+    elif exact_tie:
+        verdict = TIE_ON_RAY
+    else:
+        verdict = INCONCLUSIVE_ON_RAY
+    samples = [(-math.pi / 2, -math.inf, float(px.min), float(py.min), float(py.min - px.min))]
+    for k in range(len(rs)):
+        samples.append(
+            (float(thetas[k]), float(rs[k]), float(levx[k]), float(levy[k]), float(margin[k]))
+        )
+    samples.append((math.pi / 2, math.inf, float(px.max), float(py.max), float(py.max - px.max)))
+    return min_margin, argmin_radial, verdict, samples
+
+
+def float_bits(values) -> list:
+    """Exact bit patterns, so that -0.0 and 0.0 differ; every value must be a
+    Python float."""
+    assert all(type(v) is float for v in values)
+    return [v.hex() for v in values]
+
+
+def spectral_laws(rng: random.Random) -> list:
+    """Projected laws the spectral sweep meets: random 1-D laws, projections
+    of 2-D and 3-D laws on rational rays, and laws whose coordinates and
+    weights need more than 53 bits."""
+    laws = []
+    for _ in range(25):
+        laws.append(random_measure_1d(rng, max_atoms=7))
+        mu = random_measure_2d(rng, max_atoms=6)
+        laws.append(project(mu, (rat(rng.randint(0, 5), rng.randint(1, 7)), rat(rng.randint(1, 5), 3))))
+        mu3 = Measure(
+            3,
+            {
+                tuple(rat(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(3)): rat(
+                    rng.randint(1, 9), rng.choice([1, 5, 7])
+                )
+                for _ in range(rng.randint(1, 6))
+            },
+        )
+        laws.append(project(mu3, tuple(rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))))
+        big = {
+            (rat(rng.randint(-(10**30), 10**30), 3**rng.randint(30, 60)),): rat(
+                rng.randint(1, 10**20), 7**rng.randint(20, 40)
+            )
+            for _ in range(rng.randint(1, 5))
+        }
+        laws.append(Measure(1, big))
+        laws.append(project(Measure(2, {(x[0], rat(1, 3)): w for x, w in big.items()}), ("1/3", "2/11")))
+    return laws
+
+
+class TestProjectedView:
+    """_Projected from the integer view against the rational construction."""
+
+    def test_floats_bit_for_bit_and_exact_statistics(self):
+        for law in spectral_laws(random.Random(61)):
+            p, ref = _Projected(law), projected_reference(law)
+            assert float_bits(p.z.tolist()) == float_bits(ref.z.tolist())
+            assert float_bits(p.w.tolist()) == float_bits(ref.w.tolist())
+            for name in ("min", "max", "w_max", "mean"):
+                value = getattr(p, name)
+                assert type(value) is type(rat(0))
+                assert value == getattr(ref, name), name
+
+    def test_ascending_and_zero_is_positive(self):
+        law = Measure(1, {("1/3",): "1/4", (0,): "1/4", ("-2/3",): "1/2"})
+        p = _Projected(project(Measure(2, {(x[0], 5): w for x, w in law.atoms.items()}), (1, 0)))
+        assert float_bits(p.z.tolist()) == float_bits([-2 / 3, 0.0, 1 / 3])
+        assert (p.min, p.max, p.w_max, p.mean) == (rat(-2, 3), rat(1, 3), rat(1, 4), rat(-1, 4))
+
+
+class TestCompareOnRayEquivalence:
+    def test_matches_the_numpy_scalar_loop(self, orthant2):
+        rng = random.Random(62)
+        d1 = direction_1d()
+        rays = orthant2.dual_directions(6, seed=4)
+        verdicts = set()
+        for i in range(36):
+            if i % 2:
+                X = random_measure_2d(rng, max_atoms=5).normalized()
+                t = rays[i % len(rays)]
+            else:
+                X = random_measure_1d(rng, max_atoms=5).normalized()
+                t = d1
+            kind = i % 3
+            if kind == 0:
+                Y = X
+            elif kind == 1:
+                Y = shift(X, (rat(rng.randint(0, 3), rng.randint(1, 5)),) * X.dim)
+            else:
+                Y = (random_measure_2d if X.dim == 2 else random_measure_1d)(rng).normalized()
+            opts = SpectrumOptions(grid_points=rng.choice([17, 65, 257]))
+            rc = compare_on_ray(X, Y, t, opts)
+            min_margin, argmin_radial, verdict, samples = compare_on_ray_reference(X, Y, t, opts)
+            assert float_bits([rc.min_margin, rc.argmin_radial]) == float_bits(
+                [min_margin, argmin_radial]
+            )
+            assert rc.verdict == verdict
+            assert [float_bits(row) for row in rc.samples] == [float_bits(row) for row in samples]
+            verdicts.add(verdict)
+        assert {STRICT_ON_RAY, TIE_ON_RAY, VIOLATED_ON_RAY} <= verdicts
 
 
 class TestCompareOnRay:
