@@ -25,7 +25,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import __version__
-from .cones import Cone, Direction
+from .cones import Cone, Direction, is_upward_1d
 from .dominance import catalyst_1d, default_catalyst_grid, min_n
 from .errors import AtomBudgetExceeded, DimensionMismatch, MassMismatch
 from .ldp import (
@@ -46,7 +46,7 @@ EXIT_ERROR = 1
 EXIT_EPISTEMIC = 2
 
 
-# -- parsing and serialization -------------------------------------------------
+# -- parsing -------------------------------------------------------------------
 
 
 def parse_rational(text):
@@ -94,17 +94,6 @@ def parse_measure(text: str) -> Measure:
     return Measure(dim, atoms)
 
 
-def serialize_measure(m: Measure) -> str:
-    payload = {
-        "dim": m.dim,
-        "atoms": [
-            {"x": [rat_str(c) for c in pt], "w": rat_str(w)}
-            for pt, w in sorted(m.atoms.items())
-        ],
-    }
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def parse_cone(text: str, expected_dim: int | None = None) -> Cone:
     data = json.loads(text)
     if not isinstance(data, dict) or "dim" not in data:
@@ -126,17 +115,6 @@ def parse_cone(text: str, expected_dim: int | None = None) -> Cone:
         normals = _parse_points(data, "normals", dim)
         return Cone.from_generators(dim, rays=rays, normals=normals, unit=unit)
     raise ValueError(f"unknown cone kind {kind!r}")
-
-
-def serialize_cone(cone: Cone) -> str:
-    payload = {
-        "dim": cone.dim,
-        "kind": cone.kind,
-        "rays": [[rat_str(c) for c in r] for r in cone.rays],
-        "normals": [[rat_str(c) for c in n] for n in cone.normals],
-        "unit": [rat_str(c) for c in cone.unit],
-    }
-    return json.dumps(payload, indent=2) + "\n"
 
 
 def load_measure(path: str, normalize: bool = False) -> Measure:
@@ -312,6 +290,8 @@ def _cmd_min_n(args) -> int:
 def _cmd_catalyst(args) -> int:
     X = load_measure(args.X, args.normalize)
     Y = load_measure(args.Y, args.normalize)
+    if not is_upward_1d(load_cone(args.cone, X.dim)):
+        raise ValueError("catalyst searches only the upward half-line [0, inf)")
     step = parse_rational(args.grid_step) if args.grid_step else None
     grid = default_catalyst_grid(X, Y, step=step)
     result = catalyst_1d(X, Y, grid)

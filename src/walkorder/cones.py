@@ -4,18 +4,21 @@ A cone carries both a generator description (rays) and an inequality
 description (normals: x is in the cone iff <n, x> >= 0 for every normal n),
 plus a designated order unit that must be interior.  The constructor
 cross-validates the two descriptions instead of converting; for dimensions
-up to 3 a built-in converter can fill in a missing side.
+up to 3 ``from_generators`` fills in a missing side with one dual-generator
+routine, as rays and normals generate each other's duals.  A 1-D cone is
+[0, inf) or (-inf, 0]; ``is_upward_1d`` tells which.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from itertools import combinations
+from math import ceil, gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .measure import Point, as_point
-from .rational import Rational, rat, rat_ceil
+from .rational import Rational, rat
 
 _MASK64 = (1 << 64) - 1
 
@@ -81,36 +84,40 @@ def _rank(vectors: Sequence[Point], dim: int) -> int:
     return rank
 
 
+def _dual_generators(dim: int, vectors: Sequence[Point], extra: Sequence[Point] = ()) -> list[Point]:
+    """Primitive generators of {x : <v, x> >= 0 for all v}, for dim 1 to 3:
+    the candidates (both unit vectors, both perpendiculars of each vector, or
+    both signs of each pairwise cross product), then ``extra``, that are
+    nonzero and pair nonnegatively with every vector, deduplicated in order."""
+    if dim == 1:
+        candidates = [(rat(1),), (rat(-1),)]
+    elif dim == 2:
+        candidates = [c for a, b in vectors for c in ((-b, a), (b, -a))]
+    else:
+        crosses = [
+            (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+            for (a1, a2, a3), (b1, b2, b3) in combinations(vectors, 2)
+        ]
+        candidates = [c for x in crosses for c in (x, tuple(-v for v in x))]
+    seen: set[Point] = set()
+    out: list[Point] = []
+    for c in [*candidates, *extra]:
+        if _is_zero(c) or any(_dot(c, v) < 0 for v in vectors):
+            continue
+        p = _primitive(c)
+        if p not in seen:
+            seen.add(p)
+            out.append(as_point(p))
+    return out
+
+
 def _normals_from_rays(dim: int, rays: Sequence[Point]) -> list[Point]:
     """Facet normals of the cone generated by rays, for dim <= 3."""
     if _rank(rays, dim) < dim:
         raise ValueError("rays do not span the space; cone has no interior point")
-    candidates: list[Point] = []
-    if dim == 1:
-        candidates = [(rat(1),), (rat(-1),)]
-    elif dim == 2:
-        for a, b in rays:
-            candidates.append((-b, a))
-            candidates.append((b, -a))
-    elif dim == 3:
-        for i in range(len(rays)):
-            for j in range(i + 1, len(rays)):
-                (a1, a2, a3), (b1, b2, b3) = rays[i], rays[j]
-                cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-                if not _is_zero(cross):
-                    candidates.append(cross)
-                    candidates.append(tuple(-c for c in cross))
-    else:
+    if not 1 <= dim <= 3:
         raise ValueError("ray-to-normal conversion is built in only for dim <= 3")
-    seen: set[Point] = set()
-    normals: list[Point] = []
-    for n in candidates:
-        if _is_zero(n) or any(_dot(n, r) < 0 for r in rays):
-            continue
-        p = _primitive(n)
-        if p not in seen:
-            seen.add(p)
-            normals.append(as_point(p))
+    normals = _dual_generators(dim, rays)
     if not normals:
         raise ValueError("cone has a trivial dual; supply normals explicitly")
     return normals
@@ -122,38 +129,13 @@ def _rays_from_normals(dim: int, normals: Sequence[Point]) -> list[Point]:
     Supports pointed full-dimensional cones, plus the half-plane case in
     dim 2; anything with a larger lineality space must supply rays.
     """
-    candidates: list[Point] = []
-    if dim == 1:
-        candidates = [(rat(1),), (rat(-1),)]
-    elif dim == 2:
-        for a, b in normals:
-            candidates.append((b, -a))
-            candidates.append((-b, a))
-        if len(normals) == 1:
-            candidates.append(normals[0])  # half-plane: both boundary rays + interior
-    elif dim == 3:
-        if _rank(normals, dim) < dim:
-            raise ValueError(
-                "normal-to-ray conversion needs a pointed cone in dim 3; supply rays"
-            )
-        for i in range(len(normals)):
-            for j in range(i + 1, len(normals)):
-                (a1, a2, a3), (b1, b2, b3) = normals[i], normals[j]
-                cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-                if not _is_zero(cross):
-                    candidates.append(cross)
-                    candidates.append(tuple(-c for c in cross))
-    else:
+    if not 1 <= dim <= 3:
         raise ValueError("normal-to-ray conversion is built in only for dim <= 3")
-    seen: set[Point] = set()
-    rays: list[Point] = []
-    for r in candidates:
-        if _is_zero(r) or any(_dot(n, r) < 0 for n in normals):
-            continue
-        p = _primitive(r)
-        if p not in seen:
-            seen.add(p)
-            rays.append(as_point(p))
+    if dim == 3 and _rank(normals, dim) < dim:
+        raise ValueError("normal-to-ray conversion needs a pointed cone in dim 3; supply rays")
+    # half-plane: both boundary rays plus the normal as an interior ray
+    extra = normals[:1] if dim == 2 and len(normals) == 1 else ()
+    rays = _dual_generators(dim, normals, extra)
     if not rays or _rank(rays, dim) < dim:
         raise ValueError("could not recover spanning rays; supply rays explicitly")
     return rays
@@ -258,7 +240,7 @@ class Cone:
                 q = abs(_dot(n, pt)) / _dot(n, self.unit)
                 if q > worst:
                     worst = q
-        return rat_ceil(worst)
+        return ceil(worst)
 
     # -- dual directions -------------------------------------------------------
 
@@ -306,6 +288,11 @@ class Cone:
 
     def __repr__(self) -> str:
         return f"Cone(dim={self.dim}, kind={self.kind!r}, rays={len(self.rays)}, normals={len(self.normals)})"
+
+
+def is_upward_1d(cone: Cone) -> bool:
+    """True iff the cone is [0, inf) in R^1; the other 1-D cone is (-inf, 0]."""
+    return cone.dim == 1 and cone.normals[0][0] > 0
 
 
 def require_same_dim(cone: Cone, dim: int) -> None:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import Cone, Direction, require_same_dim
+from .cones import Cone, Direction, is_upward_1d, require_same_dim
 from .measure import (
     DEFAULT_ATOM_CAP,
     Measure,
@@ -63,15 +63,10 @@ class RateResult:
 
 
 def log_mgf(mu: Measure, t: Sequence) -> float:
-    """log E[exp(<t, X>)] for a probability measure, float with stabilization."""
+    """log E[exp(<t, X>)] for a probability measure: the stabilised log-MGF at
+    r = 1 of the float view ``spectrum._Projected`` of ``project(mu, t)``."""
     require_probability(mu, "measure")
-    tv = as_point(t, mu.dim)
-    exps = []
-    ws = []
-    for x, w in sorted(mu.atoms.items()):
-        exps.append(float(sum(tc * xc for tc, xc in zip(tv, x))))
-        ws.append(float(w))
-    return _log_sum_exp(np.asarray(exps), np.asarray(ws))
+    return _Projected(project(mu, t)).log_mgf(1.0)
 
 
 def rate_function(
@@ -294,9 +289,11 @@ def relative_rate_lhs(
     A zero denominator with positive numerator gives +inf; 0/0 contributes
     nothing.
 
-    In one dimension the N thresholds are answered by ``tail_mass`` from
-    each measure's tail index, so the table costs O(N log N) per n on top
-    of the two convolution powers.
+    In one dimension the closed upsets follow the cone: upper tails on
+    [0, inf), lower tails on (-inf, 0], which x -> -x mirrors onto upper
+    tails of the half-line with unit ``-unit``.  The N thresholds are then
+    answered by ``tail_mass`` from each measure's tail index, so the table
+    costs O(N log N) per n on top of the two convolution powers.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -307,11 +304,11 @@ def relative_rate_lhs(
     require_probability(Y, "Y")
     require_same_dim(cone, X.dim)
 
-    inv_n = rat(1, n)
-    num = _scale_points(convolve_power(X, n, cap), inv_n)
+    sign = -1 if X.dim == 1 and not is_upward_1d(cone) else 1
+    num = _scale_points(convolve_power(X, n, cap), rat(sign, n))
     den = shift(
-        _scale_points(convolve_power(Y, n, cap), inv_n),
-        tuple(e * uc for uc in cone.unit),
+        _scale_points(convolve_power(Y, n, cap), rat(sign, n)),
+        tuple(sign * e * uc for uc in cone.unit),
     )
     best = -math.inf
     if X.dim == 1:

@@ -7,25 +7,25 @@ powers by repeated squaring, translation, and pushforward along a linear
 functional.  Atom coalescing uses exact point equality; there is no epsilon
 merging anywhere.
 
-Convolution runs on an exact integer lattice.  The support of a measure lies
-in ``a + diag(h) Z^d``: ``a_i`` is the smallest i-th coordinate and ``h_i``
-the rational gcd of the offsets ``x_i - a_i`` (1 when they are all 0).  With
-``D`` the lcm of the weight denominators, an atom becomes an int offset
-vector ``k`` and an int weight ``w * D``, and ``k`` is packed into one int
+One integer view per measure feeds both convolution and projection: the
+atoms in atom order, coordinates as ints over one common denominator ``S``
+and weights as ints over the lcm ``D`` of their denominators.  A measure
+builds it on first use and keeps it; ``project`` hands its result the view
+it computed, which the float views of ``spectrum`` read.
+
+Convolution puts the views of its operands on one integer lattice.  Over
+the lcm of their ``S``, the support of a measure lies in
+``a + diag(h) Z^d``: ``a_i`` is the smallest i-th coordinate and ``h_i`` the
+gcd of the offsets ``x_i - a_i`` (1 when they are all 0).  An atom becomes an
+int offset vector ``k`` with its int weight, and ``k`` is packed into one int
 key by mixed radix.  The radixes bound every offset the result can reach
 (``n * span_i + 1`` for an n-th power, ``span_mu + span_nu + 1`` for a
 product on the common step ``gcd(h_mu, h_nu)``), so keys add without carries
 and the kernel is ``out[x + y] += cx * cy`` over plain ints in any dimension.
 Rationals are built once, when the result is decoded: the point is
-``n a + h k`` and the weight ``c / D^n``.  The encoding is a bijection on the
-support and keeps atom order, so results equal those of the pairwise
-rational loop exactly, atom order included.
-
-Projection runs on a per-measure integer view, in atom order: the
-coordinates as ints over one common denominator ``S`` and the weights as
-ints over the lcm ``D`` of their denominators.  A measure builds it on first
-use and keeps it; ``project`` hands its result the view it computed, which
-the float views of ``spectrum`` read.
+``n a + h k`` over the common scale and the weight ``c / D^n``.  The encoding
+is a bijection on the support and keeps atom order, so results equal those
+of the pairwise rational loop exactly, atom order included.
 
 All values are immutable after construction and every operation is a pure
 function, so a measure may be shared by any number of callers; the tail
@@ -235,41 +235,38 @@ def mix(terms: Iterable[tuple]) -> Measure:
 def _lattice(measures: Sequence[Measure]) -> tuple:
     """Put the atoms of nonempty measures on one integer lattice.
 
-    Returns ``(scales, steps, lows, offsets)``: coordinate i of the j-th
-    atom of ``measures[m]`` is ``(lows[m][i] + steps[i] * k[i]) / scales[i]``
+    Returns ``(scale, steps, lows, offsets)``: coordinate i of the j-th
+    atom of ``measures[m]`` is ``(lows[m][i] + steps[i] * k[i]) / scale``
     with ``k = offsets[m][j]``, a tuple of non-negative ints.
     """
-    dim = measures[0].dim
-    scales = [
-        math.lcm(*{x[i].denominator for m in measures for x in m._atoms}) for i in range(dim)
-    ]
+    views = [m._int_view() for m in measures]
+    scale = math.lcm(*(s for s, _, _, _ in views))
     ints = [
-        [tuple(c.numerator * (s // c.denominator) for c, s in zip(x, scales)) for x in m._atoms]
-        for m in measures
+        coords if s == scale else [tuple(c * (scale // s) for c in x) for x in coords]
+        for s, coords, _, _ in views
     ]
     lows = [tuple(map(min, zip(*pts))) for pts in ints]
     steps = [
         math.gcd(*(p[i] - low[i] for pts, low in zip(ints, lows) for p in pts)) or 1
-        for i in range(dim)
+        for i in range(measures[0].dim)
     ]
     offsets = [
         [tuple((c - a) // h for c, a, h in zip(p, low, steps)) for p in pts]
         for pts, low in zip(ints, lows)
     ]
-    return scales, steps, lows, offsets
+    return scale, steps, lows, offsets
 
 
 def _pack(mu: Measure, offsets: list, radices: Sequence[int]) -> tuple[dict, int]:
-    """Mixed-radix int keys (coordinate 0 least significant) to int weights
-    ``w * D``, in atom order; returns the map and the common denominator D."""
-    weights = mu._atoms.values()
-    denom = math.lcm(*(w.denominator for w in weights))
+    """Mixed-radix int keys (coordinate 0 least significant) to the int weights
+    of ``mu``'s integer view, in atom order; returns them with the view's D."""
+    _, _, denom, weights = mu._int_view()
     packed = {}
     for k, w in zip(offsets, weights):
         key = 0
         for ki, r in zip(reversed(k), reversed(radices)):
             key = key * r + ki
-        packed[key] = w.numerator * (denom // w.denominator)
+        packed[key] = w
     return packed, denom
 
 
@@ -288,17 +285,17 @@ def _convolve_packed(a: dict, b: dict, cap: int | None) -> dict:
 
 
 def _unpack(
-    packed: dict, radices: Sequence[int], origin: Sequence[int], steps, scales, denom: int
+    packed: dict, radices: Sequence[int], origin: Sequence[int], steps, scale: int, denom: int
 ) -> dict:
-    """Rational atoms from packed ones: point ``(origin + steps * k) / scales``
+    """Rational atoms from packed ones: point ``(origin + steps * k) / scale``
     and weight ``c / denom``."""
     atoms: dict[Point, Rational] = {}
-    frame = tuple(zip(radices, origin, steps, scales))
+    frame = tuple(zip(radices, origin, steps))
     for key, c in packed.items():
         pt = []
-        for r, a, h, s in frame:
+        for r, a, h in frame:
             key, k = divmod(key, r)
-            pt.append(rat(a + h * k, s))
+            pt.append(rat(a + h * k, scale))
         atoms[tuple(pt)] = rat(c, denom)
     return atoms
 
@@ -308,7 +305,7 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     require_equal_dims(mu, nu)
     if not mu._atoms or not nu._atoms:
         return Measure._raw(mu.dim, {})
-    scales, steps, (low_mu, low_nu), (k_mu, k_nu) = _lattice((mu, nu))
+    scale, steps, (low_mu, low_nu), (k_mu, k_nu) = _lattice((mu, nu))
     radices = [
         max(k[i] for k in k_mu) + max(k[i] for k in k_nu) + 1 for i in range(mu.dim)
     ]
@@ -316,7 +313,7 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     b, d_nu = _pack(nu, k_nu, radices)
     origin = [x + y for x, y in zip(low_mu, low_nu)]
     out = _convolve_packed(a, b, None)
-    atoms = _unpack(out, radices, origin, steps, scales, d_mu * d_nu)
+    atoms = _unpack(out, radices, origin, steps, scale, d_mu * d_nu)
     return Measure._raw(mu.dim, atoms, mu._mass * nu._mass)
 
 
@@ -333,7 +330,7 @@ def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
         return Measure._raw(mu.dim, {(rat(0),) * mu.dim: rat(1)})
     if not mu._atoms:
         return Measure._raw(mu.dim, {})
-    scales, steps, (low,), (offsets,) = _lattice((mu,))
+    scale, steps, (low,), (offsets,) = _lattice((mu,))
     # offsets of a sum of at most n atoms stay below these radices: no carries
     radices = [n * max(k[i] for k in offsets) + 1 for i in range(mu.dim)]
     base, denom = _pack(mu, offsets, radices)
@@ -346,7 +343,7 @@ def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
             base = _convolve_packed(base, base, cap)
     del base  # free the int squares before rationals are built
     origin = [n * a for a in low]
-    atoms = _unpack(acc, radices, origin, steps, scales, denom**n)
+    atoms = _unpack(acc, radices, origin, steps, scale, denom**n)
     return Measure._raw(mu.dim, atoms, mu._mass**n)
 
 

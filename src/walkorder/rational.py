@@ -52,10 +52,6 @@ def rat_str(q) -> str:
     return str(q)
 
 
-def rat_ceil(q) -> int:
-    return int(math.ceil(q))
-
-
 def log_rat(q) -> float:
     """log of a positive rational, robust to values far outside float range."""
     if q <= 0:

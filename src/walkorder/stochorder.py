@@ -15,7 +15,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .cones import Cone, require_same_dim
+from .cones import Cone, is_upward_1d, require_same_dim
 from .errors import DimensionMismatch, MassMismatch
 from .measure import Measure, as_point, require_equal_dims
 from .rational import Rational, ZERO
@@ -84,7 +84,7 @@ def _leq_sweep(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # The cone is [0, inf) or (-inf, 0].  Walk supp mu from the top of the order
     # down with gap = mu(up c) - nu(up c); the highest c of largest positive gap
     # generates the minimal min cut.
-    ascending = cone.normals[0][0] > 0
+    ascending = is_upward_1d(cone)
     xs = sorted(mu.atoms.items(), reverse=ascending)
     ys = sorted(nu.atoms.items(), reverse=ascending)
     gap = best = ZERO

@@ -16,13 +16,10 @@ from walkorder.cli import (
     EXIT_ERROR,
     EXIT_OK,
     build_parser,
-    load_measure,
     main,
-    parse_cone,
     parse_measure,
-    serialize_cone,
-    serialize_measure,
 )
+from walkorder.rational import rat
 
 
 @pytest.fixture
@@ -61,20 +58,9 @@ def run(capsys, argv) -> tuple[int, str]:
 
 
 class TestRoundTrip:
-    def test_measure_serialize_parse_identity(self, files):
-        m = load_measure(files["X"])
-        canonical = serialize_measure(m)
-        assert serialize_measure(parse_measure(canonical)) == canonical
-
     def test_decimal_strings_convert_exactly(self):
         m = parse_measure('{"dim": 1, "atoms": [{"x": ["0.1"], "w": "0.25"}]}')
-        canonical = serialize_measure(m)
-        assert json.loads(canonical)["atoms"] == [{"x": ["1/10"], "w": "1/4"}]
-
-    def test_cone_serialize_parse_identity(self):
-        cone = parse_cone('{"dim": 2, "kind": "orthant"}')
-        canonical = serialize_cone(cone)
-        assert serialize_cone(parse_cone(canonical)) == canonical
+        assert dict(m.atoms) == {(rat(1, 10),): rat(1, 4)}
 
 
 class TestCommands:
@@ -125,6 +111,41 @@ class TestCommands:
         assert code == EXIT_OK
         report = json.loads(out)
         assert report["found"] is True and report["catalyst"]["verified"] is True
+
+    @pytest.mark.parametrize(
+        "cone", [None, "orthant", {"dim": 1, "kind": "generators", "rays": [["2"]]}]
+    )
+    def test_catalyst_upward_cones_give_the_default_report(self, capsys, files, cone):
+        argv = ["catalyst", files["X"], files["Y"], "--grid-step", "1/10", "--json", "-"]
+        default = run(capsys, argv)
+        if isinstance(cone, dict):
+            path = files["dir"] / "ray2.json"
+            path.write_text(json.dumps(cone), encoding="utf-8")
+            cone = str(path)
+        assert default[0] == EXIT_OK
+        assert run(capsys, argv + ([] if cone is None else ["--cone", cone])) == default
+
+    def test_catalyst_missing_cone_file_exit1(self, capsys, files):
+        argv = ["catalyst", files["bern34"], files["bern"], "--grid-step", "1/4", "--json", "-"]
+        missing = str(files["dir"] / "does-not-exist.json")
+        assert main(argv + ["--cone", missing]) == EXIT_ERROR
+        assert "does-not-exist.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            {"dim": 1, "kind": "generators", "rays": [["-1"]]},
+            {"dim": 1, "kind": "generators", "rays": [["-2"]], "normals": [["-3"]], "unit": ["-5"]},
+        ],
+    )
+    def test_catalyst_rejects_a_downward_cone(self, capsys, files, cone):
+        path = files["dir"] / "cone.json"
+        path.write_text(json.dumps(cone), encoding="utf-8")
+        argv = ["catalyst", files["X"], files["Y"], "--grid-step", "1/10", "--cone", str(path)]
+        assert main(argv + ["--json", "-"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "catalyst searches only the upward half-line" in captured.err
 
     def test_rel_rate_table(self, capsys, files):
         code, out = run(

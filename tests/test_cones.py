@@ -7,7 +7,16 @@ import random
 import pytest
 
 from walkorder import Cone, DimensionMismatch
-from walkorder.cones import SplitMix64, _dot
+from walkorder.cones import (
+    SplitMix64,
+    _dot,
+    _is_zero,
+    _normals_from_rays,
+    _primitive,
+    _rank,
+    _rays_from_normals,
+)
+from walkorder.measure import as_point
 from walkorder.rational import rat
 
 
@@ -54,6 +63,128 @@ class TestConstruction:
     def test_degenerate_rays_rejected(self):
         with pytest.raises(ValueError):
             Cone.from_generators(2, rays=[(1, 0), (-1, 0)])
+
+
+def ref_normals_from_rays(dim, rays):
+    """The ray-to-normal conversion as it stood before the shared dual routine."""
+    if _rank(rays, dim) < dim:
+        raise ValueError("rays do not span the space; cone has no interior point")
+    candidates = []
+    if dim == 1:
+        candidates = [(rat(1),), (rat(-1),)]
+    elif dim == 2:
+        for a, b in rays:
+            candidates.append((-b, a))
+            candidates.append((b, -a))
+    elif dim == 3:
+        for i in range(len(rays)):
+            for j in range(i + 1, len(rays)):
+                (a1, a2, a3), (b1, b2, b3) = rays[i], rays[j]
+                cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+                if not _is_zero(cross):
+                    candidates.append(cross)
+                    candidates.append(tuple(-c for c in cross))
+    else:
+        raise ValueError("ray-to-normal conversion is built in only for dim <= 3")
+    seen, normals = set(), []
+    for n in candidates:
+        if _is_zero(n) or any(_dot(n, r) < 0 for r in rays):
+            continue
+        p = _primitive(n)
+        if p not in seen:
+            seen.add(p)
+            normals.append(as_point(p))
+    if not normals:
+        raise ValueError("cone has a trivial dual; supply normals explicitly")
+    return normals
+
+
+def ref_rays_from_normals(dim, normals):
+    """The normal-to-ray conversion as it stood before the shared dual routine."""
+    candidates = []
+    if dim == 1:
+        candidates = [(rat(1),), (rat(-1),)]
+    elif dim == 2:
+        for a, b in normals:
+            candidates.append((b, -a))
+            candidates.append((-b, a))
+        if len(normals) == 1:
+            candidates.append(normals[0])
+    elif dim == 3:
+        if _rank(normals, dim) < dim:
+            raise ValueError("normal-to-ray conversion needs a pointed cone in dim 3; supply rays")
+        for i in range(len(normals)):
+            for j in range(i + 1, len(normals)):
+                (a1, a2, a3), (b1, b2, b3) = normals[i], normals[j]
+                cross = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+                if not _is_zero(cross):
+                    candidates.append(cross)
+                    candidates.append(tuple(-c for c in cross))
+    else:
+        raise ValueError("normal-to-ray conversion is built in only for dim <= 3")
+    seen, rays = set(), []
+    for r in candidates:
+        if _is_zero(r) or any(_dot(n, r) < 0 for n in normals):
+            continue
+        p = _primitive(r)
+        if p not in seen:
+            seen.add(p)
+            rays.append(as_point(p))
+    if not rays or _rank(rays, dim) < dim:
+        raise ValueError("could not recover spanning rays; supply rays explicitly")
+    return rays
+
+
+def outcome(convert, dim, vectors):
+    try:
+        return convert(dim, vectors)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestConversionsAgainstReference:
+    """The shared dual-generator routine against the two separate conversions
+    it replaced: equal normals in equal order, equal ray sets, equal errors."""
+
+    def random_input(self, rng):
+        dim = rng.choice([1, 2, 2, 3, 3, 4])
+        k = 1 if dim == 2 and rng.random() < 0.15 else rng.randint(1, 4)  # half-planes
+        vectors = []
+        for _ in range(k):
+            if rng.random() < 0.05:
+                vectors.append((rat(0),) * dim)
+            elif vectors and rng.random() < 0.1:  # a multiple: non-spanning sets
+                vectors.append(tuple(rat(rng.randint(-2, 3)) * c for c in rng.choice(vectors)))
+            else:
+                vectors.append(tuple(rat(rng.randint(-2, 4), rng.randint(1, 3)) for _ in range(dim)))
+        return dim, vectors
+
+    def test_random_inputs(self):
+        rng = random.Random(2024)
+        seen = set()
+        for _ in range(3200):
+            dim, vectors = self.random_input(rng)
+            normals = outcome(_normals_from_rays, dim, vectors)
+            assert normals == outcome(ref_normals_from_rays, dim, vectors), (dim, vectors)
+            rays = outcome(_rays_from_normals, dim, vectors)
+            ref = outcome(ref_rays_from_normals, dim, vectors)
+            if isinstance(ref, str):
+                assert rays == ref, (dim, vectors)
+            else:
+                assert isinstance(rays, list) and set(rays) == set(ref), (dim, vectors)
+            kinds = {(dim, "normals", isinstance(normals, str)), (dim, "rays", isinstance(rays, str))}
+            if any(_is_zero(v) for v in vectors):
+                kinds.add("zero vector")
+            if dim == 2 and len(vectors) == 1 and not isinstance(rays, str):
+                kinds.add("half-plane")
+            if dim <= 3 and _rank(vectors, dim) < dim:
+                kinds.add("non-spanning")
+            seen |= kinds
+        for dim in (1, 2, 3):
+            for side in ("normals", "rays"):
+                assert {(dim, side, False), (dim, side, True)} <= seen
+        assert {(4, "normals", True), (4, "rays", True)} <= seen
+        assert {"zero vector", "half-plane", "non-spanning"} <= seen
 
 
 class TestLeqPoint:

@@ -28,6 +28,7 @@ from walkorder import (
 from walkorder.ldp import EXACT_LIMIT, GRID_REFINED, RateOptions, _conic_combination
 from walkorder.measure import project, shift
 from walkorder.spectrum import _golden_min, _Projected
+from walkorder.stochorder import upset_mass
 from walkorder.rational import log_rat, rat
 
 from conftest import bernoulli, random_measure_1d, random_measure_2d
@@ -398,6 +399,72 @@ class TestRelativeRateLhsTable:
             pytest.fail("relative_rate_lhs at n = 1024 did not return within 5 s")
         assert proc.returncode == 0, proc.stderr
         assert 0.0 < float(proc.stdout) < LN32
+
+
+def mirrored(mu: Measure) -> Measure:
+    return Measure(1, {(-x[0],): w for x, w in mu.atoms.items()})
+
+
+def principal_upset_lhs(X: Measure, Y: Measure, cone: Cone, n: int, eps) -> float:
+    """relative_rate_lhs in 1-D from first principles: every principal closed
+    upset of the cone order, and the whole space, with masses from
+    ``upset_mass`` on the scaled and shifted walks."""
+    inv_n, e = rat(1, n), rat(eps)
+    num = Measure(1, {(x[0] * inv_n,): w for x, w in convolve_power(X, n).atoms.items()})
+    den = Measure(
+        1, {(y[0] * inv_n + e * cone.unit[0],): w for y, w in convolve_power(Y, n).atoms.items()}
+    )
+    pairs = [(upset_mass(num, cone, [g]), upset_mass(den, cone, [g]))
+             for g in sorted(set(num.atoms) | set(den.atoms))]
+    best = -math.inf
+    for a, b in pairs + [(num.mass(), den.mass())]:
+        if a == 0:
+            continue
+        if b == 0:
+            return math.inf
+        best = max(best, (log_rat(a) - log_rat(b)) / n)
+    return best
+
+
+class TestRelativeRateLhsDownward:
+    """On (-inf, 0] the closed upsets are lower tails: the table equals the
+    half-line table of the mirrored walks, with unit -unit, float for float."""
+
+    DOWN = (Cone.from_generators(1, rays=[(-1,)]), Cone(1, [(-2,)], [(-3,)], (-5,)))
+
+    @staticmethod
+    def halfline_twin(cone: Cone) -> Cone:
+        return Cone.halfline(tuple(-u for u in cone.unit))
+
+    def test_mirrored_bernoulli_pair(self):
+        X, Y = mirrored(bernoulli("3/4")), mirrored(bernoulli("1/2"))
+        unit1, unit5 = self.DOWN
+        assert relative_rate_lhs(X, Y, unit1, 8, "1/64") == 0.4054651081081645
+        assert relative_rate_lhs(X, Y, unit1, 64, "1/64") == 0.34024030701604513
+        assert relative_rate_lhs(X, Y, unit5, 64, "1/64") == 0.17317909226029543
+        for cone in self.DOWN:
+            twin = self.halfline_twin(cone)
+            for n in (1, 8, 64):
+                got = relative_rate_lhs(X, Y, cone, n, "1/64")
+                assert got == relative_rate_lhs(mirrored(X), mirrored(Y), twin, n, "1/64")
+                assert got == principal_upset_lhs(X, Y, cone, n, rat(1, 64))
+                assert got == principal_upset_lhs(mirrored(X), mirrored(Y), twin, n, rat(1, 64))
+
+    def test_random_pairs_match_the_mirror_and_the_upset_oracle(self):
+        rng = random.Random(74)
+        seen = set()
+        for i in range(40):
+            cone = self.DOWN[i % 2]
+            X = random_measure_1d(rng, max_atoms=4, span=6).normalized()
+            Y = random_measure_1d(rng, max_atoms=4, span=6).normalized()
+            n = rng.choice([1, 2, 5, 8])
+            eps = rng.choice([rat(1, 64), rat(1, 3), rat(2)])
+            got = relative_rate_lhs(X, Y, cone, n, eps)
+            twin = self.halfline_twin(cone)
+            assert got == relative_rate_lhs(mirrored(X), mirrored(Y), twin, n, eps), (X, Y, n, eps)
+            assert got == principal_upset_lhs(X, Y, cone, n, eps), (X, Y, n, eps)
+            seen.add(math.isinf(got))
+        assert seen == {False, True}
 
 
 class TestCramer:
