@@ -37,8 +37,8 @@ from .measure import (
     shift,
 )
 from .rational import as_rat, log_rat, rat
-from .spectrum import _golden_min, _log_sum_exp, _Projected
-from .stochorder import tail_mass, upset_mass
+from .spectrum import _golden_min, _Projected
+from .stochorder import principal_upset_masses, tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
 GRID_REFINED = "grid-refined"
@@ -117,6 +117,12 @@ def _rate_1d(mu: Measure, c, direction: Direction, opts: RateOptions) -> RateRes
     return RateResult(value, (direction, r), GRID_REFINED)
 
 
+def _log_sum_exp(a: np.ndarray, w: np.ndarray) -> float:
+    """Stabilised log(sum_i w_i exp(a_i)): the log-MGF of weights w at exponents a."""
+    m = a.max()
+    return float(m + math.log(float(np.dot(w, np.exp(a - m)))))
+
+
 def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     directions = cone.dual_directions(opts.n_samples, opts.seed)
     # exact divergence test along each sampled ray
@@ -153,6 +159,7 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
         step = 1.0
         for _ in range(opts.max_iter):
             grad_t = cf - tilted_mean_vec(t)
+            # per-ray dots: R @ grad_t and Python-float sums round 16-25% of entries differently
             grad_lam = np.array([r @ grad_t for r in rays])
             improved = False
             while step > 1e-18:
@@ -233,7 +240,11 @@ def relative_rate_rhs(
             return px.log_mgf(r) - py.log_mgf(r)
 
         thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
-        vals = [g(th) for th in thetas]
+        rs = [math.tan(th) for th in thetas]
+        vals = [
+            0.0 if r == 0.0 else a - b
+            for r, a, b in zip(rs, px.log_mgf_many(rs), py.log_mgf_many(rs))
+        ]
         for idx in range(len(thetas)):
             v = vals[idx]
             left = vals[idx - 1] if idx > 0 else -math.inf
@@ -246,25 +257,34 @@ def relative_rate_rhs(
                     if -neg > best_val:
                         best_val, best = -neg, (d, math.tan(theta_star))
             if v > best_val:
-                best_val, best = v, (d, math.tan(thetas[idx]))
+                best_val, best = v, (d, rs[idx])
     return RateResult(best_val, best, GRID_REFINED)
 
 
 def relative_rate_curve(
     X: Measure, Y: Measure, cone: Cone, opts: RateOptions | None = None
 ) -> list:
-    """Sampled radial profile rows (ray index, theta, r, g(r)) for CSV export."""
+    """Sampled radial profile rows (ray index, theta, r, g(r)) for CSV export.
+
+    The grid is fixed at 256 points per ray, ``theta = (pi/2) k / 257`` for
+    k = 1..256, whatever ``opts.grid_points`` says; the rows are written to
+    the ``rel-rate`` curve CSV.
+    """
     opts = opts or RateOptions()
     require_probability(X, "X")
     require_probability(Y, "Y")
+    require_same_dim(cone, X.dim)
+    require_equal_dims(X, Y)
+    thetas = [(math.pi / 2) * k / 257 for k in range(1, 257)]
+    rs = [math.tan(theta) for theta in thetas]
     rows = []
     for ray_idx, d in enumerate(cone.dual_directions(opts.n_samples, opts.seed)):
         px = _Projected(project(X, d.t))
         py = _Projected(project(Y, d.t))
-        for k in range(1, 257):
-            theta = (math.pi / 2) * k / 257
-            r = math.tan(theta)
-            rows.append((ray_idx, theta, r, px.log_mgf(r) - py.log_mgf(r)))
+        rows += (
+            (ray_idx, theta, r, a - b)
+            for theta, r, a, b in zip(thetas, rs, px.log_mgf_many(rs), py.log_mgf_many(rs))
+        )
     return rows
 
 
@@ -316,9 +336,9 @@ def relative_rate_lhs(
         pairs = ((tail_mass(num, c), tail_mass(den, c)) for c in thresholds)
     else:
         gens = sorted(set(num.atoms) | set(den.atoms))
-        masses = [
-            (upset_mass(num, cone, [g]), upset_mass(den, cone, [g])) for g in gens
-        ]
+        masses = list(
+            zip(principal_upset_masses(num, cone, gens), principal_upset_masses(den, cone, gens))
+        )
         masses.append((num.mass(), den.mass()))  # the whole space is a closed upset
         pairs = iter(masses)
     for num_mass, den_mass in pairs:

@@ -77,12 +77,6 @@ class SpectralReport:
     seed: int
 
 
-def _log_sum_exp(a: np.ndarray, w: np.ndarray) -> float:
-    """Stabilised log(sum_i w_i exp(a_i)): the log-MGF of weights w at exponents a."""
-    m = a.max()
-    return float(m + math.log(float(np.dot(w, np.exp(a - m)))))
-
-
 class _Projected:
     """Float and exact views of a projected 1-D probability measure.
 
@@ -110,12 +104,28 @@ class _Projected:
         self.w_max: Rational = rat(pairs[-1][1], d)
         self.mean: Rational = rat(sum(k * wt for k, wt in pairs), s * d)
 
+    # ``z`` is sorted and rounding is monotone, so the largest ``r * z`` is the
+    # product at an end of ``z``: the same float as ``(r * z).max()``.
+
     def log_mgf(self, r: float) -> float:
-        return _log_sum_exp(r * self.z, self.w)
+        a = r * self.z
+        m = a[-1] if r > 0 else a[0]
+        return float(m + math.log(float(np.dot(self.w, np.exp(a - m)))))
+
+    def log_mgf_many(self, rs) -> list:
+        """``[self.log_mgf(r) for r in rs]`` from one ``rs x z`` block and one
+        ``np.exp``: both work element by element, and each row is a
+        contiguous view, so every dot and log sees the same floats."""
+        rs = np.asarray(rs, dtype=float)
+        a = rs[:, None] * self.z
+        m = np.where(rs > 0, a[:, -1], a[:, 0])
+        e = np.exp(a - m[:, None])
+        w = self.w
+        return [mi + math.log(float(np.dot(w, row))) for mi, row in zip(m.tolist(), e)]
 
     def tilted_mean(self, r: float) -> float:
         a = r * self.z
-        m = a.max()
+        m = a[-1] if r > 0 else a[0]
         e = self.w * np.exp(a - m)
         return float(np.dot(e, self.z) / e.sum())
 

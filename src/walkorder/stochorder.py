@@ -13,12 +13,15 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
+from math import lcm
+from operator import ge, mul
 from typing import Optional, Sequence
 
 from .cones import Cone, is_upward_1d, require_same_dim
 from .errors import DimensionMismatch, MassMismatch
 from .measure import Measure, as_point, require_equal_dims
-from .rational import Rational, ZERO
+from .rational import Rational, ZERO, rat
 from .solvers import TransportInstance, transport_feasible
 
 
@@ -45,6 +48,35 @@ def upset_mass(mu: Measure, cone: Cone, generators: Sequence) -> Rational:
         if any(cone.leq_point(g, x) for g in gens):
             total += w
     return total
+
+
+def principal_upset_masses(mu: Measure, cone: Cone, generators: Sequence) -> list:
+    """``[upset_mass(mu, cone, [g]) for g in generators]``, exactly.
+
+    Each atom and generator is mapped once to integer normal coordinates:
+    the atom ``x / S`` of the integer view to ``<n, x>`` for every integer
+    normal n, the generator g to ``ceil(S <n, g>)``.  g <= x in the cone
+    order iff every coordinate of x is at least g's.  Atoms are sorted by
+    their first coordinate, so a bisection skips those below g's, and the
+    masses are sums of the view's int weights over D.
+    """
+    require_same_dim(cone, mu.dim)
+    gens = [as_point(g, mu.dim) for g in generators]
+    s, coords, d, weights = mu._int_view()
+    first, *rest = cone._int_normals
+    atoms = sorted(
+        (sum(map(mul, first, x)), [sum(map(mul, n, x)) for n in rest], w)
+        for x, w in zip(coords, weights)
+    )
+    firsts = [a[0] for a in atoms]
+    masses = []
+    for g in gens:
+        den = lcm(*(c.denominator for c in g))
+        gi = [c.numerator * (den // c.denominator) for c in g]
+        low0, *low = (-(-s * sum(map(mul, n, gi)) // den) for n in (first, *rest))
+        above = islice(atoms, bisect_left(firsts, low0), None)
+        masses.append(rat(sum(w for _, key, w in above if all(map(ge, key, low))), d))
+    return masses
 
 
 def tail_mass(mu: Measure, c) -> Rational:

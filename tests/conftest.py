@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
 import random
 
+import numpy as np
 import pytest
 
 from walkorder import Cone, Measure
@@ -55,6 +57,19 @@ def random_measure_2d(rng: random.Random, max_atoms: int = 5, max_den: int = 8) 
     return Measure(2, atoms)
 
 
+def random_measure_3d(
+    rng: random.Random, max_atoms: int = 6, max_den: int = 6, span: int = 8
+) -> Measure:
+    """Random 3-D probability measure with coordinates in [-span, span]."""
+    atoms = {
+        tuple(rat(rng.randint(-span, span), rng.randint(1, max_den)) for _ in range(3)): rat(
+            rng.randint(1, 9)
+        )
+        for _ in range(rng.randint(1, max_atoms))
+    }
+    return Measure(3, atoms).normalized()
+
+
 def measures_on(hyp, dim: int):
     """Hypothesis strategy: 1 to 5 atoms with coordinates in (1/6)Z, negatives
     included, so steps such as 1/3 and 1/2 are off the integer lattice."""
@@ -70,6 +85,14 @@ def measures_on(hyp, dim: int):
 def kernel_settings(hyp):
     """Derandomized Hypothesis settings, so every run draws the same examples."""
     return hyp.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+def log_mgf_reference(p, r: float) -> float:
+    """``_Projected.log_mgf`` as written with the max taken by ``a.max()``,
+    before it read the max at an end of the sorted ``z``."""
+    a = r * p.z
+    m = a.max()
+    return float(m + math.log(float(np.dot(p.w, np.exp(a - m)))))
 
 
 def bernoulli(p) -> Measure:

@@ -15,6 +15,7 @@ import pytest
 
 from walkorder import (
     Cone,
+    DimensionMismatch,
     Measure,
     convolve_power,
     cramer_empirical,
@@ -25,13 +26,25 @@ from walkorder import (
     relative_rate_lhs,
     relative_rate_rhs,
 )
-from walkorder.ldp import EXACT_LIMIT, GRID_REFINED, RateOptions, _conic_combination
+from walkorder.ldp import (
+    EXACT_LIMIT,
+    GRID_REFINED,
+    RateOptions,
+    _conic_combination,
+    relative_rate_curve,
+)
 from walkorder.measure import project, shift
 from walkorder.spectrum import _golden_min, _Projected
 from walkorder.stochorder import upset_mass
 from walkorder.rational import log_rat, rat
 
-from conftest import bernoulli, random_measure_1d, random_measure_2d
+from conftest import (
+    bernoulli,
+    log_mgf_reference,
+    random_measure_1d,
+    random_measure_2d,
+    random_measure_3d,
+)
 
 LN2 = math.log(2)
 LN32 = math.log(3) - math.log(2)
@@ -406,13 +419,20 @@ def mirrored(mu: Measure) -> Measure:
 
 
 def principal_upset_lhs(X: Measure, Y: Measure, cone: Cone, n: int, eps) -> float:
-    """relative_rate_lhs in 1-D from first principles: every principal closed
-    upset of the cone order, and the whole space, with masses from
-    ``upset_mass`` on the scaled and shifted walks."""
+    """relative_rate_lhs from first principles in any dimension: every
+    principal closed upset of the cone order, generated by an atom of either
+    walk, and the whole space, with masses from ``upset_mass`` on the scaled
+    and shifted walks."""
     inv_n, e = rat(1, n), rat(eps)
-    num = Measure(1, {(x[0] * inv_n,): w for x, w in convolve_power(X, n).atoms.items()})
+    num = Measure(
+        X.dim, {tuple(c * inv_n for c in x): w for x, w in convolve_power(X, n).atoms.items()}
+    )
     den = Measure(
-        1, {(y[0] * inv_n + e * cone.unit[0],): w for y, w in convolve_power(Y, n).atoms.items()}
+        Y.dim,
+        {
+            tuple(c * inv_n + e * u for c, u in zip(y, cone.unit)): w
+            for y, w in convolve_power(Y, n).atoms.items()
+        },
     )
     pairs = [(upset_mass(num, cone, [g]), upset_mass(den, cone, [g]))
              for g in sorted(set(num.atoms) | set(den.atoms))]
@@ -465,6 +485,87 @@ class TestRelativeRateLhsDownward:
             assert got == principal_upset_lhs(X, Y, cone, n, eps), (X, Y, n, eps)
             seen.add(math.isinf(got))
         assert seen == {False, True}
+
+
+class TestRelativeRateLhsPrincipalUpsets:
+    """In dimension 2 and up the table equals the first-principles upset
+    scan, float for float."""
+
+    X = Measure(2, {(0, 0): "1/3", (1, 0): "1/3", (0, 1): "1/3"})
+    Y = Measure(2, {(0, 0): "1/4", (1, 1): "1/2", (2, 0): "1/4"})
+
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_planar_pair(self, orthant2, n):
+        # X reweighted toward (1, 0): a finite positive supremum, log(3/2)
+        heavy = Measure(2, {(0, 0): "1/6", (1, 0): "1/2", (0, 1): "1/3"})
+        values = []
+        for X, Y in ((self.X, self.Y), (self.Y, self.X), (heavy, self.X)):
+            got = relative_rate_lhs(X, Y, orthant2, n, "1/64")
+            assert got == principal_upset_lhs(X, Y, orthant2, n, "1/64")
+            values.append(got)
+        assert values == [0.0, math.inf, pytest.approx(LN32, abs=1e-15)]
+
+    def test_random_pairs(self, orthant2):
+        rng = random.Random(75)
+        cones = (
+            orthant2,
+            Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+            Cone.from_generators(3, rays=[(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+        )
+        seen = set()
+        for i in range(24):
+            cone = cones[i % 3]
+            if cone.dim == 2:
+                X = random_measure_2d(rng, max_atoms=3).normalized()
+                Y = random_measure_2d(rng, max_atoms=3).normalized()
+            else:
+                X = random_measure_3d(rng, max_atoms=3, max_den=4, span=3)
+                Y = random_measure_3d(rng, max_atoms=3, max_den=4, span=3)
+            n = rng.choice([1, 2, 3, 4])
+            eps = rng.choice([rat(1, 64), rat(1, 3), rat(2)])
+            got = relative_rate_lhs(X, Y, cone, n, eps)
+            assert got == principal_upset_lhs(X, Y, cone, n, eps), (X, Y, n, eps)
+            seen.add("inf" if math.isinf(got) else "pos" if got > 0 else "zero")
+        assert seen == {"inf", "pos", "zero"}
+
+
+class TestRelativeRateCurve:
+    @staticmethod
+    def reference(X, Y, cone, opts):
+        """The curve one point at a time, from the reference log-MGF."""
+        rows = []
+        for ray_idx, d in enumerate(cone.dual_directions(opts.n_samples, opts.seed)):
+            px = _Projected(project(X, d.t))
+            py = _Projected(project(Y, d.t))
+            for k in range(1, 257):
+                theta = (math.pi / 2) * k / 257
+                r = math.tan(theta)
+                g = log_mgf_reference(px, r) - log_mgf_reference(py, r)
+                rows.append((ray_idx, theta, r, g))
+        return rows
+
+    def test_rows_match_the_per_point_reference(self, halfline, orthant2):
+        rng = random.Random(76)
+        for i in range(8):
+            cone, draw = (orthant2, random_measure_2d) if i % 2 else (halfline, random_measure_1d)
+            X, Y = draw(rng).normalized(), draw(rng).normalized()
+            opts = RateOptions(n_samples=3, seed=i, grid_points=33)
+            rows = relative_rate_curve(X, Y, cone, opts)
+            expected = self.reference(X, Y, cone, opts)
+            assert len(rows) == len(expected) == 256 * len(cone.dual_directions(3, i))
+            assert [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows] == [
+                tuple(v.hex() if isinstance(v, float) else v for v in row) for row in expected
+            ]
+
+    def test_measure_dimensions_checked(self, orthant2):
+        X = Measure(2, {(0, 0): "1/2", (1, 1): "1/2"})
+        with pytest.raises(DimensionMismatch, match="measure dimensions differ: 2 vs 1"):
+            relative_rate_curve(X, bernoulli("1/2"), orthant2)
+
+    def test_cone_dimension_checked(self, halfline):
+        X = Measure(2, {(0, 0): "1/2", (1, 1): "1/2"})
+        with pytest.raises(DimensionMismatch, match="cone dimension 1 does not match 2"):
+            relative_rate_curve(X, X, halfline)
 
 
 class TestCramer:

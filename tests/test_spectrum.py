@@ -35,7 +35,7 @@ from walkorder.spectrum import (
     _Projected,
 )
 
-from conftest import random_measure_1d, random_measure_2d
+from conftest import kernel_settings, log_mgf_reference, random_measure_1d, random_measure_2d
 
 
 def m1(mapping) -> Measure:
@@ -175,6 +175,84 @@ class TestProjected:
         for lo, hi, tol in ((0.0, 1.0, 1e-12), (0.05, 0.3, 1e-9), (0.2, 1.4, 1e-6)):
             theta, neg = _golden_min(lambda x: -f(x), lo, hi, tol)
             assert (theta, -neg) == golden_max(f, lo, hi, tol)
+
+
+def tilted_mean_reference(p: _Projected, r: float) -> float:
+    """``_Projected.tilted_mean`` as written with the max taken by ``a.max()``."""
+    a = r * p.z
+    m = a.max()
+    e = p.w * np.exp(a - m)
+    return float(np.dot(e, p.z) / e.sum())
+
+
+TAN_NEAR_HALF_PI = math.tan(math.pi / 2)  # about 1.6e16
+
+
+def radials(st):
+    """Radial coordinates: 0.0, both signs, |r| from 1e-6 up to tan near pi/2,
+    and the ends and middle of the relative-rate grids."""
+    top = math.log10(TAN_NEAR_HALF_PI)
+    grid = [math.tan((math.pi / 2) * k / 257) for k in (1, 128, 256)]
+    grid += [math.tan((math.pi / 2) * k / 513) for k in (1, 256, 512)]
+    fixed = [0.0, 1e-6, TAN_NEAR_HALF_PI] + grid
+    fixed += [-r for r in fixed[1:]]
+    magnitude = st.floats(min_value=-6.0, max_value=top).map(lambda u: 10.0**u)
+    return st.one_of(
+        st.sampled_from(fixed),
+        st.builds(lambda s, m: s * m, st.sampled_from([1.0, -1.0]), magnitude),
+    )
+
+
+def projected_laws(st):
+    """_Projected views of 1 to 80 atoms with rational points and weights."""
+    point = st.builds(rat, st.integers(-60, 60), st.integers(1, 12))
+    weight = st.integers(1, 50)
+    return st.dictionaries(point, weight, min_size=1, max_size=80).map(
+        lambda atoms: _Projected(
+            Measure(1, {(x,): rat(w, sum(atoms.values())) for x, w in atoms.items()})
+        )
+    )
+
+
+class TestProjectedKernel:
+    """The endpoint max and the grid batch give the reference floats bit for bit."""
+
+    def test_endpoint_max_matches_the_reduction(self, hyp):
+        st = hyp.strategies
+
+        @kernel_settings(hyp)
+        @hyp.given(projected_laws(st), st.lists(radials(st), min_size=1, max_size=20))
+        def check(p, rs):
+            for r in rs:
+                assert float_bits([p.log_mgf(r)]) == float_bits([log_mgf_reference(p, r)])
+                assert float_bits([p.tilted_mean(r)]) == float_bits([tilted_mean_reference(p, r)])
+
+        check()
+
+    def test_grid_batch_matches_the_scalar(self, hyp):
+        st = hyp.strategies
+
+        @kernel_settings(hyp)
+        @hyp.given(projected_laws(st), st.lists(radials(st), min_size=1, max_size=40))
+        def check(p, rs):
+            many = p.log_mgf_many(rs)
+            assert float_bits(many) == float_bits([p.log_mgf(r) for r in rs])
+            assert many == [log_mgf_reference(p, r) for r in rs]
+
+        check()
+
+    def test_every_law_size_on_the_curve_grid(self):
+        # the batch on every law size from 1 to 80 atoms, r of both signs and 0
+        rng = random.Random(63)
+        rs = [math.tan((math.pi / 2) * k / 257) for k in range(1, 257)]
+        rs += [-r for r in rs] + [0.0]
+        for n_atoms in range(1, 81):
+            points = rng.sample(range(-999, 1000), n_atoms)
+            law = Measure(1, {(rat(k, 7),): rng.randint(1, 9) for k in points}).normalized()
+            p = _Projected(law)
+            assert len(p.z) == n_atoms
+            expected = [log_mgf_reference(p, r) for r in rs]
+            assert float_bits(p.log_mgf_many(rs)) == float_bits(expected)
 
 
 def projected_reference(proj: Measure) -> _Projected:

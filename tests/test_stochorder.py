@@ -22,9 +22,15 @@ from walkorder import (
 from walkorder import solvers, stochorder
 from walkorder.ldp import _scale_points
 from walkorder.rational import ZERO, rat
-from walkorder.stochorder import _leq_flow, tail_mass
+from walkorder.stochorder import _leq_flow, principal_upset_masses, tail_mass
 
-from conftest import kernel_settings, measures_on, random_measure_1d
+from conftest import (
+    kernel_settings,
+    measures_on,
+    random_measure_1d,
+    random_measure_2d,
+    random_measure_3d,
+)
 
 
 def m1(mapping) -> Measure:
@@ -61,6 +67,66 @@ class TestUpsetMass:
     def test_planar(self, orthant2):
         mu = Measure(2, {(0, 1): "1/2", (1, 0): "1/2"})
         assert upset_mass(mu, orthant2, [(1, 0)]) == rat(1, 2)
+
+
+class TestPrincipalUpsetMasses:
+    """The integer-coordinate masses against upset_mass, one generator at a time."""
+
+    CONES = (
+        Cone.orthant(2),
+        Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+        Cone.from_generators(2, rays=[("1/2", "1/3"), ("-1/5", 1)]),
+        Cone.orthant(3),
+        Cone.from_generators(3, rays=[(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+    )
+
+    @staticmethod
+    def generators(rng: random.Random, mu: Measure, other: Measure) -> list:
+        # atoms of both measures (upset boundaries on atoms) and off-lattice points
+        gens = sorted(set(mu.atoms) | set(other.atoms))
+        gens += [
+            tuple(rat(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(mu.dim))
+            for _ in range(8)
+        ]
+        return gens
+
+    def check(self, mu: Measure, cone: Cone, gens: list) -> list:
+        got = principal_upset_masses(mu, cone, gens)
+        expected = [upset_mass(mu, cone, [g]) for g in gens]
+        assert got == expected
+        assert all(type(m) is type(ZERO) for m in got)
+        return got
+
+    def test_random_measures_and_cones(self):
+        rng = random.Random(81)
+        masses = set()
+        for i in range(60):
+            cone = self.CONES[i % len(self.CONES)]
+            draw = random_measure_2d if cone.dim == 2 else random_measure_3d
+            mu, other = draw(rng).normalized(), draw(rng).normalized()
+            masses.update(self.check(mu, cone, self.generators(rng, mu, other)))
+        assert {ZERO, 1} < masses  # empty, full and partial upsets all seen
+
+    def test_derived_walks(self):
+        # the scaled and shifted convolution powers relative_rate_lhs builds
+        rng = random.Random(82)
+        for i in range(20):
+            cone = self.CONES[i % len(self.CONES)]
+            draw = random_measure_2d if cone.dim == 2 else random_measure_3d
+            mu = draw(rng, max_atoms=3).normalized()
+            n = rng.randint(1, 4)
+            walk = _scale_points(convolve_power(mu, n), rat(1, n))
+            walk = shift(walk, tuple(rat(1, 64) * u for u in cone.unit))
+            self.check(walk, cone, self.generators(rng, walk, mu))
+
+    def test_edges(self, orthant2):
+        mu = Measure(2, {("1/3", "2/3"): "1/2", (1, 0): "1/2"})
+        assert principal_upset_masses(mu, orthant2, []) == []
+        assert self.check(mu, orthant2, [("1/3", "2/3"), ("1/3", "2/3001"), (2, 2)]) == [
+            rat(1, 2), rat(1, 2), ZERO,
+        ]
+        with pytest.raises(DimensionMismatch):
+            principal_upset_masses(mu, Cone.halfline(), [(0,)])
 
 
 class TestLeqSt1D:
