@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
 from .measure import Point, as_point
-from .rational import Rational, rat
+from .rational import Rational, point_str, rat
 
 _MASK64 = (1 << 64) - 1
 
@@ -170,11 +170,14 @@ class Cone:
             for n in self.normals:
                 if _dot(n, r) < 0:
                     raise ValueError(
-                        f"ray {r} violates normal {n}: descriptions are inconsistent"
+                        f"ray {point_str(r)} violates normal {point_str(n)}: "
+                        "descriptions are inconsistent"
                     )
         for n in self.normals:
             if _dot(n, self.unit) <= 0:
-                raise ValueError(f"unit {self.unit} is not interior (normal {n})")
+                raise ValueError(
+                    f"unit {point_str(self.unit)} is not interior (normal {point_str(n)})"
+                )
         # each normal as coprime ints: same sign of <n, x> for every x
         self._int_normals = tuple(_primitive(n) for n in self.normals)
 
@@ -247,7 +250,7 @@ class Cone:
     def _normalize_dual(self, t: Point) -> Point:
         s = _dot(t, self.unit)
         if s <= 0:
-            raise ValueError(f"dual vector {t} has nonpositive pairing with the unit")
+            raise ValueError(f"dual vector {point_str(t)} has nonpositive pairing with the unit")
         return tuple(c / s for c in t)
 
     def dual_directions(self, n_samples: int, seed: int = 0) -> list[Direction]:

@@ -42,7 +42,6 @@ from .stochorder import principal_upset_masses, tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
 GRID_REFINED = "grid-refined"
-LOWER_BOUND = "lower-bound"
 
 
 @dataclass

@@ -41,7 +41,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AtomBudgetExceeded, DimensionMismatch
-from .rational import ONE, Rational, ZERO, as_rat, rat
+from .rational import ONE, Rational, ZERO, as_rat, point_str, rat
 
 #: Points are tuples of exact rationals; the tuple length is the dimension.
 Point = tuple
@@ -91,7 +91,7 @@ class Measure:
             pt = as_point(point, dim)
             w = as_rat(weight)
             if w < 0:
-                raise ValueError(f"negative weight {w} at {pt}")
+                raise ValueError(f"negative weight {w} at {point_str(pt)}")
             if w == 0:
                 continue
             if pt in cleaned:

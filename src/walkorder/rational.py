@@ -52,6 +52,11 @@ def rat_str(q) -> str:
     return str(q)
 
 
+def point_str(point) -> str:
+    """Readable form of a point for messages, as in "(1/2, 0)"."""
+    return "(" + ", ".join(rat_str(c) for c in point) + ")"
+
+
 def log_rat(q) -> float:
     """log of a positive rational, robust to values far outside float range."""
     if q <= 0:

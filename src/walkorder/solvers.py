@@ -1,11 +1,13 @@
 """Exact combinatorial feasibility back-ends.
 
-Transportation feasibility is decided by rational max-flow with shortest
-augmenting paths (greedy warm start, then BFS augmentation); linear
+Transportation feasibility is decided by a max-flow on plain ints, the
+supplies and demands scaled once over the lcm of their denominators, with
+shortest augmenting paths (greedy warm start, then BFS augmentation); linear
 feasibility by a phase-1 simplex with Bland's rule, whose tableau rows are
 plain ints, each up to a positive factor, and whose pivots are exactly those
 of the rational tableau.  Everything is exact, so certificates never depend
-on a tolerance.
+on a tolerance, and every returned point, plan or cut is re-checked
+exactly.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd, lcm
+from operator import index
 from typing import Optional, Sequence
 
-from .rational import Rational, ZERO, as_rat, rat
+from .rational import ZERO, as_rat, rat
 
 
 @dataclass(frozen=True)
@@ -29,7 +32,7 @@ class TransportInstance:
         return TransportInstance(
             tuple(as_rat(s) for s in supplies),
             tuple(as_rat(d) for d in demands),
-            tuple((int(i), int(j)) for i, j in edges),
+            tuple((index(i), index(j)) for i, j in edges),
         )
 
 
@@ -40,15 +43,24 @@ class TransportResult:
     cut: Optional[frozenset]  # supply indices with deficient neighborhood
 
 
-def _validate_transport(inst: TransportInstance) -> None:
+def _validate_transport(inst: TransportInstance) -> tuple[int, list[int], list[int]]:
+    """Check the instance; return D and the supplies and demands as ints over D.
+
+    D is the lcm of every supply and demand denominator, so supply i is
+    ``sup[i] / D`` exactly.
+    """
     m, k = len(inst.supplies), len(inst.demands)
-    if any(s < 0 for s in inst.supplies) or any(d < 0 for d in inst.demands):
+    den = lcm(*(q.denominator for q in inst.supplies), *(q.denominator for q in inst.demands))
+    sup = [q.numerator * (den // q.denominator) for q in inst.supplies]
+    dem = [q.numerator * (den // q.denominator) for q in inst.demands]
+    if any(s < 0 for s in sup) or any(d < 0 for d in dem):
         raise ValueError("supplies and demands must be nonnegative")
-    if sum(inst.supplies, ZERO) != sum(inst.demands, ZERO):
+    if sum(sup) != sum(dem):
         raise ValueError("total supply must equal total demand")
     for i, j in inst.edges:
         if not (0 <= i < m and 0 <= j < k):
             raise ValueError(f"edge ({i}, {j}) out of range")
+    return den, sup, dem
 
 
 def transport_feasible(inst: TransportInstance) -> TransportResult:
@@ -56,9 +68,17 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
 
     The cut certificate is a set A of supply indices whose admissible demand
     neighborhood has strictly smaller total demand than the supply of A.
+
+    Supplies and demands are scaled once to ints over D, the lcm of their
+    denominators, and the max-flow runs on plain ints: a greedy warm start in
+    edge order, then shortest augmenting paths by BFS.  Scaling by D > 0
+    keeps every comparison and every bottleneck, so the paths, the plan and
+    the cut are those of the same max-flow on rationals; each plan entry is
+    returned as ``f / D``.  The certificate is re-checked on the ints before
+    it is handed back.
     """
-    _validate_transport(inst)
-    m, k = len(inst.supplies), len(inst.demands)
+    den, sup, dem = _validate_transport(inst)
+    m, k = len(sup), len(dem)
     adj: list[list[int]] = [[] for _ in range(m)]
     radj: list[list[int]] = [[] for _ in range(k)]
     seen_edges = set()
@@ -67,15 +87,15 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
             seen_edges.add((i, j))
             adj[i].append(j)
             radj[j].append(i)
-    flow: dict[tuple, Rational] = {}
-    r_s = list(inst.supplies)
-    r_d = list(inst.demands)
+    flow: dict[tuple, int] = {}
+    r_s = list(sup)
+    r_d = list(dem)
 
     # warm start: greedy saturation in edge order
     for i, j in inst.edges:
         if r_s[i] > 0 and r_d[j] > 0:
             push = min(r_s[i], r_d[j])
-            flow[(i, j)] = flow.get((i, j), ZERO) + push
+            flow[(i, j)] = flow.get((i, j), 0) + push
             r_s[i] -= push
             r_d[j] -= push
 
@@ -103,7 +123,7 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
                     target = j
                     break
                 for i2 in radj[j]:
-                    if not visited_s[i2] and flow.get((i2, j), ZERO) > 0:
+                    if not visited_s[i2] and flow.get((i2, j), 0) > 0:
                         visited_s[i2] = True
                         prev_s[i2] = j
                         queue.append(i2)
@@ -127,7 +147,7 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
                 bottleneck = flow[(i, j)]
         for i, j, forward in path:
             if forward:
-                flow[(i, j)] = flow.get((i, j), ZERO) + bottleneck
+                flow[(i, j)] = flow.get((i, j), 0) + bottleneck
             else:
                 flow[(i, j)] -= bottleneck
         r_s[root] -= bottleneck
@@ -135,9 +155,42 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
 
     if all(r == 0 for r in r_s):
         plan = {e: f for e, f in flow.items() if f > 0}
+        _check_certificate(inst, sup, dem, plan, None)
+        plan = {e: rat(f, den) for e, f in plan.items()}
         return TransportResult(feasible=True, plan=plan, cut=None)
     cut = frozenset(i for i in range(m) if visited_s[i])
+    _check_certificate(inst, sup, dem, None, cut)
     return TransportResult(feasible=False, plan=None, cut=cut)
+
+
+def _check_certificate(
+    inst: TransportInstance,
+    sup: list[int],
+    dem: list[int],
+    plan: Optional[dict],
+    cut: Optional[frozenset],
+) -> None:
+    """Re-check a plan or a cut on the ints; raise RuntimeError if it fails.
+
+    A plan puts positive flow on listed edges only and meets every supply
+    and demand exactly.  A cut A has more supply than the total demand of
+    A's neighbours.
+    """
+    if plan is not None:
+        edges = set(inst.edges)
+        out = [0] * len(sup)
+        into = [0] * len(dem)
+        for (i, j), f in plan.items():
+            if f <= 0 or (i, j) not in edges:
+                raise RuntimeError(f"max-flow returned flow {f} on edge ({i}, {j})")
+            out[i] += f
+            into[j] += f
+        if out != sup or into != dem:
+            raise RuntimeError("max-flow returned a plan that misses a supply or a demand")
+    else:
+        neighbours = {j for i, j in inst.edges if i in cut}
+        if sum(sup[i] for i in cut) <= sum(dem[j] for j in neighbours):
+            raise RuntimeError("max-flow returned a cut that its neighbours can absorb")
 
 
 @dataclass(frozen=True)

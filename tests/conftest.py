@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 import numpy as np
 import pytest
 
 from walkorder import Cone, Measure
-from walkorder.rational import rat
+from walkorder.rational import ZERO, rat
+from walkorder.solvers import TransportResult
 
 
 def random_measure_1d(
@@ -93,6 +95,86 @@ def log_mgf_reference(p, r: float) -> float:
     a = r * p.z
     m = a.max()
     return float(m + math.log(float(np.dot(p.w, np.exp(a - m)))))
+
+
+def transport_feasible_reference(inst) -> TransportResult:
+    """``solvers.transport_feasible`` as it ran on ``Fraction`` supplies and
+    demands, before the max-flow moved to ints over one common denominator.
+
+    Greedy warm start in edge order, then BFS augmenting paths; the cut is
+    the set of supplies the last search reached.  Takes a valid instance.
+    """
+    m, k = len(inst.supplies), len(inst.demands)
+    adj: list[list[int]] = [[] for _ in range(m)]
+    radj: list[list[int]] = [[] for _ in range(k)]
+    for i, j in dict.fromkeys(inst.edges):
+        adj[i].append(j)
+        radj[j].append(i)
+    flow: dict = {}
+    r_s = list(inst.supplies)
+    r_d = list(inst.demands)
+    for i, j in inst.edges:
+        if r_s[i] > 0 and r_d[j] > 0:
+            push = min(r_s[i], r_d[j])
+            flow[(i, j)] = flow.get((i, j), ZERO) + push
+            r_s[i] -= push
+            r_d[j] -= push
+
+    while True:
+        visited_s = [False] * m
+        visited_d = [False] * k
+        prev_d: dict = {}
+        prev_s: dict = {}
+        queue: deque = deque()
+        for i in range(m):
+            if r_s[i] > 0:
+                visited_s[i] = True
+                prev_s[i] = None
+                queue.append(i)
+        target = None
+        while queue and target is None:
+            i = queue.popleft()
+            for j in adj[i]:
+                if visited_d[j]:
+                    continue
+                visited_d[j] = True
+                prev_d[j] = i
+                if r_d[j] > 0:
+                    target = j
+                    break
+                for i2 in radj[j]:
+                    if not visited_s[i2] and flow.get((i2, j), ZERO) > 0:
+                        visited_s[i2] = True
+                        prev_s[i2] = j
+                        queue.append(i2)
+        if target is None:
+            break
+        path: list = []
+        j = target
+        while True:
+            i = prev_d[j]
+            path.append((i, j, True))
+            back = prev_s[i]
+            if back is None:
+                break
+            path.append((i, back, False))
+            j = back
+        root = path[-1][0]
+        bottleneck = min(r_d[target], r_s[root])
+        for i, j, forward in path:
+            if not forward and flow[(i, j)] < bottleneck:
+                bottleneck = flow[(i, j)]
+        for i, j, forward in path:
+            if forward:
+                flow[(i, j)] = flow.get((i, j), ZERO) + bottleneck
+            else:
+                flow[(i, j)] -= bottleneck
+        r_s[root] -= bottleneck
+        r_d[target] -= bottleneck
+
+    if all(r == 0 for r in r_s):
+        return TransportResult(True, {e: f for e, f in flow.items() if f > 0}, None)
+    return TransportResult(False, None, frozenset(i for i in range(m) if visited_s[i]))
 
 
 def bernoulli(p) -> Measure:

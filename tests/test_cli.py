@@ -265,6 +265,35 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: ") and "Traceback" not in err
 
+    def test_negative_weight_names_the_point(self, capsys, tmp_path, files):
+        bad = tmp_path / "negative.json"
+        bad.write_text('{"dim": 2, "atoms": [{"x": ["1/2", "0"], "w": "-1"}]}')
+        code = main(["order-check", str(bad), str(bad), "--json", "-"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: negative weight -1 at (1/2, 0)\n"
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ('{"dim": 2, "kind": "orthant", "unit": ["-1/2", "1"]}',
+             "unit (-1/2, 1) is not interior (normal (1, 0))"),
+            ('{"dim": 2, "rays": [["1", "0"], ["0", "1"]], "normals": [["1", "-1/2"]]}',
+             "ray (0, 1) violates normal (1, -1/2): descriptions are inconsistent"),
+        ],
+        ids=["unit-not-interior", "ray-violates-normal"],
+    )
+    def test_bad_cone_names_its_points(self, capsys, tmp_path, payload, message):
+        point = tmp_path / "point.json"
+        point.write_text('{"dim": 2, "atoms": [{"x": ["0", "0"], "w": "1"}]}')
+        bad = tmp_path / "cone.json"
+        bad.write_text(payload)
+        code = main(["order-check", str(point), str(point), "--cone", str(bad), "--json", "-"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: {message}\n"
+        assert "Fraction(" not in err
+
     def test_large_cone_dim_mismatch_exits_fast(self, files):
         # the dim mismatch must be caught before a 200-dim cone is built, which
         # takes half a minute; a subprocess turns a stall into a failure

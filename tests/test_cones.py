@@ -30,8 +30,12 @@ class TestConstruction:
             Cone(2, [(1, 0), (0, 1)], [(1, -1)], (1, 1))
 
     def test_unit_must_be_interior(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^unit \(1, 0\) is not interior \(normal \(0, 1\)\)$"):
             Cone.orthant(2, unit=(1, 0))
+
+    def test_dual_vector_off_the_unit_is_named_readably(self, orthant2):
+        with pytest.raises(ValueError, match=r"^dual vector \(-1/2, 0\) has nonpositive pairing"):
+            orthant2._normalize_dual(pts(("-1/2", 0))[0])
 
     def test_ray_normal_nonnegativity_holds_for_builtins(self):
         for cone in (Cone.halfline(), Cone.orthant(2), Cone.orthant(3)):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from walkorder import dominance
+from walkorder import dominance, solvers
 from walkorder.dominance import catalyst_1d, default_catalyst_grid
 from walkorder.rational import ZERO, as_rat, rat
 from walkorder.solvers import (
@@ -18,7 +18,7 @@ from walkorder.solvers import (
     transport_feasible,
 )
 
-from conftest import random_measure_1d
+from conftest import random_measure_1d, transport_feasible_reference
 
 
 def check_plan_conservation(inst: TransportInstance, plan: dict) -> None:
@@ -87,6 +87,123 @@ class TestTransport:
                 infeasible_seen += 1
                 check_cut_certificate(inst, res.cut)
         assert feasible_seen and infeasible_seen
+
+
+# primes near 2^20 and 2^31: four of them put D above 2^64
+PRIMES = (2, 3, 5, 7, 1000003, 1000033, 1000037, 1000039, 2147483647, 2147483629)
+
+
+def _random_transport(rng: random.Random) -> TransportInstance:
+    """Up to 12 supplies and 12 demands with prime denominators and zeros.
+
+    Raw vectors a and b give supplies a * sum(b) and demands b * sum(a), so
+    the totals agree.  Edges are drawn at a random density, sometimes none,
+    in a shuffled order with repeats.
+    """
+    def raw(n):
+        return [
+            ZERO if rng.random() < 0.2 else rat(rng.randint(1, 60), rng.choice(PRIMES))
+            for _ in range(n)
+        ]
+
+    a = raw(rng.randint(1, 12))
+    b = raw(rng.randint(1, 12))
+    density = rng.choice((0.0, 0.1, 0.25, 0.5, 1.0))
+    edges = [(i, j) for i in range(len(a)) for j in range(len(b)) if rng.random() < density]
+    edges += rng.sample(edges, min(len(edges), rng.randint(0, 4)))
+    rng.shuffle(edges)
+    return TransportInstance.build(
+        [x * sum(b) for x in a], [y * sum(a) for y in b], edges
+    )
+
+
+class TestIntFlow:
+    """The int max-flow against the ``Fraction`` one it replaced."""
+
+    def test_certificates_equal_fraction_reference(self):
+        rng = random.Random(47)
+        seen = {"feasible": 0, "infeasible": 0, "wide": 0, "repeats": 0, "zeros": 0,
+                "no-edges": 0}
+        for _ in range(400):
+            inst = _random_transport(rng)
+            got = transport_feasible(inst)
+            expected = transport_feasible_reference(inst)
+            assert (got.feasible, got.plan, got.cut) == (
+                expected.feasible, expected.plan, expected.cut
+            )
+            seen["feasible" if got.feasible else "infeasible"] += 1
+            den = math.lcm(*(q.denominator for q in inst.supplies + inst.demands))
+            seen["wide"] += den > 2**64
+            seen["repeats"] += len(set(inst.edges)) < len(inst.edges)
+            seen["zeros"] += ZERO in inst.supplies + inst.demands
+            seen["no-edges"] += not inst.edges
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_plan_entries_are_exact_fractions(self):
+        inst = TransportInstance.build(["1/3", "2/3"], ["1/2", "1/2"], [(0, 0), (1, 0), (1, 1)])
+        res = transport_feasible(inst)
+        assert res.plan == {(0, 0): rat(1, 3), (1, 0): rat(1, 6), (1, 1): rat(1, 2)}
+        assert all(type(f) is type(ZERO) for f in res.plan.values())
+
+    def test_all_zero_instance(self):
+        res = transport_feasible(TransportInstance.build([0, 0], [0], []))
+        assert res.feasible and res.plan == {}
+
+
+class TestTransportChecks:
+    @pytest.mark.parametrize("edge", [(0.9, 0), ("0", 0), (0, 1.0), (None, 0)])
+    def test_build_rejects_non_integer_indices(self, edge):
+        with pytest.raises(TypeError):
+            TransportInstance.build([1], [1], [edge])
+
+    def test_build_takes_integer_like_indices(self):
+        import numpy as np
+
+        inst = TransportInstance.build([1], [1], [(np.int64(0), 0)])
+        assert inst.edges == ((0, 0),) and all(type(i) is int for i in inst.edges[0])
+
+    def test_out_of_range_edge_rejected(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range"):
+            transport_feasible(TransportInstance.build([1], [1], [(0, 1)]))
+
+    # supplies 1, 2 and demands 2, 1 over D = 3, on edges (0, 0), (1, 0), (1, 1)
+    INST = TransportInstance.build(["1/3", "2/3"], ["2/3", "1/3"], [(0, 0), (1, 0), (1, 1)])
+    SUP, DEM = [1, 2], [2, 1]
+
+    def test_valid_plan_passes(self):
+        plan = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+        solvers._check_certificate(self.INST, self.SUP, self.DEM, plan, None)
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ({(0, 0): 1, (1, 0): 0, (1, 1): 1}, r"flow 0 on edge \(1, 0\)"),
+            ({(0, 0): 1, (1, 0): -1, (1, 1): 1}, r"flow -1 on edge \(1, 0\)"),
+            ({(0, 1): 1, (1, 0): 2}, r"flow 1 on edge \(0, 1\)"),  # meets every total
+            ({(0, 0): 1, (1, 0): 1}, "misses a supply or a demand"),
+            ({(0, 0): 1, (1, 0): 2, (1, 1): 1}, "misses a supply or a demand"),
+        ],
+        ids=["zero", "negative", "off-edge", "short", "over"],
+    )
+    def test_bad_plan_raises(self, plan, message):
+        with pytest.raises(RuntimeError, match=message):
+            solvers._check_certificate(self.INST, self.SUP, self.DEM, plan, None)
+
+    def test_deficient_cut_passes(self):
+        inst = TransportInstance.build([1], ["1/2", "1/2"], [(0, 0)])
+        solvers._check_certificate(inst, [2], [1, 1], None, frozenset({0}))
+
+    @pytest.mark.parametrize("cut", [frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset()])
+    def test_absorbed_cut_raises(self, cut):
+        with pytest.raises(RuntimeError, match="max-flow returned a cut"):
+            solvers._check_certificate(self.INST, self.SUP, self.DEM, None, cut)
+
+    def test_transport_feasible_checks_what_it_returns(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(solvers, "_check_certificate", lambda *args: checked.append(args[3:]))
+        transport_feasible(self.INST)
+        transport_feasible(TransportInstance.build([1], ["1/2", "1/2"], [(0, 0)]))
+        assert checked == [({(0, 0): 1, (1, 0): 1, (1, 1): 1}, None), (None, frozenset({0}))]
 
 
 class TestLpFeasible:

@@ -30,6 +30,7 @@ from conftest import (
     random_measure_1d,
     random_measure_2d,
     random_measure_3d,
+    transport_feasible_reference,
 )
 
 
@@ -278,6 +279,46 @@ class TestSweepCertificates:
         for cone in CONES_1D:
             # one direction is dominated and the other is not, on either orientation
             assert {leq_st(mu, nu, cone).dominated, leq_st(nu, mu, cone).dominated} == {True, False}
+
+
+class TestFlowCertificates:
+    """``leq_st`` in d >= 2 against ``_leq_flow`` run on the ``Fraction``
+    max-flow reference: the same verdict, coupling entries and upset."""
+
+    CONES = (
+        Cone.orthant(2),
+        Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+        Cone.orthant(3),
+        Cone.from_generators(3, rays=[(1, 0, 0), (1, 1, 0), (1, 1, 1)]),
+    )
+
+    @staticmethod
+    def moved_up(rng: random.Random, mu: Measure, cone: Cone) -> Measure:
+        # every atom moved by a random nonnegative combination of the rays
+        def step():
+            coeffs = [rat(rng.randint(0, 3), rng.randint(1, 4)) for _ in cone.rays]
+            return [sum((c * r[k] for c, r in zip(coeffs, cone.rays)), ZERO) for k in range(mu.dim)]
+
+        return Measure(mu.dim, [
+            (tuple(a + b for a, b in zip(x, step())), w) for x, w in mu.atoms.items()
+        ])
+
+    def test_equal_to_reference_flow(self, monkeypatch):
+        rng = random.Random(48)
+        pairs = []
+        for c, cone in enumerate(self.CONES):
+            draw = random_measure_2d if cone.dim == 2 else random_measure_3d
+            for _ in range(30):
+                mu = draw(rng, max_atoms=8)
+                nu = self.moved_up(rng, mu, cone)
+                pairs += [(c, mu, nu), (c, nu, mu), (c, mu, draw(rng, max_atoms=8))]
+        got = [certificate(leq_st(mu, nu, self.CONES[c])) for c, mu, nu in pairs]
+        monkeypatch.setattr(stochorder, "transport_feasible", transport_feasible_reference)
+        expected = [certificate(_leq_flow(mu, nu, self.CONES[c])) for c, mu, nu in pairs]
+        assert got == expected
+        verdicts = {(c, v[0]) for (c, _, _), v in zip(pairs, got)}
+        assert len(verdicts) == 2 * len(self.CONES)  # both verdicts on every cone
+        assert sum(len(v[2]) > 2 for v in got if v[0]) > 60  # couplings that split mass
 
 
 def naive_tail(mu: Measure, c):
