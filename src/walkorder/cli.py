@@ -10,8 +10,11 @@ Numbers are fraction strings ("2/5"), decimal strings ("0.1", converted
 exactly) or plain integers.  Reports are deterministic JSON: fixed key
 order, fraction strings for exact values, repr floats for numeric values.
 
+Every subcommand takes --cone, --seed, --workers, --json and --normalize,
+plus the options that its entry in _COMMANDS names, and no other.
+
 Exit codes: 0 definitive verdict, 2 epistemic outcome (Inconclusive or
-NotFound-on-grid), 1 input or budget error.
+NotFound-on-grid) or an unknown option, 1 input or budget error.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import functools
 import json
 import math
 import sys
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .cones import Cone, Direction, is_upward_1d
@@ -117,14 +120,19 @@ def parse_cone(text: str, expected_dim: int | None = None) -> Cone:
     raise ValueError(f"unknown cone kind {kind!r}")
 
 
-def load_measure(path: str, normalize: bool = False) -> Measure:
+def _read_file(path: str, parse, *args):
+    """``parse(text, *args)`` on the file's text; errors name the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            m = parse_measure(fh.read())
+            return parse(fh.read(), *args)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def load_measure(path: str, normalize: bool = False) -> Measure:
+    m = _read_file(path, parse_measure)
     return m.normalized() if normalize else m
 
 
@@ -133,23 +141,15 @@ def load_cone(spec: str, dim: int) -> Cone:
         return Cone.halfline()
     if spec == "orthant":
         return Cone.orthant(dim)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            return parse_cone(fh.read(), dim)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{spec}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:
-        raise ValueError(f"{spec}: {exc}") from None
+    return _read_file(spec, parse_cone, dim)
 
 
 # -- report helpers --------------------------------------------------------------
 
 
 def _float_or_str(x) -> object:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return x
+    if isinstance(x, float) and math.isinf(x):
+        return "inf" if x > 0 else "-inf"
     return x
 
 
@@ -175,31 +175,20 @@ def write_report(report: dict, json_path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _base_report(command: str, seed: int, **extra) -> dict:
-    report = {"tool": "walkorder", "version": __version__, "command": command, "seed": seed}
-    report.update(extra)
-    return report
-
-
 # -- commands --------------------------------------------------------------------
+# Each command loads its inputs, writes any CSV and returns (report fields,
+# exit code); main puts the common header in front and writes the report.
 
 
-def _spectrum_opts(args) -> SpectrumOptions:
-    return SpectrumOptions(
-        margin_tol=args.margin_tol,
-        n_samples=args.samples,
-        seed=args.seed,
-    )
-
-
-def _cmd_order_check(args) -> int:
+def _load_pair(args) -> tuple[Measure, Measure, Cone]:
     X = load_measure(args.X, args.normalize)
     Y = load_measure(args.Y, args.normalize)
-    cone = load_cone(args.cone, X.dim)
-    verdict = leq_st(X, Y, cone)
-    report = _base_report(
-        "order-check",
-        args.seed,
+    return X, Y, load_cone(args.cone, X.dim)
+
+
+def _cmd_order_check(args) -> tuple[dict, int]:
+    verdict = leq_st(*_load_pair(args))
+    return dict(
         dominated=verdict.dominated,
         witness_coupling=None
         if verdict.witness_coupling is None
@@ -210,35 +199,7 @@ def _cmd_order_check(args) -> int:
         witness_upset=None
         if verdict.witness_upset is None
         else [point_json(p) for p in verdict.witness_upset],
-    )
-    write_report(report, args.json)
-    return EXIT_OK
-
-
-def _spectral_report(args, X: Measure, Y: Measure, cone: Cone):
-    opts = _spectrum_opts(args)
-    result = spectral_verdict(X, Y, cone, opts)
-    report = _base_report(
-        "spectrum" if args.command == "spectrum" else "dominate",
-        args.seed,
-        verdict=result.verdict,
-        sampled_only=result.sampled_only,
-        margin_tol=args.margin_tol,
-        rays=[
-            {
-                "direction": direction_json(rc.direction),
-                "verdict": rc.verdict,
-                "min_margin": _float_or_str(rc.min_margin),
-                "argmin_radial": radial_json(rc.argmin_radial),
-            }
-            for rc in result.per_ray
-        ],
-        witnesses=[
-            {"direction": direction_json(w.direction), "radial": radial_json(w.radial)}
-            for w in result.witnesses
-        ],
-    )
-    return result, report
+    ), EXIT_OK
 
 
 def _write_spectrum_csv(result, path: str) -> None:
@@ -256,25 +217,34 @@ def _write_spectrum_csv(result, path: str) -> None:
         )
 
 
-def _cmd_dominate(args) -> int:
-    X = load_measure(args.X, args.normalize)
-    Y = load_measure(args.Y, args.normalize)
-    cone = load_cone(args.cone, X.dim)
-    result, report = _spectral_report(args, X, Y, cone)
+def _cmd_dominate(args) -> tuple[dict, int]:
+    opts = SpectrumOptions(margin_tol=args.margin_tol, n_samples=args.samples, seed=args.seed)
+    result = spectral_verdict(*_load_pair(args), opts)
     if args.csv:
         _write_spectrum_csv(result, args.csv)
-    write_report(report, args.json)
-    return EXIT_EPISTEMIC if result.verdict == "Inconclusive" else EXIT_OK
+    return dict(
+        verdict=result.verdict,
+        sampled_only=result.sampled_only,
+        margin_tol=args.margin_tol,
+        rays=[
+            {
+                "direction": direction_json(rc.direction),
+                "verdict": rc.verdict,
+                "min_margin": _float_or_str(rc.min_margin),
+                "argmin_radial": radial_json(rc.argmin_radial),
+            }
+            for rc in result.per_ray
+        ],
+        witnesses=[
+            {"direction": direction_json(w.direction), "radial": radial_json(w.radial)}
+            for w in result.witnesses
+        ],
+    ), EXIT_EPISTEMIC if result.verdict == "Inconclusive" else EXIT_OK
 
 
-def _cmd_min_n(args) -> int:
-    X = load_measure(args.X, args.normalize)
-    Y = load_measure(args.Y, args.normalize)
-    cone = load_cone(args.cone, X.dim)
-    result = min_n(X, Y, cone, n_max=args.n_max)
-    report = _base_report(
-        "min-n",
-        args.seed,
+def _cmd_min_n(args) -> tuple[dict, int]:
+    result = min_n(*_load_pair(args), n_max=args.n_max)
+    return dict(
         found=result.found,
         n0=result.n0,
         stable_through=result.stable_through,
@@ -282,22 +252,17 @@ def _cmd_min_n(args) -> int:
             {"n": n, "witness_upset": [point_json(p) for p in witness]}
             for n, witness in result.failures
         ],
-    )
-    write_report(report, args.json)
-    return EXIT_OK if result.found else EXIT_EPISTEMIC
+    ), EXIT_OK if result.found else EXIT_EPISTEMIC
 
 
-def _cmd_catalyst(args) -> int:
-    X = load_measure(args.X, args.normalize)
-    Y = load_measure(args.Y, args.normalize)
-    if not is_upward_1d(load_cone(args.cone, X.dim)):
+def _cmd_catalyst(args) -> tuple[dict, int]:
+    X, Y, cone = _load_pair(args)
+    if not is_upward_1d(cone):
         raise ValueError("catalyst searches only the upward half-line [0, inf)")
     step = parse_rational(args.grid_step) if args.grid_step else None
     grid = default_catalyst_grid(X, Y, step=step)
     result = catalyst_1d(X, Y, grid)
-    report = _base_report(
-        "catalyst",
-        args.seed,
+    return dict(
         found=result is not None,
         grid=[rat_str(g) for g in grid],
         catalyst=None
@@ -310,20 +275,15 @@ def _cmd_catalyst(args) -> int:
             "grid_step": rat_str(result.grid_step),
             "verified": result.verified,
         },
-    )
-    write_report(report, args.json)
-    return EXIT_OK if result is not None else EXIT_EPISTEMIC
+    ), EXIT_OK if result is not None else EXIT_EPISTEMIC
 
 
-def _cmd_rate_fn(args) -> int:
+def _cmd_rate_fn(args) -> tuple[dict, int]:
     mu = load_measure(args.MU, args.normalize)
     cone = load_cone(args.cone, mu.dim)
     c = parse_point(args.c.split(","), mu.dim)
-    opts = RateOptions(n_samples=args.samples, seed=args.seed)
-    result = rate_function(mu, c, cone, opts)
-    report = _base_report(
-        "rate-fn",
-        args.seed,
+    result = rate_function(mu, c, cone, RateOptions(n_samples=args.samples, seed=args.seed))
+    return dict(
         c=point_json(c),
         value=_float_or_str(result.value),
         certified=result.certified,
@@ -333,29 +293,16 @@ def _cmd_rate_fn(args) -> int:
             "direction": direction_json(result.maximizer[0]),
             "radial": radial_json(result.maximizer[1]),
         },
-    )
-    write_report(report, args.json)
-    return EXIT_OK
+    ), EXIT_OK
 
 
-def _cmd_rel_rate(args) -> int:
-    X = load_measure(args.X, args.normalize)
-    Y = load_measure(args.Y, args.normalize)
-    cone = load_cone(args.cone, X.dim)
+def _cmd_rel_rate(args) -> tuple[dict, int]:
+    X, Y, cone = _load_pair(args)
     eps = parse_rational(args.eps)
     opts = RateOptions(n_samples=args.samples, seed=args.seed)
     rhs = relative_rate_rhs(X, Y, cone, opts)
     ns = [n for n in (8, 16, 32, 64, 128, 256, 512) if n <= args.n_max] or [args.n_max]
     table = [(n, relative_rate_lhs(X, Y, cone, n, eps)) for n in ns]
-    report = _base_report(
-        "rel-rate",
-        args.seed,
-        eps=rat_str(eps),
-        rhs=_float_or_str(rhs.value),
-        rhs_certified=rhs.certified,
-        lhs_certified="exact" if X.dim == 1 else "lower-bound",
-        lhs_table=[{"n": n, "lhs": _float_or_str(v)} for n, v in table],
-    )
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
@@ -367,35 +314,66 @@ def _cmd_rel_rate(args) -> int:
             writer.writerow(["ray", "theta", "r", "g"])
             for ray_idx, theta, r, g in relative_rate_curve(X, Y, cone, opts):
                 writer.writerow([ray_idx, repr(theta), repr(r), repr(g)])
-    write_report(report, args.json)
-    return EXIT_OK
+    return dict(
+        eps=rat_str(eps),
+        rhs=_float_or_str(rhs.value),
+        rhs_certified=rhs.certified,
+        lhs_certified="exact" if X.dim == 1 else "lower-bound",
+        lhs_table=[{"n": n, "lhs": _float_or_str(v)} for n, v in table],
+    ), EXIT_OK
 
 
-def _cmd_cramer(args) -> int:
+def _cmd_cramer(args) -> tuple[dict, int]:
     mu = load_measure(args.MU, args.normalize)
     cone = load_cone(args.cone, mu.dim)
     c = parse_point(args.c.split(","), mu.dim)
     value = cramer_empirical(mu, c, cone, args.n_max)
-    report = _base_report(
-        "cramer",
-        args.seed,
-        c=point_json(c),
-        n=args.n_max,
-        value=_float_or_str(value),
-    )
-    write_report(report, args.json)
-    return EXIT_OK
+    return dict(c=point_json(c), n=args.n_max, value=_float_or_str(value)), EXIT_OK
 
+
+# -- command table ---------------------------------------------------------------
+
+# every option, in the order --help lists them
+_OPTIONS = {
+    "--cone": dict(default="halfline", help="halfline, orthant, or a cone file path"),
+    "--c": dict(required=True, help="threshold point, comma-separated rationals"),
+    "--n-max": dict(type=int, default=64),
+    "--grid-step": dict(default=None),
+    "--eps": dict(default="1/64"),
+    "--seed": dict(type=int, default=0),
+    "--samples": dict(type=int, default=32),
+    "--margin-tol": dict(type=float, default=1e-9),
+    "--workers": dict(type=int, default=1, help="accepted; has no effect"),
+    "--csv": dict(default=None, help="write curve/table CSV to this path"),
+    "--json": dict(default=None, help="write the JSON report here ('-' = stdout)"),
+    "--normalize": dict(action="store_true", help="rescale inputs to mass 1"),
+}
+
+# options every command takes
+_SHARED = ("--cone", "--seed", "--workers", "--json", "--normalize")
+
+
+class _Command(NamedTuple):
+    run: Callable  # args -> (report fields, exit code)
+    help: str
+    inputs: tuple  # (name, help) of each positional measure file
+    options: tuple  # the options it reads besides _SHARED
+
+
+_PAIR = (("X", "path to the first measure file"), ("Y", "path to the second measure file"))
+_ONE = (("MU", "path to the measure file"),)
+_SPECTRAL = ("--samples", "--margin-tol", "--csv")
 
 _COMMANDS = {
-    "order-check": _cmd_order_check,
-    "spectrum": _cmd_dominate,
-    "dominate": _cmd_dominate,
-    "min-n": _cmd_min_n,
-    "catalyst": _cmd_catalyst,
-    "rate-fn": _cmd_rate_fn,
-    "rel-rate": _cmd_rel_rate,
-    "cramer": _cmd_cramer,
+    "order-check": _Command(_cmd_order_check, "decide the stochastic order exactly", _PAIR, ()),
+    "spectrum": _Command(_cmd_dominate, "spectral comparison with CSV curves", _PAIR, _SPECTRAL),
+    "dominate": _Command(_cmd_dominate, "spectral dominance verdict", _PAIR, _SPECTRAL),
+    "min-n": _Command(_cmd_min_n, "stability window for walk-sum dominance", _PAIR, ("--n-max",)),
+    "catalyst": _Command(_cmd_catalyst, "grid-relative catalyst search (1-D)", _PAIR, ("--grid-step",)),
+    "rate-fn": _Command(_cmd_rate_fn, "rate function at a point", _ONE, ("--c", "--samples")),
+    "rel-rate": _Command(_cmd_rel_rate, "relative decay rate, both sides", _PAIR,
+                         ("--n-max", "--eps", "--samples", "--csv")),
+    "cramer": _Command(_cmd_cramer, "empirical tail decay at sample size n", _ONE, ("--c", "--n-max")),
 }
 
 
@@ -406,35 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"walkorder {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, measures=2, needs_c=False):
-        if measures == 2:
-            p.add_argument("X", help="path to the first measure file")
-            p.add_argument("Y", help="path to the second measure file")
-        else:
-            p.add_argument("MU", help="path to the measure file")
-        p.add_argument("--cone", default="halfline", help="halfline, orthant, or a cone file path")
-        if needs_c:
-            p.add_argument("--c", required=True, help="threshold point, comma-separated rationals")
-        p.add_argument("--n-max", type=int, default=64, dest="n_max")
-        p.add_argument("--grid-step", default=None, dest="grid_step")
-        p.add_argument("--eps", default="1/64")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=32)
-        p.add_argument("--margin-tol", type=float, default=1e-9, dest="margin_tol")
-        p.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
-        p.add_argument("--csv", default=None, help="write curve/table CSV to this path")
-        p.add_argument("--json", default=None, help="write the JSON report here ('-' = stdout)")
-        p.add_argument("--normalize", action="store_true", help="rescale inputs to mass 1")
-
-    common(sub.add_parser("order-check", help="decide the stochastic order exactly"))
-    common(sub.add_parser("spectrum", help="spectral comparison with CSV curves"))
-    common(sub.add_parser("dominate", help="spectral dominance verdict"))
-    common(sub.add_parser("min-n", help="stability window for walk-sum dominance"))
-    common(sub.add_parser("catalyst", help="grid-relative catalyst search (1-D)"))
-    common(sub.add_parser("rate-fn", help="rate function at a point"), measures=1, needs_c=True)
-    common(sub.add_parser("rel-rate", help="relative decay rate, both sides"))
-    common(sub.add_parser("cramer", help="empirical tail decay at sample size n"), measures=1, needs_c=True)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for arg, text in command.inputs:
+            p.add_argument(arg, help=text)
+        for option, kwargs in _OPTIONS.items():
+            if option in _SHARED or option in command.options:
+                p.add_argument(option, **kwargs)
     return parser
 
 
@@ -449,10 +405,13 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        fields, code = _COMMANDS[args.command].run(args)
+        header = {"tool": "walkorder", "version": __version__, "command": args.command}
+        write_report({**header, "seed": args.seed, **fields}, args.json)
     except (ValueError, MassMismatch, AtomBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    return code
 
 
 if __name__ == "__main__":

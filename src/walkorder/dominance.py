@@ -113,7 +113,7 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
             row.append(gaps[t])
         ineq_rows.append((row, ZERO))
     eq_rows = [([rat(1)] * len(grid_pts), rat(1))]
-    solution = lp_feasible(LinearFeasibility.build(len(grid_pts), ineq_rows, eq_rows))
+    solution = lp_feasible(LinearFeasibility(len(grid_pts), ineq_rows, eq_rows))
     if solution is None:
         return None
     Z = Measure(1, {(g,): w for g, w in zip(grid_pts, solution) if w > 0})
@@ -147,16 +147,13 @@ def _check_grid_size(points: int) -> None:
 
 
 def _lattice_step(values: Sequence) -> Rational:
-    step = ZERO
-    base = values[0]
-    for v in values[1:]:
-        step = _rat_gcd(step, v - base)
-    return step if step > 0 else rat(1)
-
-
-def _rat_gcd(a, b) -> Rational:
-    a, b = abs(a), abs(b)
-    return rat(gcd(a.numerator, b.numerator), lcm(a.denominator, b.denominator))
+    """The positive generator of the Z-module spanned by the offsets from
+    ``values[0]``: one gcd of the offsets as ints over their common
+    denominator; 1 when every value is the same."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    step = gcd(*(v - ints[0] for v in ints))
+    return rat(step, den) if step > 0 else rat(1)
 
 
 def _grid_step(grid_pts: list) -> Rational:

@@ -44,14 +44,23 @@ EXACT_LIMIT = "exact-limit"
 GRID_REFINED = "grid-refined"
 
 
+#: Width of the tilt bracket at which the 1-D rate bisection stops.
+BISECT_TOL = 1e-12
+#: Bound on the tilt doublings and bisection steps in 1-D, and on the ascent
+#: steps from each start in higher dimensions.
+MAX_ITER = 200
+
+
 @dataclass
 class RateOptions:
+    """Settings of the rate sweeps: ``grid_points`` tan(theta) points per ray
+    in ``relative_rate_rhs``; ``n_samples`` and ``seed`` pick the sampled dual
+    directions.  The stopping rules are the constants ``spectrum.REFINE_TOL``,
+    ``BISECT_TOL`` and ``MAX_ITER``."""
+
     grid_points: int = 513
-    refine_tol: float = 1e-12
-    bisect_tol: float = 1e-12
     n_samples: int = 32
     seed: int = 0
-    max_iter: int = 200
 
 
 @dataclass
@@ -96,14 +105,14 @@ def _rate_1d(mu: Measure, c, direction: Direction, opts: RateOptions) -> RateRes
     # tilted mean saturates: stop doubling there, and bound both loops.
     zf = float(tilt.max)
     hi = 1.0
-    for _ in range(opts.max_iter):
+    for _ in range(MAX_ITER):
         m = tilt.tilted_mean(hi)
         if m > cf or m >= zf:
             break
         hi *= 2.0
     lo = 0.0
-    for _ in range(opts.max_iter):
-        if hi - lo <= opts.bisect_tol:
+    for _ in range(MAX_ITER):
+        if hi - lo <= BISECT_TOL:
             break
         mid = (lo + hi) / 2
         if tilt.tilted_mean(mid) < cf:
@@ -156,7 +165,7 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
         t = _conic_combination(lam, cols)
         val = objective(t)
         step = 1.0
-        for _ in range(opts.max_iter):
+        for _ in range(MAX_ITER):
             grad_t = cf - tilted_mean_vec(t)
             # per-ray dots: R @ grad_t and Python-float sums round 16-25% of entries differently
             grad_lam = np.array([r @ grad_t for r in rays])
@@ -252,7 +261,7 @@ def relative_rate_rhs(
                 lo = thetas[max(idx - 1, 0)]
                 hi = thetas[min(idx + 1, len(thetas) - 1)]
                 if lo < hi:
-                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi, opts.refine_tol)
+                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi)
                     if -neg > best_val:
                         best_val, best = -neg, (d, math.tan(theta_star))
             if v > best_val:

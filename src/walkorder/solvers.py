@@ -23,17 +23,17 @@ from .rational import ZERO, as_rat, rat
 
 @dataclass(frozen=True)
 class TransportInstance:
+    """Supplies and demands as exact rationals, edges as int index pairs; the
+    constructor converts them and raises TypeError on a float or a non-int index."""
+
     supplies: tuple
     demands: tuple
     edges: tuple  # (supply index, demand index) pairs; order fixes determinism
 
-    @staticmethod
-    def build(supplies: Sequence, demands: Sequence, edges: Sequence) -> "TransportInstance":
-        return TransportInstance(
-            tuple(as_rat(s) for s in supplies),
-            tuple(as_rat(d) for d in demands),
-            tuple((index(i), index(j)) for i, j in edges),
-        )
+    def __post_init__(self):
+        object.__setattr__(self, "supplies", tuple(as_rat(s) for s in self.supplies))
+        object.__setattr__(self, "demands", tuple(as_rat(d) for d in self.demands))
+        object.__setattr__(self, "edges", tuple((index(i), index(j)) for i, j in self.edges))
 
 
 @dataclass(frozen=True)
@@ -195,24 +195,24 @@ def _check_certificate(
 
 @dataclass(frozen=True)
 class LinearFeasibility:
-    """Find x >= 0 with A_ub x <= b_ub and A_eq x = b_eq, exactly."""
+    """Find x >= 0 with A_ub x <= b_ub and A_eq x = b_eq, exactly.  The
+    constructor converts every entry to a rational and checks each row's length."""
 
     num_vars: int
-    ineq_rows: tuple  # (coefficients, rhs) meaning a . x <= b
-    eq_rows: tuple  # (coefficients, rhs) meaning a . x = b
+    ineq_rows: tuple = ()  # (coefficients, rhs) meaning a . x <= b
+    eq_rows: tuple = ()  # (coefficients, rhs) meaning a . x = b
 
-    @staticmethod
-    def build(num_vars: int, ineq_rows: Sequence = (), eq_rows: Sequence = ()) -> "LinearFeasibility":
-        def conv(rows):
-            out = []
-            for coeffs, rhs in rows:
+    def __post_init__(self):
+        n = index(self.num_vars)
+        object.__setattr__(self, "num_vars", n)
+        for name in ("ineq_rows", "eq_rows"):
+            rows = []
+            for coeffs, rhs in getattr(self, name):
                 coeffs = tuple(as_rat(c) for c in coeffs)
-                if len(coeffs) != num_vars:
-                    raise ValueError("row length does not match num_vars")
-                out.append((coeffs, as_rat(rhs)))
-            return tuple(out)
-
-        return LinearFeasibility(num_vars, conv(ineq_rows), conv(eq_rows))
+                if len(coeffs) != n:
+                    raise ValueError(f"row of {len(coeffs)} coefficients for {n} variables")
+                rows.append((coeffs, as_rat(rhs)))
+            object.__setattr__(self, name, tuple(rows))
 
 
 def lp_feasible(inst: LinearFeasibility) -> Optional[list]:

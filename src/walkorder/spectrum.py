@@ -50,11 +50,19 @@ class SpectrumPoint:
     radial: float  # 0.0 is the arctic point; +/- inf the tropical ends
 
 
+#: Width of the theta bracket at which golden-section refinement stops.
+REFINE_TOL = 1e-12
+
+
 @dataclass
 class SpectrumOptions:
+    """Settings of a spectral sweep: ``grid_points`` tan(theta) points per
+    ray; a margin within ``margin_tol`` of 0 is inconclusive; ``n_samples``
+    and ``seed`` pick the sampled dual directions.  Local minima are refined
+    to a theta bracket of ``REFINE_TOL``."""
+
     grid_points: int = 257
     margin_tol: float = 1e-9
-    refine_tol: float = 1e-12
     n_samples: int = 32
     seed: int = 0
 
@@ -153,7 +161,7 @@ def lev(mu: Measure, sp: SpectrumPoint) -> float:
     return _Projected(project(mu, sp.direction.t)).lev_at(sp.radial)
 
 
-def _golden_min(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+def _golden_min(f, lo: float, hi: float, tol: float = REFINE_TOL) -> tuple[float, float]:
     invphi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
     c = b - invphi * (b - a)
@@ -178,7 +186,7 @@ def compare_on_ray(
 
     The exceptional points are compared exactly; interior minima of the
     margin are located on the compactified grid r = tan(theta) and refined by
-    golden section until the theta bracket is below refine_tol.
+    golden section until the theta bracket is below ``REFINE_TOL``.
     """
     opts = opts or SpectrumOptions()
     require_probability(X, "X")
@@ -215,7 +223,7 @@ def compare_on_ray(
             lo = thetas[max(idx - 1, 0)]
             hi = thetas[min(idx + 1, len(rs) - 1)]
             if lo < hi:
-                theta_star, m_star = _golden_min(margin_at_theta, lo, hi, opts.refine_tol)
+                theta_star, m_star = _golden_min(margin_at_theta, lo, hi)
                 candidates.append((m_star, math.tan(theta_star)))
 
     min_margin, argmin_radial = min(candidates, key=lambda c: (c[0], abs(c[1])))

@@ -171,7 +171,7 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
         for j, y in enumerate(supp_nu)
         if cone.leq_point(x, y)
     ]
-    inst = TransportInstance.build(
+    inst = TransportInstance(
         [mu.atoms[x] for x in supp_mu],
         [nu.atoms[y] for y in supp_nu],
         edges,

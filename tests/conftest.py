@@ -177,6 +177,17 @@ def transport_feasible_reference(inst) -> TransportResult:
     return TransportResult(False, None, frozenset(i for i in range(m) if visited_s[i]))
 
 
+def lattice_step_reference(values):
+    """``dominance._lattice_step`` as a fold of rational gcds, before it took
+    one gcd of ints over the common denominator: gcd(a, b) of two rationals
+    is gcd of the numerators over lcm of the denominators."""
+    step = ZERO
+    for v in values[1:]:
+        a, b = abs(step), abs(v - values[0])
+        step = rat(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
+    return step if step > 0 else rat(1)
+
+
 def bernoulli(p) -> Measure:
     """Measure with mass p at 1 and 1-p at 0."""
     p = rat(str(p)) if isinstance(p, str) else rat(p)

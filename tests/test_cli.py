@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -417,6 +419,80 @@ class TestParserReuse:
         assert build_parser() is not build_parser()
 
 
+SHARED_OPTIONS = {"--cone", "--seed", "--workers", "--json", "--normalize"}
+OPTIONS = {
+    "order-check": set(),
+    "spectrum": {"--samples", "--margin-tol", "--csv"},
+    "dominate": {"--samples", "--margin-tol", "--csv"},
+    "min-n": {"--n-max"},
+    "catalyst": {"--grid-step"},
+    "rate-fn": {"--c", "--samples"},
+    "rel-rate": {"--n-max", "--eps", "--samples", "--csv"},
+    "cramer": {"--c", "--n-max"},
+}
+
+
+class TestOptionTable:
+    """Each command takes the shared options and the ones it reads, no more."""
+
+    def test_each_command_takes_the_options_it_reads(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(OPTIONS)
+        for name, extra in OPTIONS.items():
+            taken = {o for a in sub.choices[name]._actions for o in a.option_strings}
+            assert taken - {"-h", "--help"} == SHARED_OPTIONS | extra, name
+        assert sum(len(SHARED_OPTIONS | extra) for extra in OPTIONS.values()) == 56
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["order-check", "X", "Y", "--eps", "1/2"],
+            ["spectrum", "X", "Y", "--n-max", "8"],
+            ["dominate", "X", "Y", "--grid-step", "1/4"],
+            ["min-n", "X", "Y", "--csv", "out.csv"],
+            ["catalyst", "X", "Y", "--samples", "3"],
+            ["rate-fn", "bern", "--c", "3/4", "--eps", "1/2"],
+            ["rel-rate", "X", "Y", "--margin-tol", "0.1"],
+            ["cramer", "bern", "--c", "3/4", "--samples", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_an_unread_option_exits_2(self, capsys, files, argv):
+        argv = [files[a] if a in ("X", "Y", "bern") else a for a in argv]
+        argv = [str(files["dir"] / a) if a == "out.csv" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--json", "-"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        assert not (files["dir"] / "out.csv").exists()
+
+
+def quick_start_lines() -> list[str]:
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    return [line for line in section.splitlines() if line.startswith("walkorder ")]
+
+
+class TestReadme:
+    def test_quick_start_has_every_command(self):
+        assert {shlex.split(line)[1] for line in quick_start_lines()} == set(OPTIONS)
+
+    @pytest.mark.parametrize("line", quick_start_lines(), ids=lambda line: shlex.split(line)[1])
+    def test_quick_start_line_runs(self, capsys, files, line):
+        # input files map to the fixture files of the same name; every other
+        # file argument is an output and goes to the fixture directory
+        argv = []
+        for arg in shlex.split(line)[1:]:
+            if arg.endswith((".json", ".csv")):
+                arg = files.get(arg.rsplit(".", 1)[0]) or str(files["dir"] / arg)
+            argv.append(arg)
+        assert main(argv) in (EXIT_OK, EXIT_EPISTEMIC), line
+        assert "error" not in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_reports_byte_identical_across_runs(self, capsys, files):
         commands = [
@@ -432,6 +508,30 @@ class TestDeterminism:
             first = run(capsys, argv)
             second = run(capsys, argv)
             assert first == second, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["order-check", "bern", "bern34"],
+            ["spectrum", "X", "Y", "--samples", "2"],
+            ["dominate", "X", "Y", "--samples", "2"],
+            ["min-n", "X", "Y", "--n-max", "2"],
+            ["catalyst", "X", "Y", "--grid-step", "1/2"],
+            ["rate-fn", "bern", "--c", "3/4"],
+            ["rel-rate", "bern34", "bern", "--n-max", "8"],
+            ["cramer", "bern", "--c", "3/4", "--n-max", "8"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_report_starts_with_the_common_header(self, capsys, files, argv):
+        from walkorder import __version__
+
+        argv = [files.get(a, a) for a in argv]
+        code, out = run(capsys, argv + ["--seed", "5", "--json", "-"])
+        assert code in (EXIT_OK, EXIT_EPISTEMIC)
+        report = json.loads(out)
+        header = {"tool": "walkorder", "version": __version__, "command": argv[0], "seed": 5}
+        assert list(report.items())[:4] == list(header.items())
 
     def test_reports_identical_across_worker_counts(self, capsys, files):
         outs = []

@@ -19,11 +19,11 @@ from walkorder import (
     shift,
     spectral_verdict,
 )
-from walkorder.dominance import MAX_CATALYST_GRID, default_catalyst_grid
+from walkorder.dominance import MAX_CATALYST_GRID, _lattice_step, default_catalyst_grid
 from walkorder.rational import rat
 from walkorder.spectrum import VIOLATED
 
-from conftest import bernoulli, random_measure_1d
+from conftest import bernoulli, lattice_step_reference, random_measure_1d
 
 # frozen from the exact convolution + tail-comparison oracle
 CURATED_N0 = 14
@@ -155,6 +155,28 @@ class TestCatalyst:
         X, Y = curated_pair
         grid = default_catalyst_grid(X, Y)
         assert grid[0] == 0 and grid[1] == rat(1, 10)
+
+
+class TestLatticeStep:
+    def test_matches_the_rational_gcd_fold(self):
+        rng = random.Random(83)
+        seen = set()
+        for i in range(400):
+            dens = rng.choice(((1,), (4,), (1, 2, 3), (6, 10, 15), (7, 9, 35), (2**31 - 1, 12)))
+            pool = [rat(rng.randint(-40, 40), rng.choice(dens)) for _ in range(rng.randint(1, 5))]
+            values = [rng.choice(pool) for _ in range(rng.randint(1, 7))]
+            if i % 2:
+                values.sort()
+            step = _lattice_step(values)
+            assert step == lattice_step_reference(values) and step > 0, values
+            assert type(step) is type(rat(1))
+            seen.add("single" if len(values) == 1 else "duplicate" if len(set(values)) < len(values)
+                     else "distinct")
+            if any(v < 0 for v in values):
+                seen.add("negative")
+            if len({v.denominator for v in values}) > 1:
+                seen.add("mixed")
+        assert seen == {"single", "duplicate", "distinct", "negative", "mixed"}
 
 
 class TestGrowthExponent:

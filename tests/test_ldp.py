@@ -34,7 +34,7 @@ from walkorder.ldp import (
     relative_rate_curve,
 )
 from walkorder.measure import project, shift
-from walkorder.spectrum import _golden_min, _Projected
+from walkorder.spectrum import REFINE_TOL, _golden_min, _Projected
 from walkorder.stochorder import upset_mass
 from walkorder.rational import log_rat, rat
 
@@ -245,7 +245,7 @@ def relative_rate_rhs_reference(X, Y, cone, opts=None):
                 lo = thetas[max(idx - 1, 0)]
                 hi = thetas[min(idx + 1, len(thetas) - 1)]
                 if lo < hi:
-                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi, opts.refine_tol)
+                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi, REFINE_TOL)
                     if -neg > best_val:
                         best_val, best = -neg, (d, math.tan(theta_star))
             if v > best_val:

@@ -43,25 +43,25 @@ def check_cut_certificate(inst: TransportInstance, cut: frozenset) -> None:
 
 class TestTransport:
     def test_single_edge(self):
-        inst = TransportInstance.build([1], [1], [(0, 0)])
+        inst = TransportInstance([1], [1], [(0, 0)])
         res = transport_feasible(inst)
         assert res.feasible and res.plan == {(0, 0): 1}
 
     def test_crossing_pair(self):
-        inst = TransportInstance.build(["1/2", "1/2"], ["1/2", "1/2"], [(0, 1), (1, 0)])
+        inst = TransportInstance(["1/2", "1/2"], ["1/2", "1/2"], [(0, 1), (1, 0)])
         res = transport_feasible(inst)
         assert res.feasible
         assert res.plan == {(0, 1): rat(1, 2), (1, 0): rat(1, 2)}
 
     def test_hall_violation(self):
-        inst = TransportInstance.build([1], ["1/2", "1/2"], [(0, 0)])
+        inst = TransportInstance([1], ["1/2", "1/2"], [(0, 0)])
         res = transport_feasible(inst)
         assert not res.feasible and res.cut == frozenset({0})
         check_cut_certificate(inst, res.cut)
 
     def test_mass_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            transport_feasible(TransportInstance.build([1], ["1/2"], [(0, 0)]))
+            transport_feasible(TransportInstance([1], ["1/2"], [(0, 0)]))
 
     def test_random_instances_certified(self):
         rng = random.Random(31)
@@ -78,7 +78,7 @@ class TestTransport:
             edges = [
                 (i, j) for i in range(m) for j in range(k) if rng.random() < 0.55
             ]
-            inst = TransportInstance.build(supplies, demands, edges)
+            inst = TransportInstance(supplies, demands, edges)
             res = transport_feasible(inst)
             if res.feasible:
                 feasible_seen += 1
@@ -112,7 +112,7 @@ def _random_transport(rng: random.Random) -> TransportInstance:
     edges = [(i, j) for i in range(len(a)) for j in range(len(b)) if rng.random() < density]
     edges += rng.sample(edges, min(len(edges), rng.randint(0, 4)))
     rng.shuffle(edges)
-    return TransportInstance.build(
+    return TransportInstance(
         [x * sum(b) for x in a], [y * sum(a) for y in b], edges
     )
 
@@ -140,13 +140,13 @@ class TestIntFlow:
         assert all(count >= 20 for count in seen.values()), seen
 
     def test_plan_entries_are_exact_fractions(self):
-        inst = TransportInstance.build(["1/3", "2/3"], ["1/2", "1/2"], [(0, 0), (1, 0), (1, 1)])
+        inst = TransportInstance(["1/3", "2/3"], ["1/2", "1/2"], [(0, 0), (1, 0), (1, 1)])
         res = transport_feasible(inst)
         assert res.plan == {(0, 0): rat(1, 3), (1, 0): rat(1, 6), (1, 1): rat(1, 2)}
         assert all(type(f) is type(ZERO) for f in res.plan.values())
 
     def test_all_zero_instance(self):
-        res = transport_feasible(TransportInstance.build([0, 0], [0], []))
+        res = transport_feasible(TransportInstance([0, 0], [0], []))
         assert res.feasible and res.plan == {}
 
 
@@ -154,20 +154,33 @@ class TestTransportChecks:
     @pytest.mark.parametrize("edge", [(0.9, 0), ("0", 0), (0, 1.0), (None, 0)])
     def test_build_rejects_non_integer_indices(self, edge):
         with pytest.raises(TypeError):
-            TransportInstance.build([1], [1], [edge])
+            TransportInstance([1], [1], [edge])
 
     def test_build_takes_integer_like_indices(self):
         import numpy as np
 
-        inst = TransportInstance.build([1], [1], [(np.int64(0), 0)])
+        inst = TransportInstance([1], [1], [(np.int64(0), 0)])
         assert inst.edges == ((0, 0),) and all(type(i) is int for i in inst.edges[0])
+
+    @pytest.mark.parametrize(
+        "supplies, demands, edges",
+        [
+            ((rat(1),), (rat(1),), ((0.5, 0),)),
+            ((1.0,), (rat(1),), ((0, 0),)),
+            ((rat(1),), (0.5, 0.5), ((0, 0), (0, 1))),
+        ],
+        ids=["float-edge", "float-supply", "float-demand"],
+    )
+    def test_constructor_rejects_inexact_input(self, supplies, demands, edges):
+        with pytest.raises(TypeError):
+            TransportInstance(supplies, demands, edges)
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range"):
-            transport_feasible(TransportInstance.build([1], [1], [(0, 1)]))
+            transport_feasible(TransportInstance([1], [1], [(0, 1)]))
 
     # supplies 1, 2 and demands 2, 1 over D = 3, on edges (0, 0), (1, 0), (1, 1)
-    INST = TransportInstance.build(["1/3", "2/3"], ["2/3", "1/3"], [(0, 0), (1, 0), (1, 1)])
+    INST = TransportInstance(["1/3", "2/3"], ["2/3", "1/3"], [(0, 0), (1, 0), (1, 1)])
     SUP, DEM = [1, 2], [2, 1]
 
     def test_valid_plan_passes(self):
@@ -190,7 +203,7 @@ class TestTransportChecks:
             solvers._check_certificate(self.INST, self.SUP, self.DEM, plan, None)
 
     def test_deficient_cut_passes(self):
-        inst = TransportInstance.build([1], ["1/2", "1/2"], [(0, 0)])
+        inst = TransportInstance([1], ["1/2", "1/2"], [(0, 0)])
         solvers._check_certificate(inst, [2], [1, 1], None, frozenset({0}))
 
     @pytest.mark.parametrize("cut", [frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset()])
@@ -202,18 +215,18 @@ class TestTransportChecks:
         checked = []
         monkeypatch.setattr(solvers, "_check_certificate", lambda *args: checked.append(args[3:]))
         transport_feasible(self.INST)
-        transport_feasible(TransportInstance.build([1], ["1/2", "1/2"], [(0, 0)]))
+        transport_feasible(TransportInstance([1], ["1/2", "1/2"], [(0, 0)]))
         assert checked == [({(0, 0): 1, (1, 0): 1, (1, 1): 1}, None), (None, frozenset({0}))]
 
 
 class TestLpFeasible:
     def test_simplex_point(self):
-        inst = LinearFeasibility.build(2, eq_rows=[((1, 1), 1)])
+        inst = LinearFeasibility(2, eq_rows=[((1, 1), 1)])
         x = lp_feasible(inst)
         assert x is not None and sum(x) == 1 and all(v >= 0 for v in x)
 
     def test_contradictory_rows(self):
-        inst = LinearFeasibility.build(
+        inst = LinearFeasibility(
             2, ineq_rows=[((1, 1), "1/2")], eq_rows=[((1, 1), 1)]
         )
         assert lp_feasible(inst) is None
@@ -225,7 +238,7 @@ class TestLpFeasible:
             (("1/4", "1/4", "-1/2", 0, 0), 0),
             ((0, "-1/4", "1/4", "-1/4", "1/4"), 0),
         ]
-        inst = LinearFeasibility.build(
+        inst = LinearFeasibility(
             5, ineq_rows=rows, eq_rows=[((1, 1, 1, 1, 1), 1)]
         )
         x = lp_feasible(inst)
@@ -236,12 +249,21 @@ class TestLpFeasible:
 
     def test_negative_rhs_handled(self):
         # x1 - x2 <= -1 forces x2 >= 1
-        inst = LinearFeasibility.build(2, ineq_rows=[((1, -1), -1)])
+        inst = LinearFeasibility(2, ineq_rows=[((1, -1), -1)])
         x = lp_feasible(inst)
         assert x is not None and x[1] - x[0] >= 1
 
+    @pytest.mark.parametrize(
+        "ineq_rows, eq_rows",
+        [((((1,), 1),), ()), ((), (((1, 1, 1), 1),))],
+        ids=["short-ineq", "long-eq"],
+    )
+    def test_row_length_checked(self, ineq_rows, eq_rows):
+        with pytest.raises(ValueError, match="coefficients for 2 variables"):
+            LinearFeasibility(2, ineq_rows, eq_rows)
+
     def test_infeasible_negative_rhs(self):
-        inst = LinearFeasibility.build(1, ineq_rows=[((1,), -1)])
+        inst = LinearFeasibility(1, ineq_rows=[((1,), -1)])
         assert lp_feasible(inst) is None
 
 
@@ -363,7 +385,7 @@ def _random_lp(rng: random.Random) -> LinearFeasibility:
         ineq.append(rng.choice(ineq))
     if rng.random() < 0.5:  # a simplex constraint, as in the catalyst LP
         eq.append(([rat(1)] * n, rat(1)))
-    return LinearFeasibility.build(n, ineq, eq)
+    return LinearFeasibility(n, ineq, eq)
 
 
 class TestIntTableau:
@@ -453,7 +475,7 @@ class TestCrossOracle:
             edges = sorted(
                 {(rng.randrange(m), rng.randrange(k)) for _ in range(rng.randint(0, 8))}
             )
-            inst = TransportInstance.build(supplies, demands, edges)
+            inst = TransportInstance(supplies, demands, edges)
             flow_res = transport_feasible(inst)
 
             eq_rows = []
@@ -463,5 +485,5 @@ class TestCrossOracle:
             for j in range(k):
                 row = [rat(1) if e[1] == j else ZERO for e in edges]
                 eq_rows.append((row, demands[j]))
-            lp_res = lp_feasible(LinearFeasibility.build(len(edges), eq_rows=eq_rows))
+            lp_res = lp_feasible(LinearFeasibility(len(edges), eq_rows=eq_rows))
             assert flow_res.feasible == (lp_res is not None)

@@ -26,6 +26,7 @@ from walkorder.rational import rat
 from walkorder.spectrum import (
     INCONCLUSIVE_ON_RAY,
     NON_STRICT_ONLY,
+    REFINE_TOL,
     STRICT,
     STRICT_ON_RAY,
     TIE_ON_RAY,
@@ -300,7 +301,7 @@ def compare_on_ray_reference(X, Y, t, opts=None):
             lo = thetas[max(idx - 1, 0)]
             hi = thetas[min(idx + 1, len(rs) - 1)]
             if lo < hi:
-                theta_star, m_star = _golden_min(margin_at_theta, lo, hi, opts.refine_tol)
+                theta_star, m_star = _golden_min(margin_at_theta, lo, hi, REFINE_TOL)
                 candidates.append((m_star, math.tan(theta_star)))
     min_margin, argmin_radial = min(candidates, key=lambda c: (c[0], abs(c[1])))
     exact_neg = [r for r, m in exact_margins if m < 0]
