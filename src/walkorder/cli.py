@@ -218,6 +218,10 @@ def _write_spectrum_csv(result, path: str) -> None:
 
 
 def _cmd_dominate(args) -> tuple[dict, int]:
+    # a negative tolerance turns margins near 0 into violations, and NaN is
+    # not valid JSON in the report
+    if not (math.isfinite(args.margin_tol) and args.margin_tol >= 0):
+        raise ValueError(f"--margin-tol must be finite and >= 0, got {args.margin_tol!r}")
     opts = SpectrumOptions(margin_tol=args.margin_tol, n_samples=args.samples, seed=args.seed)
     result = spectral_verdict(*_load_pair(args), opts)
     if args.csv:
@@ -259,7 +263,7 @@ def _cmd_catalyst(args) -> tuple[dict, int]:
     X, Y, cone = _load_pair(args)
     if not is_upward_1d(cone):
         raise ValueError("catalyst searches only the upward half-line [0, inf)")
-    step = parse_rational(args.grid_step) if args.grid_step else None
+    step = parse_rational(args.grid_step) if args.grid_step is not None else None
     grid = default_catalyst_grid(X, Y, step=step)
     result = catalyst_1d(X, Y, grid)
     return dict(

@@ -5,11 +5,14 @@ dominated for every n from the reported n0 up to n_max, since a single
 success at one n is not an asymptotic statement.  catalyst_1d searches for an
 auxiliary independent Z on a fixed support grid by exact linear feasibility
 over the tail constraints of X+Z vs Y+Z, then re-verifies the winner
-exactly.  growth_exponent finds the smallest k with nu <= delta_{k*unit} * mu.
+exactly; pairs that no Z can order (X's min, mean or max above Y's) are
+turned away before the LP.  growth_exponent finds the smallest k with
+nu <= delta_{k*unit} * mu.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -21,7 +24,8 @@ from .rational import Rational, ZERO, as_rat, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .stochorder import leq_st, tail_mass
 
-#: Largest catalyst grid: the LP's dense tableau grows as the square of it.
+#: Largest catalyst grid: the LP has about one row and one slack column per
+#: grid point, so even its sparse tableau can grow as the square of the grid.
 MAX_CATALYST_GRID = 1024
 
 
@@ -81,10 +85,18 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     returned; None means no catalyst exists on this grid (a grid-relative
     statement, not a refutation).
 
-    The LP's dense tableau has O(G^2) cells for a grid of G points, so a grid
-    of more than ``MAX_CATALYST_GRID`` points raises ``ValueError`` before
-    any row is built.  Rows are built on the int lattice of one common
-    denominator, with one tail gap per distinct offset ``c - g``.
+    Before any row is built, three exact obstructions are screened: if
+    X*Z <= Y*Z for some finitely supported Z, then min X <= min Y,
+    E X <= E Y and max X <= max Y, since min, mean and max all add under
+    convolution.  If one fails, no grid holds a catalyst, and None is
+    returned at once, as the LP would return it.
+
+    A grid of more than ``MAX_CATALYST_GRID`` points raises ``ValueError``
+    before the screen and before any row is built.  Rows are built on the
+    int lattice of one common denominator, with one tail gap per distinct
+    offset ``c - g``, and each row hands the LP only its nonzero gaps: the
+    gap is 0 unless min(supp) < c - g <= max(supp), so a row reads only the
+    grid points in that window.
     """
     if X.dim != 1 or Y.dim != 1:
         raise DimensionMismatch("catalyst_1d requires 1-D measures")
@@ -94,6 +106,8 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     if not grid_pts:
         raise ValueError("catalyst grid must be nonempty")
     _check_grid_size(len(grid_pts))
+    if _endpoint_obstructed(X, Y):
+        return None
 
     support = {x[0] for x in X.atoms} | {y[0] for y in Y.atoms}
     # thresholds and offsets on ints: scaling by den > 0 keeps their order
@@ -101,16 +115,20 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     grid_int = [g.numerator * (den // g.denominator) for g in grid_pts]
     support_int = {q.numerator * (den // q.denominator) for q in support}
     thresholds = sorted({s + g for s in support_int for g in grid_int})
+    # the tail gap is 0 at offsets t <= lo, where both tails are 1, and at
+    # t > hi, where both are 0; row c reads the grid points in between
+    lo, hi = min(support_int), max(support_int)
     gaps: dict = {}  # offset (c - g) * den -> tail_X - tail_Y there
     ineq_rows = []
     for c in thresholds:
-        row = []
-        for g in grid_int:
-            t = c - g
+        row = {}
+        for j in range(bisect_left(grid_int, c - hi), bisect_left(grid_int, c - lo)):
+            t = c - grid_int[j]
             if t not in gaps:
                 q = rat(t, den)
                 gaps[t] = tail_mass(X, q) - tail_mass(Y, q)
-            row.append(gaps[t])
+            if gaps[t]:
+                row[j] = gaps[t]
         ineq_rows.append((row, ZERO))
     eq_rows = [([rat(1)] * len(grid_pts), rat(1))]
     solution = lp_feasible(LinearFeasibility(len(grid_pts), ineq_rows, eq_rows))
@@ -119,6 +137,18 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     Z = Measure(1, {(g,): w for g, w in zip(grid_pts, solution) if w > 0})
     verified = leq_st(convolve(X, Z), convolve(Y, Z), Cone.halfline()).dominated
     return Catalyst(Z=Z, grid_step=_grid_step(grid_pts), verified=verified)
+
+
+def _endpoint_obstructed(X: Measure, Y: Measure) -> bool:
+    """True when min X > min Y, E X > E Y or max X > max Y (1-D, exact):
+    each rules out X*Z <= Y*Z for every finitely supported Z."""
+    xs = [x for (x,) in X.atoms]
+    ys = [y for (y,) in Y.atoms]
+    if min(xs) > min(ys) or max(xs) > max(ys):
+        return True
+    mean_x = sum(x * w for (x,), w in X.atoms.items())
+    mean_y = sum(y * w for (y,), w in Y.atoms.items())
+    return mean_x > mean_y
 
 
 def default_catalyst_grid(X: Measure, Y: Measure, step=None) -> list:

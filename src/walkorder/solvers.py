@@ -4,15 +4,16 @@ Transportation feasibility is decided by a max-flow on plain ints, the
 supplies and demands scaled once over the lcm of their denominators, with
 shortest augmenting paths (greedy warm start, then BFS augmentation); linear
 feasibility by a phase-1 simplex with Bland's rule, whose tableau rows are
-plain ints, each up to a positive factor, and whose pivots are exactly those
-of the rational tableau.  Everything is exact, so certificates never depend
-on a tolerance, and every returned point, plan or cut is re-checked
-exactly.
+sparse maps from column to plain int, each up to a positive factor, and
+whose pivots are exactly those of the dense rational tableau.  Everything is
+exact, so certificates never depend on a tolerance, and every returned
+point, plan or cut is re-checked exactly.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from math import gcd, lcm
 from operator import index
@@ -195,8 +196,14 @@ def _check_certificate(
 
 @dataclass(frozen=True)
 class LinearFeasibility:
-    """Find x >= 0 with A_ub x <= b_ub and A_eq x = b_eq, exactly.  The
-    constructor converts every entry to a rational and checks each row's length."""
+    """Find x >= 0 with A_ub x <= b_ub and A_eq x = b_eq, exactly.
+
+    A row's coefficients may be given dense, as a sequence of ``num_vars``
+    values, or sparse, as a ``{column: value}`` mapping.  The constructor
+    converts every entry to a rational, checks each row's length or columns,
+    and stores every row sparse, as a dict ``{column: value}`` of its
+    nonzero entries, so a row given either way is stored the same.
+    """
 
     num_vars: int
     ineq_rows: tuple = ()  # (coefficients, rhs) meaning a . x <= b
@@ -206,28 +213,40 @@ class LinearFeasibility:
         n = index(self.num_vars)
         object.__setattr__(self, "num_vars", n)
         for name in ("ineq_rows", "eq_rows"):
-            rows = []
-            for coeffs, rhs in getattr(self, name):
-                coeffs = tuple(as_rat(c) for c in coeffs)
-                if len(coeffs) != n:
-                    raise ValueError(f"row of {len(coeffs)} coefficients for {n} variables")
-                rows.append((coeffs, as_rat(rhs)))
-            object.__setattr__(self, name, tuple(rows))
+            rows = getattr(self, name)
+            object.__setattr__(self, name, tuple((_sparse_row(a, n), as_rat(b)) for a, b in rows))
+
+
+def _sparse_row(coeffs, n: int) -> dict:
+    """The nonzero entries of a dense or mapped row, as ``{column: value}``."""
+    if isinstance(coeffs, Mapping):
+        entries = {index(j): as_rat(c) for j, c in coeffs.items()}
+        for j in entries:
+            if not 0 <= j < n:
+                raise ValueError(f"column {j} out of range for {n} variables")
+    else:
+        entries = {j: as_rat(c) for j, c in enumerate(coeffs)}
+        if len(entries) != n:
+            raise ValueError(f"row of {len(entries)} coefficients for {n} variables")
+    return {j: c for j, c in entries.items() if c != 0}
 
 
 def lp_feasible(inst: LinearFeasibility) -> Optional[list]:
     """Phase-1 simplex with Bland's rule; returns a feasible point or None.
 
-    The tableau holds plain ints.  Each row, the objective row included,
-    stands for its rational values up to a positive factor: a constraint row
-    carries its denominator as the entry in its basic column, and the
-    objective row is read only for signs.  A pivot on entry p = P[c] of row P
-    replaces every other row R by p*R - R[c]*P and divides out the gcd of
-    the result; p > 0, so every factor stays positive.  The pivots are those
-    of the rational tableau: the entering column is the first with a negative
+    The tableau rows are sparse maps ``{column: int}`` that hold only the
+    nonzero entries, the right-hand side under the last column's key.  Each
+    row, the objective row included, stands for its rational values up to a
+    positive factor: a constraint row carries its denominator as the entry
+    in its basic column, and the objective row is read only for signs.  A
+    pivot on entry p = P[c] of row P replaces every other row R that has an
+    entry in column c by p*R - R[c]*P and divides out the gcd of the result;
+    p > 0, so every factor stays positive.  The pivots are those of the
+    rational tableau: the entering column is the first with a negative
     objective entry, the leaving row has the least ratio rhs / R[c] over
     R[c] > 0 (compared by cross-multiplying, where the row factors cancel),
-    and ties go to the smaller basic column.
+    and ties go to the smaller basic column.  Sparse rows skip the zero
+    entries, which are most of a catalyst tableau, and change no pivot.
 
     Every returned point is re-checked exactly against all rows before it is
     handed back; infeasibility is declared only when the phase-1 optimum is
@@ -239,18 +258,19 @@ def lp_feasible(inst: LinearFeasibility) -> Optional[list]:
     rows += [(coeffs, rhs, None) for coeffs, rhs in inst.eq_rows]
     # every row but an inequality with rhs >= 0 starts on an artificial
     num_art = sum(1 for _, rhs, slack in rows if slack is None or rhs < 0)
-    total_cols = n + n_ineq + num_art
+    rhs_col = n + n_ineq + num_art
 
     # columns: x (n) | slacks (n_ineq) | artificials | rhs; each row is scaled
     # to ints by the lcm of its denominators, negated where rhs < 0
-    tableau: list[list[int]] = []
+    tableau: list[dict[int, int]] = []
     basis: list[int] = []
     art = n + n_ineq
     for coeffs, rhs, slack in rows:
-        den = lcm(rhs.denominator, *(c.denominator for c in coeffs))
+        den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
         s = -den if rhs < 0 else den
-        row = [s * c.numerator // c.denominator for c in coeffs]
-        row += [0] * (n_ineq + num_art) + [s * rhs.numerator // rhs.denominator]
+        row = {j: s * c.numerator // c.denominator for j, c in coeffs.items()}
+        if rhs != 0:
+            row[rhs_col] = s * rhs.numerator // rhs.denominator
         if slack is not None:
             row[n + slack] = s
         if slack is not None and s > 0:
@@ -264,54 +284,61 @@ def lp_feasible(inst: LinearFeasibility) -> Optional[list]:
     # objective: minimize the sum of artificials, priced out against their rows
     arts = [r for r, b in enumerate(basis) if b >= n + n_ineq]
     scale = lcm(*(tableau[r][basis[r]] for r in arts))
-    obj = [0] * (n + n_ineq) + [scale] * num_art + [0]
+    obj = dict.fromkeys(range(n + n_ineq, rhs_col), scale)
     for r in arts:
         f = scale // tableau[r][basis[r]]
-        obj = [o - f * v for o, v in zip(obj, tableau[r])]
+        for j, v in tableau[r].items():
+            obj[j] = obj.get(j, 0) - f * v
+    obj = {j: v for j, v in obj.items() if v != 0}
 
     while True:
-        entering = next((j for j in range(total_cols) if obj[j] < 0), None)
+        entering = min((j for j, v in obj.items() if v < 0 and j != rhs_col), default=None)
         if entering is None:
             break
+        hits = [r for r, row in enumerate(tableau) if entering in row]
         leaving = None
-        for r, row in enumerate(tableau):
-            a = row[entering]
+        for r in hits:
+            a = tableau[r][entering]
             if a > 0:
-                if leaving is None:
-                    leaving = r
-                    continue
-                best = tableau[leaving]
-                lhs, rhs = row[-1] * best[entering], best[-1] * a
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
-                    leaving = r
+                b = tableau[r].get(rhs_col, 0)
+                if leaving is not None:
+                    lhs, rhs = b * best_a, best_b * a
+                    if lhs > rhs or (lhs == rhs and basis[r] > basis[leaving]):
+                        continue
+                leaving, best_a, best_b = r, a, b
         if leaving is None:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("phase-1 simplex detected an unbounded direction")
         prow = tableau[leaving]
-        p = prow[entering]
-        for r, row in enumerate(tableau):
-            if r != leaving and row[entering] != 0:
-                tableau[r] = _eliminate(row, prow, p, entering)
-        if obj[entering] != 0:
-            obj = _eliminate(obj, prow, p, entering)
+        for r in hits:
+            if r != leaving:
+                tableau[r] = _eliminate(tableau[r], prow, best_a, entering)
+        obj = _eliminate(obj, prow, best_a, entering)
         basis[leaving] = entering
 
-    if obj[-1] < 0:  # optimum value of sum of artificials is positive
+    if obj.get(rhs_col, 0) < 0:  # optimum value of sum of artificials is positive
         return None
     x = [ZERO] * n
     for row, b in zip(tableau, basis):
         if b < n:
-            x[b] = rat(row[-1], row[b])
+            x[b] = rat(row.get(rhs_col, 0), row[b])
     _check_solution(inst, x)
     return x
 
 
-def _eliminate(row: list[int], prow: list[int], p: int, col: int) -> list[int]:
-    """p*row - row[col]*prow, which is 0 in column col, divided by its gcd."""
+def _eliminate(row: dict, prow: dict, p: int, col: int) -> dict:
+    """p*row - row[col]*prow, which has no entry in column col, divided by
+    its gcd; both rows and the result hold nonzero entries only."""
     f = row[col]
-    out = [p * a - f * b for a, b in zip(row, prow)]
-    g = gcd(*out)
-    return [a // g for a in out] if g > 1 else out
+    out = {j: p * v for j, v in row.items()}
+    for j, v in prow.items():
+        w = out.get(j, 0) - f * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
 def _check_solution(inst: LinearFeasibility, x: Sequence) -> None:
@@ -319,8 +346,8 @@ def _check_solution(inst: LinearFeasibility, x: Sequence) -> None:
         raise RuntimeError("simplex returned a negative component")
     support = [(j, v) for j, v in enumerate(x) if v != 0]
     for coeffs, rhs in inst.ineq_rows:
-        if sum(coeffs[j] * v for j, v in support) > rhs:
+        if sum(coeffs[j] * v for j, v in support if j in coeffs) > rhs:
             raise RuntimeError("simplex returned a point violating an inequality row")
     for coeffs, rhs in inst.eq_rows:
-        if sum(coeffs[j] * v for j, v in support) != rhs:
+        if sum(coeffs[j] * v for j, v in support if j in coeffs) != rhs:
             raise RuntimeError("simplex returned a point violating an equality row")

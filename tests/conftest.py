@@ -9,9 +9,11 @@ from collections import deque
 import numpy as np
 import pytest
 
-from walkorder import Cone, Measure
-from walkorder.rational import ZERO, rat
-from walkorder.solvers import TransportResult
+from walkorder import Cone, Measure, convolve, leq_st
+from walkorder.dominance import Catalyst, _grid_step
+from walkorder.rational import ZERO, as_rat, rat
+from walkorder.solvers import LinearFeasibility, TransportResult, lp_feasible
+from walkorder.stochorder import tail_mass
 
 
 def random_measure_1d(
@@ -70,6 +72,18 @@ def random_measure_3d(
         for _ in range(rng.randint(1, max_atoms))
     }
     return Measure(3, atoms).normalized()
+
+
+def composition(rng: random.Random, k: int, total: int) -> list:
+    """k positive rationals over ``total`` that sum to 1 (k <= total)."""
+    cuts = sorted(rng.sample(range(1, total), k - 1))
+    return [rat(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
+
+
+def endpoints(mu: Measure) -> tuple:
+    """(min, mean, max) of a 1-D probability measure, exact."""
+    xs = [x for (x,) in mu.atoms]
+    return min(xs), sum(x * w for (x,), w in mu.atoms.items()), max(xs)
 
 
 def measures_on(hyp, dim: int):
@@ -175,6 +189,26 @@ def transport_feasible_reference(inst) -> TransportResult:
     if all(r == 0 for r in r_s):
         return TransportResult(True, {e: f for e, f in flow.items() if f > 0}, None)
     return TransportResult(False, None, frozenset(i for i in range(m) if visited_s[i]))
+
+
+def catalyst_1d_lp_only(X: Measure, Y: Measure, grid) -> Catalyst | None:
+    """``dominance.catalyst_1d`` with the LP as the only judge: no endpoint
+    screen, and dense ``Fraction`` rows with one ``tail_mass`` gap per
+    threshold and grid point.  Takes 1-D probability measures and a
+    nonempty grid."""
+    grid_pts = sorted({as_rat(g) for g in grid})
+    support = {x for (x,) in X.atoms} | {y for (y,) in Y.atoms}
+    thresholds = sorted({s + g for s in support for g in grid_pts})
+    rows = [
+        ([tail_mass(X, c - g) - tail_mass(Y, c - g) for g in grid_pts], ZERO)
+        for c in thresholds
+    ]
+    x = lp_feasible(LinearFeasibility(len(grid_pts), rows, [([1] * len(grid_pts), 1)]))
+    if x is None:
+        return None
+    Z = Measure(1, {(g,): w for g, w in zip(grid_pts, x) if w > 0})
+    verified = leq_st(convolve(X, Z), convolve(Y, Z), Cone.halfline()).dominated
+    return Catalyst(Z=Z, grid_step=_grid_step(grid_pts), verified=verified)
 
 
 def lattice_step_reference(values):

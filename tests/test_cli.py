@@ -367,6 +367,30 @@ class TestErrors:
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR
 
+    @pytest.mark.parametrize("command", ["dominate", "spectrum"])
+    @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "inf", "-inf"])
+    def test_bad_margin_tol_exit1(self, capsys, files, command, tol):
+        # Bernoulli(1/2) <= Bernoulli(3/4) reads NonStrictOnly at the default;
+        # -1 would make it Violated, and nan would write NaN into the report
+        argv = [command, files["bern"], files["bern34"], f"--margin-tol={tol}", "--json", "-"]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--margin-tol must be finite and >= 0" in captured.err
+
+    def test_zero_margin_tol_is_valid(self, capsys, files):
+        argv = ["dominate", files["bern"], files["bern34"], "--json", "-"]
+        code, out = run(capsys, argv + ["--margin-tol", "0"])
+        assert code == EXIT_OK
+        assert json.loads(out)["verdict"] == json.loads(run(capsys, argv)[1])["verdict"]
+
+    def test_empty_grid_step_exit1(self, capsys, files):
+        argv = ["catalyst", files["X"], files["Y"], "--grid-step=", "--json", "-"]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot parse rational ''" in captured.err
+
 
 class TestParserReuse:
     """main builds its parser once per process and shares it between calls."""

@@ -19,11 +19,19 @@ from walkorder import (
     shift,
     spectral_verdict,
 )
+from walkorder import dominance
 from walkorder.dominance import MAX_CATALYST_GRID, _lattice_step, default_catalyst_grid
 from walkorder.rational import rat
 from walkorder.spectrum import VIOLATED
 
-from conftest import bernoulli, lattice_step_reference, random_measure_1d
+from conftest import (
+    bernoulli,
+    catalyst_1d_lp_only,
+    composition,
+    endpoints,
+    lattice_step_reference,
+    random_measure_1d,
+)
 
 # frozen from the exact convolution + tail-comparison oracle
 CURATED_N0 = 14
@@ -155,6 +163,117 @@ class TestCatalyst:
         X, Y = curated_pair
         grid = default_catalyst_grid(X, Y)
         assert grid[0] == 0 and grid[1] == rat(1, 10)
+
+
+def _screen_pair(rng: random.Random, tie: str) -> tuple:
+    """A 1-D pair on (1/2)Z.  ``tie`` names what X and Y share: "min",
+    "max" or both ("minmax"); "mean" makes Y a mean-preserving spread of X,
+    "spread" the reverse; "same" makes them equal; "none" ties nothing on
+    purpose."""
+    def points(k):
+        return [rat(p, 2) for p in rng.sample(range(-2, 9), k)]
+
+    xs = points(rng.randint(1, 3))
+    X = Measure(1, list(zip([(x,) for x in xs], composition(rng, len(xs), 12))))
+    if tie in ("mean", "spread", "same"):
+        atoms = dict(X.atoms)
+        if tie != "same":
+            (x,), w = rng.choice(sorted(atoms.items()))
+            d = rat(rng.randint(1, 3), 2)
+            atoms[(x,)] -= w
+            for y in (x - d, x + d):
+                atoms[(y,)] = atoms.get((y,), 0) + w / 2
+        Y = Measure(1, {p: w for p, w in atoms.items() if w})
+        return (Y, X) if tie == "spread" else (X, Y)
+    ys = points(rng.randint(1, 3))
+    lo, _, hi = endpoints(X)
+    if tie in ("min", "minmax"):
+        ys = [lo] + [y for y in ys if y > lo]
+    if tie in ("max", "minmax"):
+        ys = [y for y in ys if y < hi] + [hi]
+    ys = sorted(set(ys))
+    Y = Measure(1, list(zip([(y,) for y in ys], composition(rng, len(ys), 12))))
+    return X, Y
+
+
+def _screen_grid(rng: random.Random) -> list:
+    step = rng.choice((rat(1, 2), rat(1, 4), rat(1)))
+    grid = [step * k for k in range(rng.randint(1, 9))]
+    if len(grid) > 2 and rng.random() < 0.3:  # not arithmetic
+        grid = rng.sample(grid, rng.randint(2, len(grid)))
+    return grid
+
+
+class TestEndpointScreen:
+    """If X*Z <= Y*Z for some Z, then min X <= min Y, E X <= E Y and
+    max X <= max Y; catalyst_1d returns None at once when one fails."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        real = dominance.lp_feasible
+
+        def counted(inst):
+            calls.append(inst)
+            return real(inst)
+
+        monkeypatch.setattr(dominance, "lp_feasible", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "x_atoms, y_atoms",
+        [
+            # max X > max Y only
+            ({(0,): "3/4", (3,): "1/4"}, {(1,): "1/2", (2,): "1/2"}),
+            # min X > min Y only
+            ({(1,): 1}, {(0,): "1/4", (3,): "3/4"}),
+            # E X > E Y only: the supports share min and max
+            ({(0,): "1/4", (2,): "3/4"}, {(0,): "1/2", (2,): "1/2"}),
+        ],
+        ids=["max", "min", "mean"],
+    )
+    def test_each_obstruction_alone_skips_the_lp(self, lp_calls, x_atoms, y_atoms):
+        X, Y = Measure(1, x_atoms), Measure(1, y_atoms)
+        assert sum(a > b for a, b in zip(endpoints(X), endpoints(Y))) == 1
+        grid = [rat(k, 4) for k in range(13)]
+        assert catalyst_1d(X, Y, grid) is None
+        assert lp_calls == []
+        assert catalyst_1d_lp_only(X, Y, grid) is None  # the LP agrees
+
+    def test_equal_endpoints_never_screen(self, lp_calls):
+        # min, mean and max all tie: the LP decides, and delta_0 is a catalyst
+        X = bernoulli("1/2")
+        c = catalyst_1d(X, X, [0, 1])
+        assert len(lp_calls) == 1
+        assert c is not None and c.Z == delta((0,)) and c.verified
+
+    def test_grid_checks_come_before_the_screen(self):
+        X, Y = bernoulli("3/4"), bernoulli("1/2")  # screened by the mean
+        with pytest.raises(ValueError, match="nonempty"):
+            catalyst_1d(X, Y, [])
+        with pytest.raises(ValueError, match="more than 1024"):
+            catalyst_1d(X, Y, range(MAX_CATALYST_GRID + 1))
+
+    def test_matches_the_lp_only_reference(self):
+        rng = random.Random(71)
+        ties = ("none", "min", "max", "minmax", "mean", "spread", "same")
+        seen = dict.fromkeys(
+            ("screened", "found", "lp_none", "tie_min", "tie_mean", "tie_max"), 0
+        )
+        for i in range(1050):
+            X, Y = _screen_pair(rng, ties[i % len(ties)])
+            grid = _screen_grid(rng)
+            expected = catalyst_1d_lp_only(X, Y, grid)
+            assert catalyst_1d(X, Y, grid) == expected
+            ex, ey = endpoints(X), endpoints(Y)
+            if any(a > b for a, b in zip(ex, ey)):
+                seen["screened"] += 1
+                assert expected is None
+            else:
+                seen["found" if expected is not None else "lp_none"] += 1
+            for name, a, b in zip(("tie_min", "tie_mean", "tie_max"), ex, ey):
+                seen[name] += a == b
+        assert min(seen.values()) >= 50, seen
 
 
 class TestLatticeStep:

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from walkorder import dominance, solvers
+from walkorder import Cone, Measure, dominance, leq_st, solvers
 from walkorder.dominance import catalyst_1d, default_catalyst_grid
 from walkorder.rational import ZERO, as_rat, rat
 from walkorder.solvers import (
@@ -18,7 +18,7 @@ from walkorder.solvers import (
     transport_feasible,
 )
 
-from conftest import random_measure_1d, transport_feasible_reference
+from conftest import composition, endpoints, random_measure_1d, transport_feasible_reference
 
 
 def check_plan_conservation(inst: TransportInstance, plan: dict) -> None:
@@ -245,7 +245,7 @@ class TestLpFeasible:
         assert x is not None
         assert sum(x) == 1
         for coeffs, rhs in inst.ineq_rows:
-            assert sum(c * v for c, v in zip(coeffs, x)) <= rhs
+            assert sum(c * x[j] for j, c in coeffs.items()) <= rhs
 
     def test_negative_rhs_handled(self):
         # x1 - x2 <= -1 forces x2 >= 1
@@ -262,13 +262,63 @@ class TestLpFeasible:
         with pytest.raises(ValueError, match="coefficients for 2 variables"):
             LinearFeasibility(2, ineq_rows, eq_rows)
 
+    def test_mapped_row_equals_dense_row(self):
+        dense = LinearFeasibility(
+            4, [((0, "1/2", 0, -3), 1), ((0, 0, 0, 0), 0)], [((1, 1, 1, 1), 1)]
+        )
+        mapped = LinearFeasibility(
+            4, [({3: -3, 1: "1/2", 2: 0}, 1), ({}, 0)], [({j: 1 for j in range(4)}, 1)]
+        )
+        assert mapped == dense
+        assert dense.ineq_rows[0] == ({1: rat(1, 2), 3: rat(-3)}, rat(1))
+        assert lp_feasible(mapped) == lp_feasible(dense) == _lp_feasible_reference(dense)
+
+    @pytest.mark.parametrize("column", [-1, 2])
+    def test_mapped_row_columns_checked(self, column):
+        with pytest.raises(ValueError, match=f"column {column} out of range for 2 variables"):
+            LinearFeasibility(2, [({column: 1}, 0)])
+
+    def test_mapped_row_rejects_inexact_input(self):
+        with pytest.raises(TypeError):
+            LinearFeasibility(2, [({0.5: 1}, 0)])
+        with pytest.raises(TypeError):
+            LinearFeasibility(2, [({0: 0.5}, 0)])
+
+    # x0 + 2 x2 <= 1 and x0 + x1 + x2 = 1, stored sparse
+    CHECKED = LinearFeasibility(3, [({0: 1, 2: 2}, 1)], [((1, 1, 1), 1)])
+
+    @pytest.mark.parametrize(
+        "x, message",
+        [
+            ([rat(-1), rat(1), rat(1)], "negative component"),
+            ([ZERO, rat(1, 4), rat(3, 4)], "inequality row"),
+            ([ZERO, rat(1, 2), ZERO], "equality row"),
+        ],
+        ids=["negative", "inequality", "equality"],
+    )
+    def test_bad_point_raises(self, x, message):
+        with pytest.raises(RuntimeError, match=message):
+            solvers._check_solution(self.CHECKED, x)
+
+    def test_lp_feasible_checks_what_it_returns(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(solvers, "_check_solution", lambda inst, x: checked.append((inst, x)))
+        x = lp_feasible(self.CHECKED)
+        assert checked == [(self.CHECKED, x)]
+
     def test_infeasible_negative_rhs(self):
         inst = LinearFeasibility(1, ineq_rows=[((1,), -1)])
         assert lp_feasible(inst) is None
 
 
+def _dense(coeffs, n: int) -> list:
+    """A stored sparse row as its ``n`` dense coefficients."""
+    return [coeffs.get(j, ZERO) for j in range(n)]
+
+
 def _lp_feasible_reference(inst: LinearFeasibility, ties: list | None = None):
-    """The phase-1 simplex on a ``Fraction`` tableau, kept as the reference.
+    """The phase-1 simplex on a dense ``Fraction`` tableau, kept as the
+    reference.
 
     Same pivots as ``lp_feasible``: Bland's entering column, least ratio,
     ties to the smaller basic column.  ``ties`` collects one entry per ratio
@@ -278,11 +328,13 @@ def _lp_feasible_reference(inst: LinearFeasibility, ties: list | None = None):
     n_ineq = len(inst.ineq_rows)
     rows = []
     for idx, (coeffs, rhs) in enumerate(inst.ineq_rows):
+        coeffs = _dense(coeffs, n)
         if rhs >= 0:
             rows.append((coeffs, idx, as_rat(1), rhs))
         else:
             rows.append((tuple(-c for c in coeffs), idx, as_rat(-1), -rhs))
     for coeffs, rhs in inst.eq_rows:
+        coeffs = _dense(coeffs, n)
         if rhs >= 0:
             rows.append((coeffs, None, None, rhs))
         else:
@@ -388,6 +440,33 @@ def _random_lp(rng: random.Random) -> LinearFeasibility:
     return LinearFeasibility(n, ineq, eq)
 
 
+def _lattice_pair(rng: random.Random, kind: str) -> tuple:
+    """X and Y on the lattice a + h*{0, 1, 2, 3}, shaped like the catalyst
+    benchmark's pairs: "ordered" has X <= Y, so delta_0 is a catalyst;
+    "open" has E X < E Y and max X < max Y = a + 3h, but X is not below Y.
+    Returns (X, Y, h)."""
+    a = rat(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+    h = rng.choice((rat(1), rat(1, 2), rat(1, 3), rat(2, 5)))
+
+    def measure(ks, ws):
+        return Measure(1, [((a + h * k,), w) for k, w in zip(ks, ws)])
+
+    while True:
+        if kind == "ordered":
+            kx = [0, 1, 2]
+            ky = [k + rng.randint(0, 1) for k in kx[:-1]] + [3]
+            wx = wy = composition(rng, 3, 11)
+        else:
+            kx = [0, rng.randint(1, 2)]
+            ky = [rng.randint(0, 2), 3]
+            wx, wy = composition(rng, 2, 11), composition(rng, 2, 11)
+        X, Y = measure(kx, wx), measure(ky, wy)
+        if kind == "ordered" or (
+            endpoints(X)[1] < endpoints(Y)[1] and not leq_st(X, Y, Cone.halfline()).dominated
+        ):
+            return X, Y, h
+
+
 class TestIntTableau:
     def test_matches_fraction_reference_on_random_lps(self):
         rng = random.Random(41)
@@ -408,9 +487,9 @@ class TestIntTableau:
         seen = []
 
         def both(inst):
-            seen.append(inst)
             x = lp_feasible(inst)
             assert x == _lp_feasible_reference(inst)
+            seen.append((inst.num_vars, x is not None))
             return x
 
         monkeypatch.setattr(dominance, "lp_feasible", both)
@@ -423,9 +502,37 @@ class TestIntTableau:
             grid = default_catalyst_grid(X, Y)
             if len(grid) <= 40:
                 catalyst_1d(X, Y, grid)
+        # grids of 37 to 121 points, as in the catalyst benchmark
+        seen.clear()
+        for kind, q in [("ordered", 3), ("ordered", 10), ("open", 3), ("open", 10),
+                        ("open", 3), ("open", 4)]:
+            X, Y, h = _lattice_pair(rng, kind)
+            catalyst_1d(X, Y, default_catalyst_grid(X, Y, step=h / q))
+        assert min(n for n, _ in seen) == 37 and max(n for n, _ in seen) == 121
+        assert any(found for _, found in seen) and not all(found for _, found in seen)
+
+    def test_ratio_ties_go_to_the_smaller_basic_column(self):
+        # degenerate rows tie in the ratio test; keeping the first tied row
+        # instead returns (1/5, 0, 4/5, 0, 0)
+        inst = LinearFeasibility(
+            5,
+            [
+                ({0: "3/4", 1: -1, 2: -2, 4: 1}, 0),
+                ({0: "1/2", 1: -2, 2: -1, 4: -4}, 0),
+                ({0: "-3/2", 1: "1/4", 2: -1, 3: "1/2", 4: -4}, 0),
+            ],
+            [({0: 1, 1: "4/3", 2: "-1/4", 3: 3, 4: -1}, 0), ([1] * 5, 1)],
+        )
+        expected = [rat(12, 31), ZERO, rat(28, 93), ZERO, rat(29, 93)]
+        assert _lp_feasible_reference(inst) == expected
+        assert lp_feasible(inst) == expected
 
     def test_eliminated_rows_are_primitive(self):
-        # without the gcd step entries double in length at every pivot
+        # without the gcd step entries double in length at every pivot; rows
+        # are sparse, and lp_feasible eliminates only rows with an entry in col
+        def sparse(dense):
+            return {j: a for j, a in enumerate(dense) if a}
+
         rng = random.Random(44)
         for _ in range(200):
             k = rng.randint(2, 8)
@@ -433,13 +540,15 @@ class TestIntTableau:
             prow = [rng.randint(-6, 6) * 6 for _ in range(k)]
             col = rng.randrange(k)
             p = prow[col] = 6 * rng.randint(1, 6)
-            out = _eliminate(row, prow, p, col)
+            row[col] = 12 * rng.choice((-1, 1)) * rng.randint(1, 6)
+            out = _eliminate(sparse(row), sparse(prow), p, col)
             exact = [p * a - row[col] * b for a, b in zip(row, prow)]
-            assert out[col] == 0
-            assert any(exact) or not any(out)
+            assert col not in out and all(out.values())
+            assert any(exact) or not out
             if any(exact):
                 g = math.gcd(*exact)
-                assert out == [a // g for a in exact] and math.gcd(*out) == 1
+                assert out == {j: a // g for j, a in enumerate(exact) if a}
+                assert math.gcd(*out.values()) == 1
 
     def test_feasibility_agrees_with_linprog(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
@@ -447,8 +556,8 @@ class TestIntTableau:
         for _ in range(200):
             inst = _random_lp(rng)
             n = inst.num_vars
-            ub = [[float(c) for c in coeffs] for coeffs, _ in inst.ineq_rows] or None
-            eq = [[float(c) for c in coeffs] for coeffs, _ in inst.eq_rows] or None
+            ub = [[float(c) for c in _dense(coeffs, n)] for coeffs, _ in inst.ineq_rows] or None
+            eq = [[float(c) for c in _dense(coeffs, n)] for coeffs, _ in inst.eq_rows] or None
             res = linprog(
                 [0.0] * n,
                 A_ub=ub, b_ub=[float(b) for _, b in inst.ineq_rows] or None,
