@@ -20,7 +20,6 @@ NotFound-on-grid) or an unknown option, 1 input or budget error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -202,13 +201,26 @@ def _cmd_order_check(args) -> tuple[dict, int]:
     ), EXIT_OK
 
 
-def _write_spectrum_csv(result, path: str) -> None:
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write the ``header`` line, then ``rows``: each row one f-string of
+    int and float reprs joined by "," and ended by CRLF.  These are the bytes
+    ``csv.writer`` writes, since no such repr holds a comma, a quote or a
+    line break."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["ray", "theta", "radial", "lev_x", "lev_y", "margin"])
-        for ray_idx, rc in enumerate(result.per_ray):
-            for theta, radial, lx, ly, m in rc.samples:
-                writer.writerow([ray_idx, repr(theta), repr(radial), repr(lx), repr(ly), repr(m)])
+        fh.write(header + "\r\n")
+        fh.writelines(rows)
+
+
+def _write_spectrum_csv(result, path: str) -> None:
+    _write_csv(
+        path,
+        "ray,theta,radial,lev_x,lev_y,margin",
+        (
+            f"{ray_idx},{theta!r},{radial!r},{lx!r},{ly!r},{m!r}\r\n"
+            for ray_idx, rc in enumerate(result.per_ray)
+            for theta, radial, lx, ly, m in rc.samples
+        ),
+    )
     with open(path + ".gp", "w", encoding="utf-8") as fh:
         fh.write(
             "set datafile separator ','\n"
@@ -300,6 +312,15 @@ def _cmd_rate_fn(args) -> tuple[dict, int]:
     ), EXIT_OK
 
 
+def _write_rel_rate_csv(path: str, table: list, rhs: float, curve: list) -> None:
+    _write_csv(path, "n,lhs,rhs", (f"{n},{v!r},{rhs!r}\r\n" for n, v in table))
+    _write_csv(
+        path + ".curve.csv",
+        "ray,theta,r,g",
+        (f"{ray_idx},{theta!r},{r!r},{g!r}\r\n" for ray_idx, theta, r, g in curve),
+    )
+
+
 def _cmd_rel_rate(args) -> tuple[dict, int]:
     X, Y, cone = _load_pair(args)
     eps = parse_rational(args.eps)
@@ -308,16 +329,7 @@ def _cmd_rel_rate(args) -> tuple[dict, int]:
     ns = [n for n in (8, 16, 32, 64, 128, 256, 512) if n <= args.n_max] or [args.n_max]
     table = [(n, relative_rate_lhs(X, Y, cone, n, eps)) for n in ns]
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n", "lhs", "rhs"])
-            for n, v in table:
-                writer.writerow([n, repr(v), repr(rhs.value)])
-        with open(args.csv + ".curve.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["ray", "theta", "r", "g"])
-            for ray_idx, theta, r, g in relative_rate_curve(X, Y, cone, opts):
-                writer.writerow([ray_idx, repr(theta), repr(r), repr(g)])
+        _write_rel_rate_csv(args.csv, table, rhs.value, relative_rate_curve(X, Y, cone, opts))
     return dict(
         eps=rat_str(eps),
         rhs=_float_or_str(rhs.value),

@@ -37,7 +37,7 @@ from .measure import (
     shift,
 )
 from .rational import as_rat, log_rat, rat
-from .spectrum import _golden_min, _Projected
+from .spectrum import _golden_min, _log_mgf_pair, _Projected
 from .stochorder import principal_upset_masses, tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
@@ -72,9 +72,9 @@ class RateResult:
 
 def log_mgf(mu: Measure, t: Sequence) -> float:
     """log E[exp(<t, X>)] for a probability measure: the stabilised log-MGF at
-    r = 1 of the float view ``spectrum._Projected`` of ``project(mu, t)``."""
+    r = 1 of the float view ``spectrum._Projected`` of ``mu`` along ``t``."""
     require_probability(mu, "measure")
-    return _Projected(project(mu, t)).log_mgf(1.0)
+    return _Projected.of(mu, t).log_mgf(1.0)
 
 
 def rate_function(
@@ -92,7 +92,7 @@ def rate_function(
 
 
 def _rate_1d(mu: Measure, c, direction: Direction, opts: RateOptions) -> RateResult:
-    tilt = _Projected(project(mu, direction.t))
+    tilt = _Projected.of(mu, direction.t)
     c_r = sum(tc * cc for tc, cc in zip(direction.t, c))
     if c_r > tilt.max:
         return RateResult(math.inf, None, EXACT_LIMIT)
@@ -232,8 +232,8 @@ def relative_rate_rhs(
     best_val = 0.0
     best: Optional[tuple] = None
     for d in cone.dual_directions(opts.n_samples, opts.seed):
-        px = _Projected(project(X, d.t))
-        py = _Projected(project(Y, d.t))
+        px = _Projected.of(X, d.t)
+        py = _Projected.of(Y, d.t)
         if px.max > py.max:
             return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
         if px.max == py.max:
@@ -241,11 +241,14 @@ def relative_rate_rhs(
             if limit > best_val:
                 best_val, best = limit, (d, math.inf)
 
+        pair = _log_mgf_pair(px, py)
+
         def g(theta: float) -> float:
             r = math.tan(theta)
             if r == 0.0:
                 return 0.0  # both measures are normalized
-            return px.log_mgf(r) - py.log_mgf(r)
+            a, b = pair(r)
+            return a - b
 
         thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
         rs = [math.tan(th) for th in thetas]
@@ -287,8 +290,8 @@ def relative_rate_curve(
     rs = [math.tan(theta) for theta in thetas]
     rows = []
     for ray_idx, d in enumerate(cone.dual_directions(opts.n_samples, opts.seed)):
-        px = _Projected(project(X, d.t))
-        py = _Projected(project(Y, d.t))
+        px = _Projected.of(X, d.t)
+        py = _Projected.of(Y, d.t)
         rows += (
             (ray_idx, theta, r, a - b)
             for theta, r, a, b in zip(thetas, rs, px.log_mgf_many(rs), py.log_mgf_many(rs))

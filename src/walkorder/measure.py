@@ -10,8 +10,8 @@ merging anywhere.
 One integer view per measure feeds both convolution and projection: the
 atoms in atom order, coordinates as ints over one common denominator ``S``
 and weights as ints over the lcm ``D`` of their denominators.  A measure
-builds it on first use and keeps it; ``project`` hands its result the view
-it computed, which the float views of ``spectrum`` read.
+builds it on first use and keeps it; ``project`` and the float views of
+``spectrum`` take their int dot products from it.
 
 Convolution puts the views of its operands on one integer lattice.  Over
 the lcm of their ``S``, the support of a measure lies in
@@ -357,16 +357,12 @@ def shift(mu: Measure, a: Sequence) -> Measure:
     )
 
 
-def project(mu: Measure, t: Sequence) -> Measure:
-    """Pushforward along the linear functional x -> <t, x>; a 1-D measure.
-
-    Runs on ``mu``'s integer view: with ``t`` scaled to ints by the lcm T of
-    its denominators, atom x goes to the int key ``<T t, S x>``, equal keys
-    merge by summing int weights in first-occurrence order, and each atom is
-    built once as ``k / (S T)`` with weight ``w / D``.  The result equals
-    the rational pushforward exactly, atom order included, and carries the
-    integer view it was built from.
-    """
+def _project_ints(mu: Measure, t: Sequence) -> tuple[int, dict, int]:
+    """``(S T, merged, D)`` for the pushforward of ``mu`` along ``t``: with
+    ``t`` scaled to ints by the lcm T of its denominators, atom x goes to the
+    int key ``<T t, S x>`` of ``mu``'s integer view, and ``merged`` maps each
+    key to its summed int weight in first-occurrence order.  The projected
+    atom of key k is ``k / (S T)`` with weight ``merged[k] / D``."""
     tv = as_point(t, mu.dim)
     scale = math.lcm(*(c.denominator for c in tv))
     ti = [c.numerator * (scale // c.denominator) for c in tv]
@@ -375,9 +371,15 @@ def project(mu: Measure, t: Sequence) -> Measure:
     for x, w in zip(coords, weights):
         k = sum(map(mul, ti, x))
         merged[k] = merged.get(k, 0) + w
-    den = s * scale
-    out = Measure._raw(
-        1, {(rat(k, den),): rat(w, d) for k, w in merged.items()}, mu._mass
-    )
-    out._ints = (den, [(k,) for k in merged], d, list(merged.values()))
-    return out
+    return s * scale, merged, d
+
+
+def project(mu: Measure, t: Sequence) -> Measure:
+    """Pushforward along the linear functional x -> <t, x>; a 1-D measure.
+
+    Runs on ``mu``'s integer view (``_project_ints``): each atom is built
+    once as ``k / (S T)`` with weight ``w / D``.  The result equals the
+    rational pushforward exactly, atom order included.
+    """
+    den, merged, d = _project_ints(mu, t)
+    return Measure._raw(1, {(rat(k, den),): rat(w, d) for k, w in merged.items()}, mu._mass)

@@ -18,6 +18,17 @@ endpoints never depends on a float tolerance.  Interior radial points are
 swept on a tan(theta) grid, local minima are refined by golden section, and
 margins within +/- margin_tol yield an inconclusive verdict rather than a
 guess.
+
+Each golden-section step evaluates both log-MGFs of a ray through one fused
+kernel, ``_log_mgf_pair``: one preallocated buffer over both supports, in
+place ``numpy`` ufuncs and one dot per law, with the same floats as
+``_Projected.log_mgf``.  A local minimum is refined only when it could lower
+the result.  lev is nondecreasing in r, so on a bracket ``[r_lo, r_hi]`` the
+margin is at least ``lev_Y(r_lo) - lev_X(r_hi)``; when that bound lies above
+the least interior grid margin by more than the float error of lev
+(``_prune_slack``), the refined value could never be the minimum, and the
+search is skipped.  Every verdict, witness and sample stays bit for bit what
+refining every bracket gives.
 """
 
 from __future__ import annotations
@@ -28,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, Direction
-from .measure import Measure, project, require_probability
+from .measure import Measure, _project_ints, require_probability
 from .rational import Rational, rat
 
 STRICT = "Strict"
@@ -92,25 +103,32 @@ class _Projected:
     stabilised log-MGF ``log E[exp(r Z)]`` of this law; ``lev_at(r)`` is
     ``log_mgf(r) / r`` away from the exceptional points.
 
-    Both views come from the measure's integer view ``(S, keys, D, weights)``
-    with its ``(key, weight)`` pairs sorted by key.  The floats are
-    ``key / S`` and ``weight / D`` by int true division, which Python rounds
-    correctly, so each equals ``float`` of the exact rational bit for bit.
-    ``min``, ``max``, ``w_max`` and ``mean = sum(key * weight) / (S D)`` are
-    exact rationals, each built once.
+    Both views come from the projected int keys over ``S`` and int weights
+    over ``D`` of ``measure._project_ints``, with the ``(key, weight)`` pairs
+    sorted by key.  The floats are ``key / S`` and ``weight / D`` by int true
+    division, which Python rounds correctly, so each equals ``float`` of the
+    exact rational bit for bit.  ``min``, ``max``, ``w_max`` and
+    ``mean = sum(key * weight) / (S D)`` are exact rationals, each built
+    once.
     """
 
     __slots__ = ("z", "w", "min", "max", "w_max", "mean")
 
-    def __init__(self, proj: Measure):
-        s, keys, d, weights = proj._int_view()
-        pairs = sorted(zip([k for (k,) in keys], weights))
+    @classmethod
+    def of(cls, mu: Measure, t) -> "_Projected":
+        """The view of the pushforward of ``mu`` along ``t``, read straight
+        from the int keys and weights of ``measure._project_ints``: no
+        rational atom is built."""
+        s, merged, d = _project_ints(mu, t)
+        pairs = sorted(merged.items())
+        self = cls.__new__(cls)
         self.z = np.array([k / s for k, _ in pairs])
         self.w = np.array([wt / d for _, wt in pairs])
         self.min: Rational = rat(pairs[0][0], s)
         self.max: Rational = rat(pairs[-1][0], s)
         self.w_max: Rational = rat(pairs[-1][1], d)
         self.mean: Rational = rat(sum(k * wt for k, wt in pairs), s * d)
+        return self
 
     # ``z`` is sorted and rounding is monotone, so the largest ``r * z`` is the
     # product at an end of ``z``: the same float as ``(r * z).max()``.
@@ -158,7 +176,59 @@ class _Projected:
 def lev(mu: Measure, sp: SpectrumPoint) -> float:
     """Logarithmic evaluation of a probability measure at a spectrum point."""
     require_probability(mu, "measure")
-    return _Projected(project(mu, sp.direction.t)).lev_at(sp.radial)
+    return _Projected.of(mu, sp.direction.t).lev_at(sp.radial)
+
+
+def _log_mgf_pair(px: _Projected, py: _Projected):
+    """``r -> (px.log_mgf(r), py.log_mgf(r))`` for finite ``r != 0``, bit for
+    bit, in one pass over one preallocated buffer.
+
+    The buffer holds ``concat(px.z, py.z)``; ``r * z``, the shift by each
+    half's max and ``exp`` run in place with ``out=``, each element by
+    element, and each half is a contiguous view that ``np.dot`` reads as it
+    reads a fresh array.  The max of each half is the Python float ``r * z``
+    at its sorted end, the same product ``log_mgf`` takes."""
+    nx = len(px.z)
+    z = np.concatenate((px.z, py.z))
+    buf = np.empty_like(z)
+    bx, by = buf[:nx], buf[nx:]
+    wx, wy = px.w, py.w
+    x_lo, x_hi = float(px.z[0]), float(px.z[-1])
+    y_lo, y_hi = float(py.z[0]), float(py.z[-1])
+    multiply, subtract, exp, dot, log = np.multiply, np.subtract, np.exp, np.dot, math.log
+
+    def pair(r: float) -> tuple[float, float]:
+        multiply(z, r, out=buf)
+        if r > 0:
+            mx, my = r * x_hi, r * y_hi
+        else:
+            mx, my = r * x_lo, r * y_lo
+        subtract(bx, mx, out=bx)
+        subtract(by, my, out=by)
+        exp(buf, out=buf)
+        return mx + log(dot(wx, bx)), my + log(dot(wy, by))
+
+    return pair
+
+
+#: Relative slack of the bracket pruning in ``compare_on_ray``.
+PRUNE_SLACK = 1e-9
+
+
+def _prune_slack(z_abs: float, r_lo: float, r_hi: float) -> float:
+    """Slack above the float error of lev on a bracket ``[r_lo, r_hi]``.
+
+    A float lev value at r carries an absolute error of order
+    ``n eps (|z| + 1/|r|)`` for n atoms of magnitude at most ``|z|``: the
+    stabilised sum has relative error ``n eps``, and its log is divided by r.
+    ``PRUNE_SLACK`` times ``1 + |z| + 1/|r|`` at the bracket's end nearest
+    r = 0 covers three such errors (the two grid values of the bound and the
+    refined value) while n stays below about 10^6.  A bracket that reaches
+    r = 0, where the float log-MGF over r loses every digit, gets an infinite
+    slack: it is always refined."""
+    if r_lo <= 0.0 <= r_hi:
+        return math.inf
+    return PRUNE_SLACK * (1.0 + z_abs + 1.0 / min(abs(r_lo), abs(r_hi)))
 
 
 def _golden_min(f, lo: float, hi: float, tol: float = REFINE_TOL) -> tuple[float, float]:
@@ -186,13 +256,21 @@ def compare_on_ray(
 
     The exceptional points are compared exactly; interior minima of the
     margin are located on the compactified grid r = tan(theta) and refined by
-    golden section until the theta bracket is below ``REFINE_TOL``.
+    golden section until the theta bracket is below ``REFINE_TOL``, with
+    both log-MGFs from one ``_log_mgf_pair`` kernel.
+
+    A bracket ``[r_lo, r_hi]`` is refined only when it could matter.  lev
+    is nondecreasing in r, so on the bracket the margin is at least
+    ``lev_Y(r_lo) - lev_X(r_hi)``.  When that bound exceeds the least
+    interior (r != 0) grid margin by more than ``_prune_slack``, the refined
+    minimum lies above a grid candidate, so it can never be ``min_margin``,
+    ``argmin_radial`` or the interior minimum, and the search is skipped.
     """
     opts = opts or SpectrumOptions()
     require_probability(X, "X")
     require_probability(Y, "Y")
-    px = _Projected(project(X, t.t))
-    py = _Projected(project(Y, t.t))
+    px = _Projected.of(X, t.t)
+    py = _Projected.of(Y, t.t)
 
     exact_margins = [
         (-math.inf, py.min - px.min),
@@ -209,10 +287,18 @@ def compare_on_ray(
     # no numpy scalar per grid point
     thetas, rs, levx, levy = thetas.tolist(), rs.tolist(), levx.tolist(), levy.tolist()
 
+    pair = _log_mgf_pair(px, py)
+    mean_margin = py.lev_at(0.0) - px.lev_at(0.0)
+
     def margin_at_theta(theta: float) -> float:
         r = math.tan(theta)
-        return py.lev_at(r) - px.lev_at(r)
+        if r == 0.0:
+            return mean_margin
+        lx, ly = pair(r)
+        return ly / r - lx / r
 
+    grid_floor = min((m for m, r in zip(margin, rs) if r != 0.0), default=math.inf)
+    z_abs = max(abs(float(v)) for v in (px.min, px.max, py.min, py.max))
     candidates: list[tuple[float, float]] = [(float(m), r) for r, m in exact_margins]
     for idx in range(len(rs)):
         m = margin[idx]
@@ -220,9 +306,12 @@ def compare_on_ray(
         left = margin[idx - 1] if idx > 0 else math.inf
         right = margin[idx + 1] if idx + 1 < len(rs) else math.inf
         if m <= left and m <= right:
-            lo = thetas[max(idx - 1, 0)]
-            hi = thetas[min(idx + 1, len(rs) - 1)]
+            i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(rs) - 1)
+            lo, hi = thetas[i_lo], thetas[i_hi]
             if lo < hi:
+                bound = levy[i_lo] - levx[i_hi]
+                if bound > grid_floor + _prune_slack(z_abs, rs[i_lo], rs[i_hi]):
+                    continue
                 theta_star, m_star = _golden_min(margin_at_theta, lo, hi)
                 candidates.append((m_star, math.tan(theta_star)))
 

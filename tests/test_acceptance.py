@@ -104,8 +104,8 @@ def test_criterion_2_forward_necessity():
 
 def test_criterion_3_converse_at_desk_scale():
     # strict spectral dominance confirmed by a dense 100000-point sweep
-    px = _Projected(project(CURATED_X, (rat(1),)))
-    py = _Projected(project(CURATED_Y, (rat(1),)))
+    px = _Projected.of(CURATED_X, (rat(1),))
+    py = _Projected.of(CURATED_Y, (rat(1),))
     thetas = np.linspace(-math.pi / 2, math.pi / 2, 100002)[1:-1]
     rs = np.tan(thetas)
     sweep_min = float((py.lev_curve(rs) - px.lev_curve(rs)).min())

@@ -179,6 +179,45 @@ class TestCommands:
         assert len(lines) > 250
         assert (tmp_path / "curves.csv.gp").exists()
 
+    def test_csv_rows_match_csv_writer(self, tmp_path):
+        import csv
+        from types import SimpleNamespace
+
+        from walkorder.cli import _write_rel_rate_csv, _write_spectrum_csv
+
+        def with_writer(path, header, rows):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                for row in rows:
+                    writer.writerow([row[0]] + [repr(v) for v in row[1:]])
+            return path.read_bytes()
+
+        odd = [math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e300, 0.1, -1.5, 2.0**-1074 * 3]
+        samples = [tuple(odd[(k + j) % len(odd)] for j in range(5)) for k in range(len(odd))]
+        result = SimpleNamespace(
+            per_ray=[SimpleNamespace(samples=samples), SimpleNamespace(samples=samples[::-1])]
+        )
+        _write_spectrum_csv(result, str(tmp_path / "s.csv"))
+        expected = with_writer(
+            tmp_path / "s_ref.csv",
+            ["ray", "theta", "radial", "lev_x", "lev_y", "margin"],
+            [(i, *row) for i, rc in enumerate(result.per_ray) for row in rc.samples],
+        )
+        assert (tmp_path / "s.csv").read_bytes() == expected
+        assert b"inf,-inf,-0.0,0.0,5e-324\r\n" in expected
+
+        table = [(8, -math.inf), (16, math.inf), (32, -0.0), (64, 5e-324)]
+        curve = [(k % 3, odd[k], odd[-k - 1], odd[(3 * k) % len(odd)]) for k in range(len(odd))]
+        for rhs in (math.inf, -0.0, 5e-324):
+            _write_rel_rate_csv(str(tmp_path / "r.csv"), table, rhs, curve)
+            assert (tmp_path / "r.csv").read_bytes() == with_writer(
+                tmp_path / "r_ref.csv", ["n", "lhs", "rhs"], [(n, v, rhs) for n, v in table]
+            )
+            assert (tmp_path / "r.csv.curve.csv").read_bytes() == with_writer(
+                tmp_path / "c_ref.csv", ["ray", "theta", "r", "g"], curve
+            )
+
     def test_normalize_flag(self, capsys, tmp_path, files):
         raw = tmp_path / "unnorm.json"
         raw.write_text('{"dim": 1, "atoms": [{"x": ["0"], "w": "2"}, {"x": ["1"], "w": "2"}]}')

@@ -220,8 +220,8 @@ def relative_rate_rhs_reference(X, Y, cone, opts=None):
     best_val = 0.0
     best = None
     for d in cone.dual_directions(opts.n_samples, opts.seed):
-        px = _Projected(project(X, d.t))
-        py = _Projected(project(Y, d.t))
+        px = _Projected.of(X, d.t)
+        py = _Projected.of(Y, d.t)
         if px.max > py.max:
             return math.inf, (d, math.inf)
         if px.max == py.max:
@@ -535,8 +535,8 @@ class TestRelativeRateCurve:
         """The curve one point at a time, from the reference log-MGF."""
         rows = []
         for ray_idx, d in enumerate(cone.dual_directions(opts.n_samples, opts.seed)):
-            px = _Projected(project(X, d.t))
-            py = _Projected(project(Y, d.t))
+            px = _Projected.of(X, d.t)
+            py = _Projected.of(Y, d.t)
             for k in range(1, 257):
                 theta = (math.pi / 2) * k / 257
                 r = math.tan(theta)

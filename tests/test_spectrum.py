@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -33,10 +34,17 @@ from walkorder.spectrum import (
     VIOLATED,
     VIOLATED_ON_RAY,
     _golden_min,
+    _log_mgf_pair,
     _Projected,
 )
 
-from conftest import kernel_settings, log_mgf_reference, random_measure_1d, random_measure_2d
+from conftest import (
+    kernel_settings,
+    log_mgf_reference,
+    random_measure_1d,
+    random_measure_2d,
+    random_measure_3d,
+)
 
 
 def m1(mapping) -> Measure:
@@ -116,7 +124,7 @@ class TestLevInvariants:
             for _ in range(6):
                 atoms[(rat(rng.randint(-16, 16), 16),)] = rat(rng.randint(1, 8), 64)
             mu = Measure(1, atoms).normalized()
-            p = _Projected(project(mu, d.t))
+            p = _Projected.of(mu, d.t)
             for r, exact in ((1e6, float(p.max)), (-1e6, float(p.min)),
                              (1e-8, float(p.mean)), (-1e-8, float(p.mean))):
                 assert abs(lev(mu, SpectrumPoint(d, r)) - exact) < 1e-5
@@ -141,7 +149,7 @@ class TestProjected:
         d = direction_1d()
         radials = [s * 10.0**k * f for s in (1, -1) for k in range(-6, 4) for f in (1.0, 0.37)]
         for _ in range(20):
-            p = _Projected(project(random_measure_1d(rng, max_atoms=5).normalized(), d.t))
+            p = _Projected.of(random_measure_1d(rng, max_atoms=5).normalized(), d.t)
             for r in radials:
                 # the stabilised expression lev_at used before log_mgf existed
                 a = r * p.z
@@ -209,8 +217,8 @@ def projected_laws(st):
     point = st.builds(rat, st.integers(-60, 60), st.integers(1, 12))
     weight = st.integers(1, 50)
     return st.dictionaries(point, weight, min_size=1, max_size=80).map(
-        lambda atoms: _Projected(
-            Measure(1, {(x,): rat(w, sum(atoms.values())) for x, w in atoms.items()})
+        lambda atoms: _Projected.of(
+            Measure(1, {(x,): rat(w, sum(atoms.values())) for x, w in atoms.items()}), (1,)
         )
     )
 
@@ -250,10 +258,57 @@ class TestProjectedKernel:
         for n_atoms in range(1, 81):
             points = rng.sample(range(-999, 1000), n_atoms)
             law = Measure(1, {(rat(k, 7),): rng.randint(1, 9) for k in points}).normalized()
-            p = _Projected(law)
+            p = _Projected.of(law, (1,))
             assert len(p.z) == n_atoms
             expected = [log_mgf_reference(p, r) for r in rs]
             assert float_bits(p.log_mgf_many(rs)) == float_bits(expected)
+
+
+class TestLogMgfPair:
+    """The fused kernel gives both ``log_mgf`` floats bit for bit."""
+
+    @staticmethod
+    def assert_pair_matches(px, py, rs):
+        pair = _log_mgf_pair(px, py)
+        for r in rs:
+            lx, ly = pair(r)
+            assert float_bits([lx, ly]) == float_bits([px.log_mgf(r), py.log_mgf(r)]), r
+
+    def test_random_laws_and_radials(self, hyp):
+        st = hyp.strategies
+        nonzero = radials(st).filter(lambda r: r != 0.0)
+
+        @kernel_settings(hyp)
+        @hyp.given(projected_laws(st), projected_laws(st), st.lists(nonzero, min_size=1, max_size=20))
+        def check(px, py, rs):
+            self.assert_pair_matches(px, py, rs)
+
+        check()
+
+    def test_signs_scales_one_atom_and_unequal_lengths(self):
+        rng = random.Random(64)
+        rs = [s * 10.0**k * f for s in (1, -1) for k in range(-12, 17) for f in (1.0, 0.61)]
+        rs += [TAN_NEAR_HALF_PI, -TAN_NEAR_HALF_PI, 5e-324, -5e-324]
+
+        def law(n_atoms):
+            points = rng.sample(range(-999, 1000), n_atoms)
+            return Measure(1, {(rat(k, 13),): rng.randint(1, 9) for k in points}).normalized()
+
+        one = _Projected.of(delta((rat(3, 7),)), (1,))
+        assert len(one.z) == 1
+        self.assert_pair_matches(one, one, rs)
+        for nx, ny in ((1, 7), (7, 1), (2, 150), (150, 3), (10, 60), (60, 60), (33, 34)):
+            px, py = _Projected.of(law(nx), (1,)), _Projected.of(law(ny), (1,))
+            assert (len(px.z), len(py.z)) == (nx, ny)
+            self.assert_pair_matches(px, py, rs)
+
+    def test_grid_and_golden_radials_of_the_curated_pair(self, curated_pair):
+        X, Y = curated_pair
+        px, py = _Projected.of(X, (1,)), _Projected.of(Y, (1,))
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 259)[1:-1].tolist()
+        rs = [math.tan(th) for th in thetas if th != 0.0]
+        self.assert_pair_matches(px, py, rs)
+        self.assert_pair_matches(py, px, [math.tan(th / 3) for th in thetas if th != 0.0])
 
 
 def projected_reference(proj: Measure) -> _Projected:
@@ -373,7 +428,7 @@ class TestProjectedView:
 
     def test_floats_bit_for_bit_and_exact_statistics(self):
         for law in spectral_laws(random.Random(61)):
-            p, ref = _Projected(law), projected_reference(law)
+            p, ref = _Projected.of(law, (1,)), projected_reference(law)
             assert float_bits(p.z.tolist()) == float_bits(ref.z.tolist())
             assert float_bits(p.w.tolist()) == float_bits(ref.w.tolist())
             for name in ("min", "max", "w_max", "mean"):
@@ -383,9 +438,40 @@ class TestProjectedView:
 
     def test_ascending_and_zero_is_positive(self):
         law = Measure(1, {("1/3",): "1/4", (0,): "1/4", ("-2/3",): "1/2"})
-        p = _Projected(project(Measure(2, {(x[0], 5): w for x, w in law.atoms.items()}), (1, 0)))
+        p = _Projected.of(Measure(2, {(x[0], 5): w for x, w in law.atoms.items()}), (1, 0))
         assert float_bits(p.z.tolist()) == float_bits([-2 / 3, 0.0, 1 / 3])
         assert (p.min, p.max, p.w_max, p.mean) == (rat(-2, 3), rat(1, 3), rat(1, 4), rat(-1, 4))
+
+
+class TestProjectedOf:
+    def test_equals_the_view_of_the_rational_projection(self, orthant2):
+        rng = random.Random(65)
+        laws = []
+        for _ in range(30):
+            mu = random_measure_2d(rng, max_atoms=6)
+            laws.append((mu, (rat(rng.randint(0, 5), rng.randint(1, 7)), rat(rng.randint(1, 5), 3))))
+            laws.append((mu, orthant2.dual_directions(4, seed=rng.randint(0, 9))[rng.randint(0, 3)].t))
+            mu3 = random_measure_3d(rng)
+            laws.append((mu3, tuple(rat(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))))
+        # atoms that merge under the projection, and 1-D laws on t = (1,)
+        laws.append((Measure(2, {(0, 1): "1/4", (1, 0): "1/4", (2, 2): "1/2"}), (1, 1)))
+        laws += [(law, (1,)) for law in spectral_laws(random.Random(66))[::5]]
+        for mu, t in laws:
+            p, ref = _Projected.of(mu, t), projected_reference(project(mu, t))
+            assert float_bits(p.z.tolist()) == float_bits(ref.z.tolist())
+            assert float_bits(p.w.tolist()) == float_bits(ref.w.tolist())
+            for name in ("min", "max", "w_max", "mean"):
+                value = getattr(p, name)
+                assert type(value) is type(rat(0))
+                assert value == getattr(ref, name), name
+
+    def test_no_rational_atom_is_built(self, monkeypatch):
+        import walkorder.measure as measure_mod
+
+        mu = Measure(2, {(0, 1): "1/4", (1, 0): "1/4", (2, 2): "1/2"})
+        monkeypatch.setattr(measure_mod, "rat", None)  # project would call it
+        p = _Projected.of(mu, ("1/2", 1))
+        assert p.z.tolist() == [0.5, 1.0, 3.0]
 
 
 class TestCompareOnRayEquivalence:
@@ -418,6 +504,70 @@ class TestCompareOnRayEquivalence:
             assert [float_bits(row) for row in rc.samples] == [float_bits(row) for row in samples]
             verdicts.add(verdict)
         assert {STRICT_ON_RAY, TIE_ON_RAY, VIOLATED_ON_RAY} <= verdicts
+
+
+    def test_pruned_brackets_on_2d_and_3d_pairs(self, monkeypatch):
+        """compare_on_ray against the reference, which refines every bracket,
+        on seeded 2-D and 3-D pairs: the same bits, pruning fires, and every
+        bracket it skips refines, in the reference, to a margin above the
+        least interior grid margin."""
+        import walkorder.spectrum as spectrum_mod
+
+        module = sys.modules[__name__]
+        reference_golden, refined = [], []
+
+        def recording(into, golden):
+            def run(f, lo, hi, tol=REFINE_TOL):
+                result = golden(f, lo, hi, tol)
+                into.append(((lo, hi), result[1]))
+                return result
+
+            return run
+
+        golden = _golden_min
+        monkeypatch.setattr(module, "_golden_min", recording(reference_golden, golden))
+        monkeypatch.setattr(spectrum_mod, "_golden_min", recording(refined, golden))
+        rng = random.Random(67)
+        cones = {2: Cone.orthant(2), 3: Cone.orthant(3)}
+        pruned_total = brackets_total = 0
+        verdicts = set()
+        for i in range(16):
+            dim = 2 + i % 2
+            draw = random_measure_2d if dim == 2 else random_measure_3d
+            X = draw(rng).normalized()
+            kind = i % 4
+            if kind == 0:
+                Y = shift(X, tuple(rat(rng.randint(1, 3), rng.randint(1, 5)) for _ in range(dim)))
+            elif kind == 1:
+                Y = convolve_power(X, 2)
+            else:
+                Y = draw(rng).normalized()
+            for t in cones[dim].dual_directions(2, seed=i):
+                del reference_golden[:], refined[:]
+                opts = SpectrumOptions(grid_points=rng.choice([33, 65, 129]))
+                rc = compare_on_ray(X, Y, t, opts)
+                min_margin, argmin_radial, verdict, samples = compare_on_ray_reference(X, Y, t, opts)
+                assert float_bits([rc.min_margin, rc.argmin_radial]) == float_bits(
+                    [min_margin, argmin_radial]
+                )
+                assert rc.verdict == verdict
+                assert [float_bits(row) for row in rc.samples] == [float_bits(row) for row in samples]
+                verdicts.add(verdict)
+                # the refined brackets are the reference's, in order, less the pruned ones
+                done = [bracket for bracket, _ in refined]
+                pruned = [(b, m) for b, m in reference_golden if b not in done]
+                assert done == [b for b, _ in reference_golden if b in done]
+                assert [m for _, m in refined] == [m for b, m in reference_golden if b in done]
+                grid_floor = min(row[4] for row in samples[1:-1] if row[1] != 0.0)
+                assert all(m > grid_floor for _, m in pruned)
+                # and the monotone bound lev_Y(r_lo) - lev_X(r_hi) says so
+                row_at = {row[0]: row for row in samples}
+                for (lo, hi), _ in pruned:
+                    assert row_at[lo][3] - row_at[hi][2] > grid_floor
+                pruned_total += len(pruned)
+                brackets_total += len(reference_golden)
+        assert 0 < pruned_total < brackets_total
+        assert {STRICT_ON_RAY, VIOLATED_ON_RAY} <= verdicts
 
 
 class TestCompareOnRay:
@@ -463,8 +613,8 @@ class TestSpectralVerdict:
         assert rep.verdict == STRICT
 
         # independent oracle: 100000-point dense sweep of the margin curve
-        px = _Projected(project(X, (rat(1),)))
-        py = _Projected(project(Y, (rat(1),)))
+        px = _Projected.of(X, (rat(1),))
+        py = _Projected.of(Y, (rat(1),))
         thetas = np.linspace(-math.pi / 2, math.pi / 2, 100002)[1:-1]
         rs = np.tan(thetas)
         margins = py.lev_curve(rs) - px.lev_curve(rs)
