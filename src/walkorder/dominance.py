@@ -14,13 +14,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
-from .cones import Cone
+from .cones import Cone, require_walk_pair
 from .errors import DimensionMismatch
 from .measure import DEFAULT_ATOM_CAP, Measure, convolve, convolve_power, require_probability, shift
-from .rational import Rational, ZERO, as_rat, rat
+from .rational import Rational, ZERO, as_rat, over_lcm, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .stochorder import leq_st, tail_mass
 
@@ -58,8 +58,7 @@ def min_n(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    require_probability(X, "X")
-    require_probability(Y, "Y")
+    require_walk_pair(X, Y, cone)
     results = [
         (n, leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone))
         for n in range(1, n_max + 1)
@@ -98,10 +97,7 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     gap is 0 unless min(supp) < c - g <= max(supp), so a row reads only the
     grid points in that window.
     """
-    if X.dim != 1 or Y.dim != 1:
-        raise DimensionMismatch("catalyst_1d requires 1-D measures")
-    require_probability(X, "X")
-    require_probability(Y, "Y")
+    _require_1d_walks(X, Y)
     grid_pts = sorted({as_rat(g) for g in grid})
     if not grid_pts:
         raise ValueError("catalyst grid must be nonempty")
@@ -111,9 +107,8 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
 
     support = {x[0] for x in X.atoms} | {y[0] for y in Y.atoms}
     # thresholds and offsets on ints: scaling by den > 0 keeps their order
-    den = lcm(*(q.denominator for q in support), *(g.denominator for g in grid_pts))
-    grid_int = [g.numerator * (den // g.denominator) for g in grid_pts]
-    support_int = {q.numerator * (den // q.denominator) for q in support}
+    den, ints = over_lcm([*grid_pts, *support])
+    grid_int, support_int = ints[: len(grid_pts)], set(ints[len(grid_pts) :])
     thresholds = sorted({s + g for s in support_int for g in grid_int})
     # the tail gap is 0 at offsets t <= lo, where both tails are 1, and at
     # t > hi, where both are 0; row c reads the grid points in between
@@ -158,6 +153,7 @@ def default_catalyst_grid(X: Measure, Y: Measure, step=None) -> list:
     grid of more than ``MAX_CATALYST_GRID`` points raises ``ValueError``
     before any point is built, so a tiny step cannot exhaust memory.
     """
+    _require_1d_walks(X, Y)
     support = sorted({x[0] for x in X.atoms} | {y[0] for y in Y.atoms})
     step = as_rat(step) if step is not None else _lattice_step(support)
     if step <= 0:
@@ -166,6 +162,12 @@ def default_catalyst_grid(X: Measure, Y: Measure, step=None) -> list:
     count = max(int(span // step), 1)
     _check_grid_size(count + 1)
     return [step * k for k in range(count + 1)]
+
+
+def _require_1d_walks(X: Measure, Y: Measure) -> None:
+    if X.dim != 1 or Y.dim != 1:
+        raise DimensionMismatch("catalyst_1d requires 1-D measures")
+    require_walk_pair(X, Y)
 
 
 def _check_grid_size(points: int) -> None:
@@ -180,8 +182,7 @@ def _lattice_step(values: Sequence) -> Rational:
     """The positive generator of the Z-module spanned by the offsets from
     ``values[0]``: one gcd of the offsets as ints over their common
     denominator; 1 when every value is the same."""
-    den = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
+    den, ints = over_lcm(values)
     step = gcd(*(v - ints[0] for v in ints))
     return rat(step, den) if step > 0 else rat(1)
 

@@ -25,14 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cones import Cone, Direction, is_upward_1d, require_same_dim
+from .cones import Cone, Direction, is_upward_1d, require_same_dim, require_walk_pair
 from .measure import (
     DEFAULT_ATOM_CAP,
     Measure,
     as_point,
     convolve_power,
     project,
-    require_equal_dims,
     require_probability,
     shift,
 )
@@ -224,10 +223,7 @@ def relative_rate_rhs(
     log-ratio of the weights at tied maxima otherwise.
     """
     opts = opts or RateOptions()
-    require_probability(X, "X")
-    require_probability(Y, "Y")
-    require_same_dim(cone, X.dim)
-    require_equal_dims(X, Y)
+    require_walk_pair(X, Y, cone)
 
     best_val = 0.0
     best: Optional[tuple] = None
@@ -282,10 +278,7 @@ def relative_rate_curve(
     the ``rel-rate`` curve CSV.
     """
     opts = opts or RateOptions()
-    require_probability(X, "X")
-    require_probability(Y, "Y")
-    require_same_dim(cone, X.dim)
-    require_equal_dims(X, Y)
+    require_walk_pair(X, Y, cone)
     thetas = [(math.pi / 2) * k / 257 for k in range(1, 257)]
     rs = [math.tan(theta) for theta in thetas]
     rows = []
@@ -331,9 +324,7 @@ def relative_rate_lhs(
     e = as_rat(eps)
     if e <= 0:
         raise ValueError("eps must be positive")
-    require_probability(X, "X")
-    require_probability(Y, "Y")
-    require_same_dim(cone, X.dim)
+    require_walk_pair(X, Y, cone)
 
     sign = -1 if X.dim == 1 and not is_upward_1d(cone) else 1
     num = _scale_points(convolve_power(X, n, cap), rat(sign, n))

@@ -8,10 +8,10 @@ functional.  Atom coalescing uses exact point equality; there is no epsilon
 merging anywhere.
 
 One integer view per measure feeds both convolution and projection: the
-atoms in atom order, coordinates as ints over one common denominator ``S``
-and weights as ints over the lcm ``D`` of their denominators.  A measure
-builds it on first use and keeps it; ``project`` and the float views of
-``spectrum`` take their int dot products from it.
+atoms in atom order, coordinates as ints over a common denominator ``S``
+and weights over ``D``, both from ``rational.over_lcm``.  A measure builds it
+on first use and keeps it; ``project`` and the float views of ``spectrum``
+take their int dot products from it.
 
 Convolution puts the views of its operands on one integer lattice.  Over
 the lcm of their ``S``, the support of a measure lies in
@@ -41,7 +41,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AtomBudgetExceeded, DimensionMismatch
-from .rational import ONE, Rational, ZERO, as_rat, point_str, rat
+from .rational import ONE, Rational, ZERO, as_rat, over_lcm, point_str, rat
 
 #: Points are tuples of exact rationals; the tuple length is the dimension.
 Point = tuple
@@ -154,11 +154,9 @@ class Measure:
         ``weights[j] / D``, where S is a common denominator of every
         coordinate and D one of every weight."""
         if self._ints is None:
-            atoms = self._atoms
-            s = math.lcm(*{c.denominator for x in atoms for c in x})
-            d = math.lcm(*{w.denominator for w in atoms.values()})
-            coords = [tuple(c.numerator * (s // c.denominator) for c in x) for x in atoms]
-            weights = [w.numerator * (d // w.denominator) for w in atoms.values()]
+            s, flat = over_lcm([c for x in self._atoms for c in x])
+            d, weights = over_lcm(list(self._atoms.values()))
+            coords = [tuple(flat[i : i + self._dim]) for i in range(0, len(flat), self._dim)]
             self._ints = (s, coords, d, weights)
         return self._ints
 
@@ -363,9 +361,7 @@ def _project_ints(mu: Measure, t: Sequence) -> tuple[int, dict, int]:
     int key ``<T t, S x>`` of ``mu``'s integer view, and ``merged`` maps each
     key to its summed int weight in first-occurrence order.  The projected
     atom of key k is ``k / (S T)`` with weight ``merged[k] / D``."""
-    tv = as_point(t, mu.dim)
-    scale = math.lcm(*(c.denominator for c in tv))
-    ti = [c.numerator * (scale // c.denominator) for c in tv]
+    scale, ti = over_lcm(as_point(t, mu.dim))
     s, coords, d, weights = mu._int_view()
     merged: dict[int, int] = {}
     for x, w in zip(coords, weights):

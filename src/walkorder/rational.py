@@ -1,8 +1,8 @@
 """Exact rational arithmetic on ``fractions.Fraction``.
 
 Every coordinate, weight and threshold in this package is an exact rational.
-Values are ``fractions.Fraction``; the convolution kernel in ``measure`` runs
-on plain ints and builds rationals only when it decodes its result.
+Values are ``fractions.Fraction``; the exact kernels run on plain ints over
+the lcm of the denominators, encoded by ``over_lcm`` and decoded by ``rat``.
 """
 
 from __future__ import annotations
@@ -31,6 +31,13 @@ def rat(numerator, denominator=None) -> Rational:
 
 ZERO = rat(0)
 ONE = rat(1)
+
+
+def over_lcm(values) -> tuple[int, list]:
+    """``(D, ints)`` with ``values[i] == ints[i] / D``, D the lcm of the
+    denominators; ``(1, [])`` for no values.  The inverse of ``rat(k, D)``."""
+    den = math.lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def as_rat(value) -> Rational:

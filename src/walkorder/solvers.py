@@ -19,7 +19,7 @@ from math import gcd, lcm
 from operator import index
 from typing import Optional, Sequence
 
-from .rational import ZERO, as_rat, rat
+from .rational import ZERO, as_rat, over_lcm, rat
 
 
 @dataclass(frozen=True)
@@ -51,9 +51,8 @@ def _validate_transport(inst: TransportInstance) -> tuple[int, list[int], list[i
     ``sup[i] / D`` exactly.
     """
     m, k = len(inst.supplies), len(inst.demands)
-    den = lcm(*(q.denominator for q in inst.supplies), *(q.denominator for q in inst.demands))
-    sup = [q.numerator * (den // q.denominator) for q in inst.supplies]
-    dem = [q.numerator * (den // q.denominator) for q in inst.demands]
+    den, ints = over_lcm(inst.supplies + inst.demands)
+    sup, dem = ints[:m], ints[m:]
     if any(s < 0 for s in sup) or any(d < 0 for d in dem):
         raise ValueError("supplies and demands must be nonnegative")
     if sum(sup) != sum(dem):
@@ -100,7 +99,6 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
             r_s[i] -= push
             r_d[j] -= push
 
-    visited_s = [False] * m
     while True:
         visited_s = [False] * m
         visited_d = [False] * k
@@ -266,13 +264,13 @@ def lp_feasible(inst: LinearFeasibility) -> Optional[list]:
     basis: list[int] = []
     art = n + n_ineq
     for coeffs, rhs, slack in rows:
-        den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
-        s = -den if rhs < 0 else den
-        row = {j: s * c.numerator // c.denominator for j, c in coeffs.items()}
-        if rhs != 0:
-            row[rhs_col] = s * rhs.numerator // rhs.denominator
+        den, (b, *ints) = over_lcm([rhs, *coeffs.values()])
+        s = -1 if rhs < 0 else 1
+        row = {j: s * c for j, c in zip(coeffs, ints)}
+        if b:
+            row[rhs_col] = s * b
         if slack is not None:
-            row[n + slack] = s
+            row[n + slack] = s * den
         if slack is not None and s > 0:
             basis.append(n + slack)
         else:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import Cone, Direction
+from .cones import Cone, Direction, require_walk_pair
 from .measure import Measure, _project_ints, require_probability
 from .rational import Rational, rat
 
@@ -93,7 +93,6 @@ class SpectralReport:
     per_ray: list
     witnesses: list
     sampled_only: bool  # more than one dual ray: certified only on sampled rays
-    seed: int
 
 
 class _Projected:
@@ -267,8 +266,7 @@ def compare_on_ray(
     ``argmin_radial`` or the interior minimum, and the search is skipped.
     """
     opts = opts or SpectrumOptions()
-    require_probability(X, "X")
-    require_probability(Y, "Y")
+    require_walk_pair(X, Y)
     px = _Projected.of(X, t.t)
     py = _Projected.of(Y, t.t)
 
@@ -361,6 +359,7 @@ def spectral_verdict(
     certified only on the sampled rays, which the report flags.
     """
     opts = opts or SpectrumOptions()
+    require_walk_pair(X, Y, cone)
     directions = cone.dual_directions(opts.n_samples, opts.seed)
     per_ray = [compare_on_ray(X, Y, d, opts) for d in directions]
 
@@ -387,5 +386,4 @@ def spectral_verdict(
         per_ray=per_ray,
         witnesses=witnesses,
         sampled_only=len(cone.normals) > 1,
-        seed=opts.seed,
     )

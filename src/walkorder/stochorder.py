@@ -14,14 +14,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
-from math import lcm
 from operator import ge, mul
 from typing import Optional, Sequence
 
 from .cones import Cone, is_upward_1d, require_same_dim
 from .errors import DimensionMismatch, MassMismatch
 from .measure import Measure, as_point, require_equal_dims
-from .rational import Rational, ZERO, rat
+from .rational import Rational, ZERO, over_lcm, rat
 from .solvers import TransportInstance, transport_feasible
 
 
@@ -71,8 +70,7 @@ def principal_upset_masses(mu: Measure, cone: Cone, generators: Sequence) -> lis
     firsts = [a[0] for a in atoms]
     masses = []
     for g in gens:
-        den = lcm(*(c.denominator for c in g))
-        gi = [c.numerator * (den // c.denominator) for c in g]
+        den, gi = over_lcm(g)
         low0, *low = (-(-s * sum(map(mul, n, gi)) // den) for n in (first, *rest))
         above = islice(atoms, bisect_left(firsts, low0), None)
         masses.append(rat(sum(w for _, key, w in above if all(map(ge, key, low))), d))

@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
+from operator import mul
 
 import numpy as np
 import pytest
 
 from walkorder import Cone, Measure, convolve, leq_st
 from walkorder.dominance import Catalyst, _grid_step
+from walkorder.measure import as_point
 from walkorder.rational import ZERO, as_rat, rat
 from walkorder.solvers import LinearFeasibility, TransportResult, lp_feasible
 from walkorder.stochorder import tail_mass
@@ -220,6 +222,32 @@ def lattice_step_reference(values):
         a, b = abs(step), abs(v - values[0])
         step = rat(math.gcd(a.numerator, b.numerator), math.lcm(a.denominator, b.denominator))
     return step if step > 0 else rat(1)
+
+
+def int_view_reference(mu: Measure) -> tuple:
+    """``Measure._int_view`` as written before it called ``rational.over_lcm``:
+    the lcm of the coordinate denominators and that of the weight
+    denominators, and every value scaled inline."""
+    atoms = mu.atoms
+    s = math.lcm(*{c.denominator for x in atoms for c in x})
+    d = math.lcm(*{w.denominator for w in atoms.values()})
+    coords = [tuple(c.numerator * (s // c.denominator) for c in x) for x in atoms]
+    weights = [w.numerator * (d // w.denominator) for w in atoms.values()]
+    return s, coords, d, weights
+
+
+def project_ints_reference(mu: Measure, t) -> tuple:
+    """``measure._project_ints`` with ``t`` scaled inline and the view of
+    ``int_view_reference``, as written before it called ``over_lcm``."""
+    tv = as_point(t, mu.dim)
+    scale = math.lcm(*(c.denominator for c in tv))
+    ti = [c.numerator * (scale // c.denominator) for c in tv]
+    s, coords, d, weights = int_view_reference(mu)
+    merged: dict = {}
+    for x, w in zip(coords, weights):
+        k = sum(map(mul, ti, x))
+        merged[k] = merged.get(k, 0) + w
+    return s * scale, merged, d
 
 
 def bernoulli(p) -> Measure:

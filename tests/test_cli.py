@@ -403,6 +403,43 @@ class TestErrors:
         assert "catalyst grid has 40000000001 points, more than 1024" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_catalyst_on_measures_without_atoms_exit1(self, files):
+        # default_catalyst_grid used to read the last support point of an
+        # empty support and end in an IndexError traceback
+        empty = files["dir"] / "empty.json"
+        empty.write_text('{"dim": 1, "atoms": []}')
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["catalyst", str(empty), str(empty), "--json", "-"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "walkorder.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == EXIT_ERROR
+        assert proc.stderr == "error: X must be normalized to total mass 1\n"
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("command", ["dominate", "spectrum"])
+    @pytest.mark.parametrize(
+        "order, cone, message",
+        [
+            ("line-plane", "halfline", "measure dimensions differ: 1 vs 2"),
+            ("plane-line", "orthant", "measure dimensions differ: 2 vs 1"),
+            # the default half-line is 1-D, so the cone is checked first
+            ("plane-line", "halfline", "cone dimension 1 does not match 2"),
+        ],
+    )
+    def test_spectral_dimension_mismatch_exit1(self, capsys, files, command, order, cone, message):
+        # both used to report "point has 1 coordinates, expected 2"
+        plane = files["dir"] / "plane.json"
+        plane.write_text('{"dim": 2, "atoms": [{"x": ["0", "0"], "w": "1"}]}')
+        paths = {"line": files["d0"], "plane": str(plane)}
+        argv = [command, *(paths[k] for k in order.split("-")), "--cone", cone, "--json", "-"]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_missing_file_exit1(self, capsys, files):
         assert main(["rate-fn", "/nonexistent.json", "--c", "1/2"]) == EXIT_ERROR
 

@@ -15,8 +15,9 @@ from walkorder.cones import (
     _primitive,
     _rank,
     _rays_from_normals,
+    require_walk_pair,
 )
-from walkorder.measure import as_point
+from walkorder.measure import Measure, as_point
 from walkorder.rational import rat
 
 
@@ -333,6 +334,22 @@ class TestSplitMix64:
 
 
 class TestDimChecks:
+    def test_walk_pair_checks_in_order(self, halfline, orthant2):
+        line, plane = Measure(1, {(0,): 1}), Measure(2, {(0, 0): 1})
+        half = Measure(2, {(0, 0): "1/2"})
+        cases = [
+            ((half, half, orthant2), "X must be normalized to total mass 1"),
+            ((plane, half, halfline), "Y must be normalized to total mass 1"),
+            ((plane, line, halfline), "cone dimension 1 does not match 2"),
+            ((plane, line, orthant2), "measure dimensions differ: 2 vs 1"),
+            ((plane, line, None), "measure dimensions differ: 2 vs 1"),
+        ]
+        for args, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                require_walk_pair(*args)
+        require_walk_pair(plane, plane, orthant2)
+        require_walk_pair(line, line)
+
     def test_leq_point_dim_mismatch(self, orthant2):
         with pytest.raises(DimensionMismatch):
             orthant2.leq_point((0,), (1, 1))

@@ -8,6 +8,7 @@ import pytest
 
 from walkorder import (
     AtomBudgetExceeded,
+    DimensionMismatch,
     Measure,
     catalyst_1d,
     convolve,
@@ -50,6 +51,21 @@ class TestMinN:
     def test_bernoulli_pair(self, halfline):
         res = min_n(bernoulli("1/2"), bernoulli("3/4"), halfline, n_max=8)
         assert res.found and res.n0 == 1
+
+    def test_inputs_checked_before_any_power(self, halfline, orthant2, monkeypatch):
+        def no_power(*args):
+            raise AssertionError("a power was computed before the inputs were checked")
+
+        monkeypatch.setattr(dominance, "convolve_power", no_power)
+        plane = Measure(2, {(0, 0): 1})
+        with pytest.raises(DimensionMismatch, match="^measure dimensions differ: 1 vs 2$"):
+            min_n(delta((0,)), plane, halfline)
+        with pytest.raises(DimensionMismatch, match="^measure dimensions differ: 2 vs 1$"):
+            min_n(plane, delta((0,)), orthant2)
+        with pytest.raises(ValueError, match="^Y must be normalized to total mass 1$"):
+            min_n(delta((0,)), m1({0: "1/2"}), halfline)
+        with pytest.raises(DimensionMismatch, match="^cone dimension 1 does not match 2$"):
+            min_n(plane, plane, halfline)
 
     def test_curated_pair_regression(self, halfline, curated_pair):
         X, Y = curated_pair
@@ -151,6 +167,22 @@ class TestCatalyst:
                 returned += 1
                 assert c.verified
         assert returned > 0
+
+    def test_measures_without_atoms_rejected(self):
+        # an empty support used to reach support[-1] in default_catalyst_grid
+        empty = Measure(1, {})
+        for f in (default_catalyst_grid, lambda X, Y: catalyst_1d(X, Y, [0])):
+            with pytest.raises(ValueError, match="^X must be normalized to total mass 1$"):
+                f(empty, empty)
+            with pytest.raises(ValueError, match="^Y must be normalized to total mass 1$"):
+                f(bernoulli("1/2"), empty)
+
+    @pytest.mark.parametrize("dims", [(1, 2), (2, 1), (2, 2)])
+    def test_both_searches_require_1d_walks(self, dims):
+        X, Y = (Measure(d, {(0,) * d: 1}) for d in dims)
+        for f in (default_catalyst_grid, lambda X, Y: catalyst_1d(X, Y, [0])):
+            with pytest.raises(DimensionMismatch, match="^catalyst_1d requires 1-D measures$"):
+                f(X, Y)
 
     def test_default_grid_capped_before_it_is_built(self):
         # the grid spans 4, so step 4/1023 gives 1024 points and 1/256 gives 1025

@@ -352,6 +352,30 @@ class TestRelativeRateLhs:
         assert val == pytest.approx(best, abs=1e-12)
 
 
+class TestRelativeRateLhsChecks:
+    def test_measure_dimensions_checked(self, halfline, orthant2):
+        # the eps shift of the 2-D walk used to report "point has 1 coordinates, expected 2"
+        plane = Measure(2, {(0, 0): 1})
+        with pytest.raises(DimensionMismatch, match="^measure dimensions differ: 1 vs 2$"):
+            relative_rate_lhs(delta((0,)), plane, halfline, 4, "1/4")
+        with pytest.raises(DimensionMismatch, match="^measure dimensions differ: 2 vs 1$"):
+            relative_rate_lhs(plane, delta((0,)), orthant2, 4, "1/4")
+
+    def test_checks_in_the_order_of_the_rhs(self, halfline):
+        plane, half = Measure(2, {(0, 0): 1}), m1({0: "1/2"})
+        for f in (
+            lambda X, Y, c: relative_rate_lhs(X, Y, c, 4, "1/4"),
+            relative_rate_rhs,
+            relative_rate_curve,
+        ):
+            with pytest.raises(ValueError, match="^X must be normalized"):
+                f(half, plane, halfline)
+            with pytest.raises(ValueError, match="^Y must be normalized"):
+                f(plane, half, halfline)
+            with pytest.raises(DimensionMismatch, match="^cone dimension 1 does not match 2$"):
+                f(plane, delta((0,)), halfline)
+
+
 def naive_relative_lhs_1d(X: Measure, Y: Measure, n: int, eps) -> float:
     """relative_rate_lhs on the half-line as the O(N^2) scan it replaced: one
     pass over every atom for each threshold."""

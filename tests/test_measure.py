@@ -18,9 +18,18 @@ from walkorder import (
     shift,
 )
 from walkorder.ldp import _scale_points
+from walkorder.measure import _project_ints
 from walkorder.rational import rat
 
-from conftest import kernel_settings, measures_on, random_measure_1d, random_measure_2d
+from conftest import (
+    int_view_reference,
+    kernel_settings,
+    measures_on,
+    project_ints_reference,
+    random_measure_1d,
+    random_measure_2d,
+    random_measure_3d,
+)
 
 
 def m1(mapping) -> Measure:
@@ -341,6 +350,30 @@ class TestIntegerView:
                 assert m._int_view() is m._int_view()
 
         check()
+
+    def test_matches_the_inline_reference(self):
+        rng = random.Random(157)
+        draws = (random_measure_1d, random_measure_2d, random_measure_3d)
+        merged = 0
+        for i in range(300):
+            mu = draws[i % 3](rng)
+            t = tuple(rat(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(mu.dim))
+            if i % 4 == 1:  # a mass other than 1, with weights over other denominators
+                scaled = {x: w * rat(rng.randint(1, 9), 7) for x, w in mu.atoms.items()}
+                mu = Measure(mu.dim, scaled)
+            elif i % 4 == 2 and mu.dim > 1:  # twins that merge when projected on e_0
+                v = (0,) + (rng.randint(1, 5),) * (mu.dim - 1)
+                mu = mix([(rat(1, 2), mu), (rat(1, 2), shift(mu, v))])
+                t = (rat(rng.randint(1, 9), rng.randint(1, 12)),) + (rat(0),) * (mu.dim - 1)
+            assert mu._int_view() == int_view_reference(mu)
+            got, expected = _project_ints(mu, t), project_ints_reference(mu, t)
+            assert got == expected and list(got[1]) == list(expected[1])
+            merged += len(got[1]) < len(mu)
+        assert merged > 50
+        for dim in (1, 2, 3):
+            empty = Measure(dim, {})
+            assert empty._int_view() == int_view_reference(empty)
+            assert _project_ints(empty, (1,) * dim) == project_ints_reference(empty, (1,) * dim)
 
     def test_empty_measure(self):
         empty = Measure(2, {})

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from walkorder import (
+    DimensionMismatch,
     Measure,
     SpectrumOptions,
     SpectrumPoint,
@@ -595,6 +596,15 @@ class TestCompareOnRay:
         assert radials[0] == -math.inf and radials[-1] == math.inf
         assert any(r == 0.0 for r in radials)
 
+    def test_measure_dimensions_checked(self):
+        # the projection of the 2-D measure used to report "point has 1
+        # coordinates, expected 2"
+        plane = Measure(2, {(0, 0): 1})
+        with pytest.raises(DimensionMismatch, match="^measure dimensions differ: 1 vs 2$"):
+            compare_on_ray(delta((0,)), plane, direction_1d())
+        with pytest.raises(ValueError, match="^Y must be normalized to total mass 1$"):
+            compare_on_ray(delta((0,)), Measure(2, {(0, 0): "1/2"}), direction_1d())
+
 
 class TestSpectralVerdict:
     def test_strict_deltas(self, halfline):
@@ -627,6 +637,20 @@ class TestSpectralVerdict:
         b = m1({0: "1/2", 1: "1/2"})
         rep = spectral_verdict(b, b, halfline)
         assert rep.verdict == NON_STRICT_ONLY
+
+    @pytest.mark.parametrize(
+        "dims, cone, message",
+        [
+            ((1, 2), "halfline", "measure dimensions differ: 1 vs 2"),
+            ((2, 1), "orthant2", "measure dimensions differ: 2 vs 1"),
+            ((2, 1), "halfline", "cone dimension 1 does not match 2"),
+            ((2, 2), "halfline", "cone dimension 1 does not match 2"),
+        ],
+    )
+    def test_dimensions_checked(self, request, dims, cone, message):
+        X, Y = (Measure(d, {(0,) * d: 1}) for d in dims)
+        with pytest.raises(DimensionMismatch, match=f"^{message}$"):
+            spectral_verdict(X, Y, request.getfixturevalue(cone))
 
     def test_orthant_flags_sampling(self, orthant2):
         X = Measure(2, {(0, 0): 1})
