@@ -23,13 +23,14 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
 from .cones import Cone, Direction, is_upward_1d
 from .dominance import catalyst_1d, default_catalyst_grid, min_n
-from .errors import AtomBudgetExceeded, DimensionMismatch, MassMismatch
+from .errors import AtomBudgetExceeded, DimensionMismatch
 from .ldp import (
     RateOptions,
     cramer_empirical,
@@ -165,6 +166,19 @@ def radial_json(r: float) -> object:
     return _float_or_str(float(r))
 
 
+def check_writable(*paths: Optional[str]) -> None:
+    """Raise, before any work, the OSError that writing a path would raise.
+    Only a path that ``access`` rejects is opened, to append: no file changes."""
+    for path in filter(None, paths):
+        if os.path.lexists(path):
+            ok = not os.path.isdir(path) and os.access(path, os.W_OK)
+        else:
+            parent = os.path.dirname(path) or "."
+            ok = os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+        if not ok:
+            open(path, "a", encoding="utf-8").close()
+
+
 def write_report(report: dict, json_path: Optional[str]) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if json_path is None or json_path == "-":
@@ -235,6 +249,7 @@ def _cmd_dominate(args) -> tuple[dict, int]:
     if not (math.isfinite(args.margin_tol) and args.margin_tol >= 0):
         raise ValueError(f"--margin-tol must be finite and >= 0, got {args.margin_tol!r}")
     opts = SpectrumOptions(margin_tol=args.margin_tol, n_samples=args.samples, seed=args.seed)
+    check_writable(args.csv, args.csv and args.csv + ".gp")
     result = spectral_verdict(*_load_pair(args), opts)
     if args.csv:
         _write_spectrum_csv(result, args.csv)
@@ -325,9 +340,11 @@ def _cmd_rel_rate(args) -> tuple[dict, int]:
     X, Y, cone = _load_pair(args)
     eps = parse_rational(args.eps)
     opts = RateOptions(n_samples=args.samples, seed=args.seed)
-    rhs = relative_rate_rhs(X, Y, cone, opts)
+    check_writable(args.csv, args.csv and args.csv + ".curve.csv")
+    # the table first: its first call rejects a bad --n-max or --eps at once
     ns = [n for n in (8, 16, 32, 64, 128, 256, 512) if n <= args.n_max] or [args.n_max]
     table = [(n, relative_rate_lhs(X, Y, cone, n, eps)) for n in ns]
+    rhs = relative_rate_rhs(X, Y, cone, opts)
     if args.csv:
         _write_rel_rate_csv(args.csv, table, rhs.value, relative_rate_curve(X, Y, cone, opts))
     return dict(
@@ -421,10 +438,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        check_writable(None if args.json == "-" else args.json)
         fields, code = _COMMANDS[args.command].run(args)
         header = {"tool": "walkorder", "version": __version__, "command": args.command}
         write_report({**header, "seed": args.seed, **fields}, args.json)
-    except (ValueError, MassMismatch, AtomBudgetExceeded, OSError) as exc:
+    except (ValueError, AtomBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return code

@@ -19,9 +19,10 @@ from typing import Optional, Sequence
 
 from .cones import Cone, require_walk_pair
 from .errors import DimensionMismatch
-from .measure import DEFAULT_ATOM_CAP, Measure, convolve, convolve_power, require_probability, shift
+from .measure import DEFAULT_ATOM_CAP, Measure, convolve, convolve_power, shift
 from .rational import Rational, ZERO, as_rat, over_lcm, rat
 from .solvers import LinearFeasibility, lp_feasible
+from .spectrum import _Projected
 from .stochorder import leq_st, tail_mass
 
 #: Largest catalyst grid: the LP has about one row and one slack column per
@@ -135,15 +136,11 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
 
 
 def _endpoint_obstructed(X: Measure, Y: Measure) -> bool:
-    """True when min X > min Y, E X > E Y or max X > max Y (1-D, exact):
-    each rules out X*Z <= Y*Z for every finitely supported Z."""
-    xs = [x for (x,) in X.atoms]
-    ys = [y for (y,) in Y.atoms]
-    if min(xs) > min(ys) or max(xs) > max(ys):
-        return True
-    mean_x = sum(x * w for (x,), w in X.atoms.items())
-    mean_y = sum(y * w for (y,), w in Y.atoms.items())
-    return mean_x > mean_y
+    """True when min X > min Y, E X > E Y or max X > max Y, read exactly from
+    the ``spectrum._Projected`` views: each rules out X*Z <= Y*Z for every
+    finitely supported Z."""
+    px, py = _Projected.of(X, (1,)), _Projected.of(Y, (1,))
+    return px.min > py.min or px.mean > py.mean or px.max > py.max
 
 
 def default_catalyst_grid(X: Measure, Y: Measure, step=None) -> list:
@@ -197,10 +194,10 @@ def growth_exponent(mu: Measure, nu: Measure, cone: Cone) -> int:
     """Smallest k >= 0 with nu <= delta_{k*unit} * mu (power universality).
 
     Existence is guaranteed with k at most twice the bounding constant of the
-    joint support, which is used as a hard stop.
+    joint support, which is used as a hard stop.  ``require_walk_pair``
+    checks the pair first, with mu as X and nu as Y.
     """
-    require_probability(mu, "mu")
-    require_probability(nu, "nu")
+    require_walk_pair(mu, nu, cone)
     bound = 2 * cone.bounding_k(list(mu.atoms) + list(nu.atoms))
     for k in range(bound + 1):
         shifted = shift(mu, tuple(rat(k) * uc for uc in cone.unit))

@@ -100,30 +100,25 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
             r_d[j] -= push
 
     while True:
-        visited_s = [False] * m
-        visited_d = [False] * k
         prev_d: dict[int, int] = {}  # demand j discovered from supply i
         prev_s: dict[int, Optional[int]] = {}  # supply i discovered from demand j (None = root)
         queue: deque[int] = deque()
         for i in range(m):
             if r_s[i] > 0:
-                visited_s[i] = True
                 prev_s[i] = None
                 queue.append(i)
         target = None
         while queue and target is None:
             i = queue.popleft()
             for j in adj[i]:
-                if visited_d[j]:
+                if j in prev_d:
                     continue
-                visited_d[j] = True
                 prev_d[j] = i
                 if r_d[j] > 0:
                     target = j
                     break
                 for i2 in radj[j]:
-                    if not visited_s[i2] and flow.get((i2, j), 0) > 0:
-                        visited_s[i2] = True
+                    if i2 not in prev_s and flow.get((i2, j), 0) > 0:
                         prev_s[i2] = j
                         queue.append(i2)
         if target is None:
@@ -157,7 +152,7 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
         _check_certificate(inst, sup, dem, plan, None)
         plan = {e: rat(f, den) for e, f in plan.items()}
         return TransportResult(feasible=True, plan=plan, cut=None)
-    cut = frozenset(i for i in range(m) if visited_s[i])
+    cut = frozenset(prev_s)
     _check_certificate(inst, sup, dem, None, cut)
     return TransportResult(feasible=False, plan=None, cut=cut)
 

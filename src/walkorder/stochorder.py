@@ -4,9 +4,10 @@
 tails in 1-D, transportation feasibility over the admissible pairs
 {(x, y) : x <= y} otherwise.  Both return a certificate: a coupling supported
 on the order relation when dominated, or generators of a violating closed
-upset when not.  In 1-D the two routes give equal certificates: the comonotone
-(quantile) coupling, or the minimal min cut (Strassen 1965; Kamae, Krengel &
-O'Brien 1977).
+upset when not.  In 1-D one walk down both sorted laws from the top of the
+order yields either the minimal min cut or the comonotone (quantile)
+coupling, the certificates the flow route gives (Strassen 1965; Kamae,
+Krengel & O'Brien 1977).
 """
 
 from __future__ import annotations
@@ -113,12 +114,15 @@ def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
 def _leq_sweep(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # The cone is [0, inf) or (-inf, 0].  Walk supp mu from the top of the order
     # down with gap = mu(up c) - nu(up c); the highest c of largest positive gap
-    # generates the minimal min cut.
+    # generates the minimal min cut.  Until the first positive gap, c's mass is
+    # paired at equal levels with atoms of nu already passed, all above c: the
+    # comonotone coupling.
     ascending = is_upward_1d(cone)
     xs = sorted(mu.atoms.items(), reverse=ascending)
     ys = sorted(nu.atoms.items(), reverse=ascending)
-    gap = best = ZERO
-    cut = j = 0
+    gap = best = rem = ZERO  # rem: unpaired mass of ys[k - 1]
+    cut = j = k = 0
+    pairs = []
     for i, (x, w) in enumerate(xs):
         gap += w
         while j < len(ys) and (ys[j][0] >= x if ascending else ys[j][0] <= x):
@@ -126,36 +130,19 @@ def _leq_sweep(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
             j += 1
         if gap > best:
             best, cut = gap, i + 1
+        elif not cut:
+            while w:
+                if not rem:
+                    rem = ys[k][1]
+                    k += 1
+                step = min(w, rem)
+                pairs.append(((x, ys[k - 1][0]), step))
+                w -= step
+                rem -= step
     if cut:
         return OrderVerdict(False, None, sorted(x for x, _ in xs[:cut]))
-    return OrderVerdict(True, _quantile_coupling(mu, nu), None)
-
-
-def _quantile_coupling(mu: Measure, nu: Measure) -> CouplingPlan:
-    # pair off mass at equal quantile levels; under tail dominance every
-    # matched pair is ordered, and entries come out in sorted (x, y) order
-    xs = sorted(mu.atoms.items())
-    ys = sorted(nu.atoms.items())
-    entries: dict = {}
-    if not xs:
-        return CouplingPlan(entries)
-    i = j = 0
-    rem_x, rem_y = xs[0][1], ys[0][1]
-    while True:
-        step = min(rem_x, rem_y)
-        key = (xs[i][0], ys[j][0])
-        entries[key] = entries.get(key, ZERO) + step
-        rem_x -= step
-        rem_y -= step
-        if rem_x == 0:
-            i += 1
-            if i == len(xs):
-                break
-            rem_x = xs[i][1]
-        if rem_y == 0:
-            j += 1
-            rem_y = ys[j][1]
-    return CouplingPlan(entries)
+    # entries in sorted (x, y) order: the walk went down [0, inf)
+    return OrderVerdict(True, CouplingPlan(dict(reversed(pairs) if ascending else pairs)), None)
 
 
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from walkorder import cli, ldp
 from walkorder.cli import (
     EXIT_EPISTEMIC,
     EXIT_ERROR,
@@ -466,6 +467,99 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot parse rational ''" in captured.err
+
+
+# the work each command does after its inputs are loaded
+_SWEEPS = ("spectral_verdict", "min_n", "rate_function", "relative_rate_rhs", "relative_rate_lhs",
+           "relative_rate_curve")
+
+
+class TestFailBeforeWork:
+    """Faults in the report targets or in the rel-rate options exit 1 before
+    any sweep starts, and leave a file already at a target as it was."""
+
+    @pytest.fixture
+    def no_sweep(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the work started before the fault was reported")
+
+        for name in _SWEEPS:
+            monkeypatch.setattr(cli, name, forbidden)
+        return forbidden
+
+    @staticmethod
+    def argv(files, command) -> list:
+        if command == "rate-fn":
+            return [command, files["bern"], "--c", "1/2"]
+        return [command, files["bern"], files["bern34"]]
+
+    @pytest.mark.parametrize("command", ["spectrum", "dominate", "min-n", "rate-fn", "rel-rate"])
+    def test_unwritable_json_exit1(self, capsys, files, no_sweep, command):
+        target = str(files["dir"] / "missing" / "report.json")
+        assert main(self.argv(files, command) + ["--json", target]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert target in captured.err
+
+    @pytest.mark.parametrize("command", ["spectrum", "dominate", "rel-rate"])
+    def test_unwritable_csv_exit1(self, capsys, files, no_sweep, command):
+        report = files["dir"] / "report.json"
+        report.write_text("kept\n", encoding="utf-8")
+        target = str(files["dir"] / "missing" / "curves.csv")
+        argv = self.argv(files, command) + ["--csv", target, "--json", str(report)]
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno 2] No such file or directory")
+        assert report.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("command, suffix", [("dominate", ".gp"), ("rel-rate", ".curve.csv")])
+    def test_unwritable_companion_file_exit1(self, capsys, files, no_sweep, command, suffix):
+        target = files["dir"] / "curves.csv"
+        target.write_text("kept\n", encoding="utf-8")
+        (files["dir"] / f"curves.csv{suffix}").mkdir()
+        assert main(self.argv(files, command) + ["--csv", str(target)]) == EXIT_ERROR
+        assert "error: [Errno 21] Is a directory" in capsys.readouterr().err
+        assert target.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("option, message", [
+        ("--n-max=0", "n must be at least 1"),
+        ("--eps=0", "eps must be positive"),
+        ("--eps=-1/2", "eps must be positive"),
+    ])
+    def test_bad_rel_rate_option_exit1(self, capsys, files, monkeypatch, no_sweep, option, message):
+        # relative_rate_lhs checks its options before it builds a power
+        monkeypatch.setattr(cli, "relative_rate_lhs", ldp.relative_rate_lhs)
+        monkeypatch.setattr(ldp, "convolve_power", no_sweep)
+        kept = {files["dir"] / "report.json": "kept\n", files["dir"] / "curves.csv": "kept too\n"}
+        for path, text in kept.items():
+            path.write_text(text, encoding="utf-8")
+        argv = self.argv(files, "rel-rate") + [option, "--json", str(files["dir"] / "report.json"),
+                                               "--csv", str(files["dir"] / "curves.csv")]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert {path: path.read_text(encoding="utf-8") for path in kept} == kept
+        assert not (files["dir"] / "curves.csv.curve.csv").exists()
+
+    def test_failed_run_leaves_no_new_file(self, capsys, files):
+        targets = [files["dir"] / "new.json", files["dir"] / "new.csv"]
+        argv = self.argv(files, "rel-rate") + ["--eps=0", "--json", str(targets[0])]
+        assert main(argv + ["--csv", str(targets[1])]) == EXIT_ERROR
+        assert not any(path.exists() for path in targets)
+
+    def test_existing_targets_are_overwritten_on_success(self, capsys, files):
+        argv = self.argv(files, "rel-rate") + ["--n-max", "8"]
+        code, out = run(capsys, argv + ["--json", "-"])
+        csv_path = files["dir"] / "fresh.csv"
+        run(capsys, argv + ["--csv", str(csv_path)])
+        fresh = {p.name: p.read_bytes() for p in (csv_path, files["dir"] / "fresh.csv.curve.csv")}
+        report, stale = files["dir"] / "report.json", files["dir"] / "stale.csv"
+        for path in (report, stale, files["dir"] / "stale.csv.curve.csv"):
+            path.write_text("x" * 100000, encoding="utf-8")
+        assert main(argv + ["--json", str(report), "--csv", str(stale)]) == code == EXIT_OK
+        assert report.read_text(encoding="utf-8") == out
+        assert stale.read_bytes() == fresh["fresh.csv"]
+        assert (files["dir"] / "stale.csv.curve.csv").read_bytes() == fresh["fresh.csv.curve.csv"]
 
 
 class TestParserReuse:

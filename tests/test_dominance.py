@@ -353,3 +353,18 @@ class TestGrowthExponent:
             assert leq_st(nu, shift(mu, (rat(k),)), halfline).dominated
             if k > 0:
                 assert not leq_st(nu, shift(mu, (rat(k - 1),)), halfline).dominated
+
+    def test_pair_checked_before_the_bound(self, halfline, orthant2):
+        # every fault is reported by require_walk_pair, not by Cone.bounding_k
+        line, plane, half = delta((0,)), Measure(2, {(0, 0): 1}), m1({0: "1/2"})
+        cases = [
+            ((line, plane, halfline), DimensionMismatch, "measure dimensions differ: 1 vs 2"),
+            ((line, plane, orthant2), DimensionMismatch, "cone dimension 2 does not match 1"),
+            ((plane, line, halfline), DimensionMismatch, "cone dimension 1 does not match 2"),
+            ((plane, line, orthant2), DimensionMismatch, "measure dimensions differ: 2 vs 1"),
+            ((half, line, halfline), ValueError, "X must be normalized to total mass 1"),
+            ((line, half, halfline), ValueError, "Y must be normalized to total mass 1"),
+        ]
+        for args, error, message in cases:
+            with pytest.raises(error, match=f"^{message}$"):
+                growth_exponent(*args)

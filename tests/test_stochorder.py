@@ -267,6 +267,27 @@ class TestSweepCertificates:
             v = leq_st(empty, empty, cone)
             assert certificate(v) == certificate(_leq_flow(empty, empty, cone)) == (True, None, [])
 
+    def test_pairing_stops_at_the_first_positive_gap(self, monkeypatch):
+        # each paired step takes one min(); the verdict cannot show pairing
+        # that goes on past the cut, since its coupling is dropped
+        steps = []
+
+        def counting_min(*args):
+            steps.append(args)
+            return min(*args)
+
+        monkeypatch.setattr(stochorder, "min", counting_min, raising=False)
+        nu = m1({k: "1/10" for k in range(10)})
+        for cone in CONES_1D:
+            # mu's atom at the far end lies above all of nu in the cone order,
+            # so the gap is positive at once; nu <= mu, by pairing every atom
+            far = 20 if cone.normals[0][0] > 0 else -20
+            mu = m1({far: "1/2", **{k: "1/20" for k in range(10)}})
+            assert not leq_st(mu, nu, cone).dominated
+            assert steps == []
+            assert leq_st(nu, mu, cone).dominated and len(steps) >= 10
+            steps.clear()
+
     def test_one_dimensional_route_skips_flow_and_leq_point(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("1-D leq_st must not build order edges or run the flow")
