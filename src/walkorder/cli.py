@@ -337,11 +337,12 @@ def _write_rel_rate_csv(path: str, table: list, rhs: float, curve: list) -> None
 
 
 def _cmd_rel_rate(args) -> tuple[dict, int]:
-    X, Y, cone = _load_pair(args)
     eps = parse_rational(args.eps)
+    if eps <= 0:
+        raise ValueError("--eps must be positive")
+    X, Y, cone = _load_pair(args)
     opts = RateOptions(n_samples=args.samples, seed=args.seed)
     check_writable(args.csv, args.csv and args.csv + ".curve.csv")
-    # the table first: its first call rejects a bad --n-max or --eps at once
     ns = [n for n in (8, 16, 32, 64, 128, 256, 512) if n <= args.n_max] or [args.n_max]
     table = [(n, relative_rate_lhs(X, Y, cone, n, eps)) for n in ns]
     rhs = relative_rate_rhs(X, Y, cone, opts)
@@ -438,8 +439,11 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
+        command = _COMMANDS[args.command]
+        if "--n-max" in command.options and args.n_max < 1:
+            raise ValueError("--n-max must be at least 1")
         check_writable(None if args.json == "-" else args.json)
-        fields, code = _COMMANDS[args.command].run(args)
+        fields, code = command.run(args)
         header = {"tool": "walkorder", "version": __version__, "command": args.command}
         write_report({**header, "seed": args.seed, **fields}, args.json)
     except (ValueError, AtomBudgetExceeded, OSError) as exc:

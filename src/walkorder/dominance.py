@@ -2,12 +2,14 @@
 
 min_n certifies a stability window: the walk sums X_1+...+X_n must be
 dominated for every n from the reported n0 up to n_max, since a single
-success at one n is not an asymptotic statement.  catalyst_1d searches for an
-auxiliary independent Z on a fixed support grid by exact linear feasibility
-over the tail constraints of X+Z vs Y+Z, then re-verifies the winner
-exactly; pairs that no Z can order (X's min, mean or max above Y's) are
-turned away before the LP.  growth_exponent finds the smallest k with
-nu <= delta_{k*unit} * mu.
+success at one n is not an asymptotic statement.  In 1-D its powers are int
+maps on one lattice, each grown from the last by one multiply and decided by
+the int tail walk of ``leq_st``; only witnesses are decoded.  catalyst_1d
+searches for an auxiliary independent Z on a fixed support grid by exact
+linear feasibility over the tail constraints of X+Z vs Y+Z, then re-verifies
+the winner exactly; pairs that no Z can order (X's min, mean or max above
+Y's) are turned away before the LP.  growth_exponent finds the smallest k
+with nu <= delta_{k*unit} * mu.
 """
 
 from __future__ import annotations
@@ -19,11 +21,11 @@ from typing import Optional, Sequence
 
 from .cones import Cone, require_walk_pair
 from .errors import DimensionMismatch
-from .measure import DEFAULT_ATOM_CAP, Measure, convolve, convolve_power, shift
+from .measure import DEFAULT_ATOM_CAP, Measure, _convolve_packed, convolve, convolve_power, shift
 from .rational import Rational, ZERO, as_rat, over_lcm, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .spectrum import _Projected
-from .stochorder import leq_st, tail_mass
+from .stochorder import _tail_walk, _tops_1d, leq_st, tail_mass
 
 #: Largest catalyst grid: the LP has about one row and one slack column per
 #: grid point, so even its sparse tableau can grow as the square of the grid.
@@ -54,21 +56,43 @@ def min_n(
 ) -> MinNResult:
     """Smallest n0 such that X^{*n} <= Y^{*n} for every n in [n0, n_max].
 
-    Each power is computed independently by repeated squaring and compared
-    with ``leq_st``, which takes its 1-D tail sweep for 1-D walks.
+    1-D powers grow by one multiply each (``_failures_1d``); in d >= 2 each
+    is computed by repeated squaring and compared with ``leq_st``.  Either
+    way ``AtomBudgetExceeded`` rises at the first n where the support of
+    X^n, then of Y^n, exceeds ``cap``.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     require_walk_pair(X, Y, cone)
-    results = [
-        (n, leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone))
-        for n in range(1, n_max + 1)
-    ]
-    failures = [(n, v.witness_upset) for n, v in results if not v.dominated]
+    if X.dim == 1:
+        failures = _failures_1d(X, Y, cone, n_max, cap)
+    else:
+        results = [
+            (n, leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone))
+            for n in range(1, n_max + 1)
+        ]
+        failures = [(n, v.witness_upset) for n, v in results if not v.dominated]
     if failures and failures[-1][0] == n_max:
         return MinNResult(found=False, n0=None, stable_through=n_max, failures=failures)
     last_fail = failures[-1][0] if failures else 0
     return MinNResult(found=True, n0=last_fail + 1, stable_through=n_max, failures=failures)
+
+
+def _failures_1d(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> list:
+    """``(n, witness)`` for each n <= n_max at which 1-D X^n is not <= Y^n.
+    X^n maps each int level of ``_tops_1d`` to its int weight over D^n and is
+    X^{n-1} times X's k atoms; supports grow with n, so the cap check raises
+    at the n where repeated squaring would."""
+    s, _, (xs, _), (ys, _) = _tops_1d(X, Y, cone)
+    steps, powers = (dict(xs), dict(ys)), ({0: 1}, {0: 1})
+    failures = []
+    for n in range(1, n_max + 1):
+        powers = [_convolve_packed(step, power, cap) for step, power in zip(steps, powers)]
+        xs, ys = (sorted(power.items(), reverse=True) for power in powers)
+        cut, _ = _tail_walk(xs, ys, couple=False)
+        if cut:
+            failures.append((n, sorted((rat(x, s),) for x, _ in xs[:cut])))
+    return failures
 
 
 def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:

@@ -1,13 +1,14 @@
 """Exact decider for the stochastic preorder between finitely supported measures.
 
-``leq_st`` is the one decider and picks its route: a single sweep over closed
-tails in 1-D, transportation feasibility over the admissible pairs
-{(x, y) : x <= y} otherwise.  Both return a certificate: a coupling supported
-on the order relation when dominated, or generators of a violating closed
-upset when not.  In 1-D one walk down both sorted laws from the top of the
-order yields either the minimal min cut or the comonotone (quantile)
-coupling, the certificates the flow route gives (Strassen 1965; Kamae,
-Krengel & O'Brien 1977).
+``leq_st`` is the one decider and picks its route: one walk over closed tails
+in 1-D, transportation feasibility over the admissible pairs {(x, y) : x <= y}
+otherwise.  Both return a certificate: a coupling supported on the order
+relation when dominated, or generators of a violating closed upset when not.
+In 1-D both laws go on one integer lattice, and one int walk (``_tail_walk``)
+down their levels from the top of the order yields the minimal min cut or the
+comonotone (quantile) coupling, the certificates the flow route gives
+(Strassen 1965; Kamae, Krengel & O'Brien 1977); only these are decoded to
+rationals.  ``dominance.min_n`` runs the same walk on its 1-D powers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
+from math import lcm
 from operator import ge, mul
 from typing import Optional, Sequence
 
@@ -106,43 +108,63 @@ def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
             f"total masses differ ({mu.mass()} vs {nu.mass()}); "
             "stochastic comparability requires equal normalization"
         )
-    if mu.dim == 1:
-        return _leq_sweep(mu, nu, cone)
-    return _leq_flow(mu, nu, cone)
+    if mu.dim > 1:
+        return _leq_flow(mu, nu, cone)
+    # one int walk on both laws' levels; only the certificate is decoded
+    s, d, (xs, x_pts), (ys, y_pts) = _tops_1d(mu, nu, cone)
+    cut, pairs = _tail_walk(xs, ys)
+    if cut:
+        return OrderVerdict(False, None, sorted(x_pts[x] for x, _ in xs[:cut]))
+    entries = [((x_pts[x], y_pts[y]), rat(w, d)) for x, y, w in pairs]
+    # entries in sorted (x, y) order: the walk went down [0, inf)
+    return OrderVerdict(True, CouplingPlan(dict(reversed(entries) if s > 0 else entries)), None)
 
 
-def _leq_sweep(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
-    # The cone is [0, inf) or (-inf, 0].  Walk supp mu from the top of the order
-    # down with gap = mu(up c) - nu(up c); the highest c of largest positive gap
-    # generates the minimal min cut.  Until the first positive gap, c's mass is
-    # paired at equal levels with atoms of nu already passed, all above c: the
-    # comonotone coupling.
-    ascending = is_upward_1d(cone)
-    xs = sorted(mu.atoms.items(), reverse=ascending)
-    ys = sorted(nu.atoms.items(), reverse=ascending)
-    gap = best = rem = ZERO  # rem: unpaired mass of ys[k - 1]
+def _tops_1d(mu: Measure, nu: Measure, cone: Cone) -> tuple:
+    """``(s, d, (xs, x_points), (ys, y_points))``: the atoms of 1-D mu and nu
+    as ``(level, weight)`` int pairs, levels descending, and maps from level
+    to point.  Point x is at level ``x * s`` and weight w is ``w * d``, for s
+    and d the lcms of the integer views' scales; s < 0 on (-inf, 0] mirrors
+    the order, so its top is the largest level."""
+    views = mu._int_view(), nu._int_view()
+    s = lcm(*(v[0] for v in views)) * (1 if is_upward_1d(cone) else -1)
+    d = lcm(*(v[2] for v in views))
+    tops = []
+    for m, (sm, coords, dm, weights) in zip((mu, nu), views):
+        levels = [c * (s // sm) for (c,) in coords]
+        ints = zip(levels, (w * (d // dm) for w in weights))
+        tops.append((sorted(ints, reverse=True), dict(zip(levels, m._atoms))))
+    return s, d, *tops
+
+
+def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, list]:
+    """``(cut, pairs)`` for ``(level, weight)`` int pairs of two laws of
+    equal total weight, each from the top (the largest level) down.  With
+    ``gap = x(up c) - y(up c)``, the highest c of largest positive gap
+    generates the minimal min cut, the first ``cut`` entries of xs; ``cut``
+    is 0 iff x <= y.  Until the first positive gap, if ``couple``, c's weight
+    is paired with entries of ys already passed, all at or above c: the
+    comonotone coupling, as ``(x level, y level, weight)`` in walk order."""
+    gap = best = rem = 0  # rem: unpaired weight of ys[k - 1]
     cut = j = k = 0
     pairs = []
     for i, (x, w) in enumerate(xs):
         gap += w
-        while j < len(ys) and (ys[j][0] >= x if ascending else ys[j][0] <= x):
+        while j < len(ys) and ys[j][0] >= x:
             gap -= ys[j][1]
             j += 1
         if gap > best:
             best, cut = gap, i + 1
-        elif not cut:
+        elif couple and not cut:
             while w:
                 if not rem:
                     rem = ys[k][1]
                     k += 1
                 step = min(w, rem)
-                pairs.append(((x, ys[k - 1][0]), step))
+                pairs.append((x, ys[k - 1][0], step))
                 w -= step
                 rem -= step
-    if cut:
-        return OrderVerdict(False, None, sorted(x for x, _ in xs[:cut]))
-    # entries in sorted (x, y) order: the walk went down [0, inf)
-    return OrderVerdict(True, CouplingPlan(dict(reversed(pairs) if ascending else pairs)), None)
+    return cut, pairs
 
 
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:

@@ -10,9 +10,9 @@ from operator import mul
 import numpy as np
 import pytest
 
-from walkorder import Cone, Measure, convolve, leq_st
-from walkorder.dominance import Catalyst, _grid_step
-from walkorder.measure import as_point
+from walkorder import Cone, Measure, convolve, convolve_power, leq_st
+from walkorder.dominance import Catalyst, MinNResult, _grid_step
+from walkorder.measure import DEFAULT_ATOM_CAP, as_point
 from walkorder.rational import ZERO, as_rat, rat
 from walkorder.solvers import LinearFeasibility, TransportResult, lp_feasible
 from walkorder.stochorder import tail_mass
@@ -88,11 +88,12 @@ def endpoints(mu: Measure) -> tuple:
     return min(xs), sum(x * w for (x,), w in mu.atoms.items()), max(xs)
 
 
-def measures_on(hyp, dim: int):
-    """Hypothesis strategy: 1 to 5 atoms with coordinates in (1/6)Z, negatives
-    included, so steps such as 1/3 and 1/2 are off the integer lattice."""
+def measures_on(hyp, dim: int, dens=(1, 2, 3, 6)):
+    """Hypothesis strategy: 1 to 5 atoms with coordinates k/q for q in
+    ``dens``, negatives included.  The default puts them in (1/6)Z, so steps
+    such as 1/3 and 1/2 are off the integer lattice."""
     st = hyp.strategies
-    coord = st.builds(rat, st.integers(-6, 6), st.sampled_from([1, 2, 3, 6]))
+    coord = st.builds(rat, st.integers(-6, 6), st.sampled_from(dens))
     weight = st.builds(rat, st.integers(1, 9), st.sampled_from([1, 2, 4, 5, 7]))
     points = st.tuples(*[coord] * dim)
     return st.dictionaries(points, weight, min_size=1, max_size=5).map(
@@ -248,6 +249,21 @@ def project_ints_reference(mu: Measure, t) -> tuple:
         k = sum(map(mul, ti, x))
         merged[k] = merged.get(k, 0) + w
     return s * scale, merged, d
+
+
+def min_n_reference(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int = DEFAULT_ATOM_CAP):
+    """``dominance.min_n`` as it ran in every dimension before 1-D powers
+    moved to one int lattice: each power by ``convolve_power``, each n
+    decided by ``leq_st``.  Takes a valid pair and ``n_max >= 1``."""
+    results = [
+        (n, leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone))
+        for n in range(1, n_max + 1)
+    ]
+    failures = [(n, v.witness_upset) for n, v in results if not v.dominated]
+    if failures and failures[-1][0] == n_max:
+        return MinNResult(found=False, n0=None, stable_through=n_max, failures=failures)
+    last_fail = failures[-1][0] if failures else 0
+    return MinNResult(found=True, n0=last_fail + 1, stable_through=n_max, failures=failures)
 
 
 def bernoulli(p) -> Measure:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from walkorder import cli, ldp
+from walkorder import cli
 from walkorder.cli import (
     EXIT_EPISTEMIC,
     EXIT_ERROR,
@@ -475,8 +475,8 @@ _SWEEPS = ("spectral_verdict", "min_n", "rate_function", "relative_rate_rhs", "r
 
 
 class TestFailBeforeWork:
-    """Faults in the report targets or in the rel-rate options exit 1 before
-    any sweep starts, and leave a file already at a target as it was."""
+    """Faults in the report targets, in ``--n-max`` or in ``--eps`` exit 1
+    before any sweep starts, and leave a file already at a target as it was."""
 
     @pytest.fixture
     def no_sweep(self, monkeypatch):
@@ -489,7 +489,7 @@ class TestFailBeforeWork:
 
     @staticmethod
     def argv(files, command) -> list:
-        if command == "rate-fn":
+        if command in ("rate-fn", "cramer"):
             return [command, files["bern"], "--c", "1/2"]
         return [command, files["bern"], files["bern34"]]
 
@@ -523,14 +523,12 @@ class TestFailBeforeWork:
         assert target.read_text(encoding="utf-8") == "kept\n"
 
     @pytest.mark.parametrize("option, message", [
-        ("--n-max=0", "n must be at least 1"),
-        ("--eps=0", "eps must be positive"),
-        ("--eps=-1/2", "eps must be positive"),
+        ("--n-max=0", "--n-max must be at least 1"),
+        ("--eps=0", "--eps must be positive"),
+        ("--eps=-1/2", "--eps must be positive"),
     ])
-    def test_bad_rel_rate_option_exit1(self, capsys, files, monkeypatch, no_sweep, option, message):
-        # relative_rate_lhs checks its options before it builds a power
-        monkeypatch.setattr(cli, "relative_rate_lhs", ldp.relative_rate_lhs)
-        monkeypatch.setattr(ldp, "convolve_power", no_sweep)
+    def test_bad_rel_rate_option_exit1(self, capsys, files, no_sweep, option, message):
+        # the CLI names the option before relative_rate_lhs is called
         kept = {files["dir"] / "report.json": "kept\n", files["dir"] / "curves.csv": "kept too\n"}
         for path, text in kept.items():
             path.write_text(text, encoding="utf-8")
@@ -540,6 +538,17 @@ class TestFailBeforeWork:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert {path: path.read_text(encoding="utf-8") for path in kept} == kept
         assert not (files["dir"] / "curves.csv.curve.csv").exists()
+
+    @pytest.mark.parametrize("command, option", [
+        ("min-n", "--n-max=0"), ("min-n", "--n-max=-3"), ("cramer", "--n-max=0"),
+    ])
+    def test_bad_n_max_exit1(self, capsys, files, monkeypatch, no_sweep, command, option):
+        monkeypatch.setattr(cli, "cramer_empirical", no_sweep)
+        report = files["dir"] / "report.json"
+        report.write_text("kept\n", encoding="utf-8")
+        assert main(self.argv(files, command) + [option, "--json", str(report)]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --n-max must be at least 1\n"
+        assert report.read_text(encoding="utf-8") == "kept\n"
 
     def test_failed_run_leaves_no_new_file(self, capsys, files):
         targets = [files["dir"] / "new.json", files["dir"] / "new.csv"]

@@ -8,6 +8,7 @@ import pytest
 
 from walkorder import (
     AtomBudgetExceeded,
+    Cone,
     DimensionMismatch,
     Measure,
     catalyst_1d,
@@ -20,7 +21,7 @@ from walkorder import (
     shift,
     spectral_verdict,
 )
-from walkorder import dominance
+from walkorder import dominance, measure, stochorder
 from walkorder.dominance import MAX_CATALYST_GRID, _lattice_step, default_catalyst_grid
 from walkorder.rational import rat
 from walkorder.spectrum import VIOLATED
@@ -31,6 +32,7 @@ from conftest import (
     composition,
     endpoints,
     lattice_step_reference,
+    min_n_reference,
     random_measure_1d,
 )
 
@@ -119,6 +121,78 @@ class TestMinN:
         mu = m1({0: "1/3", "1/3": "1/3", "1/2": "1/3"})
         with pytest.raises(AtomBudgetExceeded):
             min_n(mu, shift(mu, (1,)), halfline, n_max=40, cap=50)
+
+
+# the three shapes a 1-D cone takes: [0, inf), (-inf, 0], and (-inf, 0] with
+# a scaled normal and unit
+CONES_1D = [Cone.halfline(), Cone(1, [(-1,)], [(-1,)], (-1,)), Cone(1, [(-2,)], [(-3,)], (-5,))]
+
+
+def _lattice_law(rng: random.Random) -> Measure:
+    """1 to 4 atoms at a + k/d for d <= 5, with a off the step's lattice; one
+    law in four has 1 to 3 atoms on no common step at all."""
+    k = rng.randint(1, 4)
+    if rng.random() < 0.25:
+        points = {rat(rng.randint(-8, 8), rng.randint(1, 5)) for _ in range(min(k, 3))}
+    else:
+        a, d = rat(rng.randint(-6, 6), rng.randint(1, 5)), rng.randint(1, 5)
+        points = {a + rat(j, d) for j in rng.sample(range(7), k)}
+    return Measure(1, list(zip([(x,) for x in points], composition(rng, len(points), 12))))
+
+
+class TestMinNLattice:
+    """1-D ``min_n`` on one int lattice against ``min_n_reference``, the
+    ``convolve_power`` plus ``leq_st`` route it replaced."""
+
+    def test_equal_to_the_reference(self):
+        rng = random.Random(64)
+        outcomes = set()
+        for i in range(320):
+            X, Y = _lattice_law(rng), _lattice_law(rng)
+            cone, n_max = CONES_1D[i % 3], rng.randint(1, 20)
+            if rng.random() < 0.4:  # X's atoms moved, mostly up: often dominated from some n on
+                d = rng.randint(1, 5) * cone.unit[0]
+                Y = Measure(1, [((x + rat(rng.choice((-1, 1, 2, 2)), d),), w) for (x,), w in X.atoms.items()])
+            res = min_n(X, Y, cone, n_max)
+            assert res == min_n_reference(X, Y, cone, n_max), (X, Y, cone, n_max)
+            outcomes.add((i % 3, res.found, bool(res.failures)))
+        assert len(outcomes) == 9  # found with and without failures, and not found, on every cone
+
+    def test_atom_cap_raises_at_the_same_n(self):
+        def outcomes(run, X, Y, cone, cap) -> list:
+            # the result for each n_max up to the first that raises, then its message
+            got = []
+            for n_max in range(1, 9):
+                try:
+                    got.append(run(X, Y, cone, n_max, cap))
+                except AtomBudgetExceeded as exc:
+                    return got + [str(exc)]
+            return got
+
+        rng = random.Random(65)
+        raised = 0
+        for i in range(30):
+            case = (_lattice_law(rng), _lattice_law(rng), CONES_1D[i % 3], rng.randint(2, 12))
+            got = outcomes(min_n, *case)
+            assert got == outcomes(min_n_reference, *case)
+            raised += got[-1] == f"convolution support exceeded the atom cap of {case[3]}"
+        assert raised >= 10
+
+    def test_no_convolve_power_and_no_fraction_when_dominated(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("1-D min_n must stay on its int lattice")
+
+        monkeypatch.setattr(dominance, "convolve_power", forbidden)
+        monkeypatch.setattr(measure, "convolve_power", forbidden)
+        X = m1({0: "1/3", "1/2": "2/3"})
+        for cone in CONES_1D:
+            Y = shift(X, (rat(1, 5) * cone.unit[0],))
+            assert min_n(X, Y, cone, n_max=12).failures == []
+            assert min_n(Y, X, cone, n_max=3).failures[-1][0] == 3
+        # a dominated n decodes nothing: no rational is built at all
+        monkeypatch.setattr(dominance, "rat", forbidden)
+        monkeypatch.setattr(stochorder, "rat", forbidden)
+        assert min_n(X, shift(X, (1,)), Cone.halfline(), n_max=20).n0 == 1
 
 
 class TestCatalyst:

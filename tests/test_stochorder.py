@@ -302,6 +302,103 @@ class TestSweepCertificates:
             assert {leq_st(mu, nu, cone).dominated, leq_st(nu, mu, cone).dominated} == {True, False}
 
 
+def laws_1d(hyp, dens):
+    """Hypothesis strategy: 1-D probability laws of ``measures_on``."""
+    return measures_on(hyp, 1, dens).map(Measure.normalized)
+
+
+def moves(hyp, dens):
+    """Hypothesis strategy: ten nonnegative moves, one per atom of a law."""
+    st = hyp.strategies
+    step = st.builds(rat, st.integers(0, 4), st.sampled_from(dens))
+    return st.lists(step, min_size=10, max_size=10)
+
+
+def moved_up(mu: Measure, cone: Cone, first: list, second: list) -> Measure:
+    """Half of each atom of mu moved up the cone by its move in ``first``, the
+    other half by its move in ``second``; so mu <= the result."""
+    atoms = sorted(mu.atoms.items())
+    return Measure(1, [
+        ((x + m * cone.unit[0],), w / 2)
+        for ms in (first, second)
+        for ((x,), w), m in zip(atoms, ms)
+    ])
+
+
+def assert_certified(v, mu: Measure, nu: Measure, cone: Cone) -> None:
+    """A coupling on ordered pairs with mu and nu as marginals, or an upset
+    that carries more mu mass than nu mass."""
+    if v.dominated:
+        check_coupling(v.witness_coupling, mu, nu, cone)
+    else:
+        assert upset_mass(mu, cone, v.witness_upset) > upset_mass(nu, cone, v.witness_upset)
+
+
+# coordinate denominators: every law in (1/6)Z, or laws on lattices of their own
+LATTICES = [(1, 2, 3, 6), (1, 2, 3, 5, 7)]
+
+
+class TestOrderLaws1D:
+    """Order laws of the 1-D int walk behind ``leq_st``, on all three 1-D cones."""
+
+    @pytest.mark.parametrize("dens", LATTICES)
+    def test_reflexive(self, hyp, dens):
+        @kernel_settings(hyp)
+        @hyp.given(laws_1d(hyp, dens))
+        def check(mu):
+            for cone in CONES_1D:
+                v = leq_st(mu, mu, cone)
+                assert v.dominated
+                assert v.witness_coupling.entries == {(x, x): w for x, w in mu.atoms.items()}
+
+        check()
+
+    @pytest.mark.parametrize("dens", LATTICES)
+    def test_transitive(self, hyp, dens):
+        @kernel_settings(hyp)
+        @hyp.given(laws_1d(hyp, dens), laws_1d(hyp, dens), *[moves(hyp, dens)] * 4)
+        def check(mu, other, m1, m2, m3, m4):
+            for cone in CONES_1D:
+                nu = moved_up(mu, cone, m1, m2)
+                rho = moved_up(nu, cone, m3, m4)
+                assert leq_st(mu, nu, cone).dominated and leq_st(nu, rho, cone).dominated
+                assert leq_st(mu, rho, cone).dominated
+                # a law drawn on its own, below nu or above nu
+                if leq_st(other, nu, cone).dominated:
+                    assert leq_st(other, rho, cone).dominated
+                if leq_st(nu, other, cone).dominated:
+                    assert leq_st(mu, other, cone).dominated
+
+        check()
+
+    @pytest.mark.parametrize("dens", LATTICES)
+    def test_convolution_preserves_the_order(self, hyp, dens):
+        @kernel_settings(hyp)
+        @hyp.given(laws_1d(hyp, dens), laws_1d(hyp, dens), laws_1d(hyp, dens), *[moves(hyp, dens)] * 2)
+        def check(mu, other, kappa, m1, m2):
+            for cone in CONES_1D:
+                for nu in (moved_up(mu, cone, m1, m2), other):
+                    v = leq_st(mu, nu, cone)
+                    assert v.dominated or nu is other
+                    w = leq_st(convolve(mu, kappa), convolve(nu, kappa), cone)
+                    assert w.dominated or not v.dominated
+                    assert_certified(w, convolve(mu, kappa), convolve(nu, kappa), cone)
+
+        check()
+
+    @pytest.mark.parametrize("dens", LATTICES)
+    def test_every_verdict_certified(self, hyp, dens):
+        @kernel_settings(hyp)
+        @hyp.given(laws_1d(hyp, dens), laws_1d(hyp, dens), *[moves(hyp, dens)] * 2)
+        def check(mu, other, m1, m2):
+            for cone in CONES_1D:
+                nu = moved_up(mu, cone, m1, m2)
+                for a, b in ((mu, nu), (nu, mu), (mu, other), (other, mu)):
+                    assert_certified(leq_st(a, b, cone), a, b, cone)
+
+        check()
+
+
 class TestFlowCertificates:
     """``leq_st`` in d >= 2 against ``_leq_flow`` run on the ``Fraction``
     max-flow reference: the same verdict, coupling entries and upset."""
