@@ -18,6 +18,15 @@ from walkorder.solvers import LinearFeasibility, TransportResult, lp_feasible
 from walkorder.stochorder import tail_mass
 
 
+# the three shapes a 1-D cone takes: [0, inf), (-inf, 0], and (-inf, 0] with
+# a scaled normal and unit
+CONES_1D = [
+    Cone.halfline(),
+    Cone(1, [(-1,)], [(-1,)], (-1,)),
+    Cone(1, [(-2,)], [(-3,)], (-5,)),
+]
+
+
 def random_measure_1d(
     rng: random.Random,
     max_atoms: int = 6,

@@ -27,6 +27,7 @@ from walkorder.rational import rat
 from walkorder.spectrum import VIOLATED
 
 from conftest import (
+    CONES_1D,
     bernoulli,
     catalyst_1d_lp_only,
     composition,
@@ -123,11 +124,6 @@ class TestMinN:
             min_n(mu, shift(mu, (1,)), halfline, n_max=40, cap=50)
 
 
-# the three shapes a 1-D cone takes: [0, inf), (-inf, 0], and (-inf, 0] with
-# a scaled normal and unit
-CONES_1D = [Cone.halfline(), Cone(1, [(-1,)], [(-1,)], (-1,)), Cone(1, [(-2,)], [(-3,)], (-5,))]
-
-
 def _lattice_law(rng: random.Random) -> Measure:
     """1 to 4 atoms at a + k/d for d <= 5, with a off the step's lattice; one
     law in four has 1 to 3 atoms on no common step at all."""
@@ -189,7 +185,7 @@ class TestMinNLattice:
             Y = shift(X, (rat(1, 5) * cone.unit[0],))
             assert min_n(X, Y, cone, n_max=12).failures == []
             assert min_n(Y, X, cone, n_max=3).failures[-1][0] == 3
-        # a dominated n decodes nothing: no rational is built at all
+        # a dominated n decodes nothing
         monkeypatch.setattr(dominance, "rat", forbidden)
         monkeypatch.setattr(stochorder, "rat", forbidden)
         assert min_n(X, shift(X, (1,)), Cone.halfline(), n_max=20).n0 == 1

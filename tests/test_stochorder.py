@@ -25,6 +25,7 @@ from walkorder.rational import ZERO, rat
 from walkorder.stochorder import _leq_flow, principal_upset_masses, tail_mass
 
 from conftest import (
+    CONES_1D,
     kernel_settings,
     measures_on,
     random_measure_1d,
@@ -233,15 +234,6 @@ class TestAgreementAndCertificates:
             assert leq_st(mu, nu, halfline).dominated
             assert leq_st(nu, rho, halfline).dominated
             assert leq_st(mu, rho, halfline).dominated
-
-
-# the three shapes a 1-D cone takes: [0, inf), (-inf, 0], and (-inf, 0] with
-# a scaled normal and unit
-CONES_1D = [
-    Cone.halfline(),
-    Cone(1, [(-1,)], [(-1,)], (-1,)),
-    Cone(1, [(-2,)], [(-3,)], (-5,)),
-]
 
 
 class TestSweepCertificates:
