@@ -54,6 +54,8 @@ EXIT_EPISTEMIC = 2
 
 def parse_rational(text):
     try:
+        if isinstance(text, bool):
+            raise ValueError("a boolean is not a number")
         return as_rat(str(text)) if not isinstance(text, int) else as_rat(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
@@ -69,6 +71,8 @@ def parse_point(obj, dim: int | None = None) -> tuple:
 
 def _parse_dim(value) -> int:
     try:
+        if isinstance(value, (bool, float)):
+            raise TypeError  # int() would truncate 1.9 and read true as 1
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f'"dim" must be an integer, got {value!r}') from None
@@ -127,7 +131,7 @@ def _read_file(path: str, parse, *args):
             return parse(fh.read(), *args)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
         raise ValueError(f"{path}: {exc}") from None
 
 

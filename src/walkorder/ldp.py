@@ -9,10 +9,11 @@ projected gradient ascent over conic combinations of the dual rays is used
 and results are flagged as grid-refined.
 
 The relative decay rate has two sides: the right-hand side is a supremum of
-log-MGF ratios over the dual cone; the left-hand side is computed from exact
-n-fold convolutions with closed-upset masses.  In one dimension the upset
-sweep is exhaustive (hence exact); in higher dimensions it is restricted to
-principal upsets and is a certified lower bound.
+log-MGF ratios over the dual cone; the left-hand side reads closed-upset
+masses off the exact n-fold convolutions X^n and Y^n, with the eps shift
+applied to the query as t - n*eps*unit.  In one dimension the upset sweep is
+exhaustive (hence exact); in higher dimensions it is restricted to principal
+upsets and is a certified lower bound.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import add, mul
+from operator import add, mul, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -33,7 +34,6 @@ from .measure import (
     convolve_power,
     project,
     require_probability,
-    shift,
 )
 from .rational import as_rat, log_rat, rat
 from .spectrum import _golden_min, _log_mgf_pair, _Projected
@@ -302,9 +302,6 @@ def relative_rate_lhs(
 ) -> float:
     """Finite-n left-hand side of the relative decay formula.
 
-    Computes the exact n-fold convolutions, scales by 1/n, shifts the
-    denominator walk up by eps*unit and returns
-
         sup_C (1/n) log [ P(X-walk mean in C) / P(Y-walk mean + eps*unit in C) ]
 
     with C over closed tails at all support thresholds in one dimension
@@ -313,10 +310,12 @@ def relative_rate_lhs(
     A zero denominator with positive numerator gives +inf; 0/0 contributes
     nothing.
 
+    The masses are read off the exact powers X^n and Y^n: the mean is in C
+    iff the sum is in nC, and the shift is a query at ``t - n*eps*unit``.
     In one dimension the closed upsets follow the cone: upper tails on
     [0, inf), lower tails on (-inf, 0], which x -> -x mirrors onto upper
     tails of the half-line with unit ``-unit``.  The N thresholds are then
-    answered by ``tail_mass`` from each measure's tail index, so the table
+    answered by ``tail_mass`` from each power's tail index, so the table
     costs O(N log N) per n on top of the two convolution powers.
     """
     if n < 1:
@@ -326,23 +325,23 @@ def relative_rate_lhs(
         raise ValueError("eps must be positive")
     require_walk_pair(X, Y, cone)
 
-    sign = -1 if X.dim == 1 and not is_upward_1d(cone) else 1
-    num = _scale_points(convolve_power(X, n, cap), rat(sign, n))
-    den = shift(
-        _scale_points(convolve_power(Y, n, cap), rat(sign, n)),
-        tuple(sign * e * uc for uc in cone.unit),
-    )
-    best = -math.inf
+    unit = cone.unit
+    if X.dim == 1 and not is_upward_1d(cone):
+        X, Y, unit = project(X, (-1,)), project(Y, (-1,)), (-unit[0],)
+    num, den = convolve_power(X, n, cap), convolve_power(Y, n, cap)
+    lift = tuple(n * e * uc for uc in unit)
     if X.dim == 1:
-        thresholds = sorted({x[0] for x in num.atoms} | {y[0] for y in den.atoms})
-        pairs = ((tail_mass(num, c), tail_mass(den, c)) for c in thresholds)
+        (up,) = lift
+        thresholds = {x for (x,) in num.atoms} | {y + up for (y,) in den.atoms}
+        pairs = ((tail_mass(num, t), tail_mass(den, t - up)) for t in thresholds)
     else:
-        gens = sorted(set(num.atoms) | set(den.atoms))
-        masses = list(
-            zip(principal_upset_masses(num, cone, gens), principal_upset_masses(den, cone, gens))
-        )
-        masses.append((num.mass(), den.mass()))  # the whole space is a closed upset
-        pairs = iter(masses)
+        gens = list(set(num.atoms) | {tuple(map(add, y, lift)) for y in den.atoms})
+        pairs = list(zip(
+            principal_upset_masses(num, cone, gens),
+            principal_upset_masses(den, cone, [tuple(map(sub, g, lift)) for g in gens]),
+        ))
+        pairs.append((num.mass(), den.mass()))  # the whole space is a closed upset
+    best = -math.inf
     for num_mass, den_mass in pairs:
         if num_mass == 0:
             continue
@@ -352,15 +351,6 @@ def relative_rate_lhs(
         if val > best:
             best = val
     return best
-
-
-def _scale_points(mu: Measure, factor) -> Measure:
-    # factor must be nonzero (callers pass 1/n): the map is then one to one,
-    # so no atoms collide and the mass is mu's
-    f = as_rat(factor)
-    return Measure._raw(
-        mu.dim, {tuple(f * xc for xc in x): w for x, w in mu.atoms.items()}, mu.mass()
-    )
 
 
 def cramer_empirical(mu: Measure, c: Sequence, cone: Cone, n: int, cap: int = DEFAULT_ATOM_CAP) -> float:

@@ -274,10 +274,15 @@ class TestErrors:
             '{"dim": 1, "atoms": {"x": ["0"], "w": "1"}}',
             '{"dim": 1, "atoms": [["0", "1"]]}',
             '{"dim": [1], "atoms": []}',
+            '{"dim": 1.9, "atoms": [{"x": ["1"], "w": "1"}]}',
+            '{"dim": true, "atoms": [{"x": ["1"], "w": "1"}]}',
+            '{"dim": 1, "atoms": [{"x": [true], "w": "1"}]}',
+            '{"dim": 1, "atoms": [{"x": ["1"], "w": true}]}',
+            "[" * 200000 + "]" * 200000,
         ],
         ids=[
             "missing-w", "missing-x", "list-json", "string-json", "atoms-object", "atom-list",
-            "dim-list",
+            "dim-list", "dim-fraction", "dim-bool", "x-bool", "w-bool", "deep-nesting",
         ],
     )
     def test_malformed_measure_exit1(self, capsys, tmp_path, files, payload):
@@ -296,8 +301,15 @@ class TestErrors:
             '{"dim": 2, "kind": "generators"}',
             '{"dim": "two", "kind": "orthant"}',
             '{"dim": 1, "rays": 5}',
+            '{"dim": 2.5, "kind": "orthant"}',
+            '{"dim": 1.5, "kind": "halfline"}',
+            '{"dim": true, "kind": "halfline"}',
+            "[" * 200000 + "]" * 200000,
         ],
-        ids=["list-json", "missing-dim", "no-rays-or-normals", "dim-string", "rays-number"],
+        ids=[
+            "list-json", "missing-dim", "no-rays-or-normals", "dim-string", "rays-number",
+            "dim-fraction", "dim-fraction-1d", "dim-bool", "deep-nesting",
+        ],
     )
     def test_malformed_cone_exit1(self, capsys, tmp_path, files, payload):
         bad = tmp_path / "cone.json"

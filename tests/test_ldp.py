@@ -410,8 +410,9 @@ class TestRelativeRateLhsTable:
             checked.add(math.isinf(val))
         assert checked == {False, True}  # finite and infinite suprema both seen
 
-    @pytest.mark.parametrize("n", [1, 7, 32, 100])
+    @pytest.mark.parametrize("n", [1, 7, 32, 64, 100])
     def test_bernoulli_pair_matches_naive_scan(self, halfline, n):
+        # at n = 64, n*eps = 1 puts Y^n + lift on X^n's lattice: thresholds merge
         X, Y = bernoulli("3/4"), bernoulli("1/2")
         val = relative_rate_lhs(X, Y, halfline, n, "1/64")
         assert val == naive_relative_lhs_1d(X, Y, n, rat(1, 64))

@@ -17,7 +17,6 @@ from walkorder import (
     project,
     shift,
 )
-from walkorder.ldp import _scale_points
 from walkorder.measure import _project_ints
 from walkorder.rational import rat
 
@@ -395,25 +394,17 @@ class TestKnownMass:
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_mass_is_sum_of_weights(self, hyp, dim):
-        st = hyp.strategies
-        # a nonzero factor maps points one to one, as 1/n does in ldp
-        factor = st.builds(
-            rat, st.integers(-6, 6).filter(bool), st.sampled_from([1, 2, 3, 7])
-        )
-
         @kernel_settings(hyp)
         @hyp.given(
             measures_on(hyp, dim),
             measures_on(hyp, dim),
             functionals(hyp, dim),
-            st.sampled_from([0, 1, 2, 3, 5]),
-            factor,
+            hyp.strategies.sampled_from([0, 1, 2, 3, 5]),
         )
-        def check(mu, nu, a, n, f):
+        def check(mu, nu, a, n):
             outputs = [
                 project(mu, a),
                 shift(mu, a),
-                _scale_points(mu, f),
                 mu.normalized(),
                 convolve(mu, nu),
                 convolve_power(mu, n),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from operator import sub
 
 import pytest
 
@@ -16,11 +17,11 @@ from walkorder import (
     delta,
     leq_st,
     mix,
+    project,
     shift,
     upset_mass,
 )
 from walkorder import solvers, stochorder
-from walkorder.ldp import _scale_points
 from walkorder.rational import ZERO, rat
 from walkorder.stochorder import _leq_flow, principal_upset_masses, tail_mass
 
@@ -110,16 +111,18 @@ class TestPrincipalUpsetMasses:
         assert {ZERO, 1} < masses  # empty, full and partial upsets all seen
 
     def test_derived_walks(self):
-        # the scaled and shifted convolution powers relative_rate_lhs builds
+        # the convolution powers relative_rate_lhs queries, at generators
+        # moved down by its lift n * eps * unit
         rng = random.Random(82)
         for i in range(20):
             cone = self.CONES[i % len(self.CONES)]
             draw = random_measure_2d if cone.dim == 2 else random_measure_3d
             mu = draw(rng, max_atoms=3).normalized()
             n = rng.randint(1, 4)
-            walk = _scale_points(convolve_power(mu, n), rat(1, n))
-            walk = shift(walk, tuple(rat(1, 64) * u for u in cone.unit))
-            self.check(walk, cone, self.generators(rng, walk, mu))
+            walk = convolve_power(mu, n)
+            lift = tuple(rat(n, 64) * u for u in cone.unit)
+            gens = self.generators(rng, walk, mu)
+            self.check(walk, cone, [tuple(map(sub, g, lift)) for g in gens])
 
     def test_edges(self, orthant2):
         mu = Measure(2, {("1/3", "2/3"): "1/2", (1, 0): "1/2"})
@@ -487,8 +490,9 @@ class TestTailMass:
             assert_tails_exact(mu)  # an index on the source must not leak
             assert_tails_exact(convolve_power(mu, n))
             assert_tails_exact(shift(mu, (a,)))
-            assert_tails_exact(_scale_points(mu, f))
-            assert_tails_exact(_scale_points(convolve_power(mu, n), f))
+            # project along (f,) scales by f; -f also mirrors, as on (-inf, 0]
+            assert_tails_exact(project(mu, (f,)))
+            assert_tails_exact(project(convolve_power(mu, n), (-f,)))
 
         check()
 

@@ -1,7 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private helper of the package is read by some module of it.
 
-``__init__.py`` is exempt: it imports names to re-export them through
-``__all__``.
+``__init__.py`` is exempt from the import check: it imports names to
+re-export them through ``__all__``.
 """
 
 from __future__ import annotations
@@ -11,10 +12,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "walkorder").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).parent.parent / "src" / "walkorder").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,3 +45,55 @@ def test_detector_flags_an_unused_name():
     source = "from __future__ import annotations\nimport math\nfrom os import path, sep\nprint(sep)\n"
     assert unused_imports(source) == ["line 2: math", "line 3: path"]
     assert unused_imports("import os.path\nos.getcwd()\n") == []
+
+
+def private_helpers(source: str) -> list[str]:
+    """Module-level and class-level ``_name`` functions and classes, dunders
+    excepted, as ``name`` or ``Class.name``."""
+    found = []
+
+    def visit(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    found.append(prefix + node.name)
+                if isinstance(node, ast.ClassDef):
+                    visit(node.body, f"{prefix}{node.name}.")
+
+    visit(ast.parse(source).body, "")
+    return found
+
+
+def names_read(source: str) -> set[str]:
+    """Names that a ``Name`` load or an ``Attribute`` of the source reads."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+HELPERS = [
+    (p.stem, name) for p in PACKAGE for name in private_helpers(p.read_text(encoding="utf-8"))
+]
+READ = set().union(*(names_read(p.read_text(encoding="utf-8")) for p in PACKAGE))
+
+
+@pytest.mark.parametrize("module, helper", HELPERS, ids=[f"{m}.{h}" for m, h in HELPERS])
+def test_private_helper_is_read_by_the_package(module, helper):
+    # a helper that only tests read is dead code of the package
+    assert helper.rsplit(".", 1)[-1] in READ
+
+
+def test_helper_detector():
+    source = (
+        "def _used():\n    pass\n"
+        "def _dead():\n    pass\n"
+        "def __getattr__(name):\n    pass\n"
+        "class _Box:\n    def _peek(self):\n        return _used()\n"
+        "x = _Box\n"
+    )
+    assert private_helpers(source) == ["_used", "_dead", "_Box", "_Box._peek"]
+    assert {"_used", "_Box"} <= names_read(source) and "_dead" not in names_read(source)
