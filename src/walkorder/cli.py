@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -52,11 +53,28 @@ EXIT_EPISTEMIC = 2
 # -- parsing -------------------------------------------------------------------
 
 
+#: the exponent of a decimal literal such as "1e-3", as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def parse_rational(text):
+    """The exact rational of a JSON number or number string.  Booleans are
+    refused, and so is a number with more digits than Python prints
+    (``sys.get_int_max_str_digits()``); an exponent past that limit by more
+    than the literal's length is refused before ``Fraction`` raises ten to it."""
     try:
         if isinstance(text, bool):
             raise ValueError("a boolean is not a number")
-        return as_rat(str(text)) if not isinstance(text, int) else as_rat(text)
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        literal = text if isinstance(text, int) else str(text).strip()
+        exponent = None if isinstance(text, int) else _EXPONENT.search(literal)
+        if limit and exponent and abs(int(exponent[1])) > limit + len(literal):
+            raise ValueError(f"exponent {exponent[1]} is out of range")
+        q = as_rat(literal)
+        big = max(abs(q.numerator), q.denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 8**limit < 10**limit
+            raise ValueError(f"its numerator or denominator has more than {limit} digits")
+        return q
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
 
@@ -452,6 +470,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         write_report({**header, "seed": args.seed, **fields}, args.json)
     except (ValueError, AtomBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OverflowError as exc:  # the package raises it only where a float overflows
+        print(f"error: a value is outside the float range of the sweeps ({exc})", file=sys.stderr)
         return EXIT_ERROR
     return code
 

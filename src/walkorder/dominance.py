@@ -83,7 +83,7 @@ def _failures_1d(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> li
     X^n maps each int level of ``_tops_1d`` to its int weight over D^n and is
     X^{n-1} times X's k atoms; supports grow with n, so the cap check raises
     at the n where repeated squaring would."""
-    s, _, (xs, _), (ys, _) = _tops_1d(X, Y, cone)
+    s, _, xs, ys = _tops_1d(X, Y, cone)
     steps, powers = (dict(xs), dict(ys)), ({0: 1}, {0: 1})
     failures = []
     for n in range(1, n_max + 1):

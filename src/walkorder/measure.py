@@ -7,11 +7,11 @@ powers by repeated squaring, translation, and pushforward along a linear
 functional.  Atom coalescing uses exact point equality; there is no epsilon
 merging anywhere.
 
-One integer view per measure feeds both convolution and projection: the
-atoms in atom order, coordinates as ints over a common denominator ``S``
+One integer view per measure feeds convolution, projection and 1-D tails:
+the atoms in atom order, coordinates as ints over a common denominator ``S``
 and weights over ``D``, both from ``rational.over_lcm``.  A measure builds it
 on first use and keeps it; ``project`` and the float views of ``spectrum``
-take their int dot products from it.
+take their int dot products from it, and a 1-D tail index sorts it.
 
 Convolution puts the views of its operands on one integer lattice.  Over
 the lcm of their ``S``, the support of a measure lies in
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from itertools import accumulate
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -74,10 +75,8 @@ class Measure:
         merged by summing weights.
 
     A 1-D measure answers closed tail masses ``mu([c, inf))`` in O(log N)
-    from a private tail index: its atoms sorted ascending with their suffix
-    masses.  The index is built on the first query, in O(N log N), and kept
-    for the life of the value; measures are immutable, so it never goes
-    stale.
+    from its tail index (``_tail_index``), built on the first query in
+    O(N log N) and kept: measures are immutable, so it never goes stale.
     """
 
     __slots__ = ("_dim", "_atoms", "_mass", "_tails", "_ints")
@@ -136,16 +135,17 @@ class Measure:
     def weight(self, point: Sequence) -> Rational:
         return self._atoms.get(as_point(point, self._dim), ZERO)
 
-    def _tail_index(self) -> tuple[list, list]:
-        """1-D only: ``(keys, suffix)`` with the atom coordinates ascending
-        and ``suffix[i]`` the mass at ``keys[i:]``, so that the closed tail
-        mass at c is ``suffix[bisect_left(keys, c)]``."""
+    def _tail_index(self) -> tuple[int, list, int, list, list]:
+        """1-D only: ``(S, keys, D, weights, suffix)``, the integer view sorted
+        by coordinate (atom i is ``keys[i] / S`` with weight ``weights[i] / D``)
+        and ``suffix[i] = sum(weights[i:])``, so the closed tail mass at c is
+        ``suffix[bisect_left(keys, ceil(c S))] / D``."""
         if self._tails is None:
-            items = sorted(self._atoms.items())
-            suffix = [ZERO] * (len(items) + 1)
-            for i in range(len(items) - 1, -1, -1):
-                suffix[i] = suffix[i + 1] + items[i][1]
-            self._tails = ([x[0] for x, _ in items], suffix)
+            s, coords, d, weights = self._int_view()
+            items = sorted(zip((k for k, in coords), weights))
+            weights = [w for _, w in items]
+            suffix = list(accumulate(reversed(weights), initial=0))[::-1]
+            self._tails = (s, [k for k, _ in items], d, weights, suffix)
         return self._tails
 
     def _int_view(self) -> tuple[int, list, int, list]:

@@ -4,11 +4,12 @@
 in 1-D, transportation feasibility over the admissible pairs {(x, y) : x <= y}
 otherwise.  Both return a certificate: a coupling supported on the order
 relation when dominated, or generators of a violating closed upset when not.
-In 1-D both laws go on one integer lattice, and one int walk (``_tail_walk``)
-down their levels from the top of the order yields the minimal min cut or the
+In 1-D one int walk (``_tail_walk``) down the levels of both laws' sorted
+int tail indexes, put on one lattice, yields the minimal min cut or the
 comonotone (quantile) coupling, the certificates the flow route gives
 (Strassen 1965; Kamae, Krengel & O'Brien 1977); only these are decoded to
-rationals.  ``dominance.min_n`` runs the same walk on its 1-D powers.
+rationals.  ``dominance.min_n`` runs the same walk on its 1-D powers.  Tail
+and upset masses are int weight sums, one ``Fraction`` per answer.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Optional, Sequence
 from .cones import Cone, is_upward_1d, require_same_dim
 from .errors import DimensionMismatch, MassMismatch
 from .measure import Measure, as_point, require_equal_dims
-from .rational import Rational, ZERO, over_lcm, rat
+from .rational import Rational, over_lcm, rat
 from .solvers import TransportInstance, transport_feasible
 
 
@@ -42,14 +43,13 @@ class OrderVerdict:
 
 
 def upset_mass(mu: Measure, cone: Cone, generators: Sequence) -> Rational:
-    """Mass mu gives to the closed upset generated by the given points."""
+    """Mass mu gives to the closed upset generated by the given points, summed
+    as int weights over the integer view's D."""
     require_same_dim(cone, mu.dim)
     gens = [as_point(g, mu.dim) for g in generators]
-    total = ZERO
-    for x, w in mu.atoms.items():
-        if any(cone.leq_point(g, x) for g in gens):
-            total += w
-    return total
+    _, _, d, weights = mu._int_view()
+    above = (any(cone.leq_point(g, x) for g in gens) for x in mu.atoms)
+    return rat(sum(w for w, up in zip(weights, above) if up), d)
 
 
 def principal_upset_masses(mu: Measure, cone: Cone, generators: Sequence) -> list:
@@ -85,14 +85,15 @@ def tail_mass(mu: Measure, c) -> Rational:
 
     ``c`` is an exact rational, an int, a fraction string or a 1-tuple of
     one; floats raise TypeError.  The first call on a measure builds its tail
-    index in O(N log N); every call then costs one O(log N) bisection, so a
-    sweep over all N thresholds is O(N log N).
+    index in O(N log N); a call then bisects its ints at ``ceil(c S)`` in
+    O(log N) and builds one ``Fraction``, so a sweep over all N thresholds is
+    O(N log N).
     """
     if mu.dim != 1:
         raise DimensionMismatch("tail_mass requires a 1-D measure")
     cp = as_point((c,) if not isinstance(c, (tuple, list)) else c, 1)[0]
-    keys, suffix = mu._tail_index()
-    return suffix[bisect_left(keys, cp)]
+    s, keys, d, _, suffix = mu._tail_index()
+    return rat(suffix[bisect_left(keys, -(-cp.numerator * s // cp.denominator))], d)
 
 
 def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
@@ -111,30 +112,28 @@ def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     if mu.dim > 1:
         return _leq_flow(mu, nu, cone)
     # one int walk on both laws' levels; only the certificate is decoded
-    s, d, (xs, x_pts), (ys, y_pts) = _tops_1d(mu, nu, cone)
+    s, d, xs, ys = _tops_1d(mu, nu, cone)
     cut, pairs = _tail_walk(xs, ys)
     if cut:
-        return OrderVerdict(False, None, sorted(x_pts[x] for x, _ in xs[:cut]))
-    entries = [((x_pts[x], y_pts[y]), rat(w, d)) for x, y, w in pairs]
+        return OrderVerdict(False, None, sorted((rat(x, s),) for x, _ in xs[:cut]))
+    entries = [(((rat(x, s),), (rat(y, s),)), rat(w, d)) for x, y, w in pairs]
     # entries in sorted (x, y) order: the walk went down [0, inf)
     return OrderVerdict(True, CouplingPlan(dict(reversed(entries) if s > 0 else entries)), None)
 
 
 def _tops_1d(mu: Measure, nu: Measure, cone: Cone) -> tuple:
-    """``(s, d, (xs, x_points), (ys, y_points))``: the atoms of 1-D mu and nu
-    as ``(level, weight)`` int pairs, levels descending, and maps from level
-    to point.  Point x is at level ``x * s`` and weight w is ``w * d``, for s
-    and d the lcms of the integer views' scales; s < 0 on (-inf, 0] mirrors
-    the order, so its top is the largest level."""
-    views = mu._int_view(), nu._int_view()
-    s = lcm(*(v[0] for v in views)) * (1 if is_upward_1d(cone) else -1)
-    d = lcm(*(v[2] for v in views))
-    tops = []
-    for m, (sm, coords, dm, weights) in zip((mu, nu), views):
-        levels = [c * (s // sm) for (c,) in coords]
-        ints = zip(levels, (w * (d // dm) for w in weights))
-        tops.append((sorted(ints, reverse=True), dict(zip(levels, m._atoms))))
-    return s, d, *tops
+    """``(s, d, xs, ys)``: the atoms of 1-D mu and nu as ``(level, weight)``
+    int pairs, levels descending, from their tail indexes: point x is at
+    level ``x * s`` and weight w is ``w * d``, for s and d the lcms of the
+    indexes' scales; s < 0 on (-inf, 0] mirrors the order and the index."""
+    indexes = mu._tail_index(), nu._tail_index()
+    s = lcm(*(i[0] for i in indexes)) * (1 if is_upward_1d(cone) else -1)
+    d = lcm(*(i[2] for i in indexes))
+    down = -1 if s > 0 else 1
+    return (s, d, *(
+        list(zip([k * (s // sm) for k in keys], [w * (d // dm) for w in weights]))[::down]
+        for sm, keys, dm, weights, _ in indexes
+    ))
 
 
 def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, list]:

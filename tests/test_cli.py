@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -479,6 +480,82 @@ class TestErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "cannot parse rational ''" in captured.err
+
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default 4300-digit limit on int-string conversion, whatever
+    the environment sets, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+class TestNumberRange:
+    """Values past the float range of the sweeps, and number literals past
+    the digits a report can print, exit 1 with one line instead of a
+    traceback, a stall or a failure at report writing."""
+
+    def test_coordinate_past_the_float_range(self, capsys, tmp_path):
+        def write(name, atoms):
+            path = tmp_path / name
+            path.write_text(json.dumps({"dim": len(atoms[0]["x"]), "atoms": atoms}))
+            return str(path)
+
+        far = write("far.json", [{"x": ["1e400"], "w": "1/2"}, {"x": ["0"], "w": "1/2"}])
+        one = write("one.json", [{"x": ["1"], "w": "1"}])
+        far2 = write("far2.json", [{"x": ["1e400", "0"], "w": "1/2"}, {"x": ["0", "1"], "w": "1/2"}])
+        for argv in (
+            ["dominate", far, one],
+            ["spectrum", far, one],
+            ["rate-fn", far, "--c=1"],
+            ["rel-rate", far, one, "--n-max", "2"],
+            ["rate-fn", far2, "--c=1,1", "--cone", "orthant"],
+        ):
+            assert main([*argv, "--json", "-"]) == EXIT_ERROR, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: a value is outside the float range of the sweeps")
+            assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        # the exact commands run on the same files
+        for argv, expected in (
+            (["order-check", far, one], EXIT_OK),
+            (["min-n", far, one], EXIT_EPISTEMIC),
+            (["cramer", far, "--c=1"], EXIT_OK),
+        ):
+            code, out = run(capsys, [*argv, "--json", "-"])
+            assert code == expected and json.loads(out)["command"] == argv[0], argv
+        code, out = run(capsys, ["order-check", far, one, "--json", "-"])
+        assert json.loads(out)["witness_upset"] == [[str(10**400)]]
+
+    @pytest.mark.parametrize("place", ["x", "w", "--eps", "--c"])
+    def test_literal_digit_limit(self, capsys, files, tmp_path, int_digit_limit, place):
+        def argv(literal):
+            if place == "--eps":
+                return ["rel-rate", files["bern"], files["bern"], "--n-max", "8", "--eps", literal]
+            if place == "--c":
+                return ["cramer", files["bern"], "--n-max", "8", "--c", literal]
+            path = tmp_path / "literal.json"
+            atom = {"x": [literal], "w": "1"} if place == "x" else {"x": ["0"], "w": literal}
+            path.write_text(json.dumps({"dim": 1, "atoms": [atom]}))
+            return ["order-check", str(path), str(path)]
+
+        # refused at once, before ten is raised to the exponent
+        for literal in ("1e4300", "1e10000000", "1e-10000000"):
+            start = time.perf_counter()
+            assert main([*argv(literal), "--json", "-"]) == EXIT_ERROR, literal
+            assert time.perf_counter() - start < 5, literal
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert f"cannot parse rational '{literal}'" in captured.err
+        # the longest numbers still parse and print
+        for literal in ("1e4299", "12345e4295", "1e-4299"):
+            code, out = run(capsys, [*argv(literal), "--json", "-"])
+            assert code == EXIT_OK and f'"{rat(literal)}"' in out, literal
 
 
 # the work each command does after its inputs are loaded

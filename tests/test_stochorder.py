@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from operator import sub
 
 import pytest
@@ -70,6 +71,43 @@ class TestUpsetMass:
     def test_planar(self, orthant2):
         mu = Measure(2, {(0, 1): "1/2", (1, 0): "1/2"})
         assert upset_mass(mu, orthant2, [(1, 0)]) == rat(1, 2)
+
+    CONES = (
+        *CONES_1D,
+        Cone.orthant(2),
+        Cone.from_generators(2, rays=[("1/2", "1/3"), ("-1/5", 1)]),
+        Cone.orthant(3),
+    )
+
+    @staticmethod
+    def reference(mu: Measure, cone: Cone, gens: list) -> Fraction:
+        """The Fraction scan: an atom counts when some generator lies below
+        it by every normal of the cone."""
+        def below(g, x) -> bool:
+            return all(sum(((a - b) * c for a, b, c in zip(x, g, n)), ZERO) >= 0 for n in cone.normals)
+
+        return sum((w for x, w in mu.atoms.items() if any(below(g, x) for g in gens)), ZERO)
+
+    def test_several_generators_match_the_fraction_scan(self):
+        rng = random.Random(91)
+        draws = {1: random_measure_1d, 2: random_measure_2d, 3: random_measure_3d}
+        masses = set()
+        for i in range(90):
+            cone = self.CONES[i % len(self.CONES)]
+            mu = draws[cone.dim](rng)
+            for walk in (mu, convolve_power(mu, rng.randint(2, 3)), Measure(cone.dim, {})):
+                atoms = sorted(walk.atoms) or [(rat(0),) * cone.dim]
+                gens = [
+                    rng.choice(atoms)
+                    if rng.random() < 0.5
+                    else tuple(rat(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(cone.dim))
+                    for _ in range(rng.randint(1, 4))
+                ]
+                got = upset_mass(walk, cone, gens)
+                assert got == self.reference(walk, cone, gens)
+                assert type(got) is Fraction
+                masses.add(got)
+        assert {ZERO, 1} < masses  # empty, full and partial upsets all seen
 
 
 class TestPrincipalUpsetMasses:
