@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -53,28 +52,14 @@ EXIT_EPISTEMIC = 2
 # -- parsing -------------------------------------------------------------------
 
 
-#: the exponent of a decimal literal such as "1e-3", as ``Fraction`` reads it
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
-
-
 def parse_rational(text):
     """The exact rational of a JSON number or number string.  Booleans are
-    refused, and so is a number with more digits than Python prints
-    (``sys.get_int_max_str_digits()``); an exponent past that limit by more
-    than the literal's length is refused before ``Fraction`` raises ten to it."""
+    refused, and so are the number strings that ``rational.as_rat`` refuses:
+    more digits than Python prints, or an exponent far past that limit."""
     try:
         if isinstance(text, bool):
             raise ValueError("a boolean is not a number")
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        literal = text if isinstance(text, int) else str(text).strip()
-        exponent = None if isinstance(text, int) else _EXPONENT.search(literal)
-        if limit and exponent and abs(int(exponent[1])) > limit + len(literal):
-            raise ValueError(f"exponent {exponent[1]} is out of range")
-        q = as_rat(literal)
-        big = max(abs(q.numerator), q.denominator)
-        if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 8**limit < 10**limit
-            raise ValueError(f"its numerator or denominator has more than {limit} digits")
-        return q
+        return as_rat(text if isinstance(text, int) else str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
 

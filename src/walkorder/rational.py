@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
+import sys
 from fractions import Fraction
 
 #: Name of the rational type in use, recorded by the benchmark harness.
@@ -40,12 +42,33 @@ def over_lcm(values) -> tuple[int, list]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
+#: the exponent of a decimal literal such as "1e-3", as ``Fraction`` reads it
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def as_rat(value) -> Rational:
-    """Convert to ``Fraction``, rejecting inexact input."""
+    """Convert to ``Fraction``, rejecting inexact input.
+
+    A string is refused (``ValueError``) when its number has more digits than
+    Python prints (``sys.get_int_max_str_digits()``); an exponent past that
+    limit by more than the literal's length is refused before ``Fraction``
+    raises ten to it.
+    """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return rat(value)
+    if isinstance(value, str):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        literal = value.strip()
+        exponent = _EXPONENT.search(literal)
+        if limit and exponent and abs(int(exponent[1])) > limit + len(literal):
+            raise ValueError(f"exponent {exponent[1]} is out of range")
+        q = rat(literal)
+        big = max(abs(q.numerator), q.denominator)
+        if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 8**limit < 10**limit
+            raise ValueError(f"its numerator or denominator has more than {limit} digits")
+        return q
     if isinstance(value, numbers.Rational):
         return rat(value.numerator, value.denominator)
     raise TypeError(

@@ -10,6 +10,13 @@ comonotone (quantile) coupling, the certificates the flow route gives
 (Strassen 1965; Kamae, Krengel & O'Brien 1977); only these are decoded to
 rationals.  ``dominance.min_n`` runs the same walk on its 1-D powers.  Tail
 and upset masses are int weight sums, one ``Fraction`` per answer.
+
+The flow route and ``principal_upset_masses`` map each point once to its
+integer normal key (``_normal_keys``): over a common denominator S, the key
+of x is ``<n, S x>`` for every integer normal n of the cone, so x <= y iff
+each coordinate of x's key is at most y's.  The flow's admissible pairs are
+read off these keys, and before a coupling is returned each of its pairs is
+checked again with ``Cone.leq_point``.
 """
 
 from __future__ import annotations
@@ -18,13 +25,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from math import lcm
-from operator import ge, mul
+from operator import ge, le, mul
 from typing import Optional, Sequence
 
 from .cones import Cone, is_upward_1d, require_same_dim
 from .errors import DimensionMismatch, MassMismatch
 from .measure import Measure, as_point, require_equal_dims
-from .rational import Rational, over_lcm, rat
+from .rational import Rational, over_lcm, point_str, rat
 from .solvers import TransportInstance, transport_feasible
 
 
@@ -65,19 +72,22 @@ def principal_upset_masses(mu: Measure, cone: Cone, generators: Sequence) -> lis
     require_same_dim(cone, mu.dim)
     gens = [as_point(g, mu.dim) for g in generators]
     s, coords, d, weights = mu._int_view()
-    first, *rest = cone._int_normals
-    atoms = sorted(
-        (sum(map(mul, first, x)), [sum(map(mul, n, x)) for n in rest], w)
-        for x, w in zip(coords, weights)
-    )
+    atoms = sorted((k[0], k[1:], w) for k, w in zip(_normal_keys(cone, coords), weights))
     firsts = [a[0] for a in atoms]
     masses = []
     for g in gens:
         den, gi = over_lcm(g)
-        low0, *low = (-(-s * sum(map(mul, n, gi)) // den) for n in (first, *rest))
+        low0, *low = (-(-s * k // den) for k in _normal_keys(cone, [gi])[0])
         above = islice(atoms, bisect_left(firsts, low0), None)
         masses.append(rat(sum(w for _, key, w in above if all(map(ge, key, low))), d))
     return masses
+
+
+def _normal_keys(cone: Cone, coords) -> list:
+    """The key ``<n, x>`` over the cone's integer normals n of each int point
+    x: x <= y in the cone order iff ``all(map(le, key(x), key(y)))``."""
+    normals = cone._int_normals
+    return [tuple(sum(map(mul, n, x)) for n in normals) for x in coords]
 
 
 def tail_mass(mu: Measure, c) -> Rational:
@@ -168,14 +178,19 @@ def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, li
 
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # Feasible iff max flow saturates the supplies over admissible edges
-    # {(x, y) : x <= y}; on failure the min cut is the supply set A.
+    # {(x, y) : x <= y}; on failure the min cut is the supply set A.  The
+    # edges come from the normal keys of both supports over one denominator,
+    # in the (i, j) order of the pairwise scan.
     supp_mu = mu.support()
     supp_nu = nu.support()
+    _, flat = over_lcm([c for x in (*supp_mu, *supp_nu) for c in x])
+    keys = _normal_keys(cone, zip(*[iter(flat)] * mu.dim))
+    keys_mu, keys_nu = keys[: len(supp_mu)], keys[len(supp_mu) :]
     edges = [
         (i, j)
-        for i, x in enumerate(supp_mu)
-        for j, y in enumerate(supp_nu)
-        if cone.leq_point(x, y)
+        for i, kx in enumerate(keys_mu)
+        for j, ky in enumerate(keys_nu)
+        if all(map(le, kx, ky))
     ]
     inst = TransportInstance(
         [mu.atoms[x] for x in supp_mu],
@@ -187,6 +202,10 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
         plan = {
             (supp_mu[i], supp_nu[j]): f for (i, j), f in sorted(result.plan.items())
         }
+        # the keys' verdict, checked pair by pair with the public predicate
+        for x, y in plan:
+            if not cone.leq_point(x, y):
+                raise RuntimeError(f"coupling pairs {point_str(x)} with {point_str(y)}, not ordered")
         return OrderVerdict(True, CouplingPlan(plan), None)
     witness = sorted(supp_mu[i] for i in result.cut)
     return OrderVerdict(False, None, witness)

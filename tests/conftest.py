@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import deque
 from operator import mul
 
@@ -14,8 +15,14 @@ from walkorder import Cone, Measure, convolve, convolve_power, leq_st
 from walkorder.dominance import Catalyst, MinNResult, _grid_step
 from walkorder.measure import DEFAULT_ATOM_CAP, as_point
 from walkorder.rational import ZERO, as_rat, rat
-from walkorder.solvers import LinearFeasibility, TransportResult, lp_feasible
-from walkorder.stochorder import tail_mass
+from walkorder.solvers import (
+    LinearFeasibility,
+    TransportInstance,
+    TransportResult,
+    lp_feasible,
+    transport_feasible,
+)
+from walkorder.stochorder import CouplingPlan, OrderVerdict, tail_mass
 
 
 # the three shapes a 1-D cone takes: [0, inf), (-inf, 0], and (-inf, 0] with
@@ -203,6 +210,25 @@ def transport_feasible_reference(inst) -> TransportResult:
     return TransportResult(False, None, frozenset(i for i in range(m) if visited_s[i]))
 
 
+def leq_flow_reference(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
+    """``stochorder._leq_flow`` as it found the admissible pairs before the
+    normal keys: ``Cone.leq_point`` on every pair of the sorted supports, in
+    (i, j) order, with no check of the plan afterwards."""
+    supp_mu, supp_nu = mu.support(), nu.support()
+    edges = [
+        (i, j)
+        for i, x in enumerate(supp_mu)
+        for j, y in enumerate(supp_nu)
+        if cone.leq_point(x, y)
+    ]
+    inst = TransportInstance([mu.atoms[x] for x in supp_mu], [nu.atoms[y] for y in supp_nu], edges)
+    result = transport_feasible(inst)
+    if result.feasible:
+        plan = {(supp_mu[i], supp_nu[j]): f for (i, j), f in sorted(result.plan.items())}
+        return OrderVerdict(True, CouplingPlan(plan), None)
+    return OrderVerdict(False, None, sorted(supp_mu[i] for i in result.cut))
+
+
 def catalyst_1d_lp_only(X: Measure, Y: Measure, grid) -> Catalyst | None:
     """``dominance.catalyst_1d`` with the LP as the only judge: no endpoint
     screen, and dense ``Fraction`` rows with one ``tail_mass`` gap per
@@ -284,6 +310,18 @@ def bernoulli(p) -> Measure:
 @pytest.fixture(scope="module")
 def hyp():
     return pytest.importorskip("hypothesis")
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Python's default 4300-digit limit on int-string conversion, whatever
+    the environment sets, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 @pytest.fixture

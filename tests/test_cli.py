@@ -483,18 +483,6 @@ class TestErrors:
 
 
 
-@pytest.fixture
-def int_digit_limit():
-    """Python's default 4300-digit limit on int-string conversion, whatever
-    the environment sets, restored afterwards."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int-string digit limit")
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
 class TestNumberRange:
     """Values past the float range of the sweeps, and number literals past
     the digits a report can print, exit 1 with one line instead of a

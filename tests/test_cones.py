@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
@@ -29,6 +30,28 @@ class TestConstruction:
     def test_rays_must_satisfy_normals(self):
         with pytest.raises(ValueError):
             Cone(2, [(1, 0), (0, 1)], [(1, -1)], (1, 1))
+
+    def test_inconsistent_descriptions_name_the_first_failing_pair(self):
+        # rays in order, then normals in order; rational points print as such
+        rays = [(1, 0), ("-1/3", "2/5")]
+        normals = [(0, 1), ("1/2", 0), (3, -1)]
+        message = r"^ray \(-1/3, 2/5\) violates normal \(1/2, 0\): descriptions are inconsistent$"
+        with pytest.raises(ValueError, match=message):
+            Cone(2, rays, normals, (1, 1))
+        with pytest.raises(ValueError, match=message):
+            Cone.from_generators(2, rays=rays, normals=normals)
+        with pytest.raises(ValueError, match=r"^unit \(2/3, -1/7\) is not interior \(normal \(0, 1\)\)$"):
+            Cone(2, [(1, 0), (0, 1)], [("1/2", 0), (0, 1)], ("2/3", "-1/7"))
+        with pytest.raises(ValueError, match=r"^unit \(0, 0\) is not interior \(normal \(1, 0\)\)$"):
+            Cone.orthant(2, unit=(0, 0))
+
+    def test_high_dimensional_orthant_builds_fast(self):
+        # the ray/normal check runs on ints: 150 x 150 pairs of 150 coordinates
+        start = time.perf_counter()
+        cone = Cone.orthant(150)
+        assert time.perf_counter() - start < 5
+        assert cone.leq_point((0,) * 150, (1,) * 150)
+        assert not cone.leq_point((1,) * 150, (0,) * 149 + (2,))
 
     def test_unit_must_be_interior(self):
         with pytest.raises(ValueError, match=r"^unit \(1, 0\) is not interior \(normal \(0, 1\)\)$"):

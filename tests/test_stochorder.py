@@ -29,6 +29,7 @@ from walkorder.stochorder import _leq_flow, principal_upset_masses, tail_mass
 from conftest import (
     CONES_1D,
     kernel_settings,
+    leq_flow_reference,
     measures_on,
     random_measure_1d,
     random_measure_2d,
@@ -470,6 +471,171 @@ class TestFlowCertificates:
         verdicts = {(c, v[0]) for (c, _, _), v in zip(pairs, got)}
         assert len(verdicts) == 2 * len(self.CONES)  # both verdicts on every cone
         assert sum(len(v[2]) > 2 for v in got if v[0]) > 60  # couplings that split mass
+
+
+def on_lattice(rng: random.Random, dim: int, den: int, span: int) -> Measure:
+    """Random probability measure with every coordinate in (1/den)Z."""
+    atoms = {
+        tuple(rat(rng.randint(-span, span), den) for _ in range(dim)): rat(rng.randint(1, 9))
+        for _ in range(rng.randint(1, 8))
+    }
+    return Measure(dim, atoms).normalized()
+
+
+class TestKeyedEdges:
+    """The flow route reads its admissible pairs off integer normal keys; the
+    pairwise ``Cone.leq_point`` scan of ``leq_flow_reference`` gives the same
+    edges in the same order, so the verdict, the coupling entries in order
+    and the upset are the same."""
+
+    CONES = (
+        Cone.orthant(2),
+        Cone.from_generators(2, rays=[("1/2", "1/3"), ("-1/5", 1)]),
+        Cone.from_generators(2, normals=[(1, "1/2")]),  # a half-plane: one normal
+        Cone.orthant(3),
+        Cone.from_generators(3, rays=[("1/2", 0, 0), (1, "1/3", 0), (1, 1, "2/7")]),
+    )
+
+    @staticmethod
+    def pairs(rng: random.Random, cone: Cone) -> list:
+        draw = random_measure_2d if cone.dim == 2 else random_measure_3d
+        far = (rat(10**40, 3), rat(-(10**35), 7), rat(10**30 + 1))[: cone.dim]
+        out = []
+        for k in range(12):
+            own = k % 3 == 1  # each law on a lattice of its own
+            mu = on_lattice(rng, cone.dim, 7, 30) if own else draw(rng, max_atoms=8)
+            nu = TestFlowCertificates.moved_up(rng, mu, cone)
+            other = on_lattice(rng, cone.dim, 5, 20) if own else draw(rng, max_atoms=8)
+            if k % 3 == 2:  # coordinates far past any float's integer range
+                mu, nu, other = (shift(m, far) for m in (mu, nu, other))
+            out += [(mu, nu), (nu, mu), (mu, other), (other, mu)]
+        return out
+
+    def test_equal_to_pairwise_reference(self):
+        rng = random.Random(49)
+        for cone in self.CONES:
+            verdicts = set()
+            for mu, nu in self.pairs(rng, cone):
+                got = leq_st(mu, nu, cone)
+                assert certificate(got) == certificate(leq_flow_reference(mu, nu, cone))
+                assert_certified(got, mu, nu, cone)
+                verdicts.add(got.dominated)
+            assert verdicts == {True, False}, cone
+
+    def test_leq_point_checks_only_the_plan(self, monkeypatch):
+        # one call per coupling pair on a dominated verdict; none on a violated one
+        calls = []
+        leq_point = Cone.leq_point
+
+        def counted(self, x, y):
+            calls.append((x, y))
+            return leq_point(self, x, y)
+
+        monkeypatch.setattr(Cone, "leq_point", counted)
+        rng = random.Random(50)
+        seen = set()
+        for cone in self.CONES:
+            for mu, nu in self.pairs(rng, cone)[:16]:
+                calls.clear()
+                v = leq_st(mu, nu, cone)
+                expected = [] if not v.dominated else list(v.witness_coupling.entries)
+                assert calls == expected
+                seen.add(v.dominated)
+        assert seen == {True, False}
+
+    def test_unordered_plan_pair_raises(self, monkeypatch):
+        # a flow that pairs atoms the cone does not order is refused
+        mu = Measure(2, {(0, 1): "1/2", (1, 0): "1/2"})
+        nu = Measure(2, {(1, 1): "1/2", (2, 2): "1/2"})
+        cone = Cone.orthant(2)
+        assert leq_st(mu, nu, cone).dominated
+        monkeypatch.setattr(stochorder, "_normal_keys", lambda cone, coords: [()] * len(list(coords)))
+        with pytest.raises(RuntimeError, match="not ordered"):
+            leq_st(nu, mu, cone)
+
+
+def laws_planar(hyp):
+    """Hypothesis strategy: planar probability laws of ``measures_on``."""
+    return measures_on(hyp, 2, (1, 2, 3)).map(Measure.normalized)
+
+
+def moved_up_planar(mu: Measure, cone: Cone, first: list, second: list) -> Measure:
+    """Half of each atom i (of at most 10) of mu moved up by ``m[i]`` times
+    one of the cone's rays plus ``m[i - 5]`` times its unit, for m =
+    ``first``, the other half for m = ``second``; every move lies in the
+    cone, so mu <= the result."""
+    atoms = sorted(mu.atoms.items())
+    rays, unit = cone.rays, cone.unit
+    return Measure(2, [
+        (tuple(c + m[i] * r + m[i - 5] * u for c, r, u in zip(x, rays[i % len(rays)], unit)), w / 2)
+        for m in (first, second)
+        for i, (x, w) in enumerate(atoms)
+    ])
+
+
+class TestOrderLawsPlanar:
+    """Order laws of the flow route behind ``leq_st`` in d = 2, on the orthant
+    and on a cone with rational rays."""
+
+    CONES = (Cone.orthant(2), Cone.from_generators(2, rays=[("1/2", "1/3"), ("-1/5", 1)]))
+
+    def test_reflexive(self, hyp):
+        @kernel_settings(hyp)
+        @hyp.given(laws_planar(hyp))
+        def check(mu):
+            for cone in self.CONES:
+                v = leq_st(mu, mu, cone)
+                assert v.dominated
+                assert v.witness_coupling.entries == {(x, x): w for x, w in sorted(mu.atoms.items())}
+
+        check()
+
+    def test_transitive(self, hyp):
+        dens = (1, 2, 3)
+
+        @kernel_settings(hyp)
+        @hyp.given(laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 4)
+        def check(mu, other, m1, m2, m3, m4):
+            for cone in self.CONES:
+                nu = moved_up_planar(mu, cone, m1, m2)
+                rho = moved_up_planar(nu, cone, m3, m4)
+                assert leq_st(mu, nu, cone).dominated and leq_st(nu, rho, cone).dominated
+                assert leq_st(mu, rho, cone).dominated
+                if leq_st(other, nu, cone).dominated:
+                    assert leq_st(other, rho, cone).dominated
+                if leq_st(nu, other, cone).dominated:
+                    assert leq_st(mu, other, cone).dominated
+
+        check()
+
+    def test_convolution_preserves_the_order(self, hyp):
+        dens = (1, 2, 3)
+
+        @kernel_settings(hyp)
+        @hyp.given(laws_planar(hyp), laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 2)
+        def check(mu, other, kappa, m1, m2):
+            for cone in self.CONES:
+                for nu in (moved_up_planar(mu, cone, m1, m2), other):
+                    v = leq_st(mu, nu, cone)
+                    assert v.dominated or nu is other
+                    w = leq_st(convolve(mu, kappa), convolve(nu, kappa), cone)
+                    assert w.dominated or not v.dominated
+                    assert_certified(w, convolve(mu, kappa), convolve(nu, kappa), cone)
+
+        check()
+
+    def test_every_verdict_certified(self, hyp):
+        dens = (1, 2, 3)
+
+        @kernel_settings(hyp)
+        @hyp.given(laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 2)
+        def check(mu, other, m1, m2):
+            for cone in self.CONES:
+                nu = moved_up_planar(mu, cone, m1, m2)
+                for a, b in ((mu, nu), (nu, mu), (mu, other), (other, mu)):
+                    assert_certified(leq_st(a, b, cone), a, b, cone)
+
+        check()
 
 
 def naive_tail(mu: Measure, c):
