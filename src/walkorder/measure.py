@@ -7,11 +7,12 @@ powers by repeated squaring, translation, and pushforward along a linear
 functional.  Atom coalescing uses exact point equality; there is no epsilon
 merging anywhere.
 
-One integer view per measure feeds convolution, projection and 1-D tails:
-the atoms in atom order, coordinates as ints over a common denominator ``S``
-and weights over ``D``, both from ``rational.over_lcm``.  A measure builds it
-on first use and keeps it; ``project`` and the float views of ``spectrum``
-take their int dot products from it, and a 1-D tail index sorts it.
+A measure stores only its integer view: the atoms in atom order, with
+coordinates as ints over ``S`` and weights as ints over ``D``, the lcms of
+the reduced denominators.  ``Measure(dim, atoms)`` encodes its input once;
+every operation computes on views, and ``Measure._of_ints`` divides the gcds
+out of a result's view.  Rational atoms are decoded on the first read of
+``atoms``.
 
 Convolution puts the views of its operands on one integer lattice.  Over
 the lcm of their ``S``, the support of a measure lies in
@@ -22,14 +23,14 @@ key by mixed radix.  The radixes bound every offset the result can reach
 (``n * span_i + 1`` for an n-th power, ``span_mu + span_nu + 1`` for a
 product on the common step ``gcd(h_mu, h_nu)``), so keys add without carries
 and the kernel is ``out[x + y] += cx * cy`` over plain ints in any dimension.
-Rationals are built once, when the result is decoded: the point is
-``n a + h k`` over the common scale and the weight ``c / D^n``.  The encoding
-is a bijection on the support and keeps atom order, so results equal those
-of the pairwise rational loop exactly, atom order included.
+The result's view is unpacked from the keys: the point is ``n a + h k`` over
+the common scale and the weight ``c`` over ``D^n``.  The encoding is a
+bijection on the support and keeps atom order, so results equal those of the
+pairwise rational loop exactly, atom order included.
 
 All values are immutable after construction and every operation is a pure
-function, so a measure may be shared by any number of callers; the tail
-index and the integer view are derived from the atoms and never go stale.
+function, so a measure may be shared by any number of callers; the decoded
+atoms and the tail index are derived from the view and never go stale.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AtomBudgetExceeded, DimensionMismatch
-from .rational import ONE, Rational, ZERO, as_rat, over_lcm, point_str, rat
+from .rational import Rational, ZERO, as_rat, over_lcm, point_str, rat
 
 #: Points are tuples of exact rationals; the tuple length is the dimension.
 Point = tuple
@@ -74,12 +75,13 @@ class Measure:
         dropped, negative weights are an error, and duplicate points are
         merged by summing weights.
 
-    A 1-D measure answers closed tail masses ``mu([c, inf))`` in O(log N)
-    from its tail index (``_tail_index``), built on the first query in
-    O(N log N) and kept: measures are immutable, so it never goes stale.
+    It stores only its integer view (``_int_view``).  The atom map is decoded
+    on the first read of ``atoms``, and a 1-D measure's tail index
+    (``_tail_index``), which answers ``mu([c, inf))`` in O(log N), is built
+    on the first tail query in O(N log N); both are kept.
     """
 
-    __slots__ = ("_dim", "_atoms", "_mass", "_tails", "_ints")
+    __slots__ = ("_dim", "_ints", "_atoms", "_tails")
 
     def __init__(self, dim: int, atoms: Mapping | Iterable = ()):
         if dim < 1:
@@ -97,23 +99,28 @@ class Measure:
                 cleaned[pt] += w
             else:
                 cleaned[pt] = w
+        s, flat = over_lcm([c for x in cleaned for c in x])
+        d, weights = over_lcm(list(cleaned.values()))
         self._dim = dim
+        self._ints = (s, [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)], d, weights)
         self._atoms = cleaned
-        self._mass = sum(cleaned.values(), ZERO)
         self._tails = None
-        self._ints = None
 
     @classmethod
-    def _raw(cls, dim: int, atoms: dict, mass: Rational | None = None) -> "Measure":
-        # Trusted constructor for internal hot paths: atoms must already be
-        # validated points with strictly positive rational weights, and
-        # ``mass``, when given, must equal the sum of the weights exactly.
+    def _of_ints(cls, dim: int, s: int, coords: list, d: int, weights: list) -> "Measure":
+        # Trusted: distinct int points of length dim, positive int weights, in
+        # atom order.  Dividing out the gcds gives ``Measure(dim, atoms)``'s view.
+        g = math.gcd(s, *(c for x in coords for c in x))
+        if g > 1:
+            s, coords = s // g, [tuple(c // g for c in x) for x in coords]
+        g = math.gcd(d, *weights)
+        if g > 1:
+            d, weights = d // g, [w // g for w in weights]
         self = object.__new__(cls)
         self._dim = dim
-        self._atoms = atoms
-        self._mass = sum(atoms.values(), ZERO) if mass is None else mass
+        self._ints = (s, coords, d, weights)
+        self._atoms = None
         self._tails = None
-        self._ints = None
         return self
 
     @property
@@ -122,18 +129,22 @@ class Measure:
 
     @property
     def atoms(self) -> Mapping[Point, Rational]:
-        """Read-only view of the atom map."""
+        """Read-only view of the atom map, decoded on the first read."""
+        if self._atoms is None:
+            s, coords, d, weights = self._ints
+            self._atoms = {tuple(rat(c, s) for c in x): rat(w, d) for x, w in zip(coords, weights)}
         return MappingProxyType(self._atoms)
 
     def mass(self) -> Rational:
-        return self._mass
+        _, _, d, weights = self._ints
+        return rat(sum(weights), d)
 
     def support(self) -> list[Point]:
-        """Support points in sorted order (deterministic)."""
-        return sorted(self._atoms)
+        """Support points in sorted order; the view's int points sort as the rationals do."""
+        return [x for _, x in sorted(zip(self._ints[1], self.atoms))]
 
     def weight(self, point: Sequence) -> Rational:
-        return self._atoms.get(as_point(point, self._dim), ZERO)
+        return self.atoms.get(as_point(point, self._dim), ZERO)
 
     def _tail_index(self) -> tuple[int, list, int, list, list]:
         """1-D only: ``(S, keys, D, weights, suffix)``, the integer view sorted
@@ -141,7 +152,7 @@ class Measure:
         and ``suffix[i] = sum(weights[i:])``, so the closed tail mass at c is
         ``suffix[bisect_left(keys, ceil(c S))] / D``."""
         if self._tails is None:
-            s, coords, d, weights = self._int_view()
+            s, coords, d, weights = self._ints
             items = sorted(zip((k for k, in coords), weights))
             weights = [w for _, w in items]
             suffix = list(accumulate(reversed(weights), initial=0))[::-1]
@@ -149,42 +160,38 @@ class Measure:
         return self._tails
 
     def _int_view(self) -> tuple[int, list, int, list]:
-        """``(S, coords, D, weights)`` in atom order: the j-th atom is the
-        point ``coords[j] / S`` (a tuple of ints) with weight
-        ``weights[j] / D``, where S is a common denominator of every
-        coordinate and D one of every weight."""
-        if self._ints is None:
-            s, flat = over_lcm([c for x in self._atoms for c in x])
-            d, weights = over_lcm(list(self._atoms.values()))
-            coords = [tuple(flat[i : i + self._dim]) for i in range(0, len(flat), self._dim)]
-            self._ints = (s, coords, d, weights)
+        """The stored ``(S, coords, D, weights)`` in atom order: the j-th atom is
+        the int point ``coords[j]`` over S with weight ``weights[j]`` over D."""
         return self._ints
 
     def is_probability(self) -> bool:
-        return self._mass == 1
+        _, _, d, weights = self._ints
+        return sum(weights) == d
 
     def normalized(self) -> "Measure":
         """Scale to total mass 1."""
-        if self._mass == 0:
+        s, coords, d, weights = self._ints
+        total = sum(weights)
+        if total == 0:
             raise ValueError("cannot normalize the zero measure")
-        if self._mass == 1:
+        if total == d:
             return self
-        m = self._mass
-        return Measure._raw(self._dim, {p: w / m for p, w in self._atoms.items()}, ONE)
+        # weight w / D over mass total / D is w / total
+        return Measure._of_ints(self._dim, s, coords, total, weights)
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._ints[1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Measure):
             return NotImplemented
-        return self._dim == other._dim and self._atoms == other._atoms
+        return self._dim == other._dim and self.atoms == other.atoms
 
     def __repr__(self) -> str:
         inner = ", ".join(
-            f"{tuple(str(c) for c in p)}: {w}" for p, w in sorted(self._atoms.items())[:4]
+            f"{tuple(str(c) for c in p)}: {w}" for p, w in sorted(self.atoms.items())[:4]
         )
-        extra = "" if len(self._atoms) <= 4 else f", ... {len(self._atoms)} atoms"
+        extra = "" if len(self) <= 4 else f", ... {len(self)} atoms"
         return f"Measure(dim={self._dim}, {{{inner}{extra}}})"
 
 
@@ -202,8 +209,8 @@ def require_probability(mu: Measure, name: str) -> None:
 
 def delta(x: Sequence) -> Measure:
     """Unit point mass at x."""
-    pt = as_point(x)
-    return Measure._raw(len(pt), {pt: rat(1)})
+    s, ints = over_lcm(as_point(x))
+    return Measure._of_ints(len(ints), s, [tuple(ints)], 1, [1])
 
 
 def mix(terms: Iterable[tuple]) -> Measure:
@@ -212,22 +219,24 @@ def mix(terms: Iterable[tuple]) -> Measure:
     if not terms:
         raise ValueError("mix requires at least one (coefficient, measure) term")
     dim = terms[0][1].dim
-    acc: dict[Point, Rational] = {}
+    views = []  # the view of each c * m with c > 0: int weights c.num * w over c.den * D
     for coeff, m in terms:
         c = as_rat(coeff)
         if c < 0:
             raise ValueError(f"negative mixture coefficient {c}")
         if m.dim != dim:
             raise DimensionMismatch(f"measure dimensions differ: {m.dim} vs {dim}")
-        if c == 0:
-            continue
-        for pt, w in m._atoms.items():
-            cw = c * w
-            if pt in acc:
-                acc[pt] += cw
-            else:
-                acc[pt] = cw
-    return Measure._raw(dim, acc)
+        if c:
+            s, coords, d, weights = m._int_view()
+            views.append((s, coords, c.denominator * d, [c.numerator * w for w in weights]))
+    s = math.lcm(*(view[0] for view in views))
+    d = math.lcm(*(view[2] for view in views))
+    acc: dict[tuple, int] = {}
+    for sm, coords, dm, weights in views:
+        for x, w in zip(coords, weights):
+            pt = tuple(v * (s // sm) for v in x)
+            acc[pt] = acc.get(pt, 0) + w * (d // dm)
+    return Measure._of_ints(dim, s, list(acc), d, list(acc.values()))
 
 
 def _lattice(measures: Sequence[Measure]) -> tuple:
@@ -284,25 +293,25 @@ def _convolve_packed(a: dict, b: dict, cap: int | None) -> dict:
 
 def _unpack(
     packed: dict, radices: Sequence[int], origin: Sequence[int], steps, scale: int, denom: int
-) -> dict:
-    """Rational atoms from packed ones: point ``(origin + steps * k) / scale``
-    and weight ``c / denom``."""
-    atoms: dict[Point, Rational] = {}
+) -> Measure:
+    """The measure of packed atoms: int point ``origin + steps * k`` over
+    ``scale`` and int weight ``c`` over ``denom``."""
+    coords = []
     frame = tuple(zip(radices, origin, steps))
-    for key, c in packed.items():
+    for key in packed:
         pt = []
         for r, a, h in frame:
             key, k = divmod(key, r)
-            pt.append(rat(a + h * k, scale))
-        atoms[tuple(pt)] = rat(c, denom)
-    return atoms
+            pt.append(a + h * k)
+        coords.append(tuple(pt))
+    return Measure._of_ints(len(frame), scale, coords, denom, list(packed.values()))
 
 
 def convolve(mu: Measure, nu: Measure) -> Measure:
     """Convolution: atoms are pairwise sums with weight products coalesced."""
     require_equal_dims(mu, nu)
-    if not mu._atoms or not nu._atoms:
-        return Measure._raw(mu.dim, {})
+    if not len(mu) or not len(nu):
+        return Measure(mu.dim)
     scale, steps, (low_mu, low_nu), (k_mu, k_nu) = _lattice((mu, nu))
     radices = [
         max(k[i] for k in k_mu) + max(k[i] for k in k_nu) + 1 for i in range(mu.dim)
@@ -311,8 +320,7 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     b, d_nu = _pack(nu, k_nu, radices)
     origin = [x + y for x, y in zip(low_mu, low_nu)]
     out = _convolve_packed(a, b, None)
-    atoms = _unpack(out, radices, origin, steps, scale, d_mu * d_nu)
-    return Measure._raw(mu.dim, atoms, mu._mass * nu._mass)
+    return _unpack(out, radices, origin, steps, scale, d_mu * d_nu)
 
 
 def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
@@ -325,9 +333,9 @@ def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
     if n < 0:
         raise ValueError("convolution power requires n >= 0")
     if n == 0:
-        return Measure._raw(mu.dim, {(rat(0),) * mu.dim: rat(1)})
-    if not mu._atoms:
-        return Measure._raw(mu.dim, {})
+        return Measure._of_ints(mu.dim, 1, [(0,) * mu.dim], 1, [1])
+    if not len(mu):
+        return Measure(mu.dim)
     scale, steps, (low,), (offsets,) = _lattice((mu,))
     # offsets of a sum of at most n atoms stay below these radices: no carries
     radices = [n * max(k[i] for k in offsets) + 1 for i in range(mu.dim)]
@@ -339,20 +347,14 @@ def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
         k >>= 1
         if k:
             base = _convolve_packed(base, base, cap)
-    del base  # free the int squares before rationals are built
+    del base  # free the int squares before the result is unpacked
     origin = [n * a for a in low]
-    atoms = _unpack(acc, radices, origin, steps, scale, denom**n)
-    return Measure._raw(mu.dim, atoms, mu._mass**n)
+    return _unpack(acc, radices, origin, steps, scale, denom**n)
 
 
 def shift(mu: Measure, a: Sequence) -> Measure:
-    """Translate every atom by a; equals convolve(mu, delta(a))."""
-    pt = as_point(a, mu.dim)
-    return Measure._raw(
-        mu.dim,
-        {tuple(xc + ac for xc, ac in zip(x, pt)): w for x, w in mu._atoms.items()},
-        mu._mass,
-    )
+    """Translate every atom by a: the convolution with the unit mass at a."""
+    return convolve(mu, delta(as_point(a, mu.dim)))
 
 
 def _project_ints(mu: Measure, t: Sequence) -> tuple[int, dict, int]:
@@ -373,9 +375,9 @@ def _project_ints(mu: Measure, t: Sequence) -> tuple[int, dict, int]:
 def project(mu: Measure, t: Sequence) -> Measure:
     """Pushforward along the linear functional x -> <t, x>; a 1-D measure.
 
-    Runs on ``mu``'s integer view (``_project_ints``): each atom is built
-    once as ``k / (S T)`` with weight ``w / D``.  The result equals the
-    rational pushforward exactly, atom order included.
+    Runs on ``mu``'s integer view (``_project_ints``): the result's view is
+    the int keys over ``S T`` with their merged weights over ``D``.  It
+    equals the rational pushforward exactly, atom order included.
     """
     den, merged, d = _project_ints(mu, t)
-    return Measure._raw(1, {(rat(k, den),): rat(w, d) for k, w in merged.items()}, mu._mass)
+    return Measure._of_ints(1, den, [(k,) for k in merged], d, list(merged.values()))

@@ -32,7 +32,6 @@ def rat(numerator, denominator=None) -> Rational:
 
 
 ZERO = rat(0)
-ONE = rat(1)
 
 
 def over_lcm(values) -> tuple[int, list]:

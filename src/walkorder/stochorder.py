@@ -178,34 +178,33 @@ def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, li
 
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # Feasible iff max flow saturates the supplies over admissible edges
-    # {(x, y) : x <= y}; on failure the min cut is the supply set A.  The
-    # edges come from the normal keys of both supports over one denominator,
-    # in the (i, j) order of the pairwise scan.
-    supp_mu = mu.support()
-    supp_nu = nu.support()
-    _, flat = over_lcm([c for x in (*supp_mu, *supp_nu) for c in x])
-    keys = _normal_keys(cone, zip(*[iter(flat)] * mu.dim))
-    keys_mu, keys_nu = keys[: len(supp_mu)], keys[len(supp_mu) :]
+    # {(x, y) : x <= y}; on failure the min cut is the supply set A.  Both
+    # views go over one lcm S, sorted as the rational supports would be; the
+    # edges come from their normal keys in the (i, j) order of the pairwise
+    # scan.  Only the weights and the plan and witness points are decoded.
+    s = lcm(mu._int_view()[0], nu._int_view()[0])
+
+    def point(x: tuple) -> tuple:
+        return tuple(rat(c, s) for c in x)
+
+    sides = []
+    for sm, coords, dm, weights in (mu._int_view(), nu._int_view()):
+        items = sorted(zip([tuple(c * (s // sm) for c in x) for x in coords], weights))
+        pts = [x for x, _ in items]
+        sides.append((pts, _normal_keys(cone, pts), [rat(w, dm) for _, w in items]))
+    (xs, keys_mu, supplies), (ys, keys_nu, demands) = sides
     edges = [
         (i, j)
         for i, kx in enumerate(keys_mu)
         for j, ky in enumerate(keys_nu)
         if all(map(le, kx, ky))
     ]
-    inst = TransportInstance(
-        [mu.atoms[x] for x in supp_mu],
-        [nu.atoms[y] for y in supp_nu],
-        edges,
-    )
-    result = transport_feasible(inst)
+    result = transport_feasible(TransportInstance(supplies, demands, edges))
     if result.feasible:
-        plan = {
-            (supp_mu[i], supp_nu[j]): f for (i, j), f in sorted(result.plan.items())
-        }
+        plan = {(point(xs[i]), point(ys[j])): f for (i, j), f in sorted(result.plan.items())}
         # the keys' verdict, checked pair by pair with the public predicate
         for x, y in plan:
             if not cone.leq_point(x, y):
                 raise RuntimeError(f"coupling pairs {point_str(x)} with {point_str(y)}, not ordered")
         return OrderVerdict(True, CouplingPlan(plan), None)
-    witness = sorted(supp_mu[i] for i in result.cut)
-    return OrderVerdict(False, None, witness)
+    return OrderVerdict(False, None, [point(xs[i]) for i in sorted(result.cut)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -341,7 +342,9 @@ class TestIntegerView:
         @hyp.given(measures_on(hyp, dim), functionals(hyp, dim))
         def check(mu, t):
             proj = project(mu, t)
-            for m in (mu, proj, Measure(1, proj.atoms)):
+            outputs = (convolve(mu, mu), convolve_power(mu, 3), mu.normalized())
+            for m in (mu, proj, Measure(1, proj.atoms), *outputs):
+                assert m._int_view() == int_view_reference(m)
                 s, coords, d, weights = m._int_view()
                 assert all(type(v) is int for v in (s, d, *weights))
                 assert [tuple(rat(c, s) for c in x) for x in coords] == list(m.atoms)
@@ -365,6 +368,9 @@ class TestIntegerView:
                 mu = mix([(rat(1, 2), mu), (rat(1, 2), shift(mu, v))])
                 t = (rat(rng.randint(1, 9), rng.randint(1, 12)),) + (rat(0),) * (mu.dim - 1)
             assert mu._int_view() == int_view_reference(mu)
+            # every operation's output carries the canonical view
+            for m in (convolve(mu, mu), convolve_power(mu, 3), mu.normalized(), project(mu, t)):
+                assert m._int_view() == int_view_reference(m)
             got, expected = _project_ints(mu, t), project_ints_reference(mu, t)
             assert got == expected and list(got[1]) == list(expected[1])
             merged += len(got[1]) < len(mu)
@@ -413,3 +419,69 @@ class TestKnownMass:
                 assert out.mass() == sum(out.atoms.values(), rat(0))
 
         check()
+
+
+class TestKernelsOnInts:
+    """The operations compute on integer views: until ``atoms`` is read, no
+    ``Fraction`` is built, and the decoded atoms are those of the rational
+    loops, atom order included."""
+
+    def test_no_fraction_until_atoms_are_read(self):
+        rng = random.Random(163)
+        draws = (random_measure_1d, random_measure_2d, random_measure_3d)
+        cases = []
+        for i in range(30):
+            mu, nu = draws[i % 3](rng), draws[i % 3](rng)
+            k = rat(rng.randint(1, 9), 7)
+            scaled = Measure(mu.dim, {x: w * k for x, w in mu.atoms.items()})
+            t = tuple(rat(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(mu.dim))
+            a = tuple(rat(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(mu.dim))
+            c = (rat(rng.randint(1, 5), rng.randint(1, 5)), rat(rng.randint(0, 3), 2))
+            cases.append((mu, nu, scaled, t, a, c))
+        built = []
+        original = Fraction.__dict__["__new__"]
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            outputs = []
+            for mu, nu, scaled, t, a, c in cases:
+                empty = Measure(mu.dim)
+                results = [
+                    convolve(mu, nu),
+                    convolve(mu, empty),
+                    *(convolve_power(mu, n) for n in (0, 1, 4)),
+                    convolve_power(empty, 4),
+                    project(mu, t),
+                    shift(mu, a),
+                    scaled.normalized(),
+                    mix([(c[0], mu), (c[1], scaled)]),
+                ]
+                for m in results:
+                    assert len(m) == len(m._int_view()[1])
+                    if m.dim == 1:
+                        m._tail_index()
+                outputs.append(results)
+        finally:
+            Fraction.__new__ = original
+        assert built == []
+
+        for (mu, nu, scaled, t, a, c), results in zip(cases, outputs):
+            # scaled has mu's points, in mu's order
+            mixed = {x: c[0] * w + c[1] * scaled.atoms[x] for x, w in mu.atoms.items()}
+            mass = scaled.mass()
+            expected = [
+                naive_convolve(mu.atoms, nu.atoms),
+                {},
+                *(naive_power_sizes(dict(mu.atoms), mu.dim, n)[0] for n in (0, 1, 4)),
+                {},
+                naive_project(mu, t),
+                {tuple(p + q for p, q in zip(x, a)): w for x, w in mu.atoms.items()},
+                {x: w / mass for x, w in scaled.atoms.items()},
+                mixed,
+            ]
+            for m, atoms in zip(results, expected):
+                assert list(m.atoms.items()) == list(atoms.items())

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every private helper of the package is read by some module of it.
+"""Every name a module of the package imports is used in that module, every
+private helper of the package is read by some module of it, and so is every
+module-level name that the package does not export.
 
 ``__init__.py`` is exempt from the import check: it imports names to
 re-export them through ``__all__``.
@@ -11,6 +12,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+import walkorder
 
 PACKAGE = sorted((Path(__file__).parent.parent / "src" / "walkorder").glob("*.py"))
 SOURCES = [p for p in PACKAGE if p.name != "__init__.py"]
@@ -97,3 +100,36 @@ def test_helper_detector():
     )
     assert private_helpers(source) == ["_used", "_dead", "_Box", "_Box._peek"]
     assert {"_used", "_Box"} <= names_read(source) and "_dead" not in names_read(source)
+
+
+def module_names(source: str) -> list[str]:
+    """Module-level functions, classes and constants (names bound by a plain
+    or annotated assignment to a single name), dunders excepted."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append(node.name)
+        elif isinstance(node, ast.Assign):
+            found += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            found.append(node.target.id)
+    return [name for name in found if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_module_names_are_exported_or_read():
+    # a name that the package neither exports nor reads is dead code of it
+    names = [
+        (p.stem, name) for p in PACKAGE for name in module_names(p.read_text(encoding="utf-8"))
+    ]
+    assert len(names) > 100
+    assert [f"{m}.{n}" for m, n in names if n not in READ and n not in walkorder.__all__] == []
+
+
+def test_module_name_detector():
+    source = (
+        "import os\n__all__ = ['f']\nONE = 1\nZERO: int = 0\n"
+        "def f():\n    local = ZERO\n    return local\n"
+        "class Box:\n    SIZE = 2\n"
+    )
+    assert module_names(source) == ["ONE", "ZERO", "f", "Box"]
+    assert "ZERO" in names_read(source) and "ONE" not in names_read(source)
