@@ -7,7 +7,9 @@ File formats (JSON):
             "rays": [["1","0"], ...], "normals": [...], "unit": ["1","1"]}
 
 Numbers are fraction strings ("2/5"), decimal strings ("0.1", converted
-exactly) or plain integers.  Reports are deterministic JSON: fixed key
+exactly) or JSON numbers, read exactly from their literal text; every
+literal goes through ``rational.as_ratio`` to an int pair, and a measure file
+straight to its integer view.  Reports are deterministic JSON: fixed key
 order, fraction strings for exact values, repr floats for numeric values.
 
 Every subcommand takes --cone, --seed, --workers, --json and --normalize,
@@ -39,8 +41,8 @@ from .ldp import (
     relative_rate_lhs,
     relative_rate_rhs,
 )
-from .measure import Measure
-from .rational import as_rat, rat_str
+from .measure import Measure, from_ratios
+from .rational import as_ratio, rat, rat_str
 from .spectrum import SpectrumOptions, spectral_verdict
 from .stochorder import leq_st
 
@@ -52,24 +54,34 @@ EXIT_EPISTEMIC = 2
 # -- parsing -------------------------------------------------------------------
 
 
-def parse_rational(text):
-    """The exact rational of a JSON number or number string.  Booleans are
-    refused, and so are the number strings that ``rational.as_rat`` refuses:
-    more digits than Python prints, or an exponent far past that limit."""
+def parse_ratio(text) -> tuple[int, int]:
+    """The exact rational of a JSON number or number string, as a ``(p, q)``
+    int pair in lowest terms (``rational.as_ratio``).  Booleans are refused,
+    and so are the number strings that ``as_ratio`` refuses: more digits than
+    Python prints, or an exponent far past that limit."""
     try:
         if isinstance(text, bool):
             raise ValueError("a boolean is not a number")
-        return as_rat(text if isinstance(text, int) else str(text))
+        return as_ratio(text if isinstance(text, int) else str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
 
 
-def parse_point(obj, dim: int | None = None) -> tuple:
+def parse_rational(text):
+    """``parse_ratio`` as a ``Fraction``."""
+    return rat(*parse_ratio(text))
+
+
+def _parse_ratios(obj, dim: int | None = None) -> tuple:
     coords = obj if isinstance(obj, (list, tuple)) else [obj]
-    pt = tuple(parse_rational(c) for c in coords)
+    pt = tuple(map(parse_ratio, coords))
     if dim is not None and len(pt) != dim:
         raise ValueError(f"point {obj!r} has {len(pt)} coordinates, expected {dim}")
     return pt
+
+
+def parse_point(obj, dim: int | None = None) -> tuple:
+    return tuple(rat(*c) for c in _parse_ratios(obj, dim))
 
 
 def _parse_dim(value) -> int:
@@ -90,7 +102,7 @@ def _parse_points(data: dict, key: str, dim: int) -> list | None:
 
 
 def parse_measure(text: str) -> Measure:
-    data = json.loads(text)
+    data = json.loads(text, parse_float=str)  # a JSON number is read from its literal text
     if not isinstance(data, dict) or "dim" not in data or "atoms" not in data:
         raise ValueError('measure files need {"dim": ..., "atoms": [...]}')
     if not isinstance(data["atoms"], list):
@@ -100,12 +112,12 @@ def parse_measure(text: str) -> Measure:
     for i, entry in enumerate(data["atoms"]):
         if not isinstance(entry, dict) or "x" not in entry or "w" not in entry:
             raise ValueError(f'atom {i} must be an object with "x" and "w", got {entry!r}')
-        atoms.append((parse_point(entry["x"], dim), parse_rational(entry["w"])))
-    return Measure(dim, atoms)
+        atoms.append((_parse_ratios(entry["x"], dim), parse_ratio(entry["w"])))
+    return from_ratios(dim, atoms)
 
 
 def parse_cone(text: str, expected_dim: int | None = None) -> Cone:
-    data = json.loads(text)
+    data = json.loads(text, parse_float=str)
     if not isinstance(data, dict) or "dim" not in data:
         raise ValueError('cone files need {"dim": ..., "kind": ...}')
     kind = data.get("kind", "generators")

@@ -9,10 +9,12 @@ merging anywhere.
 
 A measure stores only its integer view: the atoms in atom order, with
 coordinates as ints over ``S`` and weights as ints over ``D``, the lcms of
-the reduced denominators.  ``Measure(dim, atoms)`` encodes its input once;
-every operation computes on views, and ``Measure._of_ints`` divides the gcds
-out of a result's view.  Rational atoms are decoded on the first read of
-``atoms``.
+the reduced denominators.  ``from_ratios`` builds it from values read to
+``(p, q)`` int pairs (``rational.as_ratio``), merging, dropping and refusing
+atoms on the pairs; ``Measure(dim, atoms)`` and the CLI's file reader both
+go through it, so no ``Fraction`` is built for a file.  Every operation
+computes on views, and ``Measure._of_ints`` divides the gcds out of a
+result's view.  Rational atoms are decoded on the first read of ``atoms``.
 
 Convolution puts the views of its operands on one integer lattice.  Over
 the lcm of their ``S``, the support of a measure lies in
@@ -43,7 +45,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AtomBudgetExceeded, DimensionMismatch
-from .rational import Rational, ZERO, as_rat, over_lcm, point_str, rat
+from .rational import Rational, ZERO, as_rat, as_ratio, over_lcm, point_str, rat
 
 #: Points are tuples of exact rationals; the tuple length is the dimension.
 Point = tuple
@@ -54,7 +56,10 @@ DEFAULT_ATOM_CAP = 10**6
 
 def as_point(coords: Sequence, dim: int | None = None) -> Point:
     """Normalize a coordinate sequence to a point, optionally checking dim."""
-    pt = tuple(as_rat(c) for c in coords)
+    return _checked(tuple(as_rat(c) for c in coords), dim)
+
+
+def _checked(pt: tuple, dim: int | None) -> tuple:
     if not pt:
         raise ValueError("points must have at least one coordinate")
     if dim is not None and len(pt) != dim:
@@ -84,26 +89,10 @@ class Measure:
     __slots__ = ("_dim", "_ints", "_atoms", "_tails")
 
     def __init__(self, dim: int, atoms: Mapping | Iterable = ()):
-        if dim < 1:
-            raise ValueError("dimension must be a positive integer")
         items = atoms.items() if isinstance(atoms, Mapping) else atoms
-        cleaned: dict[Point, Rational] = {}
-        for point, weight in items:
-            pt = as_point(point, dim)
-            w = as_rat(weight)
-            if w < 0:
-                raise ValueError(f"negative weight {w} at {point_str(pt)}")
-            if w == 0:
-                continue
-            if pt in cleaned:
-                cleaned[pt] += w
-            else:
-                cleaned[pt] = w
-        s, flat = over_lcm([c for x in cleaned for c in x])
-        d, weights = over_lcm(list(cleaned.values()))
-        self._dim = dim
-        self._ints = (s, [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)], d, weights)
-        self._atoms = cleaned
+        ratios = ((_checked(tuple(map(as_ratio, x)), dim), as_ratio(w)) for x, w in items)
+        self._dim, self._ints = dim, from_ratios(dim, ratios)._ints
+        self._atoms = None
         self._tails = None
 
     @classmethod
@@ -193,6 +182,29 @@ class Measure:
         )
         extra = "" if len(self) <= 4 else f", ... {len(self)} atoms"
         return f"Measure(dim={self._dim}, {{{inner}{extra}}})"
+
+
+def from_ratios(dim: int, items: Iterable) -> Measure:
+    """``Measure(dim, atoms)`` built on ints: each item is a point and its
+    weight, with every coordinate and the weight a ``(p, q)`` pair in lowest
+    terms with q > 0 (``rational.as_ratio``), and each point of length dim.
+    Zero weights are dropped, a negative weight is refused, and duplicate
+    points are merged in first-occurrence order, all on the int pairs."""
+    if dim < 1:
+        raise ValueError("dimension must be a positive integer")
+    kept = []
+    for pt, w in items:
+        if w[0] < 0:
+            raise ValueError(f"negative weight {rat(*w)} at {point_str([rat(*c) for c in pt])}")
+        if w[0]:
+            kept.append((pt, w))
+    s = math.lcm(*{q for pt, _ in kept for _, q in pt})
+    d = math.lcm(*{q for _, (_, q) in kept})
+    merged: dict[tuple, int] = {}
+    for pt, (p, q) in kept:
+        merged[pt] = merged.get(pt, 0) + p * (d // q)
+    coords = [tuple(p * (s // q) for p, q in pt) for pt in merged]
+    return Measure._of_ints(dim, s, coords, d, list(merged.values()))
 
 
 def require_equal_dims(a: Measure, b: Measure) -> None:

@@ -3,6 +3,9 @@
 Every coordinate, weight and threshold in this package is an exact rational.
 Values are ``fractions.Fraction``; the exact kernels run on plain ints over
 the lcm of the denominators, encoded by ``over_lcm`` and decoded by ``rat``.
+Number literals are read by one reader, ``as_ratio``, straight to a reduced
+int pair, so measure files reach the integer view without a ``Fraction``;
+``as_rat`` reads strings through it too.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ import math
 import numbers
 import re
 import sys
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction  # the grammar of Fraction(str)
 
 #: Name of the rational type in use, recorded by the benchmark harness.
 BACKEND = "python"
@@ -24,10 +27,12 @@ def rat(numerator, denominator=None) -> Rational:
     """Build an exact rational from ints, strings or another rational.
 
     Strings may be fraction literals ("2/5"), decimals ("0.1", converted
-    exactly to 1/10) or scientific notation ("1e-3").
+    exactly to 1/10) or scientific notation ("1e-3"); ``as_ratio`` reads them.
     """
     if denominator is not None:
         return Fraction(numerator, denominator)
+    if isinstance(numerator, str):
+        return Fraction(*as_ratio(numerator))
     return Fraction(numerator)
 
 
@@ -45,29 +50,66 @@ def over_lcm(values) -> tuple[int, list]:
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def as_rat(value) -> Rational:
-    """Convert to ``Fraction``, rejecting inexact input.
+def as_ratio(value) -> tuple[int, int]:
+    """``(p, q)`` in lowest terms with q > 0 and ``as_rat(value) == p / q``,
+    with the same checks and messages; an int or a string builds no ``Fraction``.
 
-    A string is refused (``ValueError``) when its number has more digits than
-    Python prints (``sys.get_int_max_str_digits()``); an exponent past that
-    limit by more than the literal's length is refused before ``Fraction``
-    raises ten to it.
+    A string is read with the grammar of ``Fraction(str)`` on the running
+    Python (``fractions._RATIONAL_FORMAT``: signs, "p/q", decimals and
+    scientific notation, underscores from 3.11 on, spaces around "/" from
+    3.12 on), and converted as ``Fraction`` converts it.  It is refused
+    (``ValueError``) when its number has more digits than Python prints
+    (``sys.get_int_max_str_digits()``); an exponent past that limit by more
+    than the literal's length is refused before ten is raised to it.
     """
+    if isinstance(value, int):
+        return int(value), 1
+    if not isinstance(value, str):
+        q = as_rat(value)
+        return q.numerator, q.denominator
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    literal = value.strip()
+    exponent = _EXPONENT.search(literal)
+    if limit and exponent and abs(int(exponent[1])) > limit + len(literal):
+        raise ValueError(f"exponent {exponent[1]} is out of range")
+    m = _RATIONAL_FORMAT.match(literal)
+    if m is None:
+        raise ValueError(f"Invalid literal for Fraction: {literal!r}")
+    sign, num, den, decimal, exp = m.group("sign", "num", "denom", "decimal", "exp")
+    num = int(num or "0")
+    if den:
+        den = int(den)
+    else:
+        den = 1
+        if decimal:
+            decimal = decimal.replace("_", "")
+            den = 10 ** len(decimal)
+            num = num * den + int(decimal)
+        if exp:
+            exp = int(exp)
+            if exp >= 0:
+                num *= 10**exp
+            else:
+                den *= 10**-exp
+    if sign == "-":
+        num = -num
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    big = max(abs(num), den)
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 8**limit < 10**limit
+        raise ValueError(f"its numerator or denominator has more than {limit} digits")
+    return num, den
+
+
+def as_rat(value) -> Rational:
+    """Convert to ``Fraction``, rejecting inexact input; a string is read by
+    ``as_ratio``."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, (int, str)):
         return rat(value)
-    if isinstance(value, str):
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-        literal = value.strip()
-        exponent = _EXPONENT.search(literal)
-        if limit and exponent and abs(int(exponent[1])) > limit + len(literal):
-            raise ValueError(f"exponent {exponent[1]} is out of range")
-        q = rat(literal)
-        big = max(abs(q.numerator), q.denominator)
-        if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 8**limit < 10**limit
-            raise ValueError(f"its numerator or denominator has more than {limit} digits")
-        return q
     if isinstance(value, numbers.Rational):
         return rat(value.numerator, value.denominator)
     raise TypeError(

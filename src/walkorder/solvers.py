@@ -1,8 +1,9 @@
 """Exact combinatorial feasibility back-ends.
 
 Transportation feasibility is decided by a max-flow on plain ints, the
-supplies and demands scaled once over the lcm of their denominators, with
-shortest augmenting paths (greedy warm start, then BFS augmentation); linear
+supplies and demands scaled once over the lcm of their denominators (int
+supplies and demands, as ``leq_st`` passes them, are taken as they are),
+with shortest augmenting paths (greedy warm start, then BFS augmentation); linear
 feasibility by a phase-1 simplex with Bland's rule, whose tableau rows are
 sparse maps from column to plain int, each up to a positive factor, and
 whose pivots are exactly those of the dense rational tableau.  Everything is
@@ -25,16 +26,21 @@ from .rational import ZERO, as_rat, over_lcm, rat
 @dataclass(frozen=True)
 class TransportInstance:
     """Supplies and demands as exact rationals, edges as int index pairs; the
-    constructor converts them and raises TypeError on a float or a non-int index."""
+    constructor keeps ints as ints, converts the rest to ``Fraction`` and
+    raises TypeError on a float or a non-int index."""
 
     supplies: tuple
     demands: tuple
     edges: tuple  # (supply index, demand index) pairs; order fixes determinism
 
     def __post_init__(self):
-        object.__setattr__(self, "supplies", tuple(as_rat(s) for s in self.supplies))
-        object.__setattr__(self, "demands", tuple(as_rat(d) for d in self.demands))
+        object.__setattr__(self, "supplies", tuple(map(_exact, self.supplies)))
+        object.__setattr__(self, "demands", tuple(map(_exact, self.demands)))
         object.__setattr__(self, "edges", tuple((index(i), index(j)) for i, j in self.edges))
+
+
+def _exact(value):
+    return value if type(value) is int else as_rat(value)
 
 
 @dataclass(frozen=True)
@@ -74,19 +80,16 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
     edge order, then shortest augmenting paths by BFS.  Scaling by D > 0
     keeps every comparison and every bottleneck, so the paths, the plan and
     the cut are those of the same max-flow on rationals; each plan entry is
-    returned as ``f / D``.  The certificate is re-checked on the ints before
-    it is handed back.
+    returned as ``f / D``, an int when D is 1.  The certificate is re-checked
+    on the ints before it is handed back.
     """
     den, sup, dem = _validate_transport(inst)
     m, k = len(sup), len(dem)
     adj: list[list[int]] = [[] for _ in range(m)]
     radj: list[list[int]] = [[] for _ in range(k)]
-    seen_edges = set()
-    for i, j in inst.edges:
-        if (i, j) not in seen_edges:
-            seen_edges.add((i, j))
-            adj[i].append(j)
-            radj[j].append(i)
+    for i, j in dict.fromkeys(inst.edges):  # each distinct edge once, in edge order
+        adj[i].append(j)
+        radj[j].append(i)
     flow: dict[tuple, int] = {}
     r_s = list(sup)
     r_d = list(dem)
@@ -150,7 +153,8 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
     if all(r == 0 for r in r_s):
         plan = {e: f for e, f in flow.items() if f > 0}
         _check_certificate(inst, sup, dem, plan, None)
-        plan = {e: rat(f, den) for e, f in plan.items()}
+        if den > 1:
+            plan = {e: rat(f, den) for e, f in plan.items()}
         return TransportResult(feasible=True, plan=plan, cut=None)
     cut = frozenset(prev_s)
     _check_certificate(inst, sup, dem, None, cut)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import islice
 from math import lcm
 from operator import ge, le, mul
@@ -179,19 +180,25 @@ def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, li
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # Feasible iff max flow saturates the supplies over admissible edges
     # {(x, y) : x <= y}; on failure the min cut is the supply set A.  Both
-    # views go over one lcm S, sorted as the rational supports would be; the
-    # edges come from their normal keys in the (i, j) order of the pairwise
-    # scan.  Only the weights and the plan and witness points are decoded.
-    s = lcm(mu._int_view()[0], nu._int_view()[0])
+    # views go over one lcm S of their scales and one lcm D of their weight
+    # denominators, sorted as the rational supports would be; the edges come
+    # from their normal keys in the (i, j) order of the pairwise scan, and
+    # the supplies and demands are the int weights over D.  Only the plan's
+    # weights, once per entry, and the coordinates of its and the witness's
+    # points, once per distinct value, are decoded to rationals.
+    views = mu._int_view(), nu._int_view()
+    s, d = lcm(*(view[0] for view in views)), lcm(*(view[2] for view in views))
+
+    coord = cache(partial(rat, denominator=s))
 
     def point(x: tuple) -> tuple:
-        return tuple(rat(c, s) for c in x)
+        return tuple(map(coord, x))
 
     sides = []
-    for sm, coords, dm, weights in (mu._int_view(), nu._int_view()):
+    for sm, coords, dm, weights in views:
         items = sorted(zip([tuple(c * (s // sm) for c in x) for x in coords], weights))
         pts = [x for x, _ in items]
-        sides.append((pts, _normal_keys(cone, pts), [rat(w, dm) for _, w in items]))
+        sides.append((pts, _normal_keys(cone, pts), [w * (d // dm) for _, w in items]))
     (xs, keys_mu, supplies), (ys, keys_nu, demands) = sides
     edges = [
         (i, j)
@@ -201,7 +208,8 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     ]
     result = transport_feasible(TransportInstance(supplies, demands, edges))
     if result.feasible:
-        plan = {(point(xs[i]), point(ys[j])): f for (i, j), f in sorted(result.plan.items())}
+        flows = sorted(result.plan.items())
+        plan = {(point(xs[i]), point(ys[j])): rat(f, d) for (i, j), f in flows}
         # the keys' verdict, checked pair by pair with the public predicate
         for x, y in plan:
             if not cone.leq_point(x, y):

@@ -14,7 +14,7 @@ import pytest
 from walkorder import Cone, Measure, convolve, convolve_power, leq_st
 from walkorder.dominance import Catalyst, MinNResult, _grid_step
 from walkorder.measure import DEFAULT_ATOM_CAP, as_point
-from walkorder.rational import ZERO, as_rat, rat
+from walkorder.rational import ZERO, as_rat, over_lcm, point_str, rat
 from walkorder.solvers import (
     LinearFeasibility,
     TransportInstance,
@@ -115,6 +115,42 @@ def measures_on(hyp, dim: int, dens=(1, 2, 3, 6)):
     return st.dictionaries(points, weight, min_size=1, max_size=5).map(
         lambda atoms: Measure(dim, atoms)
     )
+
+
+def literals(st, signs=("", "+", "-"), bent: bool = False):
+    """A Hypothesis strategy for number literals of every form that
+    ``Fraction(str)`` knows: ints, "p/q", the given signs, decimals,
+    exponents, underscores and surrounding spaces.  If ``bent``, one in three
+    has a character put in where it may break the grammar."""
+    digits = st.one_of(
+        st.text("0123456789", min_size=1, max_size=5), st.integers(0, 10**6).map(str)
+    )
+    grouped = st.lists(digits, min_size=1, max_size=3).map("_".join)
+    number = st.one_of(digits, grouped)
+    exponent = st.builds(
+        "{}{}{}".format, st.sampled_from("eE"), st.sampled_from(["", "+", "-"]),
+        st.one_of(number, st.integers(0, 5000).map(str)),
+    )
+    decimal = st.builds(
+        "{}.{}{}".format, st.one_of(st.just(""), number), st.one_of(st.just(""), number),
+        st.one_of(st.just(""), exponent),
+    )
+    body = st.one_of(
+        number,
+        st.builds("{}{}".format, number, exponent),
+        st.builds("{}{}/{}{}".format, number, st.sampled_from(["", " "]),
+                  st.sampled_from(["", " "]), number),
+        decimal,
+    )
+    pad = st.sampled_from(["", " ", "\t", " \n"])
+    literal = st.builds("{0}{1}{2}{0}".format, pad, st.sampled_from(signs), body)
+    if not bent:
+        return literal
+    broken = st.builds(
+        lambda text, i, junk: text[:i] + junk + text[i:],
+        literal, st.integers(0, 12), st.sampled_from(["_", ".", "/", "e", "-", " ", "x", "d"]),
+    )
+    return st.one_of(literal, literal, broken)
 
 
 def kernel_settings(hyp):
@@ -270,6 +306,26 @@ def int_view_reference(mu: Measure) -> tuple:
     coords = [tuple(c.numerator * (s // c.denominator) for c in x) for x in atoms]
     weights = [w.numerator * (d // w.denominator) for w in atoms.values()]
     return s, coords, d, weights
+
+
+def measure_reference(dim: int, atoms) -> tuple:
+    """``Measure(dim, atoms)`` as it was built before the int builder: every
+    value through ``as_rat``, duplicates merged and zero weights dropped on
+    ``Fraction`` weights, then both lists encoded with ``over_lcm``.  Returns
+    the atom map in atom order, the integer view and the ``repr``."""
+    cleaned: dict = {}
+    for point, weight in atoms:
+        pt, w = tuple(as_rat(c) for c in point), as_rat(weight)
+        if w < 0:
+            raise ValueError(f"negative weight {w} at {point_str(pt)}")
+        if w:
+            cleaned[pt] = cleaned.get(pt, 0) + w
+    s, flat = over_lcm([c for x in cleaned for c in x])
+    d, weights = over_lcm(list(cleaned.values()))
+    view = (s, [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)], d, weights)
+    inner = ", ".join(f"{tuple(str(c) for c in p)}: {w}" for p, w in sorted(cleaned.items())[:4])
+    extra = "" if len(cleaned) <= 4 else f", ... {len(cleaned)} atoms"
+    return cleaned, view, f"Measure(dim={dim}, {{{inner}{extra}}})"
 
 
 def project_ints_reference(mu: Measure, t) -> tuple:

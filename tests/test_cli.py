@@ -6,10 +6,12 @@ import argparse
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,9 @@ from walkorder.cli import (
     parse_measure,
 )
 from walkorder.rational import rat
+
+from conftest import kernel_settings, literals, measure_reference
+from literal_parity import fraction_route
 
 
 @pytest.fixture
@@ -544,6 +549,169 @@ class TestNumberRange:
         for literal in ("1e4299", "12345e4295", "1e-4299"):
             code, out = run(capsys, [*argv(literal), "--json", "-"])
             assert code == EXIT_OK and f'"{rat(literal)}"' in out, literal
+
+
+# a JSON number: the texts of these literals may stand in a file unquoted
+_JSON_NUMBER = re.compile(r"-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?")
+
+
+class TestLiteralRoutes:
+    """Measure files are read straight to integer views: the literals to int
+    pairs, the atoms through ``measure.from_ratios``.  The result is the one
+    the ``Fraction`` route built, and a refused file raises its message."""
+
+    @staticmethod
+    def reference(dim: int, atoms: list):
+        """The measure file read on the ``Fraction`` route: every literal by
+        ``Fraction(str)``, with the checks of ``as_rat`` and the message of
+        ``cli.parse_rational``, then ``Measure(dim, atoms)`` on ``Fraction``s."""
+        def value(token):
+            text, bare = token
+            if bare and _JSON_NUMBER.fullmatch(text)[2] is None and "e" not in text.lower():
+                return int(text)
+            try:
+                return fraction_route(text)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError(f"cannot parse rational {text!r}: {exc}") from None
+
+        return measure_reference(dim, [([value(c) for c in x], value(w)) for x, w in atoms])
+
+    @staticmethod
+    def file(dim: int, atoms: list) -> str:
+        def token(tok):
+            text, bare = tok
+            return text if bare else json.dumps(text)
+
+        entries = ", ".join(
+            f'{{"x": [{", ".join(map(token, x))}], "w": {token(w)}}}' for x, w in atoms
+        )
+        return f'{{"dim": {dim}, "atoms": [{entries}]}}'
+
+    def test_measure_file_equals_fraction_route(self, hyp, int_digit_limit):
+        st = hyp.strategies
+
+        def tokens(literal):
+            # a literal that is a JSON number is written bare half the time
+            return st.tuples(literal, st.booleans()).map(
+                lambda t: (t[0], t[1] and _JSON_NUMBER.fullmatch(t[0]) is not None)
+            )
+
+        coordinate = tokens(st.one_of(literals(st), st.sampled_from(["0", "1/2", "-3", "0.5"])))
+        weight = tokens(st.one_of(
+            literals(st, signs=("", "+")),
+            st.sampled_from(["0", "1/3", "2", "0.25", "-1/2"]),
+            literals(st, bent=True),
+        ))
+
+        @st.composite
+        def files(draw):
+            dim = draw(st.integers(1, 3))
+            points = draw(st.lists(st.lists(coordinate, min_size=dim, max_size=dim),
+                                   min_size=1, max_size=4))
+            # repeated points merge; a repeat may also be written another way
+            picks = draw(st.lists(st.integers(0, len(points) - 1), min_size=0, max_size=8))
+            return dim, [(points[i], draw(weight)) for i in [*range(len(points)), *picks]]
+
+        outcomes = set()
+
+        @hyp.settings(kernel_settings(hyp), max_examples=150)
+        @hyp.given(files())
+        @hyp.example((2, [([("1/2", False), ("0.50", False)], ("1", True)),
+                          ([("2/4", False), (".5", False)], ("1e-1", True))]))
+        @hyp.example((1, [([("0.30000000000000000001", True)], ("0.5", True)),
+                          ([("0.3", True)], ("1/2", False))]))
+        def check(case):
+            dim, atoms = case
+            text = self.file(dim, atoms)
+            try:
+                cleaned, view, text_repr = self.reference(dim, atoms)
+            except ValueError as exc:
+                outcomes.add("refused")
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    parse_measure(text)
+                return
+            outcomes.add("read")
+            m = parse_measure(text)
+            assert m._int_view() == view
+            assert list(m.atoms.items()) == list(cleaned.items())
+            assert m.mass() == sum(cleaned.values())
+            assert repr(m) == text_repr
+
+        check()
+        assert outcomes == {"read", "refused"}
+
+    def test_no_fraction_until_atoms_are_read(self, monkeypatch):
+        text = (
+            '{"dim": 2, "atoms": ['
+            '{"x": ["1", "-2/4"], "w": "1/6"}, {"x": [3, "0.25"], "w": 0.5},'
+            '{"x": ["1.5e1", "10"], "w": "1/3"}, {"x": [" +1 ", "-0.5"], "w": "0"},'
+            '{"x": ["1", "-1/2"], "w": 0}, {"x": [-1.25E-1, "7/3"], "w": "0.0e0"}]}'
+        )
+        built = []
+        original = Fraction.__dict__["__new__"]
+
+        def counting(cls, *args, **kwargs):
+            built.append(args)
+            return original.__func__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+        m = parse_measure(text)
+        assert len(m) == 3 and m.is_probability()
+        view = m._int_view()
+        assert built == []
+        assert view == (4, [(4, -2), (12, 1), (60, 40)], 6, [1, 3, 2])
+        assert dict(m.atoms) == {
+            (rat(1), rat(-1, 2)): rat(1, 6),
+            (rat(3), rat(1, 4)): rat(1, 2),
+            (rat(15), rat(10)): rat(1, 3),
+        }
+        assert len(built) > 0
+
+
+class TestJsonNumbers:
+    """A JSON number is read from its literal text, exactly: a float's repr
+    never stands in for it."""
+
+    def test_close_numbers_stay_apart(self):
+        m = parse_measure(
+            '{"dim": 1, "atoms": [{"x": [0.30000000000000000001], "w": "1/2"},'
+            ' {"x": [0.3], "w": 0.5}]}'
+        )
+        assert dict(m.atoms) == {
+            (rat(30000000000000000001, 10**20),): rat(1, 2),
+            (rat(3, 10),): rat(1, 2),
+        }
+
+    def test_witness_prints_the_exact_point(self, capsys, tmp_path, files):
+        far = tmp_path / "far.json"
+        far.write_text('{"dim": 1, "atoms": [{"x": [12345678901234567890.5], "w": 1}]}')
+        code, out = run(capsys, ["order-check", str(far), files["d0"], "--json", "-"])
+        assert code == EXIT_OK
+        assert json.loads(out)["witness_upset"] == [["24691357802469135781/2"]]
+
+    def test_numbers_past_the_float_range(self):
+        m = parse_measure('{"dim": 1, "atoms": [{"x": [1e400], "w": 1}]}')
+        assert dict(m.atoms) == {(rat(10**400),): 1}
+
+    @pytest.mark.parametrize("place", ["x", "w", "dim", "unit"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_constants_exit1(self, capsys, tmp_path, files, place, constant):
+        template = {
+            "x": '{"dim": 1, "atoms": [{"x": [C], "w": 1}]}',
+            "w": '{"dim": 1, "atoms": [{"x": [0], "w": C}]}',
+            "dim": '{"dim": C, "atoms": []}',
+            "unit": '{"dim": 1, "kind": "halfline", "unit": [C]}',
+        }[place]
+        bad = tmp_path / "constant.json"
+        bad.write_text(template.replace("C", constant))
+        if place == "unit":
+            argv = ["order-check", files["d0"], files["d1"], "--cone", str(bad)]
+        else:
+            argv = ["order-check", str(bad), files["d0"]]
+        assert main([*argv, "--json", "-"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {bad}: ") and "Traceback" not in captured.err
 
 
 # the work each command does after its inputs are loaded

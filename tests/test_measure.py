@@ -24,6 +24,7 @@ from walkorder.rational import rat
 from conftest import (
     int_view_reference,
     kernel_settings,
+    measure_reference,
     measures_on,
     project_ints_reference,
     random_measure_1d,
@@ -58,6 +59,31 @@ class TestConstruction:
     def test_wrong_point_length_rejected(self):
         with pytest.raises(DimensionMismatch):
             Measure(2, {(0,): 1})
+
+    def test_equals_fraction_route(self):
+        # Fractions, ints and strings, with repeats written another way and
+        # zero weights: the view, the atom order and the repr are those of the
+        # route that merged on Fraction weights
+        rng = random.Random(29)
+
+        def written(q):
+            forms = [q, str(q), f" {q.numerator * 5}/{q.denominator * 5} "]
+            if q.denominator == 1:
+                forms.append(q.numerator)
+            if q.denominator in (2, 4):
+                forms.append(f"{q.numerator / q.denominator!r}e0")
+            return rng.choice(forms)
+
+        for _ in range(200):
+            dim = rng.randint(1, 3)
+            points = [tuple(rat(rng.randint(-9, 9), rng.choice((1, 2, 3, 4))) for _ in range(dim))
+                      for _ in range(rng.randint(1, 5))]
+            weights = [rat(rng.randint(0, 4), rng.choice((1, 2, 6))) for _ in range(rng.randint(0, 9))]
+            atoms = [(tuple(map(written, rng.choice(points))), written(w)) for w in weights]
+            cleaned, view, text = measure_reference(dim, atoms)
+            m = Measure(dim, atoms)
+            assert m._int_view() == view and repr(m) == text
+            assert list(m.atoms.items()) == list(cleaned.items())
 
     def test_atoms_view_is_read_only(self):
         m = m1({0: 1})

@@ -1,17 +1,20 @@
-"""The encoder ``over_lcm`` and its inverse ``rat(k, D)``, and the number-size
-checks of ``as_rat`` on strings."""
+"""The encoder ``over_lcm`` and its inverse ``rat(k, D)``, the literal reader
+``as_ratio`` against ``Fraction(str)``, and the number-size checks of
+``as_rat`` on strings."""
 
 from __future__ import annotations
 
 import math
+import re
 import time
 
 import pytest
 
 from walkorder import Measure
-from walkorder.rational import as_rat, over_lcm, rat
+from walkorder.rational import as_rat, as_ratio, over_lcm, rat
 
-from conftest import kernel_settings
+from conftest import kernel_settings, literals
+from literal_parity import corpus, fraction_route, mismatches, outcome
 
 
 def test_round_trip(hyp):
@@ -80,3 +83,39 @@ class TestNumberStrings:
         assert as_rat(7) == 7 and type(as_rat(7)) is type(rat(7))
         with pytest.raises(TypeError):
             as_rat(0.5)
+
+
+class TestLiteralReader:
+    """``as_ratio`` reads a literal straight to a reduced int pair; it gives the
+    value of the ``Fraction`` route, or refuses with its exception and message."""
+
+    def test_equals_fraction_route(self, hyp, int_digit_limit):
+        @hyp.settings(kernel_settings(hyp), max_examples=400)
+        @hyp.given(literals(hyp.strategies, bent=True))
+        @hyp.example("1_000e-3")
+        @hyp.example(" -2 / 4 ")
+        @hyp.example("1.d")
+        @hyp.example("1/0")
+        def check(literal):
+            got = outcome(as_ratio, literal)
+            assert got == outcome(fraction_route, literal)
+            if type(got[0]) is int:
+                p, q = got
+                assert q > 0 and math.gcd(p, q) == 1
+                assert as_rat(literal) == rat(p, q) == fraction_route(literal)
+            else:
+                with pytest.raises((ValueError, ZeroDivisionError), match=f"^{re.escape(got[1])}$"):
+                    as_rat(literal)
+
+        check()
+
+    def test_corpus(self, int_digit_limit):
+        # the corpus that tests/literal_parity.py checks under every Python
+        assert len(corpus()) > 500 and mismatches(as_ratio) == []
+
+    def test_other_values(self):
+        assert as_ratio(7) == (7, 1) and type(as_ratio(7)[0]) is int
+        assert as_ratio(True) == (1, 1)
+        assert as_ratio(rat(-6, 4)) == (-3, 2)
+        with pytest.raises(TypeError, match="floats must be pre-rationalized"):
+            as_ratio(0.5)

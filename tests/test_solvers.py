@@ -9,7 +9,7 @@ import pytest
 
 from walkorder import Cone, Measure, dominance, leq_st, solvers
 from walkorder.dominance import catalyst_1d, default_catalyst_grid
-from walkorder.rational import ZERO, as_rat, rat
+from walkorder.rational import ZERO, as_rat, over_lcm, rat
 from walkorder.solvers import (
     LinearFeasibility,
     TransportInstance,
@@ -138,6 +138,28 @@ class TestIntFlow:
             seen["zeros"] += ZERO in inst.supplies + inst.demands
             seen["no-edges"] += not inst.edges
         assert all(count >= 20 for count in seen.values()), seen
+
+    def test_int_supplies_over_d(self):
+        # the same instance as ints over D, the lcm of its denominators, as
+        # stochorder._leq_flow builds it: the same plan over D, the same cut
+        rng = random.Random(48)
+        seen = {"feasible": 0, "infeasible": 0}
+        for _ in range(300):
+            inst = _random_transport(rng)
+            den, ints = over_lcm(inst.supplies + inst.demands)
+            m = len(inst.supplies)
+            scaled = TransportInstance(ints[:m], ints[m:], inst.edges)
+            assert scaled.supplies == tuple(ints[:m])
+            assert all(type(v) is int for v in scaled.supplies)
+            got, expected = transport_feasible(scaled), transport_feasible(inst)
+            assert (got.feasible, got.cut) == (expected.feasible, expected.cut)
+            if got.feasible:
+                assert all(type(f) is int for f in got.plan.values())
+                assert list({e: rat(f, den) for e, f in got.plan.items()}.items()) == list(
+                    expected.plan.items()
+                )
+            seen["feasible" if got.feasible else "infeasible"] += 1
+        assert min(seen.values()) >= 30, seen
 
     def test_plan_entries_are_exact_fractions(self):
         inst = TransportInstance(["1/3", "2/3"], ["1/2", "1/2"], [(0, 0), (1, 0), (1, 1)])
