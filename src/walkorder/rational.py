@@ -3,9 +3,10 @@
 Every coordinate, weight and threshold in this package is an exact rational.
 Values are ``fractions.Fraction``; the exact kernels run on plain ints over
 the lcm of the denominators, encoded by ``over_lcm`` and decoded by ``rat``.
-Number literals are read by one reader, ``as_ratio``, straight to a reduced
-int pair, so measure files reach the integer view without a ``Fraction``;
-``as_rat`` reads strings through it too.
+Every number is read by one reader, ``as_ratio``, straight to a reduced pair
+of Python ints, so measure files reach the integer view without a
+``Fraction``; ``as_rat`` and a one-argument ``rat`` build their ``Fraction``
+from that pair.
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ Rational = numbers.Rational
 
 
 def rat(numerator, denominator=None) -> Rational:
-    """Build an exact rational from ints, strings or another rational.
+    """``Fraction(numerator, denominator)`` for two ints; one argument is read
+    by ``as_rat``.
 
-    Strings may be fraction literals ("2/5"), decimals ("0.1", converted
-    exactly to 1/10) or scientific notation ("1e-3"); ``as_ratio`` reads them.
+    One argument may be an int, another exact rational, or a string: a
+    fraction literal ("2/5"), a decimal ("0.1", converted exactly to 1/10) or
+    scientific notation ("1e-3").  Floats raise TypeError.
     """
-    if denominator is not None:
-        return Fraction(numerator, denominator)
-    if isinstance(numerator, str):
-        return Fraction(*as_ratio(numerator))
-    return Fraction(numerator)
+    if denominator is None:
+        return as_rat(numerator)
+    return Fraction(numerator, denominator)
 
 
-ZERO = rat(0)
+ZERO = Fraction(0)
 
 
 def over_lcm(values) -> tuple[int, list]:
@@ -51,22 +52,27 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 def as_ratio(value) -> tuple[int, int]:
-    """``(p, q)`` in lowest terms with q > 0 and ``as_rat(value) == p / q``,
-    with the same checks and messages; an int or a string builds no ``Fraction``.
+    """``(p, q)``, Python ints in lowest terms with q > 0, the value of an
+    exact rational or of a number string; builds no ``Fraction``.
 
     A string is read with the grammar of ``Fraction(str)`` on the running
     Python (``fractions._RATIONAL_FORMAT``: signs, "p/q", decimals and
     scientific notation, underscores from 3.11 on, spaces around "/" from
-    3.12 on), and converted as ``Fraction`` converts it.  It is refused
-    (``ValueError``) when its number has more digits than Python prints
-    (``sys.get_int_max_str_digits()``); an exponent past that limit by more
-    than the literal's length is refused before ten is raised to it.
+    3.12 on), converted as ``Fraction`` converts it, and refused with its
+    exception and message.  It is also refused (``ValueError``) when its
+    number has more digits than Python prints (``sys.get_int_max_str_digits()``);
+    an exponent past that limit by more than the literal's length is refused
+    before ten is raised to it.  Any other ``numbers.Rational`` (ints, numpy
+    integers, ``Fraction``) gives its numerator and denominator as ints;
+    anything else, a float included, raises TypeError.
     """
-    if isinstance(value, int):
-        return int(value), 1
     if not isinstance(value, str):
-        q = as_rat(value)
-        return q.numerator, q.denominator
+        if isinstance(value, (int, Fraction, numbers.Rational)):  # ints and Fractions skip the ABC check
+            return int(value.numerator), int(value.denominator)
+        raise TypeError(
+            f"expected an exact rational, got {type(value).__name__}; "
+            "floats must be pre-rationalized by the caller"
+        )
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
     literal = value.strip()
     exponent = _EXPONENT.search(literal)
@@ -104,18 +110,13 @@ def as_ratio(value) -> tuple[int, int]:
 
 
 def as_rat(value) -> Rational:
-    """Convert to ``Fraction``, rejecting inexact input; a string is read by
-    ``as_ratio``."""
+    """``value`` as a ``Fraction`` of Python ints, read by ``as_ratio``; a
+    ``Fraction`` is returned as it is."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
-        return rat(value)
-    if isinstance(value, numbers.Rational):
-        return rat(value.numerator, value.denominator)
-    raise TypeError(
-        f"expected an exact rational, got {type(value).__name__}; "
-        "floats must be pre-rationalized by the caller"
-    )
+    if type(value) is int:
+        return Fraction(value)
+    return Fraction(*as_ratio(value))
 
 
 def rat_str(q) -> str:

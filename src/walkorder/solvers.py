@@ -1,8 +1,7 @@
 """Exact combinatorial feasibility back-ends.
 
-Transportation feasibility is decided by a max-flow on plain ints, the
-supplies and demands scaled once over the lcm of their denominators (int
-supplies and demands, as ``leq_st`` passes them, are taken as they are),
+Transportation feasibility is decided by a max-flow on nonnegative int
+supplies and demands, as ``leq_st`` passes them over one common denominator,
 with shortest augmenting paths (greedy warm start, then BFS augmentation); linear
 feasibility by a phase-1 simplex with Bland's rule, whose tableau rows are
 sparse maps from column to plain int, each up to a positive factor, and
@@ -25,74 +24,64 @@ from .rational import ZERO, as_rat, over_lcm, rat
 
 @dataclass(frozen=True)
 class TransportInstance:
-    """Supplies and demands as exact rationals, edges as int index pairs; the
-    constructor keeps ints as ints, converts the rest to ``Fraction`` and
-    raises TypeError on a float or a non-int index."""
+    """Nonnegative int supplies and demands of equal total, and edges as int
+    (supply index, demand index) pairs; the edge order fixes determinism.
+
+    The constructor checks everything once: a supply, demand or index that
+    is not an int (``operator.index``) raises TypeError; a negative value,
+    unequal totals or an edge out of range raise ValueError.
+    """
 
     supplies: tuple
     demands: tuple
-    edges: tuple  # (supply index, demand index) pairs; order fixes determinism
+    edges: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "supplies", tuple(map(_exact, self.supplies)))
-        object.__setattr__(self, "demands", tuple(map(_exact, self.demands)))
-        object.__setattr__(self, "edges", tuple((index(i), index(j)) for i, j in self.edges))
-
-
-def _exact(value):
-    return value if type(value) is int else as_rat(value)
+        sup, dem = tuple(map(index, self.supplies)), tuple(map(index, self.demands))
+        if min(sup + dem, default=0) < 0:
+            raise ValueError("supplies and demands must be nonnegative")
+        if sum(sup) != sum(dem):
+            raise ValueError("total supply must equal total demand")
+        m, k = len(sup), len(dem)
+        edges = []
+        for i, j in self.edges:
+            i, j = index(i), index(j)
+            if not (0 <= i < m and 0 <= j < k):
+                raise ValueError(f"edge ({i}, {j}) out of range")
+            edges.append((i, j))
+        object.__setattr__(self, "supplies", sup)
+        object.__setattr__(self, "demands", dem)
+        object.__setattr__(self, "edges", tuple(edges))
 
 
 @dataclass(frozen=True)
 class TransportResult:
     feasible: bool
-    plan: Optional[dict]  # (i, j) -> positive flow, exact conservation
+    plan: Optional[dict]  # (i, j) -> positive int flow, exact conservation
     cut: Optional[frozenset]  # supply indices with deficient neighborhood
 
 
-def _validate_transport(inst: TransportInstance) -> tuple[int, list[int], list[int]]:
-    """Check the instance; return D and the supplies and demands as ints over D.
-
-    D is the lcm of every supply and demand denominator, so supply i is
-    ``sup[i] / D`` exactly.
-    """
-    m, k = len(inst.supplies), len(inst.demands)
-    den, ints = over_lcm(inst.supplies + inst.demands)
-    sup, dem = ints[:m], ints[m:]
-    if any(s < 0 for s in sup) or any(d < 0 for d in dem):
-        raise ValueError("supplies and demands must be nonnegative")
-    if sum(sup) != sum(dem):
-        raise ValueError("total supply must equal total demand")
-    for i, j in inst.edges:
-        if not (0 <= i < m and 0 <= j < k):
-            raise ValueError(f"edge ({i}, {j}) out of range")
-    return den, sup, dem
-
-
 def transport_feasible(inst: TransportInstance) -> TransportResult:
-    """Decide feasibility, returning an exact plan or a deficient supply set.
+    """Decide feasibility, returning an int plan or a deficient supply set.
 
     The cut certificate is a set A of supply indices whose admissible demand
     neighborhood has strictly smaller total demand than the supply of A.
 
-    Supplies and demands are scaled once to ints over D, the lcm of their
-    denominators, and the max-flow runs on plain ints: a greedy warm start in
-    edge order, then shortest augmenting paths by BFS.  Scaling by D > 0
-    keeps every comparison and every bottleneck, so the paths, the plan and
-    the cut are those of the same max-flow on rationals; each plan entry is
-    returned as ``f / D``, an int when D is 1.  The certificate is re-checked
-    on the ints before it is handed back.
+    The max-flow runs on the instance's ints: a greedy warm start in edge
+    order, then shortest augmenting paths by BFS.  Rational supplies scaled
+    by a common D > 0 keep every comparison and every bottleneck, so the
+    plan over D and the cut are those of the same max-flow on the
+    rationals.  The certificate is re-checked before it is handed back.
     """
-    den, sup, dem = _validate_transport(inst)
-    m, k = len(sup), len(dem)
+    m, k = len(inst.supplies), len(inst.demands)
     adj: list[list[int]] = [[] for _ in range(m)]
     radj: list[list[int]] = [[] for _ in range(k)]
     for i, j in dict.fromkeys(inst.edges):  # each distinct edge once, in edge order
         adj[i].append(j)
         radj[j].append(i)
     flow: dict[tuple, int] = {}
-    r_s = list(sup)
-    r_d = list(dem)
+    r_s = list(inst.supplies)
+    r_d = list(inst.demands)
 
     # warm start: greedy saturation in edge order
     for i, j in inst.edges:
@@ -152,23 +141,15 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
 
     if all(r == 0 for r in r_s):
         plan = {e: f for e, f in flow.items() if f > 0}
-        _check_certificate(inst, sup, dem, plan, None)
-        if den > 1:
-            plan = {e: rat(f, den) for e, f in plan.items()}
+        _check_certificate(inst, plan, None)
         return TransportResult(feasible=True, plan=plan, cut=None)
     cut = frozenset(prev_s)
-    _check_certificate(inst, sup, dem, None, cut)
+    _check_certificate(inst, None, cut)
     return TransportResult(feasible=False, plan=None, cut=cut)
 
 
-def _check_certificate(
-    inst: TransportInstance,
-    sup: list[int],
-    dem: list[int],
-    plan: Optional[dict],
-    cut: Optional[frozenset],
-) -> None:
-    """Re-check a plan or a cut on the ints; raise RuntimeError if it fails.
+def _check_certificate(inst: TransportInstance, plan: Optional[dict], cut: Optional[frozenset]) -> None:
+    """Re-check a plan or a cut; raise RuntimeError if it fails.
 
     A plan puts positive flow on listed edges only and meets every supply
     and demand exactly.  A cut A has more supply than the total demand of
@@ -176,18 +157,18 @@ def _check_certificate(
     """
     if plan is not None:
         edges = set(inst.edges)
-        out = [0] * len(sup)
-        into = [0] * len(dem)
+        out = [0] * len(inst.supplies)
+        into = [0] * len(inst.demands)
         for (i, j), f in plan.items():
             if f <= 0 or (i, j) not in edges:
                 raise RuntimeError(f"max-flow returned flow {f} on edge ({i}, {j})")
             out[i] += f
             into[j] += f
-        if out != sup or into != dem:
+        if tuple(out) != inst.supplies or tuple(into) != inst.demands:
             raise RuntimeError("max-flow returned a plan that misses a supply or a demand")
     else:
         neighbours = {j for i, j in inst.edges if i in cut}
-        if sum(sup[i] for i in cut) <= sum(dem[j] for j in neighbours):
+        if sum(inst.supplies[i] for i in cut) <= sum(inst.demands[j] for j in neighbours):
             raise RuntimeError("max-flow returned a cut that its neighbours can absorb")
 
 

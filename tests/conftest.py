@@ -7,6 +7,7 @@ import random
 import sys
 from collections import deque
 from operator import mul
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,10 +18,8 @@ from walkorder.measure import DEFAULT_ATOM_CAP, as_point
 from walkorder.rational import ZERO, as_rat, over_lcm, point_str, rat
 from walkorder.solvers import (
     LinearFeasibility,
-    TransportInstance,
     TransportResult,
     lp_feasible,
-    transport_feasible,
 )
 from walkorder.stochorder import CouplingPlan, OrderVerdict, tail_mass
 
@@ -171,7 +170,8 @@ def transport_feasible_reference(inst) -> TransportResult:
     demands, before the max-flow moved to ints over one common denominator.
 
     Greedy warm start in edge order, then BFS augmenting paths; the cut is
-    the set of supplies the last search reached.  Takes a valid instance.
+    the set of supplies the last search reached.  Takes any record with
+    valid ``supplies``, ``demands`` and ``edges``, of ``Fraction``s or ints.
     """
     m, k = len(inst.supplies), len(inst.demands)
     adj: list[list[int]] = [[] for _ in range(m)]
@@ -257,8 +257,10 @@ def leq_flow_reference(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
         for j, y in enumerate(supp_nu)
         if cone.leq_point(x, y)
     ]
-    inst = TransportInstance([mu.atoms[x] for x in supp_mu], [nu.atoms[y] for y in supp_nu], edges)
-    result = transport_feasible(inst)
+    inst = SimpleNamespace(
+        supplies=[mu.atoms[x] for x in supp_mu], demands=[nu.atoms[y] for y in supp_nu], edges=edges
+    )
+    result = transport_feasible_reference(inst)
     if result.feasible:
         plan = {(supp_mu[i], supp_nu[j]): f for (i, j), f in sorted(result.plan.items())}
         return OrderVerdict(True, CouplingPlan(plan), None)

@@ -264,6 +264,15 @@ class TestLeqPoint:
                 outcomes.add(expected)
             assert outcomes == {True, False}
 
+    def test_numpy_integer_rays(self):
+        # np.int64 rays once gave np.int64 normals, which overflow past 2^63
+        import numpy as np
+
+        cone = Cone.from_generators(2, rays=[(np.int64(1), np.int64(0)), (np.int64(0), np.int64(1))])
+        assert all(type(c) is int for n in cone._int_normals for c in n)
+        assert cone.leq_point((0, 0), (4 * 2**62, 0))
+        assert not cone.leq_point((0, 0), (4 * 2**62, -1))
+
     def test_floats_rejected(self, orthant2):
         with pytest.raises(TypeError):
             orthant2.leq_point((0.5, 0), (1, 1))

@@ -60,6 +60,15 @@ class TestConstruction:
         with pytest.raises(DimensionMismatch):
             Measure(2, {(0,): 1})
 
+    def test_numpy_integers_read_as_python_ints(self):
+        # an np.int64 coordinate kept as it is wraps at 2^63 in the kernels
+        import numpy as np
+
+        mu = Measure(1, {(np.int64(2**62),): np.int64(1), (0,): 1}).normalized()
+        s, coords, d, weights = mu._int_view()
+        assert all(type(v) is int for v in (s, d, *weights, *(c for x in coords for c in x)))
+        assert convolve_power(mu, 3).support() == [(rat(k * 2**62),) for k in range(4)]
+
     def test_equals_fraction_route(self):
         # Fractions, ints and strings, with repeats written another way and
         # zero weights: the view, the atom order and the repr are those of the

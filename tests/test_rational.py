@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import time
 
 import pytest
@@ -79,7 +80,11 @@ class TestNumberStrings:
     def test_exact_forms_unchanged(self):
         assert as_rat(" 2/5 ") == rat(2, 5)
         assert as_rat("0.1") == rat(1, 10)
-        assert as_rat("1_000e-3") == 1
+        if sys.version_info >= (3, 11):
+            assert as_rat("1_000e-3") == 1
+        else:  # Fraction(str) reads underscores from 3.11 on
+            with pytest.raises(ValueError, match=r"^Invalid literal for Fraction: '1_000e-3'$"):
+                as_rat("1_000e-3")
         assert as_rat(7) == 7 and type(as_rat(7)) is type(rat(7))
         with pytest.raises(TypeError):
             as_rat(0.5)
@@ -119,3 +124,17 @@ class TestLiteralReader:
         assert as_ratio(rat(-6, 4)) == (-3, 2)
         with pytest.raises(TypeError, match="floats must be pre-rationalized"):
             as_ratio(0.5)
+
+    def test_numpy_integers(self):
+        # read as Python ints: an np.int64 numerator wraps at 2^63
+        import numpy as np
+
+        assert as_ratio(np.int64(5)) == (5, 1) and type(as_ratio(np.int64(5))[0]) is int
+        for q in (as_rat(np.int64(2**62)), rat(np.int64(2**62))):
+            assert type(q.numerator) is int and q * 4 == 2**64
+
+    def test_floats_refused_everywhere(self):
+        # rat(0.1) once built the float's binary value
+        for read in (as_ratio, as_rat, rat):
+            with pytest.raises(TypeError, match="^expected an exact rational, got float; floats must"):
+                read(0.1)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,22 +24,28 @@ from conftest import composition, endpoints, random_measure_1d, transport_feasib
 
 def check_plan_conservation(inst: TransportInstance, plan: dict) -> None:
     m, k = len(inst.supplies), len(inst.demands)
-    out = [ZERO] * m
-    inflow = [ZERO] * k
+    out = [0] * m
+    inflow = [0] * k
     for (i, j), f in plan.items():
-        assert f > 0
+        assert type(f) is int and f > 0
         assert (i, j) in set(inst.edges)
         out[i] += f
         inflow[j] += f
-    assert out == list(inst.supplies)
-    assert inflow == list(inst.demands)
+    assert tuple(out) == inst.supplies
+    assert tuple(inflow) == inst.demands
 
 
 def check_cut_certificate(inst: TransportInstance, cut: frozenset) -> None:
     neighborhood = {j for i, j in inst.edges if i in cut}
-    supply = sum((inst.supplies[i] for i in cut), ZERO)
-    demand = sum((inst.demands[j] for j in neighborhood), ZERO)
+    supply = sum(inst.supplies[i] for i in cut)
+    demand = sum(inst.demands[j] for j in neighborhood)
     assert supply > demand
+
+
+def int_composition(rng: random.Random, n: int, total: int) -> list[int]:
+    """n nonnegative ints summing to total."""
+    cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
 class TestTransport:
@@ -48,20 +55,20 @@ class TestTransport:
         assert res.feasible and res.plan == {(0, 0): 1}
 
     def test_crossing_pair(self):
-        inst = TransportInstance(["1/2", "1/2"], ["1/2", "1/2"], [(0, 1), (1, 0)])
+        inst = TransportInstance([1, 1], [1, 1], [(0, 1), (1, 0)])
         res = transport_feasible(inst)
         assert res.feasible
-        assert res.plan == {(0, 1): rat(1, 2), (1, 0): rat(1, 2)}
+        assert res.plan == {(0, 1): 1, (1, 0): 1}
 
     def test_hall_violation(self):
-        inst = TransportInstance([1], ["1/2", "1/2"], [(0, 0)])
+        inst = TransportInstance([2], [1, 1], [(0, 0)])
         res = transport_feasible(inst)
         assert not res.feasible and res.cut == frozenset({0})
         check_cut_certificate(inst, res.cut)
 
     def test_mass_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            transport_feasible(TransportInstance([1], ["1/2"], [(0, 0)]))
+        with pytest.raises(ValueError, match="total supply must equal total demand"):
+            TransportInstance([2], [1], [(0, 0)])
 
     def test_random_instances_certified(self):
         rng = random.Random(31)
@@ -70,11 +77,8 @@ class TestTransport:
             m = rng.randint(1, 5)
             k = rng.randint(1, 5)
             D = rng.randint(max(m, k), 24)
-            def composition(n, total):
-                cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
-                return [rat(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
-            supplies = composition(m, D)
-            demands = composition(k, D)
+            supplies = int_composition(rng, m, D)
+            demands = int_composition(rng, k, D)
             edges = [
                 (i, j) for i in range(m) for j in range(k) if rng.random() < 0.55
             ]
@@ -93,8 +97,10 @@ class TestTransport:
 PRIMES = (2, 3, 5, 7, 1000003, 1000033, 1000037, 1000039, 2147483647, 2147483629)
 
 
-def _random_transport(rng: random.Random) -> TransportInstance:
-    """Up to 12 supplies and 12 demands with prime denominators and zeros.
+def _random_transport(rng: random.Random) -> tuple[int, TransportInstance]:
+    """``(D, inst)``: up to 12 supplies and 12 demands with zeros, the
+    rationals of prime denominators that they stand for scaled to ints over
+    D, the lcm of those denominators, as ``stochorder._leq_flow`` scales them.
 
     Raw vectors a and b give supplies a * sum(b) and demands b * sum(a), so
     the totals agree.  Edges are drawn at a random density, sometimes none,
@@ -112,8 +118,17 @@ def _random_transport(rng: random.Random) -> TransportInstance:
     edges = [(i, j) for i in range(len(a)) for j in range(len(b)) if rng.random() < density]
     edges += rng.sample(edges, min(len(edges), rng.randint(0, 4)))
     rng.shuffle(edges)
-    return TransportInstance(
-        [x * sum(b) for x in a], [y * sum(a) for y in b], edges
+    den, ints = over_lcm([x * sum(b) for x in a] + [y * sum(a) for y in b])
+    return den, TransportInstance(ints[: len(a)], ints[len(a) :], edges)
+
+
+def _over(inst: TransportInstance, den: int) -> SimpleNamespace:
+    """The instance's supplies and demands as the ``Fraction``s ``v / den``,
+    in a plain record for ``transport_feasible_reference``."""
+    return SimpleNamespace(
+        supplies=[rat(v, den) for v in inst.supplies],
+        demands=[rat(v, den) for v in inst.demands],
+        edges=inst.edges,
     )
 
 
@@ -125,47 +140,44 @@ class TestIntFlow:
         seen = {"feasible": 0, "infeasible": 0, "wide": 0, "repeats": 0, "zeros": 0,
                 "no-edges": 0}
         for _ in range(400):
-            inst = _random_transport(rng)
+            _, inst = _random_transport(rng)
             got = transport_feasible(inst)
-            expected = transport_feasible_reference(inst)
+            expected = transport_feasible_reference(_over(inst, 1))
             assert (got.feasible, got.plan, got.cut) == (
                 expected.feasible, expected.plan, expected.cut
             )
+            assert got.plan is None or all(type(f) is int for f in got.plan.values())
             seen["feasible" if got.feasible else "infeasible"] += 1
-            den = math.lcm(*(q.denominator for q in inst.supplies + inst.demands))
-            seen["wide"] += den > 2**64
+            seen["wide"] += max(inst.supplies + inst.demands) > 2**64
             seen["repeats"] += len(set(inst.edges)) < len(inst.edges)
-            seen["zeros"] += ZERO in inst.supplies + inst.demands
+            seen["zeros"] += 0 in inst.supplies + inst.demands
             seen["no-edges"] += not inst.edges
         assert all(count >= 20 for count in seen.values()), seen
 
     def test_int_supplies_over_d(self):
-        # the same instance as ints over D, the lcm of its denominators, as
-        # stochorder._leq_flow builds it: the same plan over D, the same cut
+        # the ints over D, as stochorder._leq_flow builds them, against the
+        # Fraction max-flow on the rationals they stand for: the same plan
+        # over D, the same cut
         rng = random.Random(48)
-        seen = {"feasible": 0, "infeasible": 0}
+        seen = {"feasible": 0, "infeasible": 0, "wide": 0}
         for _ in range(300):
-            inst = _random_transport(rng)
-            den, ints = over_lcm(inst.supplies + inst.demands)
-            m = len(inst.supplies)
-            scaled = TransportInstance(ints[:m], ints[m:], inst.edges)
-            assert scaled.supplies == tuple(ints[:m])
-            assert all(type(v) is int for v in scaled.supplies)
-            got, expected = transport_feasible(scaled), transport_feasible(inst)
+            den, inst = _random_transport(rng)
+            got, expected = transport_feasible(inst), transport_feasible_reference(_over(inst, den))
             assert (got.feasible, got.cut) == (expected.feasible, expected.cut)
             if got.feasible:
-                assert all(type(f) is int for f in got.plan.values())
                 assert list({e: rat(f, den) for e, f in got.plan.items()}.items()) == list(
                     expected.plan.items()
                 )
             seen["feasible" if got.feasible else "infeasible"] += 1
+            seen["wide"] += den > 2**64
         assert min(seen.values()) >= 30, seen
 
-    def test_plan_entries_are_exact_fractions(self):
-        inst = TransportInstance(["1/3", "2/3"], ["1/2", "1/2"], [(0, 0), (1, 0), (1, 1)])
+    def test_plan_entries_are_ints(self):
+        # 1/3, 2/3 against 1/2, 1/2 over D = 6
+        inst = TransportInstance([2, 4], [3, 3], [(0, 0), (1, 0), (1, 1)])
         res = transport_feasible(inst)
-        assert res.plan == {(0, 0): rat(1, 3), (1, 0): rat(1, 6), (1, 1): rat(1, 2)}
-        assert all(type(f) is type(ZERO) for f in res.plan.values())
+        assert res.plan == {(0, 0): 2, (1, 0): 1, (1, 1): 3}
+        assert all(type(f) is int for f in res.plan.values())
 
     def test_all_zero_instance(self):
         res = transport_feasible(TransportInstance([0, 0], [0], []))
@@ -184,12 +196,19 @@ class TestTransportChecks:
         inst = TransportInstance([1], [1], [(np.int64(0), 0)])
         assert inst.edges == ((0, 0),) and all(type(i) is int for i in inst.edges[0])
 
+    def test_build_takes_integer_like_values(self):
+        import numpy as np
+
+        inst = TransportInstance([np.int64(2**62), True], [2**62 + 1], [(0, 0), (1, 0)])
+        assert inst.supplies == (2**62, 1) and all(type(v) is int for v in inst.supplies)
+        assert transport_feasible(inst).plan == {(0, 0): 2**62, (1, 0): 1}
+
     @pytest.mark.parametrize(
         "supplies, demands, edges",
         [
-            ((rat(1),), (rat(1),), ((0.5, 0),)),
-            ((1.0,), (rat(1),), ((0, 0),)),
-            ((rat(1),), (0.5, 0.5), ((0, 0), (0, 1))),
+            ((1,), (1,), ((0.5, 0),)),
+            ((1.0,), (1,), ((0, 0),)),
+            ((1,), (0.5, 0.5), ((0, 0), (0, 1))),
         ],
         ids=["float-edge", "float-supply", "float-demand"],
     )
@@ -197,17 +216,38 @@ class TestTransportChecks:
         with pytest.raises(TypeError):
             TransportInstance(supplies, demands, edges)
 
+    @pytest.mark.parametrize("supply", [rat(1), "1", 1.0], ids=["fraction", "string", "float"])
+    def test_constructor_rejects_non_int_values(self, supply):
+        with pytest.raises(TypeError):
+            TransportInstance([supply], [1], [(0, 0)])
+        with pytest.raises(TypeError):
+            TransportInstance([1], [supply], [(0, 0)])
+
+    @pytest.mark.parametrize(
+        "supplies, demands, edges, message",
+        [
+            ([-1, 2], [1], [(1, 0)], "must be nonnegative"),
+            ([1], [2, -1], [(0, 0)], "must be nonnegative"),
+            ([1, 1], [1], [(0, 0)], "total supply must equal total demand"),
+            ([1], [1], [(-1, 0)], r"edge \(-1, 0\) out of range"),
+            ([1], [1], [(0, 0), (1, 0)], r"edge \(1, 0\) out of range"),
+        ],
+        ids=["negative-supply", "negative-demand", "unequal-totals", "negative-index", "past-the-end"],
+    )
+    def test_constructor_rejects_invalid_values(self, supplies, demands, edges, message):
+        with pytest.raises(ValueError, match=message):
+            TransportInstance(supplies, demands, edges)
+
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range"):
-            transport_feasible(TransportInstance([1], [1], [(0, 1)]))
+            TransportInstance([1], [1], [(0, 1)])
 
-    # supplies 1, 2 and demands 2, 1 over D = 3, on edges (0, 0), (1, 0), (1, 1)
-    INST = TransportInstance(["1/3", "2/3"], ["2/3", "1/3"], [(0, 0), (1, 0), (1, 1)])
-    SUP, DEM = [1, 2], [2, 1]
+    # supplies 1, 2 and demands 2, 1 on edges (0, 0), (1, 0), (1, 1)
+    INST = TransportInstance([1, 2], [2, 1], [(0, 0), (1, 0), (1, 1)])
 
     def test_valid_plan_passes(self):
         plan = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
-        solvers._check_certificate(self.INST, self.SUP, self.DEM, plan, None)
+        solvers._check_certificate(self.INST, plan, None)
 
     @pytest.mark.parametrize(
         "plan, message",
@@ -222,22 +262,22 @@ class TestTransportChecks:
     )
     def test_bad_plan_raises(self, plan, message):
         with pytest.raises(RuntimeError, match=message):
-            solvers._check_certificate(self.INST, self.SUP, self.DEM, plan, None)
+            solvers._check_certificate(self.INST, plan, None)
 
     def test_deficient_cut_passes(self):
-        inst = TransportInstance([1], ["1/2", "1/2"], [(0, 0)])
-        solvers._check_certificate(inst, [2], [1, 1], None, frozenset({0}))
+        inst = TransportInstance([2], [1, 1], [(0, 0)])
+        solvers._check_certificate(inst, None, frozenset({0}))
 
     @pytest.mark.parametrize("cut", [frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset()])
     def test_absorbed_cut_raises(self, cut):
         with pytest.raises(RuntimeError, match="max-flow returned a cut"):
-            solvers._check_certificate(self.INST, self.SUP, self.DEM, None, cut)
+            solvers._check_certificate(self.INST, None, cut)
 
     def test_transport_feasible_checks_what_it_returns(self, monkeypatch):
         checked = []
-        monkeypatch.setattr(solvers, "_check_certificate", lambda *args: checked.append(args[3:]))
+        monkeypatch.setattr(solvers, "_check_certificate", lambda *args: checked.append(args[1:]))
         transport_feasible(self.INST)
-        transport_feasible(TransportInstance([1], ["1/2", "1/2"], [(0, 0)]))
+        transport_feasible(TransportInstance([2], [1, 1], [(0, 0)]))
         assert checked == [({(0, 0): 1, (1, 0): 1, (1, 1): 1}, None), (None, frozenset({0}))]
 
 
@@ -598,11 +638,8 @@ class TestCrossOracle:
             m = rng.randint(1, 4)
             k = rng.randint(1, 4)
             D = rng.randint(max(m, k), 12)
-            def composition(n, total):
-                cuts = sorted(rng.randint(0, total) for _ in range(n - 1))
-                return [rat(b - a, total) for a, b in zip([0] + cuts, cuts + [total])]
-            supplies = composition(m, D)
-            demands = composition(k, D)
+            supplies = int_composition(rng, m, D)
+            demands = int_composition(rng, k, D)
             edges = sorted(
                 {(rng.randrange(m), rng.randrange(k)) for _ in range(rng.randint(0, 8))}
             )
@@ -611,10 +648,10 @@ class TestCrossOracle:
 
             eq_rows = []
             for i in range(m):
-                row = [rat(1) if e[0] == i else ZERO for e in edges]
+                row = [int(e[0] == i) for e in edges]
                 eq_rows.append((row, supplies[i]))
             for j in range(k):
-                row = [rat(1) if e[1] == j else ZERO for e in edges]
+                row = [int(e[1] == j) for e in edges]
                 eq_rows.append((row, demands[j]))
             lp_res = lp_feasible(LinearFeasibility(len(edges), eq_rows=eq_rows))
             assert flow_res.feasible == (lp_res is not None)
