@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .cones import Cone, require_walk_pair
@@ -118,9 +118,10 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     A grid of more than ``MAX_CATALYST_GRID`` points raises ``ValueError``
     before the screen and before any row is built.  Rows are built on the
     int lattice of one common denominator, with one tail gap per distinct
-    offset ``c - g``, and each row hands the LP only its nonzero gaps: the
-    gap is 0 unless min(supp) < c - g <= max(supp), so a row reads only the
-    grid points in that window.
+    offset ``c - g``, an int over the lcm d of X's and Y's weight
+    denominators; each row hands the LP only its nonzero gaps: the gap is 0
+    unless min(supp) < c - g <= max(supp), so a row reads only the grid
+    points in that window.
     """
     _require_1d_walks(X, Y)
     grid_pts = sorted({as_rat(g) for g in grid})
@@ -138,7 +139,8 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
     # the tail gap is 0 at offsets t <= lo, where both tails are 1, and at
     # t > hi, where both are 0; row c reads the grid points in between
     lo, hi = min(support_int), max(support_int)
-    gaps: dict = {}  # offset (c - g) * den -> tail_X - tail_Y there
+    d = lcm(X._int_view()[2], Y._int_view()[2])  # every tail mass is an int over d
+    gaps: dict = {}  # offset (c - g) * den -> (tail_X - tail_Y) * d there
     ineq_rows = []
     for c in thresholds:
         row = {}
@@ -146,11 +148,11 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
             t = c - grid_int[j]
             if t not in gaps:
                 q = rat(t, den)
-                gaps[t] = tail_mass(X, q) - tail_mass(Y, q)
+                gaps[t] = int((tail_mass(X, q) - tail_mass(Y, q)) * d)
             if gaps[t]:
                 row[j] = gaps[t]
-        ineq_rows.append((row, ZERO))
-    eq_rows = [([rat(1)] * len(grid_pts), rat(1))]
+        ineq_rows.append((row, 0))
+    eq_rows = [(dict.fromkeys(range(len(grid_pts)), 1), 1)]
     solution = lp_feasible(LinearFeasibility(len(grid_pts), ineq_rows, eq_rows))
     if solution is None:
         return None

@@ -3,11 +3,10 @@
 Transportation feasibility is decided by a max-flow on nonnegative int
 supplies and demands, as ``leq_st`` passes them over one common denominator,
 with shortest augmenting paths (greedy warm start, then BFS augmentation); linear
-feasibility by a phase-1 simplex with Bland's rule, whose tableau rows are
-sparse maps from column to plain int, each up to a positive factor, and
-whose pivots are exactly those of the dense rational tableau.  Everything is
-exact, so certificates never depend on a tolerance, and every returned
-point, plan or cut is re-checked exactly.
+feasibility on int rows by a phase-1 simplex with Bland's rule, whose sparse
+int tableau rows pivot exactly as the dense rational tableau does.
+Everything is exact, so certificates never depend on a tolerance, and every
+returned point, plan or cut is re-checked exactly.
 """
 
 from __future__ import annotations
@@ -15,11 +14,11 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd
 from operator import index
 from typing import Optional, Sequence
 
-from .rational import ZERO, as_rat, over_lcm, rat
+from .rational import ZERO, rat
 
 
 @dataclass(frozen=True)
@@ -176,11 +175,11 @@ def _check_certificate(inst: TransportInstance, plan: Optional[dict], cut: Optio
 class LinearFeasibility:
     """Find x >= 0 with A_ub x <= b_ub and A_eq x = b_eq, exactly.
 
-    A row's coefficients may be given dense, as a sequence of ``num_vars``
-    values, or sparse, as a ``{column: value}`` mapping.  The constructor
-    converts every entry to a rational, checks each row's length or columns,
-    and stores every row sparse, as a dict ``{column: value}`` of its
-    nonzero entries, so a row given either way is stored the same.
+    Each row is ``({column: int}, int rhs)``.  The constructor checks every
+    value once: a column, coefficient or rhs that is not an int
+    (``operator.index``), or a row that is not a mapping, raise TypeError; a
+    column outside ``[0, num_vars)`` raises ValueError.  Zero coefficients
+    are not stored.
     """
 
     num_vars: int
@@ -191,40 +190,39 @@ class LinearFeasibility:
         n = index(self.num_vars)
         object.__setattr__(self, "num_vars", n)
         for name in ("ineq_rows", "eq_rows"):
-            rows = getattr(self, name)
-            object.__setattr__(self, name, tuple((_sparse_row(a, n), as_rat(b)) for a, b in rows))
-
-
-def _sparse_row(coeffs, n: int) -> dict:
-    """The nonzero entries of a dense or mapped row, as ``{column: value}``."""
-    if isinstance(coeffs, Mapping):
-        entries = {index(j): as_rat(c) for j, c in coeffs.items()}
-        for j in entries:
-            if not 0 <= j < n:
-                raise ValueError(f"column {j} out of range for {n} variables")
-    else:
-        entries = {j: as_rat(c) for j, c in enumerate(coeffs)}
-        if len(entries) != n:
-            raise ValueError(f"row of {len(entries)} coefficients for {n} variables")
-    return {j: c for j, c in entries.items() if c != 0}
+            rows = []
+            for coeffs, rhs in getattr(self, name):
+                if not isinstance(coeffs, Mapping):
+                    raise TypeError("a row's coefficients must map columns to ints")
+                row = {index(j): index(c) for j, c in coeffs.items()}
+                for j in row:
+                    if not 0 <= j < n:
+                        raise ValueError(f"column {j} out of range for {n} variables")
+                rows.append(({j: c for j, c in row.items() if c}, index(rhs)))
+            object.__setattr__(self, name, tuple(rows))
 
 
 def lp_feasible(inst: LinearFeasibility) -> Optional[list]:
     """Phase-1 simplex with Bland's rule; returns a feasible point or None.
 
     The tableau rows are sparse maps ``{column: int}`` that hold only the
-    nonzero entries, the right-hand side under the last column's key.  Each
-    row, the objective row included, stands for its rational values up to a
-    positive factor: a constraint row carries its denominator as the entry
-    in its basic column, and the objective row is read only for signs.  A
-    pivot on entry p = P[c] of row P replaces every other row R that has an
-    entry in column c by p*R - R[c]*P and divides out the gcd of the result;
-    p > 0, so every factor stays positive.  The pivots are those of the
+    nonzero entries, the right-hand side under the last column's key.  They
+    start as the instance's int rows, negated where rhs < 0, with slack and
+    artificial entries of +-1.  Each row, the objective row included, stands
+    for its rational values up to a positive factor, and the objective row
+    is read only for signs.  A pivot on entry p = P[c] of row P replaces
+    every other row R that has an entry in column c by p*R - R[c]*P and
+    divides out the gcd of the result; p > 0, so every factor stays
+    positive.  The pivots are those of the
     rational tableau: the entering column is the first with a negative
     objective entry, the leaving row has the least ratio rhs / R[c] over
     R[c] > 0 (compared by cross-multiplying, where the row factors cancel),
     and ties go to the smaller basic column.  Sparse rows skip the zero
     entries, which are most of a catalyst tableau, and change no pivot.
+
+    A positive factor on an inequality row with rhs >= 0, which starts on its
+    slack, changes no pivot; on any other row it weighs the row's artificial
+    in the objective, and may change the point but not whether one exists.
 
     Every returned point is re-checked exactly against all rows before it is
     handed back; infeasibility is declared only when the phase-1 optimum is
@@ -238,35 +236,32 @@ def lp_feasible(inst: LinearFeasibility) -> Optional[list]:
     num_art = sum(1 for _, rhs, slack in rows if slack is None or rhs < 0)
     rhs_col = n + n_ineq + num_art
 
-    # columns: x (n) | slacks (n_ineq) | artificials | rhs; each row is scaled
-    # to ints by the lcm of its denominators, negated where rhs < 0
+    # columns: x (n) | slacks (n_ineq) | artificials | rhs; a row is negated
+    # where rhs < 0, and its slack or artificial entry is 1
     tableau: list[dict[int, int]] = []
     basis: list[int] = []
     art = n + n_ineq
     for coeffs, rhs, slack in rows:
-        den, (b, *ints) = over_lcm([rhs, *coeffs.values()])
         s = -1 if rhs < 0 else 1
-        row = {j: s * c for j, c in zip(coeffs, ints)}
-        if b:
-            row[rhs_col] = s * b
+        row = {j: s * c for j, c in coeffs.items()}
+        if rhs:
+            row[rhs_col] = s * rhs
         if slack is not None:
-            row[n + slack] = s * den
+            row[n + slack] = s
         if slack is not None and s > 0:
             basis.append(n + slack)
         else:
-            row[art] = den
+            row[art] = 1
             basis.append(art)
             art += 1
         tableau.append(row)
 
     # objective: minimize the sum of artificials, priced out against their rows
-    arts = [r for r, b in enumerate(basis) if b >= n + n_ineq]
-    scale = lcm(*(tableau[r][basis[r]] for r in arts))
-    obj = dict.fromkeys(range(n + n_ineq, rhs_col), scale)
-    for r in arts:
-        f = scale // tableau[r][basis[r]]
-        for j, v in tableau[r].items():
-            obj[j] = obj.get(j, 0) - f * v
+    obj = dict.fromkeys(range(n + n_ineq, rhs_col), 1)
+    for r, b in enumerate(basis):
+        if b >= n + n_ineq:
+            for j, v in tableau[r].items():
+                obj[j] = obj.get(j, 0) - v
     obj = {j: v for j, v in obj.items() if v != 0}
 
     while True:

@@ -269,17 +269,19 @@ def leq_flow_reference(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
 
 def catalyst_1d_lp_only(X: Measure, Y: Measure, grid) -> Catalyst | None:
     """``dominance.catalyst_1d`` with the LP as the only judge: no endpoint
-    screen, and dense ``Fraction`` rows with one ``tail_mass`` gap per
-    threshold and grid point.  Takes 1-D probability measures and a
+    screen, and one ``tail_mass`` gap per threshold and grid point, each row
+    scaled to ints over the lcm of its own denominators rather than over
+    ``catalyst_1d``'s common one.  Takes 1-D probability measures and a
     nonempty grid."""
     grid_pts = sorted({as_rat(g) for g in grid})
     support = {x for (x,) in X.atoms} | {y for (y,) in Y.atoms}
     thresholds = sorted({s + g for s in support for g in grid_pts})
-    rows = [
-        ([tail_mass(X, c - g) - tail_mass(Y, c - g) for g in grid_pts], ZERO)
-        for c in thresholds
-    ]
-    x = lp_feasible(LinearFeasibility(len(grid_pts), rows, [([1] * len(grid_pts), 1)]))
+    rows = []
+    for c in thresholds:
+        _, gaps = over_lcm([tail_mass(X, c - g) - tail_mass(Y, c - g) for g in grid_pts])
+        rows.append((dict(enumerate(gaps)), 0))
+    simplex = (dict.fromkeys(range(len(grid_pts)), 1), 1)
+    x = lp_feasible(LinearFeasibility(len(grid_pts), rows, [simplex]))
     if x is None:
         return None
     Z = Measure(1, {(g,): w for g, w in zip(grid_pts, x) if w > 0})

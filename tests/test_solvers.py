@@ -283,25 +283,27 @@ class TestTransportChecks:
 
 class TestLpFeasible:
     def test_simplex_point(self):
-        inst = LinearFeasibility(2, eq_rows=[((1, 1), 1)])
+        inst = LinearFeasibility(2, eq_rows=[({0: 1, 1: 1}, 1)])
         x = lp_feasible(inst)
         assert x is not None and sum(x) == 1 and all(v >= 0 for v in x)
 
     def test_contradictory_rows(self):
+        # x0 + x1 <= 1/2, times 2, and x0 + x1 = 1
         inst = LinearFeasibility(
-            2, ineq_rows=[((1, 1), "1/2")], eq_rows=[((1, 1), 1)]
+            2, ineq_rows=[({0: 2, 1: 2}, 1)], eq_rows=[({0: 1, 1: 1}, 1)]
         )
         assert lp_feasible(inst) is None
 
     def test_five_var_instance_substitution(self):
         # catalyst-shaped instance: weights on a 5-point grid, tail margins
+        # in quarters, each row times 4
         rows = [
-            (("1/2", "-1/4", 0, "1/4", "-1/2"), 0),
-            (("1/4", "1/4", "-1/2", 0, 0), 0),
-            ((0, "-1/4", "1/4", "-1/4", "1/4"), 0),
+            ({0: 2, 1: -1, 3: 1, 4: -2}, 0),
+            ({0: 1, 1: 1, 2: -2}, 0),
+            ({1: -1, 2: 1, 3: -1, 4: 1}, 0),
         ]
         inst = LinearFeasibility(
-            5, ineq_rows=rows, eq_rows=[((1, 1, 1, 1, 1), 1)]
+            5, ineq_rows=rows, eq_rows=[(dict.fromkeys(range(5), 1), 1)]
         )
         x = lp_feasible(inst)
         assert x is not None
@@ -311,29 +313,9 @@ class TestLpFeasible:
 
     def test_negative_rhs_handled(self):
         # x1 - x2 <= -1 forces x2 >= 1
-        inst = LinearFeasibility(2, ineq_rows=[((1, -1), -1)])
+        inst = LinearFeasibility(2, ineq_rows=[({0: 1, 1: -1}, -1)])
         x = lp_feasible(inst)
         assert x is not None and x[1] - x[0] >= 1
-
-    @pytest.mark.parametrize(
-        "ineq_rows, eq_rows",
-        [((((1,), 1),), ()), ((), (((1, 1, 1), 1),))],
-        ids=["short-ineq", "long-eq"],
-    )
-    def test_row_length_checked(self, ineq_rows, eq_rows):
-        with pytest.raises(ValueError, match="coefficients for 2 variables"):
-            LinearFeasibility(2, ineq_rows, eq_rows)
-
-    def test_mapped_row_equals_dense_row(self):
-        dense = LinearFeasibility(
-            4, [((0, "1/2", 0, -3), 1), ((0, 0, 0, 0), 0)], [((1, 1, 1, 1), 1)]
-        )
-        mapped = LinearFeasibility(
-            4, [({3: -3, 1: "1/2", 2: 0}, 1), ({}, 0)], [({j: 1 for j in range(4)}, 1)]
-        )
-        assert mapped == dense
-        assert dense.ineq_rows[0] == ({1: rat(1, 2), 3: rat(-3)}, rat(1))
-        assert lp_feasible(mapped) == lp_feasible(dense) == _lp_feasible_reference(dense)
 
     @pytest.mark.parametrize("column", [-1, 2])
     def test_mapped_row_columns_checked(self, column):
@@ -346,8 +328,42 @@ class TestLpFeasible:
         with pytest.raises(TypeError):
             LinearFeasibility(2, [({0: 0.5}, 0)])
 
-    # x0 + 2 x2 <= 1 and x0 + x1 + x2 = 1, stored sparse
-    CHECKED = LinearFeasibility(3, [({0: 1, 2: 2}, 1)], [((1, 1, 1), 1)])
+    @pytest.mark.parametrize("value", [rat(1), "1", 1.0], ids=["fraction", "string", "float"])
+    def test_constructor_rejects_non_int_values(self, value):
+        for ineq_rows in [({0: value}, 0)], [({0: 1}, value)], [({value: 1}, 0)]:
+            with pytest.raises(TypeError):
+                LinearFeasibility(2, ineq_rows)
+        with pytest.raises(TypeError):
+            LinearFeasibility(2, eq_rows=[({0: 1}, value)])
+
+    @pytest.mark.parametrize(
+        "ineq_rows, eq_rows",
+        [([((1, 1), 1)], ()), ((), [([1, 1], 1)])],
+        ids=["ineq", "eq"],
+    )
+    def test_constructor_rejects_dense_rows(self, ineq_rows, eq_rows):
+        with pytest.raises(TypeError, match="must map columns to ints"):
+            LinearFeasibility(2, ineq_rows, eq_rows)
+
+    def test_zero_coefficients_not_stored(self):
+        inst = LinearFeasibility(4, [({3: -3, 1: 2, 2: 0}, 1), ({0: 0}, 0)], [({}, 0)])
+        assert inst.ineq_rows == (({3: -3, 1: 2}, 1), ({}, 0))
+        assert inst.eq_rows == (({}, 0),)
+        assert lp_feasible(inst) == _lp_feasible_reference(inst) == [ZERO] * 4
+
+    def test_numpy_integers_stored_as_ints(self):
+        import numpy as np
+
+        # x0 - x1 <= -1 times 2^62, where int64 products would wrap
+        big = np.int64(2**62)
+        inst = LinearFeasibility(np.int64(2), [({0: big, np.int64(1): -big}, -big)])
+        assert inst == LinearFeasibility(2, [({0: 2**62, 1: -(2**62)}, -(2**62))])
+        (coeffs, rhs), = inst.ineq_rows
+        assert all(type(v) is int for v in (inst.num_vars, *coeffs, *coeffs.values(), rhs))
+        assert lp_feasible(inst) == [ZERO, rat(1)]
+
+    # x0 + 2 x2 <= 1 and x0 + x1 + x2 = 1
+    CHECKED = LinearFeasibility(3, [({0: 1, 2: 2}, 1)], [({0: 1, 1: 1, 2: 1}, 1)])
 
     @pytest.mark.parametrize(
         "x, message",
@@ -369,18 +385,19 @@ class TestLpFeasible:
         assert checked == [(self.CHECKED, x)]
 
     def test_infeasible_negative_rhs(self):
-        inst = LinearFeasibility(1, ineq_rows=[((1,), -1)])
+        inst = LinearFeasibility(1, ineq_rows=[({0: 1}, -1)])
         assert lp_feasible(inst) is None
 
 
 def _dense(coeffs, n: int) -> list:
-    """A stored sparse row as its ``n`` dense coefficients."""
-    return [coeffs.get(j, ZERO) for j in range(n)]
+    """A sparse row as its ``n`` dense coefficients, as ``Fraction``s."""
+    return [as_rat(coeffs.get(j, 0)) for j in range(n)]
 
 
-def _lp_feasible_reference(inst: LinearFeasibility, ties: list | None = None):
+def _lp_feasible_reference(inst, ties: list | None = None):
     """The phase-1 simplex on a dense ``Fraction`` tableau, kept as the
-    reference.
+    reference.  ``inst`` is a ``LinearFeasibility`` or any record with its
+    three fields whose rows map columns to exact rationals.
 
     Same pivots as ``lp_feasible``: Bland's entering column, least ratio,
     ties to the smaller basic column.  ``ties`` collects one entry per ratio
@@ -390,13 +407,13 @@ def _lp_feasible_reference(inst: LinearFeasibility, ties: list | None = None):
     n_ineq = len(inst.ineq_rows)
     rows = []
     for idx, (coeffs, rhs) in enumerate(inst.ineq_rows):
-        coeffs = _dense(coeffs, n)
+        coeffs, rhs = _dense(coeffs, n), as_rat(rhs)
         if rhs >= 0:
             rows.append((coeffs, idx, as_rat(1), rhs))
         else:
             rows.append((tuple(-c for c in coeffs), idx, as_rat(-1), -rhs))
     for coeffs, rhs in inst.eq_rows:
-        coeffs = _dense(coeffs, n)
+        coeffs, rhs = _dense(coeffs, n), as_rat(rhs)
         if rhs >= 0:
             rows.append((coeffs, None, None, rhs))
         else:
@@ -478,11 +495,19 @@ def _lp_feasible_reference(inst: LinearFeasibility, ties: list | None = None):
     return x
 
 
-def _random_lp(rng: random.Random) -> LinearFeasibility:
-    """A small LP with integer or rational entries, often degenerate.
+def _random_lp(rng: random.Random) -> tuple:
+    """``(rational, inst)``: a small LP with integer or rational entries,
+    often degenerate, as a record of ``{column: value}`` rows for
+    ``_lp_feasible_reference``, and as a ``LinearFeasibility``.
 
     Zero right-hand sides and repeated rows make ratio ties; negative
-    right-hand sides and equality rows start on artificials.
+    right-hand sides and equality rows start on artificials.  An inequality
+    row with rhs >= 0, which starts on its slack, is passed as its rational
+    row times a random positive multiple of the row's lcm, and the point
+    must not change.  A row that starts on an artificial is the same in
+    both, its ints over its lcm: a factor on such a row weighs its
+    artificial in the phase-1 objective.  The LPs are drawn from ``rng``
+    alone, and the multiples from a second generator seeded from its state.
     """
     n = rng.randint(1, 6)
     den = rng.choice((1, 1, 2, 3, 4, 6))
@@ -499,7 +524,27 @@ def _random_lp(rng: random.Random) -> LinearFeasibility:
         ineq.append(rng.choice(ineq))
     if rng.random() < 0.5:  # a simplex constraint, as in the catalyst LP
         eq.append(([rat(1)] * n, rat(1)))
-    return LinearFeasibility(n, ineq, eq)
+    multiples = random.Random(hash(rng.getstate()))
+
+    def pairs(rows, on_slack):
+        """``(rational row, int row)`` for each row."""
+        out = []
+        for coeffs, b in rows:
+            _, (b_int, *ints) = over_lcm([b, *coeffs])
+            if on_slack(b):
+                m = multiples.randint(1, 6)
+                rational = (dict(enumerate(coeffs)), b)
+                ints, b_int = [m * c for c in ints], m * b_int
+            else:
+                rational = (dict(enumerate(ints)), b_int)
+            out.append((rational, (dict(enumerate(ints)), b_int)))
+        return out
+
+    ineq, eq = pairs(ineq, lambda b: b >= 0), pairs(eq, lambda b: False)
+    rational = SimpleNamespace(
+        num_vars=n, ineq_rows=[r for r, _ in ineq], eq_rows=[r for r, _ in eq]
+    )
+    return rational, LinearFeasibility(n, [i for _, i in ineq], [i for _, i in eq])
 
 
 def _lattice_pair(rng: random.Random, kind: str) -> tuple:
@@ -535,8 +580,8 @@ class TestIntTableau:
         feasible = infeasible = 0
         ties: list = []
         for _ in range(600):
-            inst = _random_lp(rng)
-            expected = _lp_feasible_reference(inst, ties)
+            rational, inst = _random_lp(rng)
+            expected = _lp_feasible_reference(rational, ties)
             assert lp_feasible(inst) == expected
             if expected is None:
                 infeasible += 1
@@ -575,15 +620,16 @@ class TestIntTableau:
 
     def test_ratio_ties_go_to_the_smaller_basic_column(self):
         # degenerate rows tie in the ratio test; keeping the first tied row
-        # instead returns (1/5, 0, 4/5, 0, 0)
+        # instead returns (1/5, 0, 4/5, 0, 0).  Each rational row is given
+        # times the lcm of its denominators: 4, 2, 4 and 12
         inst = LinearFeasibility(
             5,
             [
-                ({0: "3/4", 1: -1, 2: -2, 4: 1}, 0),
-                ({0: "1/2", 1: -2, 2: -1, 4: -4}, 0),
-                ({0: "-3/2", 1: "1/4", 2: -1, 3: "1/2", 4: -4}, 0),
+                ({0: 3, 1: -4, 2: -8, 4: 4}, 0),
+                ({0: 1, 1: -4, 2: -2, 4: -8}, 0),
+                ({0: -6, 1: 1, 2: -4, 3: 2, 4: -16}, 0),
             ],
-            [({0: 1, 1: "4/3", 2: "-1/4", 3: 3, 4: -1}, 0), ([1] * 5, 1)],
+            [({0: 12, 1: 16, 2: -3, 3: 36, 4: -12}, 0), (dict.fromkeys(range(5), 1), 1)],
         )
         expected = [rat(12, 31), ZERO, rat(28, 93), ZERO, rat(29, 93)]
         assert _lp_feasible_reference(inst) == expected
@@ -616,7 +662,7 @@ class TestIntTableau:
         linprog = pytest.importorskip("scipy.optimize").linprog
         rng = random.Random(43)
         for _ in range(200):
-            inst = _random_lp(rng)
+            _, inst = _random_lp(rng)
             n = inst.num_vars
             ub = [[float(c) for c in _dense(coeffs, n)] for coeffs, _ in inst.ineq_rows] or None
             eq = [[float(c) for c in _dense(coeffs, n)] for coeffs, _ in inst.eq_rows] or None
@@ -648,10 +694,10 @@ class TestCrossOracle:
 
             eq_rows = []
             for i in range(m):
-                row = [int(e[0] == i) for e in edges]
+                row = {c: 1 for c, e in enumerate(edges) if e[0] == i}
                 eq_rows.append((row, supplies[i]))
             for j in range(k):
-                row = [int(e[1] == j) for e in edges]
+                row = {c: 1 for c, e in enumerate(edges) if e[1] == j}
                 eq_rows.append((row, demands[j]))
             lp_res = lp_feasible(LinearFeasibility(len(edges), eq_rows=eq_rows))
             assert flow_res.feasible == (lp_res is not None)
