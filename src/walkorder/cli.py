@@ -320,7 +320,7 @@ def _cmd_catalyst(args) -> tuple[dict, int]:
         else {
             "atoms": [
                 {"x": point_json(pt), "w": rat_str(w)}
-                for pt, w in sorted(result.Z.atoms.items())
+                for pt, w in result.Z.atoms.items()
             ],
             "grid_step": rat_str(result.grid_step),
             "verified": result.verified,

@@ -134,17 +134,18 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     directions = cone.dual_directions(opts.n_samples, opts.seed)
     # exact divergence test along each sampled ray
     for d in directions:
-        proj = project(mu, d.t)
+        s, keys, _, _ = project(mu, d.t)._int_view()
         cm = sum(tc * cc for tc, cc in zip(d.t, c))
-        if cm > max(x[0] for x in proj.atoms):
+        if cm > rat(keys[-1][0], s):
             return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
 
     rays = [np.array([float(x) for x in d.t]) for d in directions]
     cols = np.array(rays).T.tolist()
     cf = np.array([float(x) for x in c])
-    items = sorted(mu.atoms.items())
-    zs = np.array([[float(x) for x in pt] for pt, _ in items])
-    ws = np.array([float(w) for _, w in items])
+    # the view's floats by int true division: float of each rational, in point order
+    s, coords, dw, weights = mu._int_view()
+    zs = np.array([[v / s for v in x] for x in coords])
+    ws = np.array([w / dw for w in weights])
 
     def objective(t: np.ndarray) -> float:
         return float(t @ cf - _log_sum_exp(zs @ t, ws))

@@ -7,14 +7,17 @@ powers by repeated squaring, translation, and pushforward along a linear
 functional.  Atom coalescing uses exact point equality; there is no epsilon
 merging anywhere.
 
-A measure stores only its integer view: the atoms in atom order, with
+A measure stores only its integer view: the atoms sorted by point, with
 coordinates as ints over ``S`` and weights as ints over ``D``, the lcms of
 the reduced denominators.  ``from_ratios`` builds it from values read to
 ``(p, q)`` int pairs (``rational.as_ratio``), merging, dropping and refusing
 atoms on the pairs; ``Measure(dim, atoms)`` and the CLI's file reader both
 go through it, so no ``Fraction`` is built for a file.  Every operation
-computes on views, and ``Measure._of_ints`` divides the gcds out of a
-result's view.  Rational atoms are decoded on the first read of ``atoms``.
+computes on views, and ``Measure._of_ints`` sorts a result's atoms and
+divides the gcds out of its view.  This form is canonical: equal measures
+have identical views, ``==`` compares them, and since ``S > 0`` the int
+points sort as the rational ones do.  Rational atoms are decoded on the
+first read of ``atoms``, in that sorted order.
 
 Convolution puts the views of its operands on one integer lattice.  Over
 the lcm of their ``S``, the support of a measure lies in
@@ -27,8 +30,8 @@ product on the common step ``gcd(h_mu, h_nu)``), so keys add without carries
 and the kernel is ``out[x + y] += cx * cy`` over plain ints in any dimension.
 The result's view is unpacked from the keys: the point is ``n a + h k`` over
 the common scale and the weight ``c`` over ``D^n``.  The encoding is a
-bijection on the support and keeps atom order, so results equal those of the
-pairwise rational loop exactly, atom order included.
+bijection on the support, so results equal those of the pairwise rational
+loop exactly, whatever order the keys come in.
 
 All values are immutable after construction and every operation is a pure
 function, so a measure may be shared by any number of callers; the decoded
@@ -39,8 +42,8 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from itertools import accumulate
-from operator import mul
+from itertools import accumulate, chain
+from operator import gt, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -80,10 +83,11 @@ class Measure:
         dropped, negative weights are an error, and duplicate points are
         merged by summing weights.
 
-    It stores only its integer view (``_int_view``).  The atom map is decoded
-    on the first read of ``atoms``, and a 1-D measure's tail index
+    It stores only its integer view (``_int_view``), sorted by point.  The
+    atom map is decoded on the first read of ``atoms`` and iterates in that
+    order; ``==`` compares the views.  A 1-D measure's tail index
     (``_tail_index``), which answers ``mu([c, inf))`` in O(log N), is built
-    on the first tail query in O(N log N); both are kept.
+    on the first tail query in O(N); both are kept.
     """
 
     __slots__ = ("_dim", "_ints", "_atoms", "_tails")
@@ -97,9 +101,12 @@ class Measure:
 
     @classmethod
     def _of_ints(cls, dim: int, s: int, coords: list, d: int, weights: list) -> "Measure":
-        # Trusted: distinct int points of length dim, positive int weights, in
-        # atom order.  Dividing out the gcds gives ``Measure(dim, atoms)``'s view.
-        g = math.gcd(s, *(c for x in coords for c in x))
+        # Trusted: distinct int points of length dim and positive int weights,
+        # in any order.  Sorting by point and dividing out the gcds gives the
+        # canonical view, the one ``Measure(dim, atoms)`` has.
+        if any(map(gt, coords, coords[1:])):
+            coords, weights = map(list, zip(*sorted(zip(coords, weights))))
+        g = math.gcd(s, *chain.from_iterable(coords))
         if g > 1:
             s, coords = s // g, [tuple(c // g for c in x) for x in coords]
         g = math.gcd(d, *weights)
@@ -129,28 +136,26 @@ class Measure:
         return rat(sum(weights), d)
 
     def support(self) -> list[Point]:
-        """Support points in sorted order; the view's int points sort as the rationals do."""
-        return [x for _, x in sorted(zip(self._ints[1], self.atoms))]
+        """Support points in sorted order, the order of the view."""
+        return list(self.atoms)
 
     def weight(self, point: Sequence) -> Rational:
         return self.atoms.get(as_point(point, self._dim), ZERO)
 
     def _tail_index(self) -> tuple[int, list, int, list, list]:
-        """1-D only: ``(S, keys, D, weights, suffix)``, the integer view sorted
-        by coordinate (atom i is ``keys[i] / S`` with weight ``weights[i] / D``)
-        and ``suffix[i] = sum(weights[i:])``, so the closed tail mass at c is
-        ``suffix[bisect_left(keys, ceil(c S))] / D``."""
+        """1-D only: ``(S, keys, D, weights, suffix)``, the integer view with
+        its points as ascending int keys (atom i is ``keys[i] / S`` with
+        weight ``weights[i] / D``) and ``suffix[i] = sum(weights[i:])``, so
+        the closed tail mass at c is ``suffix[bisect_left(keys, ceil(c S))] / D``."""
         if self._tails is None:
             s, coords, d, weights = self._ints
-            items = sorted(zip((k for k, in coords), weights))
-            weights = [w for _, w in items]
             suffix = list(accumulate(reversed(weights), initial=0))[::-1]
-            self._tails = (s, [k for k, _ in items], d, weights, suffix)
+            self._tails = (s, [k for k, in coords], d, weights, suffix)
         return self._tails
 
     def _int_view(self) -> tuple[int, list, int, list]:
-        """The stored ``(S, coords, D, weights)`` in atom order: the j-th atom is
-        the int point ``coords[j]`` over S with weight ``weights[j]`` over D."""
+        """The stored ``(S, coords, D, weights)``, sorted by point: the j-th atom
+        is the int point ``coords[j]`` over S with weight ``weights[j]`` over D."""
         return self._ints
 
     def is_probability(self) -> bool:
@@ -174,11 +179,12 @@ class Measure:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Measure):
             return NotImplemented
-        return self._dim == other._dim and self.atoms == other.atoms
+        return self._dim == other._dim and self._ints == other._ints
 
     def __repr__(self) -> str:
+        s, coords, d, weights = self._ints
         inner = ", ".join(
-            f"{tuple(str(c) for c in p)}: {w}" for p, w in sorted(self.atoms.items())[:4]
+            f"{tuple(str(rat(c, s)) for c in x)}: {rat(w, d)}" for x, w in zip(coords[:4], weights)
         )
         extra = "" if len(self) <= 4 else f", ... {len(self)} atoms"
         return f"Measure(dim={self._dim}, {{{inner}{extra}}})"
@@ -189,7 +195,7 @@ def from_ratios(dim: int, items: Iterable) -> Measure:
     weight, with every coordinate and the weight a ``(p, q)`` pair in lowest
     terms with q > 0 (``rational.as_ratio``), and each point of length dim.
     Zero weights are dropped, a negative weight is refused, and duplicate
-    points are merged in first-occurrence order, all on the int pairs."""
+    points are merged, all on the int pairs."""
     if dim < 1:
         raise ValueError("dimension must be a positive integer")
     kept = []
@@ -278,7 +284,7 @@ def _lattice(measures: Sequence[Measure]) -> tuple:
 
 def _pack(mu: Measure, offsets: list, radices: Sequence[int]) -> tuple[dict, int]:
     """Mixed-radix int keys (coordinate 0 least significant) to the int weights
-    of ``mu``'s integer view, in atom order; returns them with the view's D."""
+    of ``mu``'s integer view, in the view's order; returns them with the view's D."""
     _, _, denom, weights = mu._int_view()
     packed = {}
     for k, w in zip(offsets, weights):
@@ -290,8 +296,8 @@ def _pack(mu: Measure, offsets: list, radices: Sequence[int]) -> tuple[dict, int
 
 
 def _convolve_packed(a: dict, b: dict, cap: int | None) -> dict:
-    # Keys add like the points they encode, and new keys are inserted in pair
-    # order, so atom order matches the pairwise loop over the points.  The
+    # Keys add like the points they encode; ``Measure._of_ints`` sorts the
+    # unpacked result, so the order keys are inserted in does not matter.  The
     # support only grows, so checking the cap once per row raises on exactly
     # the inputs a check per insertion would.
     out: defaultdict[int, int] = defaultdict(int)
@@ -369,27 +375,19 @@ def shift(mu: Measure, a: Sequence) -> Measure:
     return convolve(mu, delta(as_point(a, mu.dim)))
 
 
-def _project_ints(mu: Measure, t: Sequence) -> tuple[int, dict, int]:
-    """``(S T, merged, D)`` for the pushforward of ``mu`` along ``t``: with
-    ``t`` scaled to ints by the lcm T of its denominators, atom x goes to the
-    int key ``<T t, S x>`` of ``mu``'s integer view, and ``merged`` maps each
-    key to its summed int weight in first-occurrence order.  The projected
-    atom of key k is ``k / (S T)`` with weight ``merged[k] / D``."""
+def project(mu: Measure, t: Sequence) -> Measure:
+    """Pushforward along the linear functional x -> <t, x>; a 1-D measure.
+
+    Runs on ``mu``'s integer view: with ``t`` scaled to ints by the lcm T of
+    its denominators, atom x goes to the int key ``<T t, S x>``, and the
+    result's view is the sorted keys over ``S T`` with their summed weights
+    over ``D``.  It equals the rational pushforward exactly.
+    """
     scale, ti = over_lcm(as_point(t, mu.dim))
     s, coords, d, weights = mu._int_view()
     merged: dict[int, int] = {}
     for x, w in zip(coords, weights):
         k = sum(map(mul, ti, x))
         merged[k] = merged.get(k, 0) + w
-    return s * scale, merged, d
-
-
-def project(mu: Measure, t: Sequence) -> Measure:
-    """Pushforward along the linear functional x -> <t, x>; a 1-D measure.
-
-    Runs on ``mu``'s integer view (``_project_ints``): the result's view is
-    the int keys over ``S T`` with their merged weights over ``D``.  It
-    equals the rational pushforward exactly, atom order included.
-    """
-    den, merged, d = _project_ints(mu, t)
-    return Measure._of_ints(1, den, [(k,) for k in merged], d, list(merged.values()))
+    keys = sorted(merged)
+    return Measure._of_ints(1, s * scale, [(k,) for k in keys], d, [merged[k] for k in keys])

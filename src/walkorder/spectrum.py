@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cones import Cone, Direction, require_walk_pair
-from .measure import Measure, _project_ints, require_probability
+from .measure import Measure, project, require_probability
 from .rational import Rational, rat
 
 STRICT = "Strict"
@@ -102,13 +102,12 @@ class _Projected:
     stabilised log-MGF ``log E[exp(r Z)]`` of this law; ``lev_at(r)`` is
     ``log_mgf(r) / r`` away from the exceptional points.
 
-    Both views come from the projected int keys over ``S`` and int weights
-    over ``D`` of ``measure._project_ints``, with the ``(key, weight)`` pairs
-    sorted by key.  The floats are ``key / S`` and ``weight / D`` by int true
-    division, which Python rounds correctly, so each equals ``float`` of the
-    exact rational bit for bit.  ``min``, ``max``, ``w_max`` and
-    ``mean = sum(key * weight) / (S D)`` are exact rationals, each built
-    once.
+    Both views come from the canonical integer view of ``measure.project``:
+    int keys over ``S``, sorted, with int weights over ``D``.  The floats are
+    ``key / S`` and ``weight / D`` by int true division, which Python rounds
+    correctly, so each equals ``float`` of the exact rational bit for bit.
+    ``min``, ``max``, ``w_max`` and ``mean = sum(key * weight) / (S D)`` are
+    exact rationals, each built once.
     """
 
     __slots__ = ("z", "w", "min", "max", "w_max", "mean")
@@ -116,17 +115,16 @@ class _Projected:
     @classmethod
     def of(cls, mu: Measure, t) -> "_Projected":
         """The view of the pushforward of ``mu`` along ``t``, read straight
-        from the int keys and weights of ``measure._project_ints``: no
-        rational atom is built."""
-        s, merged, d = _project_ints(mu, t)
-        pairs = sorted(merged.items())
+        from the int keys and weights of ``project(mu, t)``: no rational atom
+        is built."""
+        s, keys, d, weights = project(mu, t)._int_view()
         self = cls.__new__(cls)
-        self.z = np.array([k / s for k, _ in pairs])
-        self.w = np.array([wt / d for _, wt in pairs])
-        self.min: Rational = rat(pairs[0][0], s)
-        self.max: Rational = rat(pairs[-1][0], s)
-        self.w_max: Rational = rat(pairs[-1][1], d)
-        self.mean: Rational = rat(sum(k * wt for k, wt in pairs), s * d)
+        self.z = np.array([k / s for k, in keys])
+        self.w = np.array([wt / d for wt in weights])
+        self.min: Rational = rat(keys[0][0], s)
+        self.max: Rational = rat(keys[-1][0], s)
+        self.w_max: Rational = rat(weights[-1], d)
+        self.mean: Rational = rat(sum(k * wt for (k,), wt in zip(keys, weights)), s * d)
         return self
 
     # ``z`` is sorted and rounding is monotone, so the largest ``r * z`` is the

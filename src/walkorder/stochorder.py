@@ -181,7 +181,7 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # Feasible iff max flow saturates the supplies over admissible edges
     # {(x, y) : x <= y}; on failure the min cut is the supply set A.  Both
     # views go over one lcm S of their scales and one lcm D of their weight
-    # denominators, sorted as the rational supports would be; the edges come
+    # denominators, sorted by point as every view is; the edges come
     # from their normal keys in the (i, j) order of the pairwise scan, and
     # the supplies and demands are the int weights over D.  Only the plan's
     # weights, once per entry, and the coordinates of its and the witness's
@@ -196,9 +196,8 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
 
     sides = []
     for sm, coords, dm, weights in views:
-        items = sorted(zip([tuple(c * (s // sm) for c in x) for x in coords], weights))
-        pts = [x for x, _ in items]
-        sides.append((pts, _normal_keys(cone, pts), [w * (d // dm) for _, w in items]))
+        pts = [tuple(c * (s // sm) for c in x) for x in coords]
+        sides.append((pts, _normal_keys(cone, pts), [w * (d // dm) for w in weights]))
     (xs, keys_mu, supplies), (ys, keys_nu, demands) = sides
     edges = [
         (i, j)

@@ -302,9 +302,9 @@ def lattice_step_reference(values):
 
 def int_view_reference(mu: Measure) -> tuple:
     """``Measure._int_view`` as written before it called ``rational.over_lcm``:
-    the lcm of the coordinate denominators and that of the weight
-    denominators, and every value scaled inline."""
-    atoms = mu.atoms
+    the atoms sorted by point, the lcm of the coordinate denominators and that
+    of the weight denominators, and every value scaled inline."""
+    atoms = dict(sorted(mu.atoms.items()))
     s = math.lcm(*{c.denominator for x in atoms for c in x})
     d = math.lcm(*{w.denominator for w in atoms.values()})
     coords = [tuple(c.numerator * (s // c.denominator) for c in x) for x in atoms]
@@ -315,15 +315,17 @@ def int_view_reference(mu: Measure) -> tuple:
 def measure_reference(dim: int, atoms) -> tuple:
     """``Measure(dim, atoms)`` as it was built before the int builder: every
     value through ``as_rat``, duplicates merged and zero weights dropped on
-    ``Fraction`` weights, then both lists encoded with ``over_lcm``.  Returns
-    the atom map in atom order, the integer view and the ``repr``."""
-    cleaned: dict = {}
+    ``Fraction`` weights, then the atoms sorted by point and both lists
+    encoded with ``over_lcm``.  Returns the atom map in that order, the
+    integer view and the ``repr``."""
+    merged: dict = {}
     for point, weight in atoms:
         pt, w = tuple(as_rat(c) for c in point), as_rat(weight)
         if w < 0:
             raise ValueError(f"negative weight {w} at {point_str(pt)}")
         if w:
-            cleaned[pt] = cleaned.get(pt, 0) + w
+            merged[pt] = merged.get(pt, 0) + w
+    cleaned = dict(sorted(merged.items()))
     s, flat = over_lcm([c for x in cleaned for c in x])
     d, weights = over_lcm(list(cleaned.values()))
     view = (s, [tuple(flat[i : i + dim]) for i in range(0, len(flat), dim)], d, weights)
@@ -333,8 +335,10 @@ def measure_reference(dim: int, atoms) -> tuple:
 
 
 def project_ints_reference(mu: Measure, t) -> tuple:
-    """``measure._project_ints`` with ``t`` scaled inline and the view of
-    ``int_view_reference``, as written before it called ``over_lcm``."""
+    """The integer view of ``measure.project(mu, t)``, built apart from it:
+    ``t`` scaled inline, the int keys merged over ``int_view_reference``'s
+    view, then sorted and encoded again with ``over_lcm`` from the rationals
+    they stand for, which divides out both gcds."""
     tv = as_point(t, mu.dim)
     scale = math.lcm(*(c.denominator for c in tv))
     ti = [c.numerator * (scale // c.denominator) for c in tv]
@@ -343,7 +347,10 @@ def project_ints_reference(mu: Measure, t) -> tuple:
     for x, w in zip(coords, weights):
         k = sum(map(mul, ti, x))
         merged[k] = merged.get(k, 0) + w
-    return s * scale, merged, d
+    keys = sorted(merged)
+    s_out, ints = over_lcm([rat(k, s * scale) for k in keys])
+    d_out, ws = over_lcm([rat(merged[k], d) for k in keys])
+    return s_out, [(k,) for k in ints], d_out, ws
 
 
 def min_n_reference(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int = DEFAULT_ATOM_CAP):

@@ -6,6 +6,7 @@ import argparse
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -990,3 +991,74 @@ class TestDeterminism:
             )
             outs.append(out)
         assert outs[0] == outs[1] == outs[2]
+
+
+class TestAtomOrder:
+    """A report and its CSVs do not depend on the order in which a measure
+    file lists its atoms: the file read in reverse, or shuffled, gives the
+    same bytes."""
+
+    @staticmethod
+    def atoms(rng, dim: int, den: int) -> list:
+        k = rng.randint(2, 5)
+        points = set()
+        while len(points) < k:
+            points.add(tuple(f"{rng.randint(-4, 4)}/{rng.choice((1, 2, 3))}" for _ in range(dim)))
+        cuts = sorted(rng.sample(range(1, den), k - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+        return [{"x": list(x), "w": f"{p}/{den}"} for x, p in zip(sorted(points, key=str), parts)]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_reports_do_not_depend_on_atom_order(self, capsys, tmp_path, dim):
+        rng = random.Random(181 + dim)
+        cone = "halfline" if dim == 1 else "orthant"
+        c = ",".join(["1/3"] * dim)
+        commands = [
+            ["order-check", "X", "Y"],
+            ["spectrum", "X", "Y", "--samples", "2", "--csv", "CSV"],
+            ["dominate", "X", "Y", "--samples", "3", "--csv", "CSV"],
+            ["min-n", "X", "Y", "--n-max", "6"],
+            ["rate-fn", "X", "--c", c, "--samples", "3"],
+            # n = 16 in 2-D takes seconds: one row at n = 8 there
+            ["rel-rate", "X", "Y", "--n-max", str(24 // dim), "--samples", "3", "--csv", "CSV"],
+            ["cramer", "Y", "--c", c, "--n-max", "12"],
+        ]
+        if dim == 1:  # the catalyst search is 1-D only
+            commands.append(["catalyst", "X", "Y", "--grid-step", "1/6"])
+        pairs = [(self.atoms(rng, dim, 12), self.atoms(rng, dim, 10)) for _ in range(3)]
+        if dim == 1:  # a pair with a catalyst
+            pairs.append((
+                [{"x": ["2/5"], "w": "1/10"}, {"x": ["3/5"], "w": "9/10"}],
+                [{"x": ["1/2"], "w": "1/2"}, {"x": ["4/5"], "w": "1/2"}],
+            ))
+        csv = str(tmp_path / "out.csv")
+        csvs = [csv, csv + ".gp", csv + ".curve.csv"]
+
+        def outputs(x_atoms, y_atoms):
+            paths = {}
+            for name, atoms in (("X", x_atoms), ("Y", y_atoms)):
+                paths[name] = str(tmp_path / f"{name}.json")
+                Path(paths[name]).write_text(json.dumps({"dim": dim, "atoms": atoms}), encoding="utf-8")
+            paths["CSV"] = csv
+            result = []
+            for argv in commands:
+                for path in csvs:
+                    if os.path.exists(path):
+                        os.remove(path)
+                code, out = run(capsys, [paths.get(a, a) for a in argv] + ["--cone", cone, "--json", "-"])
+                assert code in (EXIT_OK, EXIT_EPISTEMIC), argv
+                written = [Path(p).read_bytes() for p in csvs if os.path.exists(p)]
+                assert bool(written) == ("--csv" in argv), argv
+                result.append((code, out, written))
+            return result
+
+        found = False
+        for x_atoms, y_atoms in pairs:
+            expected = outputs(x_atoms, y_atoms)
+            found |= any('"found": true' in out for _, out, _ in expected[-1:])
+            shuffled_x, shuffled_y = x_atoms[:], y_atoms[:]
+            rng.shuffle(shuffled_x)
+            rng.shuffle(shuffled_y)
+            assert outputs(x_atoms[::-1], y_atoms[::-1]) == expected
+            assert outputs(shuffled_x, shuffled_y) == expected
+        assert found == (dim == 1)

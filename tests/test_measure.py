@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from itertools import chain
+from operator import lt
 
 import pytest
 
@@ -18,8 +21,8 @@ from walkorder import (
     project,
     shift,
 )
-from walkorder.measure import _project_ints
-from walkorder.rational import rat
+from walkorder.measure import from_ratios
+from walkorder.rational import as_ratio, rat
 
 from conftest import (
     int_view_reference,
@@ -71,8 +74,8 @@ class TestConstruction:
 
     def test_equals_fraction_route(self):
         # Fractions, ints and strings, with repeats written another way and
-        # zero weights: the view, the atom order and the repr are those of the
-        # route that merged on Fraction weights
+        # zero weights: the view, the atoms (sorted by point) and the repr are
+        # those of the route that merged on Fraction weights
         rng = random.Random(29)
 
         def written(q):
@@ -244,8 +247,8 @@ class TestLatticeKernel:
         @hyp.given(measures_on(hyp, dim), measures_on(hyp, dim))
         def check(mu, nu):
             conv = convolve(mu, nu)
-            # same atoms, values and insertion order as the pairwise loop
-            assert list(conv.atoms.items()) == list(naive_convolve(mu.atoms, nu.atoms).items())
+            # same atoms and values as the pairwise loop, sorted by point
+            assert list(conv.atoms.items()) == sorted(naive_convolve(mu.atoms, nu.atoms).items())
             assert conv.mass() == mu.mass() * nu.mass()
 
         check()
@@ -259,7 +262,7 @@ class TestLatticeKernel:
         def check(mu, n):
             power = convolve_power(mu, n)
             expected, _ = naive_power_sizes(dict(mu.atoms), dim, n)
-            assert list(power.atoms.items()) == list(expected.items())
+            assert list(power.atoms.items()) == sorted(expected.items())
             assert power.mass() == mu.mass() ** n
 
         check()
@@ -344,8 +347,8 @@ class TestIntegerView:
                 expected = naive_project(m, t)
                 for tv in (t, [str(c) for c in t]):
                     proj = project(m, tv)
-                    # same atoms, values and insertion order as the rational loop
-                    assert list(proj.atoms.items()) == list(expected.items())
+                    # same atoms and values as the rational loop, sorted by point
+                    assert list(proj.atoms.items()) == sorted(expected.items())
                     assert all(type(c) is type(rat(0)) for x in proj.atoms for c in x)
                     assert proj.mass() == m.mass()
                 merged.append(len(expected) < len(m))
@@ -353,7 +356,7 @@ class TestIntegerView:
         check()
         assert any(merged)
 
-    def test_project_merges_and_keeps_first_occurrence_order(self):
+    def test_project_merges_and_sorts_by_point(self):
         mu = Measure(
             2,
             [
@@ -363,11 +366,11 @@ class TestIntegerView:
                 ((-1, "1/3"), "1/4"),
             ],
         )
-        # <t, x> = 1/2, 1/2, 37/30, -1/2: the first two merge at the place of the first
+        # <t, x> = 1/2, 1/2, 37/30, -1/2: the first two merge
         expected = [
+            ((rat(-1, 2),), rat(1, 4)),
             ((rat(1, 2),), rat(1, 2)),
             ((rat(37, 30),), rat(1, 4)),
-            ((rat(-1, 2),), rat(1, 4)),
         ]
         assert list(project(mu, ("2/3", "1/2")).atoms.items()) == expected
 
@@ -406,14 +409,15 @@ class TestIntegerView:
             # every operation's output carries the canonical view
             for m in (convolve(mu, mu), convolve_power(mu, 3), mu.normalized(), project(mu, t)):
                 assert m._int_view() == int_view_reference(m)
-            got, expected = _project_ints(mu, t), project_ints_reference(mu, t)
-            assert got == expected and list(got[1]) == list(expected[1])
+            got = project(mu, t)._int_view()
+            assert got == project_ints_reference(mu, t)
             merged += len(got[1]) < len(mu)
         assert merged > 50
         for dim in (1, 2, 3):
             empty = Measure(dim, {})
             assert empty._int_view() == int_view_reference(empty)
-            assert _project_ints(empty, (1,) * dim) == project_ints_reference(empty, (1,) * dim)
+            t = (1,) * dim
+            assert project(empty, t)._int_view() == project_ints_reference(empty, t)
 
     def test_empty_measure(self):
         empty = Measure(2, {})
@@ -456,10 +460,23 @@ class TestKnownMass:
         check()
 
 
+def counting_fractions(built: list):
+    """Wrap ``Fraction.__new__`` to append the arguments of every call to
+    ``built``; returns the original, which the caller puts back."""
+    original = Fraction.__dict__["__new__"]
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original.__func__(cls, *args, **kwargs)
+
+    Fraction.__new__ = staticmethod(counting)
+    return original
+
+
 class TestKernelsOnInts:
     """The operations compute on integer views: until ``atoms`` is read, no
     ``Fraction`` is built, and the decoded atoms are those of the rational
-    loops, atom order included."""
+    loops, sorted by point."""
 
     def test_no_fraction_until_atoms_are_read(self):
         rng = random.Random(163)
@@ -474,13 +491,7 @@ class TestKernelsOnInts:
             c = (rat(rng.randint(1, 5), rng.randint(1, 5)), rat(rng.randint(0, 3), 2))
             cases.append((mu, nu, scaled, t, a, c))
         built = []
-        original = Fraction.__dict__["__new__"]
-
-        def counting(cls, *args, **kwargs):
-            built.append(args)
-            return original.__func__(cls, *args, **kwargs)
-
-        Fraction.__new__ = staticmethod(counting)
+        original = counting_fractions(built)
         try:
             outputs = []
             for mu, nu, scaled, t, a, c in cases:
@@ -519,4 +530,71 @@ class TestKernelsOnInts:
                 mixed,
             ]
             for m, atoms in zip(results, expected):
-                assert list(m.atoms.items()) == list(atoms.items())
+                assert list(m.atoms.items()) == sorted(atoms.items())
+
+
+class TestCanonicalForm:
+    """Every operation returns the canonical view: points strictly
+    increasing and both gcds 1, so equal measures have identical views and
+    ``==`` compares them without decoding an atom."""
+
+    @staticmethod
+    def outputs(rng: random.Random, mu: Measure, nu: Measure) -> list:
+        dim = mu.dim
+        items = list(mu.atoms.items())
+        (x, w), rest = items[0], items[1:]
+        # mu's atoms shuffled, with the first split in two entries that merge
+        written = rest + [(x, w / 3), (x, w * 2 / 3)]
+        rng.shuffle(written)
+        ratios = [(tuple(map(as_ratio, pt)), as_ratio(v)) for pt, v in written]
+        scaled = Measure(dim, [(pt, v * rat(rng.randint(1, 9), 7)) for pt, v in written])
+        t = tuple(rat(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(dim))
+        a = tuple(rat(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(dim))
+        c = rat(rng.randint(0, 4), 4)
+        return [
+            mu,
+            Measure(dim, written),
+            from_ratios(dim, ratios),
+            convolve(mu, nu),
+            convolve(nu, mu),
+            *(convolve_power(mu, n) for n in range(5)),
+            project(mu, t),
+            project(nu, t),
+            shift(mu, a),
+            shift(shift(mu, a), tuple(-v for v in a)),
+            mix([(c, mu), (1 - c, nu)]),
+            mix([(1 - c, nu), (c, mu)]),
+            scaled,
+            scaled.normalized(),
+            delta(a),
+            delta((0,) * dim),
+        ]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_views_are_canonical(self, dim):
+        rng = random.Random(170 + dim)
+        draw = (random_measure_1d, random_measure_2d, random_measure_3d)[dim - 1]
+        measures = []
+        for _ in range(12):
+            measures += self.outputs(rng, draw(rng), draw(rng))
+        for m in measures:
+            s, coords, d, weights = m._int_view()
+            assert all(map(lt, coords, coords[1:]))
+            assert math.gcd(s, *chain.from_iterable(coords)) == 1
+            assert math.gcd(d, *weights) == 1
+        # only each draw's mu has decoded atoms yet, so == may not decode any
+        built = []
+        original = counting_fractions(built)
+        try:
+            verdicts = [[a == b for b in measures] for a in measures]
+        finally:
+            Fraction.__new__ = original
+        assert built == []
+        decoded = [(m.dim, dict(m.atoms)) for m in measures]
+        assert verdicts == [[a == b for b in decoded] for a in decoded]
+        # each draw has at least 36 ordered pairs of equal measures: mu, its
+        # shuffled and split lists, its first power, its shift and back and
+        # its normalized scaling (30); the swapped convolution, the swapped
+        # mixture, and the 0th power with the unit mass at 0 (2 each)
+        equal_pairs = sum(map(sum, verdicts)) - len(measures)
+        assert equal_pairs >= 36 * 12
