@@ -3,17 +3,19 @@
 A cone carries both a generator description (rays) and an inequality
 description (normals: x is in the cone iff <n, x> >= 0 for every normal n),
 plus a designated order unit that must be interior.  The constructor
-cross-validates the two descriptions instead of converting; for dimensions
-up to 3 ``from_generators`` fills in a missing side with one dual-generator
-routine, as rays and normals generate each other's duals.  A 1-D cone is
-[0, inf) or (-inf, 0]; ``is_upward_1d`` tells which.
+cross-validates the two descriptions instead of converting;
+``from_generators`` fills in a missing side, in any dimension, with one
+dual-generator routine, as rays and normals generate each other's duals.
+That routine enumerates (dim-1)-subsets of the given vectors, so it refuses
+inputs above ``MAX_DUAL_WORK``; those must supply both sides.  A 1-D cone
+is [0, inf) or (-inf, 0]; ``is_upward_1d`` tells which.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil, gcd, lcm
+from math import ceil, comb, gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -22,6 +24,12 @@ from .measure import Measure, Point, as_point, require_equal_dims, require_proba
 from .rational import Rational, over_lcm, point_str, rat
 
 _MASK64 = (1 << 64) - 1
+
+#: the largest C(m, dim-1) * dim^4 for which m vectors are converted to the
+#: other side: each (dim-1)-subset costs dim eliminations of order dim-1,
+#: fewer than dim^4 int steps, so the minors take seconds at most in any dim.
+#: Testing each candidate against all m vectors is not bounded by it.
+MAX_DUAL_WORK = 6_000_000
 
 
 class SplitMix64:
@@ -84,25 +92,50 @@ def _rank(vectors: Sequence[Point], dim: int) -> int:
     return rank
 
 
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square int matrix by fraction-free (Bareiss)
+    elimination, which overwrites ``rows``; 1 for the empty matrix."""
+    sign, prev, n = 1, 1, len(rows)
+    for k in range(n - 1):
+        if not rows[k][k]:
+            swap = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if swap is None:
+                return 0
+            rows[k], rows[swap], sign = rows[swap], rows[k], -sign
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            for j in range(k + 1, n):
+                row[j] = (row[j] * pivot[k] - row[k] * pivot[j]) // prev
+        prev = pivot[k]
+    return sign * rows[-1][-1] if n else 1
+
+
 def _dual_generators(dim: int, vectors: Sequence[Point], extra: Sequence[Point] = ()) -> list[Point]:
-    """Primitive generators of {x : <v, x> >= 0 for all v}, for dim 1 to 3:
-    the candidates (both unit vectors, both perpendiculars of each vector, or
-    both signs of each pairwise cross product), then ``extra``, that are
-    nonzero and pair nonnegatively with every vector, deduplicated in order."""
-    if dim == 1:
-        candidates = [(rat(1),), (rat(-1),)]
-    elif dim == 2:
-        candidates = [c for a, b in vectors for c in ((-b, a), (b, -a))]
-    else:
-        crosses = [
-            (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-            for (a1, a2, a3), (b1, b2, b3) in combinations(vectors, 2)
-        ]
-        candidates = [c for x in crosses for c in (x, tuple(-v for v in x))]
-    seen: set[Point] = set()
+    """Primitive generators of {x : <v, x> >= 0 for all v}.
+
+    The candidates are, for each (dim-1)-subset of the vectors in
+    ``combinations`` order, its generalized cross product (the cofactors of
+    ``[e; v_1 .. v_{dim-1}]`` times (-1)^(dim+1)) and that negated, then
+    ``extra``; those that are nonzero and pair nonnegatively with every
+    vector, deduplicated in order.  In dim 1 to 3 these are both unit
+    vectors, both perpendiculars of each vector, and both signs of each
+    pairwise cross product.  Minors and signs are taken on the vectors'
+    ints.  Raises before enumerating any subset when C(m, dim-1) * dim^4
+    exceeds ``MAX_DUAL_WORK`` for m vectors.
+    """
+    if comb(len(vectors), dim - 1) * dim**4 > MAX_DUAL_WORK:
+        raise ValueError(
+            f"{len(vectors)} vectors in dim {dim} are too many to convert; supply both rays and normals"
+        )
+    ints = [over_lcm(v)[1] for v in vectors]
+    candidates = []
+    for sub in combinations(ints, dim - 1):
+        x = tuple((-1) ** (dim + i + 1) * _det([[*r[:i], *r[i + 1:]] for r in sub]) for i in range(dim))
+        candidates += (x, tuple(-c for c in x))
+    seen: set[tuple[int, ...]] = set()
     out: list[Point] = []
-    for c in [*candidates, *extra]:
-        if _is_zero(c) or any(_dot(c, v) < 0 for v in vectors):
+    for c in [*candidates, *(over_lcm(e)[1] for e in extra)]:
+        if not any(c) or any(sum(map(mul, c, v)) < 0 for v in ints):
             continue
         p = _primitive(c)
         if p not in seen:
@@ -112,11 +145,9 @@ def _dual_generators(dim: int, vectors: Sequence[Point], extra: Sequence[Point] 
 
 
 def _normals_from_rays(dim: int, rays: Sequence[Point]) -> list[Point]:
-    """Facet normals of the cone generated by rays, for dim <= 3."""
+    """Facet normals of the cone generated by rays, which must span R^dim."""
     if _rank(rays, dim) < dim:
         raise ValueError("rays do not span the space; cone has no interior point")
-    if not 1 <= dim <= 3:
-        raise ValueError("ray-to-normal conversion is built in only for dim <= 3")
     normals = _dual_generators(dim, rays)
     if not normals:
         raise ValueError("cone has a trivial dual; supply normals explicitly")
@@ -124,15 +155,14 @@ def _normals_from_rays(dim: int, rays: Sequence[Point]) -> list[Point]:
 
 
 def _rays_from_normals(dim: int, normals: Sequence[Point]) -> list[Point]:
-    """Generators of {x : <n, x> >= 0 for all n}, for dim <= 3.
+    """Generators of {x : <n, x> >= 0 for all n}.
 
-    Supports pointed full-dimensional cones, plus the half-plane case in
-    dim 2; anything with a larger lineality space must supply rays.
+    Supports pointed full-dimensional cones in every dim, plus the
+    half-plane case in dim 2; anything with a larger lineality space must
+    supply rays.
     """
-    if not 1 <= dim <= 3:
-        raise ValueError("normal-to-ray conversion is built in only for dim <= 3")
-    if dim == 3 and _rank(normals, dim) < dim:
-        raise ValueError("normal-to-ray conversion needs a pointed cone in dim 3; supply rays")
+    if dim >= 3 and _rank(normals, dim) < dim:
+        raise ValueError(f"normal-to-ray conversion needs a pointed cone in dim {dim}; supply rays")
     # half-plane: both boundary rays plus the normal as an interior ray
     extra = normals[:1] if dim == 2 and len(normals) == 1 else ()
     rays = _dual_generators(dim, normals, extra)
@@ -207,7 +237,8 @@ class Cone:
         normals: Iterable[Sequence] | None = None,
         unit: Sequence | None = None,
     ) -> "Cone":
-        """Build from rays and/or normals; fills the missing side for dim <= 3."""
+        """Build from rays and/or normals; fills in the missing side in any
+        dimension, for at most ``MAX_DUAL_WORK`` (see ``_dual_generators``)."""
         if rays is None and normals is None:
             raise ValueError("need rays, normals, or both")
         rays_p = None if rays is None else [as_point(r, dim) for r in rays]

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 from collections import deque
+from itertools import product
 from operator import mul
 from types import SimpleNamespace
 
@@ -366,6 +367,11 @@ def min_n_reference(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int = D
         return MinNResult(found=False, n0=None, stable_through=n_max, failures=failures)
     last_fail = failures[-1][0] if failures else 0
     return MinNResult(found=True, n0=last_fail + 1, stable_through=n_max, failures=failures)
+
+
+def cube_rays(dim: int) -> list:
+    """The rays (+-1, .., +-1, 1) of the cone over the cube [-1, 1]^(dim-1)."""
+    return [(*signs, 1) for signs in product((-1, 1), repeat=dim - 1)]
 
 
 def bernoulli(p) -> Measure:

@@ -28,7 +28,7 @@ from walkorder.cli import (
 )
 from walkorder.rational import rat
 
-from conftest import kernel_settings, literals, measure_reference
+from conftest import cube_rays, kernel_settings, literals, measure_reference
 from literal_parity import fraction_route
 
 
@@ -256,6 +256,51 @@ class TestCommands:
         assert abs(json.loads(out)["value"] - expected) < 1e-5
 
 
+#: the six facet normals of the cone over the cube [-1, 1]^3, in the order the
+#: ray-to-normal conversion finds them
+CUBE_NORMALS_4D = [[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, -1, 1], [0, -1, 0, 1], [-1, 0, 0, 1]]
+
+
+class TestCones4d:
+    """A 4-D cone file that gives only rays reads as the same cone given
+    with both sides: the same reports, byte for byte."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        def write(name, payload):
+            path = tmp_path / name
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            return str(path)
+
+        low = [{"x": ["0", "0", "0", "0"], "w": "1/3"}, {"x": ["1", "-1", "0", "2"], "w": "2/3"}]
+        # each atom moved up by a ray of the cone: dominated
+        high = [{"x": ["1", "1", "1", "1"], "w": "1/3"}, {"x": ["0", "0", "-1", "3"], "w": "2/3"}]
+        rays = [[str(c) for c in r] for r in cube_rays(4)]
+        return {
+            "low": write("low.json", {"dim": 4, "atoms": low}),
+            "high": write("high.json", {"dim": 4, "atoms": high}),
+            "rays-only": write("rays.json", {"dim": 4, "rays": rays}),
+            "both": write("both.json", {"dim": 4, "rays": rays, "normals": CUBE_NORMALS_4D}),
+            "dir": tmp_path,
+        }
+
+    @pytest.mark.parametrize("command", ["order-check", "dominate"])
+    @pytest.mark.parametrize("order, dominated", [("low-high", True), ("high-low", False)])
+    def test_rays_only_file_gives_the_same_report(self, capsys, paths, command, order, dominated):
+        reports = {}
+        for cone in ("rays-only", "both"):
+            target = paths["dir"] / f"{cone}.report.json"
+            argv = [command, *(paths[k] for k in order.split("-")), "--cone", paths[cone], "--json", str(target)]
+            assert main(argv) == EXIT_OK
+            reports[cone] = target.read_bytes()
+        assert reports["rays-only"] == reports["both"]
+        report = json.loads(reports["both"])
+        if command == "order-check":
+            assert report["dominated"] is dominated
+        else:
+            assert (report["verdict"] == "Violated") is not dominated
+
+
 class TestErrors:
     def test_mass_mismatch_exit1(self, capsys, tmp_path, files):
         bad = tmp_path / "half.json"
@@ -373,6 +418,33 @@ class TestErrors:
         assert proc.returncode == EXIT_ERROR
         assert "cone dimension 200 does not match 1" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("dim, side, m", [(3, "rays", 2000), (5, "normals", 40)])
+    def test_oversized_cone_conversion_exits_fast(self, files, dim, side, m):
+        # filling in the other side would enumerate C(m, dim-1) subsets for
+        # minutes: the bound refuses the file at once, in one line
+        rng = random.Random(m)
+        vectors = [["1"] * dim] + [[str(rng.randint(1, 9)) for _ in range(dim)] for _ in range(m - 1)]
+        cone = files["dir"] / "big-cone.json"
+        cone.write_text(json.dumps({"dim": dim, side: vectors}), encoding="utf-8")
+        point = files["dir"] / "point.json"
+        point.write_text(json.dumps({"dim": dim, "atoms": [{"x": ["0"] * dim, "w": "1"}]}), encoding="utf-8")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["order-check", str(point), str(point), "--cone", str(cone), "--json", "-"]
+        start = time.perf_counter()
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "walkorder.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=20,
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("order-check did not exit within 20 s")
+        assert time.perf_counter() - start < 10
+        assert proc.returncode == EXIT_ERROR and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: {cone}: {m} vectors in dim {dim} are too many to convert; supply both rays and normals\n"
+        )
 
     def test_fine_catalyst_grid_exits_fast(self, files):
         # 8001 grid points: the LP would take minutes, so the grid cap must

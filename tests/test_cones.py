@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import random
 import time
+from math import comb
 
 import pytest
 
-from walkorder import Cone, DimensionMismatch
+from walkorder import Cone, DimensionMismatch, cones
 from walkorder.cones import (
     SplitMix64,
     _dot,
@@ -20,6 +21,8 @@ from walkorder.cones import (
 )
 from walkorder.measure import Measure, as_point
 from walkorder.rational import rat
+
+from conftest import cube_rays
 
 
 def pts(*coords):
@@ -87,6 +90,12 @@ class TestConstruction:
         assert cone.leq_point((0, 0), (-5, 0))
         assert cone.leq_point((0, 0), (0, 3))
         assert not cone.leq_point((0, 0), (0, -1))
+
+    def test_halfplane_rays_in_order(self):
+        # the boundary rays as the perpendiculars (-b, a) and (b, -a) of the
+        # normal (a, b), then the normal itself
+        cone = Cone.from_generators(2, normals=[(1, 2)])
+        assert cone.rays == pts((-2, 1), (2, -1), (1, 2))
 
     def test_degenerate_rays_rejected(self):
         with pytest.raises(ValueError):
@@ -175,7 +184,7 @@ class TestConversionsAgainstReference:
     it replaced: equal normals in equal order, equal ray sets, equal errors."""
 
     def random_input(self, rng):
-        dim = rng.choice([1, 2, 2, 3, 3, 4])
+        dim = rng.choice([1, 2, 2, 3, 3])
         k = 1 if dim == 2 and rng.random() < 0.15 else rng.randint(1, 4)  # half-planes
         vectors = []
         for _ in range(k):
@@ -205,14 +214,99 @@ class TestConversionsAgainstReference:
                 kinds.add("zero vector")
             if dim == 2 and len(vectors) == 1 and not isinstance(rays, str):
                 kinds.add("half-plane")
-            if dim <= 3 and _rank(vectors, dim) < dim:
+            if _rank(vectors, dim) < dim:
                 kinds.add("non-spanning")
             seen |= kinds
         for dim in (1, 2, 3):
             for side in ("normals", "rays"):
                 assert {(dim, side, False), (dim, side, True)} <= seen
-        assert {(4, "normals", True), (4, "rays", True)} <= seen
         assert {"zero vector", "half-plane", "non-spanning"} <= seen
+
+
+def cross_rays(dim):
+    """The rays (+-e_i, 1) of the cone over the cross-polytope in R^(dim-1)."""
+    return [tuple(s if j == i else 0 for j in range(dim - 1)) + (1,) for i in range(dim - 1) for s in (1, -1)]
+
+
+def primitive_set(vectors):
+    return {as_point(_primitive(as_point(v))) for v in vectors}
+
+
+class TestConversionsAboveDim3:
+    """The one dual-generator routine in dims 4 and 5: the side it fills in is
+    the side given by hand, and the dual of the dual gives the extreme rays."""
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_rays_only_equals_both_sides(self, dim):
+        # the cube and cross-polytope cones are each other's duals
+        orthant = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        rng = random.Random(dim)
+        for rays, normals in [(cube_rays(dim), cross_rays(dim)), (cross_rays(dim), cube_rays(dim)),
+                              (orthant, orthant)]:
+            given = Cone.from_generators(dim, rays=rays, normals=normals)
+            for cone in (Cone.from_generators(dim, rays=rays), Cone.from_generators(dim, normals=normals)):
+                assert set(cone.rays) == set(given.rays) and set(cone.normals) == set(given.normals)
+                for _ in range(200):
+                    x, y = (tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(2))
+                    assert cone.leq_point(x, y) == given.leq_point(x, y)
+            assert Cone.from_generators(dim, rays=rays).unit == given.unit
+
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_dual_of_dual_gives_the_extreme_rays(self, dim):
+        # points of the moment curve are all extreme; sums of them are not
+        rng = random.Random(40 + dim)
+        extreme = [tuple(t**k for k in range(dim)) for t in range(1, dim + 4)]
+        inner = [tuple(map(sum, zip(*rng.sample(extreme, 3)))) for _ in range(4)]
+        rays = [as_point(r) for r in extreme + inner]
+        rng.shuffle(rays)
+        normals = _normals_from_rays(dim, rays)
+        for n in normals:  # a facet: nonnegative on every ray, zero on dim - 1 independent ones
+            assert all(_dot(n, r) >= 0 for r in rays)
+            assert _rank([r for r in rays if _dot(n, r) == 0], dim) == dim - 1
+        assert set(_rays_from_normals(dim, normals)) == primitive_set(extreme)
+
+    def test_lineality_needs_rays_in_every_dim(self):
+        # the normal of a half-space cuts out no pointed cone
+        for dim in (3, 4, 5):
+            with pytest.raises(ValueError, match=rf"^normal-to-ray conversion needs a pointed cone in dim {dim}; supply rays$"):
+                Cone.from_generators(dim, normals=[(1,) + (0,) * (dim - 1)])
+
+
+class TestConversionBound:
+    """An input whose subset enumeration would run for minutes is refused
+    before the first subset, with one line that says to supply both sides."""
+
+    #: the most vectors each dim admits under MAX_DUAL_WORK
+    LARGEST = {2: 375_000, 3: 385, 4: 53, 5: 23, 6: 16, 7: 13}
+
+    @pytest.fixture
+    def subsets(self, monkeypatch):
+        """Each call of the enumeration, which yields no subset."""
+        calls = []
+        monkeypatch.setattr(cones, "combinations", lambda *args: calls.append(args) or iter(()))
+        return calls
+
+    def test_largest_admitted_sizes(self, subsets):
+        for dim, m in self.LARGEST.items():
+            point = as_point((1,) * dim)
+            assert cones._dual_generators(dim, [point] * m) == []
+            assert len(subsets) == 1
+            with pytest.raises(ValueError, match=rf"^{m + 1} vectors in dim {dim} are too many to convert; "
+                                                 r"supply both rays and normals$"):
+                cones._dual_generators(dim, [point] * (m + 1))
+            assert len(subsets) == 1
+            subsets.clear()
+        assert comb(2000, 2) * 3**4 > cones.MAX_DUAL_WORK and comb(40, 4) * 5**4 > cones.MAX_DUAL_WORK
+
+    @pytest.mark.parametrize("dim, side, m", [(3, "rays", 2000), (5, "normals", 40), (4, "rays", 54)])
+    def test_refused_before_any_subset(self, subsets, dim, side, m):
+        rng = random.Random(m)
+        vectors = [(1,) * dim] + [tuple(rng.randint(0, 9) for _ in range(dim)) for _ in range(m - 1)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=rf"^{m} vectors in dim {dim} are too many to convert; "):
+            Cone.from_generators(dim, **{side: vectors})
+        assert time.perf_counter() - start < 5
+        assert subsets == []
 
 
 class TestLeqPoint:

@@ -40,6 +40,7 @@ from walkorder.rational import log_rat, rat
 
 from conftest import (
     bernoulli,
+    cube_rays,
     log_mgf_reference,
     random_measure_1d,
     random_measure_2d,
@@ -613,3 +614,69 @@ class TestCramer:
             emp = cramer_empirical(bernoulli("1/2"), (c,), halfline, 1024)
             rate = rate_function(bernoulli("1/2"), (c,), halfline).value
             assert abs(emp + rate) <= 0.02
+
+
+def random_measure_4d(rng: random.Random, max_atoms: int = 4, span: int = 3) -> Measure:
+    atoms = {tuple(rat(rng.randint(-span, span)) for _ in range(4)): rat(rng.randint(1, 5))
+             for _ in range(rng.randint(1, max_atoms))}
+    return Measure(4, atoms).normalized()
+
+
+def cube_cone_4d() -> Cone:
+    """The cone over the cube [-1, 1]^3, built from its eight rays alone."""
+    return Cone.from_generators(4, rays=cube_rays(4))
+
+
+class TestCramerSpecialisation:
+    """The relative rate of a deterministic walk against mu is Cramér's
+    theorem for mu: the finite-n left-hand side is minus the empirical Cramér
+    rate at the shifted threshold, and in 1-D the right-hand side is I(c)."""
+
+    CONES = [
+        (1, Cone.halfline, random_measure_1d),
+        (1, lambda: Cone(1, [(-1,)], [(-1,)], (-1,)), random_measure_1d),
+        (2, lambda: Cone.orthant(2), random_measure_2d),
+        (2, lambda: Cone.from_generators(2, rays=[(1, 0), (1, 1)], unit=(2, 1)), random_measure_2d),
+        (3, lambda: Cone.orthant(3), random_measure_3d),
+        (4, cube_cone_4d, random_measure_4d),
+    ]
+
+    @pytest.mark.parametrize("dim, make_cone, draw", CONES,
+                             ids=["up-1d", "down-1d", "orthant-2d", "gen-2d", "orthant-3d", "rays-only-4d"])
+    def test_lhs_of_a_point_mass_is_minus_cramer(self, dim, make_cone, draw):
+        # both read the exact mass of the principal upset of n*c - n*eps*unit,
+        # so they agree bit for bit, +inf (an empty upset) included
+        cone = make_cone()
+        rng = random.Random(100 + 10 * dim + len(cone.rays))
+        finite = 0
+        for _ in range(10):
+            mu = draw(rng)
+            atom = rng.choice(mu.support())
+            c = tuple(x + rat(rng.randint(-2, 2), 4) for x in atom)
+            n, eps = rng.randint(1, 4), rat(1, rng.choice([2, 4, 8]))
+            shifted = tuple(x - eps * u for x, u in zip(c, cone.unit))
+            lhs = relative_rate_lhs(delta(c), mu, cone, n, eps)
+            assert lhs == -cramer_empirical(mu, shifted, cone, n), (mu, c, n, eps)
+            finite += math.isfinite(lhs)
+        assert finite >= 3
+
+    def test_1d_rhs_of_a_point_mass_is_the_rate_function(self, halfline):
+        rng = random.Random(108)
+        measures = [mu for mu in (random_measure_1d(rng) for _ in range(20)) if len(mu.support()) > 1]
+        for mu in measures[:6]:
+            (hi,) = max(mu.support())
+            mean = sum(x * w for (x,), w in mu.atoms.items())
+            for c in (mean - 1, mean + (hi - mean) / 3, mean + (hi - mean) * 2 / 3, hi, hi + 1):
+                rate = rate_function(mu, (c,), halfline).value
+                rhs = relative_rate_rhs(delta((c,)), mu, halfline).value
+                assert rate == rhs if math.isinf(rate) else abs(rate - rhs) <= 1e-12, (mu, c)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 10: the projected-gradient ascent of the d >= 2 rate function stops "
+        "1.8e-4 below the right-hand side at a sampled dual ray, a lower bound on I(c); "
+        "projected Newton is to reach it"))
+    def test_2d_rate_function_is_at_least_the_rhs_of_a_point_mass(self, orthant2):
+        mu = Measure(2, {(-2, 2): "2/7", (1, 2): "2/7", (2, -2): "2/7", (2, 0): "1/7"})
+        rate = rate_function(mu, (0, 2), orthant2).value  # 0.6160708231979655
+        bound = relative_rate_rhs(delta((0, 2)), mu, orthant2).value  # 0.616248782216136
+        assert rate >= bound - 1e-12
