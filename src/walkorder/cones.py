@@ -74,22 +74,22 @@ def _primitive(v: Point) -> tuple[int, ...]:
 
 
 def _rank(vectors: Sequence[Point], dim: int) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    for col in range(dim):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col] / prow[col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    """Rank of the vectors, on their ints: each vector is reduced against a
+    row-echelon basis of the ones before it and joins it if anything is left;
+    stops once the rank reaches dim."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row), in order
+    for v in vectors:
+        _, row = over_lcm(v)
+        for col, b in basis:
+            if row[col]:
+                row = [b[col] * x - row[col] * y for x, y in zip(row, b)]
+                g = gcd(*row)
+                row = [x // g for x in row] if g > 1 else row
+        if any(row):
+            basis.append((next(c for c, x in enumerate(row) if x), row))
+            if len(basis) == dim:
+                break
+    return len(basis)
 
 
 def _det(rows: list[list[int]]) -> int:

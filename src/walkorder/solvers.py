@@ -2,7 +2,9 @@
 
 Transportation feasibility is decided by a max-flow on nonnegative int
 supplies and demands, as ``leq_st`` passes them over one common denominator,
-with shortest augmenting paths (greedy warm start, then BFS augmentation); linear
+with shortest augmenting paths (greedy warm start, then BFS augmentation).
+Each demand keeps the sorted positions of its carrying supplies, those with
+positive flow into it, so a BFS step back from a demand scans only those; linear
 feasibility on int rows by a phase-1 simplex with Bland's rule, whose sparse
 int tableau rows pivot exactly as the dense rational tableau does.
 Everything is exact, so certificates never depend on a tolerance, and every
@@ -11,6 +13,7 @@ returned point, plan or cut is re-checked exactly.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -71,6 +74,14 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
     by a common D > 0 keep every comparison and every bottleneck, so the
     plan over D and the cut are those of the same max-flow on the
     rationals.  The certificate is re-checked before it is handed back.
+
+    ``carried[j]`` lists, sorted, the positions in ``radj[j]`` of the supplies
+    that carry positive flow into demand j: a position is inserted when its
+    flow leaves 0, in the warm start or on a path, and deleted when a path
+    cancels the flow to 0.  From a demand the BFS goes back only along these,
+    in ``radj`` order, so it visits the nodes that a scan of all of
+    ``radj[j]`` for positive flow would, in the same order: every path, plan
+    and cut is that scan's.
     """
     m, k = len(inst.supplies), len(inst.demands)
     adj: list[list[int]] = [[] for _ in range(m)]
@@ -78,17 +89,27 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
     for i, j in dict.fromkeys(inst.edges):  # each distinct edge once, in edge order
         adj[i].append(j)
         radj[j].append(i)
+    carried: list[list[int]] = [[] for _ in range(k)]  # sorted radj[j] positions with flow into j
     flow: dict[tuple, int] = {}
     r_s = list(inst.supplies)
     r_d = list(inst.demands)
 
+    def push(i: int, j: int, f: int) -> None:
+        # add f to the flow on edge (i, j), keeping carried[j] in step
+        old = flow.get((i, j), 0)
+        flow[(i, j)] = old + f
+        if not old:
+            insort(carried[j], radj[j].index(i))
+        elif old + f == 0:
+            carried[j].remove(radj[j].index(i))
+
     # warm start: greedy saturation in edge order
     for i, j in inst.edges:
         if r_s[i] > 0 and r_d[j] > 0:
-            push = min(r_s[i], r_d[j])
-            flow[(i, j)] = flow.get((i, j), 0) + push
-            r_s[i] -= push
-            r_d[j] -= push
+            f = min(r_s[i], r_d[j])
+            push(i, j, f)
+            r_s[i] -= f
+            r_d[j] -= f
 
     while True:
         prev_d: dict[int, int] = {}  # demand j discovered from supply i
@@ -108,8 +129,10 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
                 if r_d[j] > 0:
                     target = j
                     break
-                for i2 in radj[j]:
-                    if i2 not in prev_s and flow.get((i2, j), 0) > 0:
+                rj = radj[j]
+                for p in carried[j]:
+                    i2 = rj[p]
+                    if i2 not in prev_s:
                         prev_s[i2] = j
                         queue.append(i2)
         if target is None:
@@ -131,10 +154,7 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
             if not forward and flow[(i, j)] < bottleneck:
                 bottleneck = flow[(i, j)]
         for i, j, forward in path:
-            if forward:
-                flow[(i, j)] = flow.get((i, j), 0) + bottleneck
-            else:
-                flow[(i, j)] -= bottleneck
+            push(i, j, bottleneck if forward else -bottleneck)
         r_s[root] -= bottleneck
         r_d[target] -= bottleneck
 

@@ -15,8 +15,11 @@ The flow route and ``principal_upset_masses`` map each point once to its
 integer normal key (``_normal_keys``): over a common denominator S, the key
 of x is ``<n, S x>`` for every integer normal n of the cone, so x <= y iff
 each coordinate of x's key is at most y's.  The flow's admissible pairs are
-read off these keys, and before a coupling is returned each of its pairs is
-checked again with ``Cone.leq_point``.
+read off these keys (``_keyed_edges``): per key coordinate, nu's atoms sorted
+by it give int suffix bitmasks, and each atom of mu ANDs the masks at its
+own coordinates and lists the set bits, the pairwise scan's edges in its
+(i, j) order.  Before a coupling is returned each of its pairs is checked
+again with ``Cone.leq_point``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
 from math import lcm
-from operator import ge, le, mul
+from operator import ge, mul
 from typing import Optional, Sequence
 
 from .cones import Cone, is_upward_1d, require_same_dim
@@ -89,6 +92,33 @@ def _normal_keys(cone: Cone, coords) -> list:
     x: x <= y in the cone order iff ``all(map(le, key(x), key(y)))``."""
     normals = cone._int_normals
     return [tuple(sum(map(mul, n, x)) for n in normals) for x in coords]
+
+
+def _keyed_edges(keys_mu: Sequence, keys_nu: Sequence) -> list:
+    """The pairs (i, j) with ``all(map(le, keys_mu[i], keys_nu[j]))``, in
+    (i, j) order.  For each key coordinate, nu's atoms sorted by it give
+    suffix bitmasks: bit j of the mask at position t is set iff atom j is
+    among the sorted atoms from t on.  Row i ANDs, over the coordinates, the
+    mask at the first sorted value at least ``keys_mu[i]``'s, and lists its
+    set bits from low to high."""
+    n = len(keys_nu)
+    columns = []
+    for c in range(len(keys_nu[0]) if keys_nu else 0):
+        order = sorted(range(n), key=lambda j: keys_nu[j][c])
+        masks = [0] * (n + 1)
+        for t in range(n - 1, -1, -1):
+            masks[t] = masks[t + 1] | 1 << order[t]
+        columns.append(([keys_nu[j][c] for j in order], masks))
+    edges = []
+    for i, kx in enumerate(keys_mu):
+        row = (1 << n) - 1  # nu's atoms; not -1, which empty keys would never bound
+        for (values, masks), x in zip(columns, kx):
+            row &= masks[bisect_left(values, x)]
+        while row:
+            low = row & -row
+            edges.append((i, low.bit_length() - 1))
+            row ^= low
+    return edges
 
 
 def tail_mass(mu: Measure, c) -> Rational:
@@ -181,11 +211,11 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # Feasible iff max flow saturates the supplies over admissible edges
     # {(x, y) : x <= y}; on failure the min cut is the supply set A.  Both
     # views go over one lcm S of their scales and one lcm D of their weight
-    # denominators, sorted by point as every view is; the edges come
-    # from their normal keys in the (i, j) order of the pairwise scan, and
-    # the supplies and demands are the int weights over D.  Only the plan's
-    # weights, once per entry, and the coordinates of its and the witness's
-    # points, once per distinct value, are decoded to rationals.
+    # denominators, sorted by point as every view is; the edges come from
+    # their normal keys, by bitmask rows in the (i, j) order of the pairwise
+    # scan, and the supplies and demands are the int weights over D.  Only
+    # the plan's weights, once per entry, and the coordinates of its and the
+    # witness's points, once per distinct value, are decoded to rationals.
     views = mu._int_view(), nu._int_view()
     s, d = lcm(*(view[0] for view in views)), lcm(*(view[2] for view in views))
 
@@ -199,12 +229,7 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
         pts = [tuple(c * (s // sm) for c in x) for x in coords]
         sides.append((pts, _normal_keys(cone, pts), [w * (d // dm) for w in weights]))
     (xs, keys_mu, supplies), (ys, keys_nu, demands) = sides
-    edges = [
-        (i, j)
-        for i, kx in enumerate(keys_mu)
-        for j, ky in enumerate(keys_nu)
-        if all(map(le, kx, ky))
-    ]
+    edges = _keyed_edges(keys_mu, keys_nu)
     result = transport_feasible(TransportInstance(supplies, demands, edges))
     if result.feasible:
         flows = sorted(result.plan.items())

@@ -419,12 +419,14 @@ class TestErrors:
         assert "cone dimension 200 does not match 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("dim, side, m", [(3, "rays", 2000), (5, "normals", 40)])
+    @pytest.mark.parametrize("dim, side, m", [(3, "rays", 2000), (5, "normals", 40), (2, "rays", 375_001)])
     def test_oversized_cone_conversion_exits_fast(self, files, dim, side, m):
         # filling in the other side would enumerate C(m, dim-1) subsets for
-        # minutes: the bound refuses the file at once, in one line
+        # minutes: the bound refuses the file at once, in one line; the rank
+        # check before it stops at the first dim independent rays, so 375,001
+        # planar rays cost little more than reading them
         rng = random.Random(m)
-        vectors = [["1"] * dim] + [[str(rng.randint(1, 9)) for _ in range(dim)] for _ in range(m - 1)]
+        vectors = [[1] * dim] + [[rng.randint(1, 9) for _ in range(dim)] for _ in range(m - 1)]
         cone = files["dir"] / "big-cone.json"
         cone.write_text(json.dumps({"dim": dim, side: vectors}), encoding="utf-8")
         point = files["dir"] / "point.json"

@@ -309,6 +309,76 @@ class TestConversionBound:
         assert subsets == []
 
 
+def rank_reference(vectors, dim):
+    """``cones._rank`` as it eliminated in ``Fraction``s over every row."""
+    rows = [list(v) for v in vectors]
+    rank = 0
+    for col in range(dim):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        prow = rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col] / prow[col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], prow)]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rank
+
+
+class TestRank:
+    """The int row-echelon rank against ``Fraction`` elimination."""
+
+    def test_equals_fraction_elimination(self):
+        rng = random.Random(61)
+        seen = set()
+        for _ in range(2500):
+            dim = rng.randint(1, 5)
+            wide = rng.random() < 0.3
+
+            def coord():
+                if not wide:
+                    return rat(rng.randint(-4, 4), rng.randint(1, 3))
+                return rat(rng.randint(-4, 4) * 3**45 + rng.randint(-2, 2), rng.choice((1, 2**65 + 3)))
+
+            vectors = []
+            for _ in range(rng.randint(0, 7)):
+                roll = rng.random()
+                if roll < 0.1:
+                    vectors.append((rat(0),) * dim)
+                elif vectors and roll < 0.3:  # a multiple of an earlier vector
+                    vectors.append(tuple(coord() * c for c in rng.choice(vectors)))
+                elif len(vectors) > 1 and roll < 0.45:  # a combination of two
+                    a, b = rng.sample(vectors, 2)
+                    f, g = coord(), coord()
+                    vectors.append(tuple(f * x + g * y for x, y in zip(a, b)))
+                else:
+                    vectors.append(tuple(coord() for _ in range(dim)))
+            rank = _rank(vectors, dim)
+            assert rank == rank_reference(vectors, dim), (dim, vectors)
+            seen.add((dim, rank == dim))
+            if any(_is_zero(v) for v in vectors):
+                seen.add("zero vector")
+            if wide and rank > 1:
+                seen.add("wide")
+        assert {(dim, full) for dim in range(1, 6) for full in (False, True)} <= seen
+        assert {"zero vector", "wide"} <= seen
+
+    def test_stops_at_full_rank(self):
+        # the third vector completes the rank in 2-D; none after it is read
+        drawn = []
+
+        def vectors():
+            for k in range(1, 375_002):
+                drawn.append(k)
+                yield as_point((k, k + (k == 3)))
+
+        assert _rank(vectors(), 2) == 2 and drawn == [1, 2, 3]
+
+
 class TestLeqPoint:
     def test_orthant_examples(self, orthant2):
         assert orthant2.leq_point((0, 0), (1, 1))

@@ -172,6 +172,30 @@ class TestIntFlow:
             seen["wide"] += den > 2**64
         assert min(seen.values()) >= 30, seen
 
+    def test_carried_flow_cancelled_and_raised_again(self, monkeypatch):
+        # Edges out of supply order, so radj[0] = [2, 0, 1], and (0, 2) twice.
+        # The warm start leaves supplies s1 and s3 unmatched.  The first path,
+        # s1 -> d0 <- s2 -> d4, cancels the warm flow on (2, 0) to 0: from d0
+        # the search reaches s2 before s0, in radj order, not index order.
+        # The second, s3 -> d3 <- s2 -> d0 <- s0 -> d2, raises (2, 0) again,
+        # so its position 0 is inserted into d0's carried list twice.
+        inst = TransportInstance(
+            [2, 3, 3, 1],
+            [2, 2, 2, 2, 1],
+            [(2, 3), (2, 0), (0, 0), (0, 2), (1, 1), (2, 1), (0, 2), (1, 0), (3, 3), (2, 4)],
+        )
+        inserted = []
+        insort = solvers.insort
+        monkeypatch.setattr(solvers, "insort", lambda a, x: inserted.append((id(a), x)) or insort(a, x))
+        got, expected = transport_feasible(inst), transport_feasible_reference(inst)
+        assert (got.feasible, list(got.plan.items()), got.cut) == (
+            expected.feasible, list(expected.plan.items()), expected.cut
+        )
+        assert got.plan == {(2, 3): 1, (2, 0): 1, (0, 2): 2, (1, 1): 2, (1, 0): 1, (2, 4): 1, (3, 3): 1}
+        # nine insertions: seven plan entries, (2, 0) once more, and (0, 0),
+        # which the second path cancels for good
+        assert len(inserted) == 9 and len(set(inserted)) == 8
+
     def test_plan_entries_are_ints(self):
         # 1/3, 2/3 against 1/2, 1/2 over D = 6
         inst = TransportInstance([2, 4], [3, 3], [(0, 0), (1, 0), (1, 1)])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import sub
+from operator import le, sub
 
 import pytest
 
@@ -24,7 +24,7 @@ from walkorder import (
 )
 from walkorder import solvers, stochorder
 from walkorder.rational import ZERO, rat
-from walkorder.stochorder import _leq_flow, principal_upset_masses, tail_mass
+from walkorder.stochorder import _keyed_edges, _leq_flow, principal_upset_masses, tail_mass
 
 from conftest import (
     CONES_1D,
@@ -521,6 +521,61 @@ class TestKeyedEdges:
                 assert_certified(got, mu, nu, cone)
                 verdicts.add(got.dominated)
             assert verdicts == {True, False}, cone
+
+    def test_edge_builder_equals_pairwise_scan(self):
+        # the bitmask rows give the pairwise scan's list, in its (i, j) order
+        assert _keyed_edges([()] * 2, [()] * 3) == [(i, j) for i in range(2) for j in range(3)]
+        rng = random.Random(51)
+        seen = set()
+        for _ in range(1500):
+            k = rng.randint(0, 3)
+            scale = rng.choice((1, 1, 2**64 + 3))
+            values = [rng.randint(-4, 4) * scale + rng.randint(-1, 1) for _ in range(rng.randint(1, 5))]
+            keys_mu, keys_nu = (
+                [tuple(rng.choice(values) for _ in range(k)) for _ in range(rng.choice((0, *range(1, 13))))]
+                for _ in range(2)
+            )
+            expected = [
+                (i, j) for i, kx in enumerate(keys_mu) for j, ky in enumerate(keys_nu) if all(map(le, kx, ky))
+            ]
+            assert _keyed_edges(keys_mu, keys_nu) == expected, (keys_mu, keys_nu)
+            seen.add(("k", k, bool(expected)))
+            seen.add(("empty", not keys_mu, not keys_nu))
+            flat = [c for key in keys_mu + keys_nu for c in key]
+            if len(set(flat)) < len(flat):
+                seen.add("ties")
+            if flat and min(flat) < 0:
+                seen.add("negative")
+            if flat and max(map(abs, flat)) > 2**64 and expected:
+                seen.add("wide")
+        assert {("k", k, True) for k in range(4)} <= seen
+        assert {("empty", True, False), ("empty", False, True), "ties", "negative", "wide"} <= seen
+
+    def test_benchmark_sized_pairs_equal_reference(self, monkeypatch):
+        # 60 to 92 atoms a side, as in the benchmark's order checks: many
+        # augmenting paths run, and carried flows return to 0 on the way
+        inserted = []
+        insort = solvers.insort
+        monkeypatch.setattr(solvers, "insort", lambda a, x: inserted.append(x) or insort(a, x))
+        rng = random.Random(52)
+        returned = 0
+        for cone in self.CONES:
+            verdicts = set()
+            for _ in range(2):
+                points, size = set(), rng.randint(60, 92)
+                while len(points) < size:
+                    points.add(tuple(rat(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(cone.dim)))
+                mu = Measure(cone.dim, {x: rng.randint(1, 9) for x in points}).normalized()
+                nu = TestFlowCertificates.moved_up(rng, mu, cone)
+                for a, b in ((mu, nu), (nu, mu)):
+                    inserted.clear()
+                    got = leq_st(a, b, cone)
+                    assert certificate(got) == certificate(leq_flow_reference(a, b, cone))
+                    verdicts.add(got.dominated)
+                    if got.dominated:  # one insertion per plan entry, one more per return to 0
+                        returned += len(inserted) - len(got.witness_coupling.entries)
+            assert verdicts == {True, False}, cone
+        assert returned >= 100, returned
 
     def test_leq_point_checks_only_the_plan(self, monkeypatch):
         # one call per coupling pair on a dominated verdict; none on a violated one
