@@ -3,9 +3,8 @@
 A measure is a finite map from points (tuples of exact rationals) to strictly
 positive rational weights.  The semialgebra operations are weighted mixture,
 convolution (Minkowski sum of supports with weight products), convolution
-powers by repeated squaring, translation, and pushforward along a linear
-functional.  Atom coalescing uses exact point equality; there is no epsilon
-merging anywhere.
+powers, translation, and pushforward along a linear functional.  Atom
+coalescing uses exact point equality; there is no epsilon merging anywhere.
 
 A measure stores only its integer view: the atoms sorted by point, with
 coordinates as ints over ``S`` and weights as ints over ``D``, the lcms of
@@ -32,6 +31,21 @@ The result's view is unpacked from the keys: the point is ``n a + h k`` over
 the common scale and the weight ``c`` over ``D^n``.  The encoding is a
 bijection on the support, so results equal those of the pairwise rational
 loop exactly, whatever order the keys come in.
+
+A power has two routes on the same keys.  The packed step is a polynomial
+with int coefficients whose exponents are the keys, so a dense power is one
+big-int ``pow`` (Kronecker substitution): each weight sits in a byte slot at
+its key, each slot wide enough for the largest coefficient the power can
+have, the n-th power of the sum T of the weights.  Its slots span the whole
+box of keys, the product of the radices, so it pays only where the support
+fills much of that box.  Repeated squaring on the packed maps, as
+``convolve`` multiplies, builds X^2, X^4, ... and reads how full each one
+is: once some X^j fills a quarter of its own box, squaring it would take as
+many multiply-adds as the big int has slots, and the box is within the atom
+cap, the power is taken as one ``pow`` instead.  Sparse and non-lattice
+steps, one far atom among near ones too, never fill their boxes and stay on
+the maps.  The cap raises at the same n either way: up to the switch both
+routes run the same products, and after it every support lies in the box.
 
 All values are immutable after construction and every operation is a pure
 function, so a measure may be shared by any number of callers; the decoded
@@ -341,11 +355,45 @@ def convolve(mu: Measure, nu: Measure) -> Measure:
     return _unpack(out, radices, origin, steps, scale, d_mu * d_nu)
 
 
+def _power_bigint(base: dict, n: int, box: int) -> dict:
+    """``base`` to the n-th power as one big int (Kronecker substitution).
+
+    Weight w at key x goes in the little-endian slot x of a byte string, so
+    the packed int is the polynomial sum of w t^x at t = 256^width; its n-th
+    power is one ``pow``, read back one slot at a time.  No coefficient of
+    the power exceeds T^n, T the sum of the weights, so slots as wide as
+    T^n never carry; the keys of the power stay below ``box``."""
+    width = ((sum(base.values()) ** n).bit_length() + 7) // 8
+    packed = bytearray(width * (max(base) + 1))
+    for key, w in base.items():
+        packed[key * width : (key + 1) * width] = w.to_bytes(width, "little")
+    raw = memoryview((int.from_bytes(packed, "little") ** n).to_bytes(width * box, "little"))
+    from_bytes = int.from_bytes
+    return {
+        key: c
+        for key in range(box)
+        if (c := from_bytes(raw[key * width : (key + 1) * width], "little"))
+    }
+
+
 def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
-    """n-fold convolution of mu with itself, by repeated squaring.
+    """n-fold convolution of mu with itself, on one of two exact routes.
+
+    Both pack the step as int keys with radices that bound every offset
+    of the power.  Repeated squaring on the packed maps builds X^j for
+    j = 1, 2, 4, ... from the supports alone.  Before a squaring, if X^j
+    fills at least a quarter of its own box, squaring it would take at least
+    as many multiply-adds as the box of X^n has slots, and that box is
+    within ``cap``, the power is instead one big-int ``pow`` over slots for
+    the whole box (``_power_bigint``).  The maps' products multiply
+    coefficients as wide as the slots, so slot width weighs on both routes
+    alike and the rule leaves it out.
 
     Raises AtomBudgetExceeded if any intermediate support grows past ``cap``,
-    which defends against the exponential blowup of non-lattice steps.
+    which defends against the exponential blowup of non-lattice steps.  Up
+    to the switch both routes run the same products, and every later
+    support lies in the box, which is within ``cap``, so the big-int route
+    raises on exactly the inputs repeated squaring alone would.
     ``n = 0`` gives the unit mass at the origin.
     """
     if n < 0:
@@ -355,17 +403,29 @@ def convolve_power(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
     if not len(mu):
         return Measure(mu.dim)
     scale, steps, (low,), (offsets,) = _lattice((mu,))
+    tops = [max(k[i] for k in offsets) for i in range(mu.dim)]
     # offsets of a sum of at most n atoms stay below these radices: no carries
-    radices = [n * max(k[i] for k in offsets) + 1 for i in range(mu.dim)]
+    radices = [n * t + 1 for t in tops]
     base, denom = _pack(mu, offsets, radices)
-    acc, k = {0: 1}, n
+    box = math.prod(radices)
+    step, acc, k, j = base, {0: 1}, n, 1  # base is X^j
     while k:
+        # dense: X^j fills a quarter of its own box, and squaring it would
+        # take as many multiply-adds as the big int has slots to read back
+        if (
+            k > 1
+            and box <= min(cap, len(base) ** 2)
+            and 4 * len(base) >= math.prod(j * t + 1 for t in tops)
+        ):
+            acc = _power_bigint(step, n, box)
+            break
         if k & 1:
             acc = _convolve_packed(acc, base, cap)
         k >>= 1
         if k:
             base = _convolve_packed(base, base, cap)
-    del base  # free the int squares before the result is unpacked
+            j *= 2
+    del base, step  # free the int squares before the result is unpacked
     origin = [n * a for a in low]
     return _unpack(acc, radices, origin, steps, scale, denom**n)
 

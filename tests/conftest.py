@@ -15,7 +15,14 @@ import pytest
 
 from walkorder import Cone, Measure, convolve, convolve_power, leq_st
 from walkorder.dominance import Catalyst, MinNResult, _grid_step
-from walkorder.measure import DEFAULT_ATOM_CAP, as_point
+from walkorder.measure import (
+    DEFAULT_ATOM_CAP,
+    _convolve_packed,
+    _lattice,
+    _pack,
+    _unpack,
+    as_point,
+)
 from walkorder.rational import ZERO, as_rat, over_lcm, point_str, rat
 from walkorder.solvers import (
     LinearFeasibility,
@@ -367,6 +374,24 @@ def min_n_reference(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int = D
         return MinNResult(found=False, n0=None, stable_through=n_max, failures=failures)
     last_fail = failures[-1][0] if failures else 0
     return MinNResult(found=True, n0=last_fail + 1, stable_through=n_max, failures=failures)
+
+
+def power_by_squaring_reference(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP) -> Measure:
+    """``measure.convolve_power`` as it built every power before dense ones
+    became one big-int ``pow``: repeated squaring with
+    ``measure._convolve_packed`` on the packed keys of ``measure._pack``,
+    the cap checked on every intermediate.  Takes n >= 1 and a nonempty mu."""
+    scale, steps, (low,), (offsets,) = _lattice((mu,))
+    radices = [n * max(k[i] for k in offsets) + 1 for i in range(mu.dim)]
+    base, denom = _pack(mu, offsets, radices)
+    acc, k = {0: 1}, n
+    while k:
+        if k & 1:
+            acc = _convolve_packed(acc, base, cap)
+        k >>= 1
+        if k:
+            base = _convolve_packed(base, base, cap)
+    return _unpack(acc, radices, [n * a for a in low], steps, scale, denom**n)
 
 
 def cube_rays(dim: int) -> list:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from operator import lt
 
 import pytest
@@ -21,6 +21,7 @@ from walkorder import (
     project,
     shift,
 )
+from walkorder import measure
 from walkorder.measure import from_ratios
 from walkorder.rational import as_ratio, rat
 
@@ -29,6 +30,7 @@ from conftest import (
     kernel_settings,
     measure_reference,
     measures_on,
+    power_by_squaring_reference,
     project_ints_reference,
     random_measure_1d,
     random_measure_2d,
@@ -279,6 +281,154 @@ class TestLatticeKernel:
             assert dict(convolve_power(mu, n, cap=cap).atoms) == expected
             with pytest.raises(AtomBudgetExceeded, match=f"atom cap of {cap - 1}$"):
                 convolve_power(mu, n, cap=cap - 1)
+
+        check()
+
+
+def boxed_step(seed: int, dim: int, atoms: int, side: int) -> Measure:
+    """A seeded probability step: ``atoms`` distinct int points of the box
+    ``[0, side)^dim`` with weights 1 to 9 over their sum."""
+    rng = random.Random(seed)
+    points = rng.sample(sorted(product(range(side), repeat=dim)), atoms)
+    return Measure(dim, {p: rat(rng.randint(1, 9)) for p in points}).normalized()
+
+
+def big_int_calls(monkeypatch) -> list:
+    """Count the powers built as one big int: each call of
+    ``measure._power_bigint`` appends its n."""
+    calls = []
+    real = measure._power_bigint
+
+    def counted(base, n, box):
+        calls.append(n)
+        return real(base, n, box)
+
+    monkeypatch.setattr(measure, "_power_bigint", counted)
+    return calls
+
+
+# item 13's planar pair: X uniform on (0,0), (1,0), (0,1); Y 1/4, 1/2, 1/4 on (0,0), (1,1), (2,0)
+PLANAR_X = Measure(2, {(0, 0): "1/3", (1, 0): "1/3", (0, 1): "1/3"})
+PLANAR_Y = Measure(2, {(0, 0): "1/4", (1, 1): "1/2", (2, 0): "1/4"})
+SPARSE_1D = m1({0: "1/3", "1/1009": "1/3", 100: "1/3"})
+# five atoms, one far: the box of X^50 has 999,951 slots, under the cap, and
+# X^50 only 3,876 atoms
+FAR_ATOM_1D = m1({x: "1/5" for x in (0, "1/100", "2/100", "3/100", "19999/100")})
+# the same shape with the far atom at 40: X^8 fills more than a quarter of its box
+FILLS_LATE_1D = m1({x: "1/5" for x in (0, 1, 2, 3, 40)})
+
+
+class TestBigIntPower:
+    """Dense powers are one big-int ``pow``, every other power is repeated
+    squaring on packed maps: both equal the maps route, and the rule reads
+    how full the powers built so far are."""
+
+    @pytest.mark.parametrize(
+        "mu, n, big",
+        [
+            (boxed_step(258, 1, 4, 6), 256, True),
+            (PLANAR_X, 64, True),
+            (PLANAR_Y, 64, True),
+            (boxed_step(35, 2, 6, 5), 32, True),
+            (boxed_step(24, 3, 8, 3), 12, True),
+            (boxed_step(22, 3, 5, 3), 20, False),
+            (SPARSE_1D, 16, False),
+            (FAR_ATOM_1D, 50, False),
+            (FILLS_LATE_1D, 40, True),
+        ],
+        ids=[
+            "1d-4-atoms",
+            "planar-x",
+            "planar-y",
+            "2d-6-atoms",
+            "3d-8-atoms",
+            "3d-5-atoms",
+            "1-over-1009",
+            "far-atom",
+            "fills-late",
+        ],
+    )
+    def test_equals_repeated_squaring(self, monkeypatch, mu, n, big):
+        calls = big_int_calls(monkeypatch)
+        assert convolve_power(mu, n) == power_by_squaring_reference(mu, n)
+        assert calls == ([n] if big else [])
+
+    def test_box_at_the_cap_takes_big_int_and_cannot_raise(self, monkeypatch):
+        calls = big_int_calls(monkeypatch)
+        mu = m1({0: "1/2", 1: "1/4", 2: "1/4"})  # X^n fills its box of 2 n + 1 points
+        for n in (2, 5, 40):  # at n = 1 there is no squaring to save
+            box = 2 * n + 1
+            assert convolve_power(mu, n, cap=box) == power_by_squaring_reference(mu, n, cap=box)
+            assert calls[-1] == n
+            with pytest.raises(AtomBudgetExceeded, match=f"atom cap of {box - 1}$"):
+                convolve_power(mu, n, cap=box - 1)
+            with pytest.raises(AtomBudgetExceeded, match=f"atom cap of {box - 1}$"):
+                power_by_squaring_reference(mu, n, cap=box - 1)
+        assert calls == [2, 5, 40]
+
+    @pytest.mark.parametrize(
+        "far, n, big", [(43, 2, True), (44, 2, False), (40, 3, True), (41, 3, False)]
+    )
+    def test_rule_at_its_thresholds(self, monkeypatch, far, n, big):
+        # 11 atoms on 0 to 9 and ``far``.  X fills a quarter of its own box of
+        # far + 1 points up to far = 43, and squaring it takes 121 multiply-adds,
+        # at least the n far + 1 slots of the box of X^n up to far = 40 at n = 3.
+        # At n = 2 and 3 only X itself is tested: no second squaring is left.
+        calls = big_int_calls(monkeypatch)
+        mu = m1({x: "1/11" for x in (*range(10), far)})
+        assert convolve_power(mu, n) == power_by_squaring_reference(mu, n)
+        assert calls == ([n] if big else [])
+
+
+class TestPowerLaws:
+    """The laws of convolution powers, on derandomized draws in d = 1 to 3
+    with exponents up to 8; the draws take both routes of ``convolve_power``."""
+
+    @staticmethod
+    def powers(hyp, dim):
+        st = hyp.strategies
+        return measures_on(hyp, dim), st.integers(0, 8), st.integers(0, 8)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_exponents_add(self, hyp, monkeypatch, dim):
+        calls, routes = big_int_calls(monkeypatch), set()
+
+        @kernel_settings(hyp)
+        @hyp.given(*self.powers(hyp, dim))
+        def check(mu, m, n):
+            before = len(calls)
+            power = convolve_power(mu, m + n)
+            if m + n:
+                routes.add(len(calls) > before)
+            assert power == convolve(convolve_power(mu, m), convolve_power(mu, n))
+
+        check()
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_project_commutes_with_power(self, hyp, monkeypatch, dim):
+        calls, routes = big_int_calls(monkeypatch), set()
+
+        @kernel_settings(hyp)
+        @hyp.given(measures_on(hyp, dim), hyp.strategies.integers(0, 8), functionals(hyp, dim))
+        def check(mu, n, t):
+            before = len(calls)
+            power = convolve_power(mu, n)
+            if n:
+                routes.add(len(calls) > before)
+            assert project(power, t) == convolve_power(project(mu, t), n)
+
+        check()
+        assert routes == {True, False}
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_mass_is_multiplicative(self, hyp, dim):
+        @kernel_settings(hyp)
+        @hyp.given(*self.powers(hyp, dim))
+        def check(mu, m, n):
+            assert convolve_power(mu, n).mass() == mu.mass() ** n
+            product_mass = convolve_power(mu, m).mass() * convolve_power(mu, n).mass()
+            assert convolve_power(mu, m + n).mass() == product_mass
 
         check()
 
