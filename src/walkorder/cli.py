@@ -30,7 +30,7 @@ import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .cones import Cone, Direction, is_upward_1d
+from .cones import Cone, Direction, check_dual_work, is_upward_1d
 from .dominance import catalyst_1d, default_catalyst_grid, min_n
 from .errors import AtomBudgetExceeded, DimensionMismatch
 from .ldp import (
@@ -125,6 +125,11 @@ def parse_cone(text: str, expected_dim: int | None = None) -> Cone:
     # checked before the cone is built: building costs O(dim^3) exact work
     if expected_dim is not None and dim != expected_dim:
         raise DimensionMismatch(f"cone dimension {dim} does not match {expected_dim}")
+    # one side given: the other is filled in, which the bound may refuse
+    # before a single vector is parsed
+    given = [data[key] for key in ("rays", "normals") if key in data]
+    if kind == "generators" and len(given) == 1 and isinstance(given[0], list):
+        check_dual_work(dim, len(given[0]))
     unit = parse_point(data["unit"], dim) if "unit" in data else None
     if kind == "halfline":
         if dim != 1:

@@ -110,6 +110,14 @@ def _det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1] if n else 1
 
 
+def check_dual_work(dim: int, count: int) -> None:
+    """Refuse, with ``ValueError``, to convert ``count`` vectors in ``dim``
+    to the other side of a cone when C(count, dim-1) * dim^4 exceeds
+    ``MAX_DUAL_WORK``; a dim below 1 is left to the ``Cone`` checks."""
+    if dim >= 1 and comb(count, dim - 1) * dim**4 > MAX_DUAL_WORK:
+        raise ValueError(f"{count} vectors in dim {dim} are too many to convert; supply both rays and normals")
+
+
 def _dual_generators(dim: int, vectors: Sequence[Point], extra: Sequence[Point] = ()) -> list[Point]:
     """Primitive generators of {x : <v, x> >= 0 for all v}.
 
@@ -121,12 +129,9 @@ def _dual_generators(dim: int, vectors: Sequence[Point], extra: Sequence[Point] 
     vectors, both perpendiculars of each vector, and both signs of each
     pairwise cross product.  Minors and signs are taken on the vectors'
     ints.  Raises before enumerating any subset when C(m, dim-1) * dim^4
-    exceeds ``MAX_DUAL_WORK`` for m vectors.
+    exceeds ``MAX_DUAL_WORK`` for m vectors (``check_dual_work``).
     """
-    if comb(len(vectors), dim - 1) * dim**4 > MAX_DUAL_WORK:
-        raise ValueError(
-            f"{len(vectors)} vectors in dim {dim} are too many to convert; supply both rays and normals"
-        )
+    check_dual_work(dim, len(vectors))
     ints = [over_lcm(v)[1] for v in vectors]
     candidates = []
     for sub in combinations(ints, dim - 1):
@@ -261,14 +266,18 @@ class Cone:
         """
         xp = as_point(x, self.dim)
         yp = as_point(y, self.dim)
-        # inline, not over_lcm: the call adds ~0.3 us to ~7, paid once per atom
-        # by upset_mass (behind cramer) and once per coupling pair by leq_st
-        den = lcm(*(c.denominator for c in xp), *(c.denominator for c in yp))
+        # inline, not over_lcm, and a loop, not all(): this runs once per atom
+        # of upset_mass (behind cramer) and once per coupling pair of leq_st
+        # and of min_n's sweep
+        den = lcm(*[c.denominator for c in xp + yp])
         diff = [
             b.numerator * (den // b.denominator) - a.numerator * (den // a.denominator)
             for a, b in zip(xp, yp)
         ]
-        return all(sum(n * d for n, d in zip(normal, diff)) >= 0 for normal in self._int_normals)
+        for normal in self._int_normals:
+            if sum(map(mul, normal, diff)) < 0:
+                return False
+        return True
 
     def bounding_k(self, points: Iterable[Sequence]) -> int:
         """Smallest k in N with -k*unit <= x <= k*unit for all given points."""

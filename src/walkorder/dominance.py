@@ -4,7 +4,10 @@ min_n certifies a stability window: the walk sums X_1+...+X_n must be
 dominated for every n from the reported n0 up to n_max, since a single
 success at one n is not an asymptotic statement.  In 1-D its powers are int
 maps on one lattice, each grown from the last by one multiply and decided by
-the int tail walk of ``leq_st``; only witnesses are decoded.  catalyst_1d
+the int tail walk of ``leq_st``; only witnesses are decoded.  In d >= 2,
+for a cone of at most two integer normals, each n is decided by a greedy
+sweep on two int keys (Strassen 1965), and the max-flow of ``leq_st`` runs
+only at an n that fails, for its witness.  catalyst_1d
 searches for an auxiliary independent Z on a fixed support grid by exact
 linear feasibility over the tail constraints of X+Z vs Y+Z, then re-verifies
 the winner exactly; pairs that no Z can order (X's min, mean or max above
@@ -25,7 +28,7 @@ from .measure import DEFAULT_ATOM_CAP, Measure, _convolve_packed, convolve, conv
 from .rational import Rational, ZERO, as_rat, over_lcm, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .spectrum import _Projected
-from .stochorder import _tail_walk, _tops_1d, leq_st, tail_mass
+from .stochorder import _keyed_sweep, _tail_walk, _tops_1d, leq_st, tail_mass
 
 #: Largest catalyst grid: the LP has about one row and one slack column per
 #: grid point, so even its sparse tableau can grow as the square of the grid.
@@ -57,21 +60,16 @@ def min_n(
     """Smallest n0 such that X^{*n} <= Y^{*n} for every n in [n0, n_max].
 
     1-D powers grow by one multiply each (``_failures_1d``); in d >= 2 each
-    is computed by repeated squaring and compared with ``leq_st``.  Either
-    way ``AtomBudgetExceeded`` rises at the first n where the support of
-    X^n, then of Y^n, exceeds ``cap``.
+    is computed by ``convolve_power`` and decided by the keyed sweep when
+    the cone has at most two integer normals, by ``leq_st`` otherwise and
+    at every n the sweep finds not dominated (``_failures_multid``).
+    Either way ``AtomBudgetExceeded`` rises at the first n where the
+    support of X^n, then of Y^n, exceeds ``cap``.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     require_walk_pair(X, Y, cone)
-    if X.dim == 1:
-        failures = _failures_1d(X, Y, cone, n_max, cap)
-    else:
-        results = [
-            (n, leq_st(convolve_power(X, n, cap), convolve_power(Y, n, cap), cone))
-            for n in range(1, n_max + 1)
-        ]
-        failures = [(n, v.witness_upset) for n, v in results if not v.dominated]
+    failures = (_failures_1d if X.dim == 1 else _failures_multid)(X, Y, cone, n_max, cap)
     if failures and failures[-1][0] == n_max:
         return MinNResult(found=False, n0=None, stable_through=n_max, failures=failures)
     last_fail = failures[-1][0] if failures else 0
@@ -92,6 +90,25 @@ def _failures_1d(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> li
         cut, _ = _tail_walk(xs, ys, couple=False)
         if cut:
             failures.append((n, sorted((rat(x, s),) for x, _ in xs[:cut])))
+    return failures
+
+
+def _failures_multid(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> list:
+    """``(n, witness)`` for each n <= n_max at which X^n is not <= Y^n, in
+    d >= 2.  Each power comes from ``convolve_power``, X^n then Y^n.  For a
+    cone of at most two integer normals ``stochorder._keyed_sweep`` decides
+    each n, and ``leq_st`` runs only where it leaves mass over, for its
+    witness; the sweep is exact, so the failures are those of ``leq_st``
+    at every n.  Other cones take ``leq_st`` at every n."""
+    sweep = len(cone._int_normals) <= 2
+    failures = []
+    for n in range(1, n_max + 1):
+        xn, yn = convolve_power(X, n, cap), convolve_power(Y, n, cap)
+        if sweep and _keyed_sweep(xn, yn, cone) is not None:
+            continue
+        verdict = leq_st(xn, yn, cone)
+        if not verdict.dominated:
+            failures.append((n, verdict.witness_upset))
     return failures
 
 

@@ -73,7 +73,7 @@ DEFAULT_ATOM_CAP = 10**6
 
 def as_point(coords: Sequence, dim: int | None = None) -> Point:
     """Normalize a coordinate sequence to a point, optionally checking dim."""
-    return _checked(tuple(as_rat(c) for c in coords), dim)
+    return _checked(tuple(map(as_rat, coords)), dim)
 
 
 def _checked(pt: tuple, dim: int | None) -> tuple:

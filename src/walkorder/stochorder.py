@@ -18,13 +18,17 @@ each coordinate of x's key is at most y's.  The flow's admissible pairs are
 read off these keys (``_keyed_edges``): per key coordinate, nu's atoms sorted
 by it give int suffix bitmasks, and each atom of mu ANDs the masks at its
 own coordinates and lists the set bits, the pairwise scan's edges in its
-(i, j) order.  Before a coupling is returned each of its pairs is checked
-again with ``Cone.leq_point``.
+(i, j) order.  For a cone of at most two integer normals, x <= y is the
+product order on two int keys, and ``_keyed_sweep`` finds a coupling
+greedily, without a flow; ``dominance.min_n`` decides each n with it in
+d >= 2, while ``leq_st`` keeps the flow, whose plan ``order-check`` prints.
+Before a coupling of either route is returned each of its pairs is checked
+again with ``Cone.leq_point`` (``_checked_plan``).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
 from itertools import islice
@@ -209,16 +213,71 @@ def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, li
 
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # Feasible iff max flow saturates the supplies over admissible edges
-    # {(x, y) : x <= y}; on failure the min cut is the supply set A.  Both
-    # views go over one lcm S of their scales and one lcm D of their weight
-    # denominators, sorted by point as every view is; the edges come from
-    # their normal keys, by bitmask rows in the (i, j) order of the pairwise
-    # scan, and the supplies and demands are the int weights over D.  Only
-    # the plan's weights, once per entry, and the coordinates of its and the
-    # witness's points, once per distinct value, are decoded to rationals.
+    # {(x, y) : x <= y}; on failure the min cut is the supply set A.  The
+    # edges come from the normal keys of both views over one lcm, by bitmask
+    # rows in the (i, j) order of the pairwise scan, and the supplies and
+    # demands are the int weights over D.  Only the plan's weights, once per
+    # entry, and the coordinates of its and the witness's points, once per
+    # distinct value, are decoded to rationals.
+    point, d, ((xs, keys_mu, supplies), (ys, keys_nu, demands)) = _over_one_lcm(mu, nu, cone)
+    edges = _keyed_edges(keys_mu, keys_nu)
+    result = transport_feasible(TransportInstance(supplies, demands, edges))
+    if result.feasible:
+        return OrderVerdict(True, _checked_plan(cone, point, d, xs, ys, result.plan), None)
+    return OrderVerdict(False, None, [point(xs[i]) for i in sorted(result.cut)])
+
+
+def _keyed_sweep(mu: Measure, nu: Measure, cone: Cone) -> Optional[CouplingPlan]:
+    """A coupling of mu and nu, of equal mass, supported on {x <= y}, or None
+    when there is none; for a cone of at most two integer normals, in any
+    dimension, where x <= y is the product order on two int keys.
+
+    The keys are ``_normal_keys`` of both views over one lcm, padded with 0
+    to two coordinates.  They are visited by first coordinate, descending,
+    nu's atoms before mu's at a tie, so the nu atoms seen so far are those
+    whose first key is at least the current mu atom's.  Each mu atom takes
+    the nu mass left of least second key at or above its own, found by
+    bisection in a sorted list, splitting int weights as needed; mass left
+    over means no coupling exists (Strassen 1965).  Taking the least such
+    key is safe: every later mu atom has a first key at most this one's, so
+    any nu atom it could use instead serves the later atoms at least as
+    well.  The pairs are checked with ``Cone.leq_point`` before the
+    coupling is returned, as ``_leq_flow`` checks its plan.
+    """
+    point, d, ((xs, keys_mu, supplies), (ys, keys_nu, demands)) = _over_one_lcm(mu, nu, cone)
+    keys_mu, keys_nu = ([(*k, 0)[:2] for k in keys] for keys in (keys_mu, keys_nu))
+    arrivals = sorted(range(len(ys)), key=lambda j: keys_nu[j][0], reverse=True)
+    seconds, owners = [], []  # second keys of the nu atoms seen with mass left, ascending
+    left, flows, t = demands[:], {}, 0
+    for i in sorted(range(len(xs)), key=lambda i: keys_mu[i][0], reverse=True):
+        first, second = keys_mu[i]
+        while t < len(arrivals) and keys_nu[arrivals[t]][0] >= first:
+            j = arrivals[t]
+            pos = bisect_right(seconds, keys_nu[j][1])
+            seconds.insert(pos, keys_nu[j][1])
+            owners.insert(pos, j)
+            t += 1
+        w, pos = supplies[i], bisect_left(seconds, second)
+        while w:
+            if pos == len(owners):
+                return None
+            j = owners[pos]
+            flows[i, j] = step = min(w, left[j])
+            w -= step
+            left[j] -= step
+            if not left[j]:
+                del seconds[pos], owners[pos]
+    return _checked_plan(cone, point, d, xs, ys, flows)
+
+
+def _over_one_lcm(mu: Measure, nu: Measure, cone: Cone) -> tuple:
+    """``(point, d, sides)`` for the order routes in d >= 2: both integer
+    views over one lcm S of their scales and one lcm d of their weight
+    denominators, each side ``(points, normal keys, weights)`` in the
+    views' sorted order, and ``point``, which decodes an int point over S,
+    each distinct coordinate once."""
     views = mu._int_view(), nu._int_view()
     s, d = lcm(*(view[0] for view in views)), lcm(*(view[2] for view in views))
-
     coord = cache(partial(rat, denominator=s))
 
     def point(x: tuple) -> tuple:
@@ -228,15 +287,16 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     for sm, coords, dm, weights in views:
         pts = [tuple(c * (s // sm) for c in x) for x in coords]
         sides.append((pts, _normal_keys(cone, pts), [w * (d // dm) for w in weights]))
-    (xs, keys_mu, supplies), (ys, keys_nu, demands) = sides
-    edges = _keyed_edges(keys_mu, keys_nu)
-    result = transport_feasible(TransportInstance(supplies, demands, edges))
-    if result.feasible:
-        flows = sorted(result.plan.items())
-        plan = {(point(xs[i]), point(ys[j])): rat(f, d) for (i, j), f in flows}
-        # the keys' verdict, checked pair by pair with the public predicate
-        for x, y in plan:
-            if not cone.leq_point(x, y):
-                raise RuntimeError(f"coupling pairs {point_str(x)} with {point_str(y)}, not ordered")
-        return OrderVerdict(True, CouplingPlan(plan), None)
-    return OrderVerdict(False, None, [point(xs[i]) for i in sorted(result.cut)])
+    return point, d, sides
+
+
+def _checked_plan(cone: Cone, point, d: int, xs: list, ys: list, flows: dict) -> CouplingPlan:
+    """The coupling of the int ``flows`` ``{(i, j): f}`` from xs to ys, in
+    (i, j) order, each entry ``f / d``; the keys' verdict is checked pair by
+    pair with the public predicate, and a pair out of order raises
+    ``RuntimeError``."""
+    plan = {(point(xs[i]), point(ys[j])): rat(f, d) for (i, j), f in sorted(flows.items())}
+    for x, y in plan:
+        if not cone.leq_point(x, y):
+            raise RuntimeError(f"coupling pairs {point_str(x)} with {point_str(y)}, not ordered")
+    return CouplingPlan(plan)

@@ -422,9 +422,8 @@ class TestErrors:
     @pytest.mark.parametrize("dim, side, m", [(3, "rays", 2000), (5, "normals", 40), (2, "rays", 375_001)])
     def test_oversized_cone_conversion_exits_fast(self, files, dim, side, m):
         # filling in the other side would enumerate C(m, dim-1) subsets for
-        # minutes: the bound refuses the file at once, in one line; the rank
-        # check before it stops at the first dim independent rays, so 375,001
-        # planar rays cost little more than reading them
+        # minutes: the bound refuses the file at once, in one line, as soon
+        # as the JSON is loaded, so 375,001 planar rays cost only json.loads
         rng = random.Random(m)
         vectors = [[1] * dim] + [[rng.randint(1, 9) for _ in range(dim)] for _ in range(m - 1)]
         cone = files["dir"] / "big-cone.json"
@@ -447,6 +446,19 @@ class TestErrors:
         assert proc.stderr == (
             f"error: {cone}: {m} vectors in dim {dim} are too many to convert; supply both rays and normals\n"
         )
+
+    @pytest.mark.parametrize("side", ["rays", "normals"])
+    def test_oversized_cone_refused_before_any_vector_is_read(self, side, monkeypatch):
+        # the bound reads only the list's length: vectors that would fail to
+        # parse, and a unit that would, still get the bound line
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no vector may be parsed before the bound")
+
+        monkeypatch.setattr(cli, "parse_point", forbidden)
+        text = json.dumps({"dim": 2, side: ["not a point"] * 375_001, "unit": "bad"})
+        message = "^375001 vectors in dim 2 are too many to convert; supply both rays and normals$"
+        with pytest.raises(ValueError, match=message):
+            cli.parse_cone(text)
 
     def test_fine_catalyst_grid_exits_fast(self, files):
         # 8001 grid points: the LP would take minutes, so the grid cap must

@@ -428,6 +428,37 @@ class TestLeqPoint:
                 outcomes.add(expected)
             assert outcomes == {True, False}
 
+    def test_mixed_denominators_match_fraction_reference(self):
+        # points whose coordinates have distinct, large and prime
+        # denominators, given as Fractions, ints and number strings alike
+        cones = [
+            Cone.orthant(2),
+            Cone.from_generators(2, rays=[(2, -1), (-1, 3)]),
+            Cone(2, [(1, 0), (1, 1)], [(0, "2/3"), (4, -4)], (2, 1)),
+            Cone.orthant(4, unit=(1, "1/2", 3, "5/7")),
+        ]
+        dens = (1, 2, 3, 7, 10**12 + 39, 2**61 - 1)
+        rng = random.Random(24)
+        for cone in cones:
+            outcomes = set()
+            for _ in range(300):
+                x, y = (
+                    [rat(rng.randint(-10**15, 10**15), rng.choice(dens)) for _ in range(cone.dim)]
+                    for _ in range(2)
+                )
+                if rng.random() < 0.5:  # y moved up by a combination of the rays
+                    coeffs = [rat(rng.randint(0, 5), rng.choice(dens)) for _ in cone.rays]
+                    y = [c + sum(k * r[i] for k, r in zip(coeffs, cone.rays)) for i, c in enumerate(x)]
+                diff = [b - a for a, b in zip(x, y)]
+                expected = all(sum(n_i * d for n_i, d in zip(n, diff)) >= 0 for n in cone.normals)
+                forms = (tuple(x), tuple(str(c) for c in y))
+                assert cone.leq_point(*forms) == expected
+                ints = [c.numerator for c in x]
+                up = [c - k for c, k in zip(x, ints)]
+                assert cone.leq_point(ints, x) == all(_dot(n, up) >= 0 for n in cone.normals)
+                outcomes.add(expected)
+            assert outcomes == {True, False}, cone
+
     def test_numpy_integer_rays(self):
         # np.int64 rays once gave np.int64 normals, which overflow past 2^63
         import numpy as np

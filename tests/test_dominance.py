@@ -191,6 +191,106 @@ class TestMinNLattice:
         assert min_n(X, shift(X, (1,)), Cone.halfline(), n_max=20).n0 == 1
 
 
+def _planar_law(rng: random.Random) -> Measure:
+    """1 to 3 atoms on a small grid of (1/2)Z^2 or Z^2."""
+    den = rng.choice((1, 2))
+    points = {(rat(rng.randint(-2, 2), den), rat(rng.randint(-2, 2), den)) for _ in range(rng.randint(1, 3))}
+    return Measure(2, list(zip(points, composition(rng, len(points), 12))))
+
+
+class TestMinNPlanar:
+    """``min_n`` in d >= 2 against ``min_n_reference``, which runs
+    ``leq_st`` at every n: for a cone of at most two normals the keyed sweep
+    decides each n and the max-flow runs only where it fails."""
+
+    CONES = (
+        Cone.orthant(2),
+        Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+        Cone.from_generators(2, rays=[(2, -1), (-1, 3)]),
+        Cone.from_generators(2, normals=[(1, "1/2")]),
+    )
+
+    @staticmethod
+    def pair(rng: random.Random, cone: Cone) -> tuple:
+        X, Y = _planar_law(rng), _planar_law(rng)
+        if rng.random() < 0.5:  # Y is X moved, mostly up: often dominated from some n on
+            moves = [rat(rng.choice((-1, 1, 2, 2)), rng.randint(1, 3)) for _ in X.atoms]
+            Y = Measure(2, [
+                (tuple(c + m * u for c, u in zip(x, cone.unit)), w) for (x, w), m in zip(X.atoms.items(), moves)
+            ])
+        return X, Y
+
+    def test_equal_to_the_reference(self):
+        rng = random.Random(66)
+        outcomes = set()
+        for i in range(120):
+            cone = self.CONES[i % 4]
+            X, Y = self.pair(rng, cone)
+            n_max = rng.randint(1, 6)
+            res = min_n(X, Y, cone, n_max)
+            assert res == min_n_reference(X, Y, cone, n_max), (X, Y, cone, n_max)
+            outcomes.add((res.found, bool(res.failures)))
+        assert outcomes == {(True, False), (True, True), (False, True)}
+
+    def test_atom_cap_raises_at_the_same_n(self):
+        def outcome(run, X, Y, cone, n_max, cap):
+            try:
+                return run(X, Y, cone, n_max, cap)
+            except AtomBudgetExceeded as exc:
+                return str(exc)
+
+        rng = random.Random(67)
+        raised = 0
+        for i in range(30):
+            cone = self.CONES[i % 4]
+            case = (*self.pair(rng, cone), cone, 6, rng.randint(4, 20))
+            got = outcome(min_n, *case)
+            assert got == outcome(min_n_reference, *case)
+            raised += got == f"convolution support exceeded the atom cap of {case[-1]}"
+        assert raised >= 10
+
+    def test_flow_runs_only_at_failing_n(self, monkeypatch):
+        calls = []
+
+        def counted(mu, nu, cone):
+            verdict = leq_st(mu, nu, cone)
+            calls.append(verdict.dominated)
+            return verdict
+
+        monkeypatch.setattr(dominance, "leq_st", counted)
+        rng = random.Random(68)
+        failing = 0
+        for i in range(40):
+            cone = self.CONES[i % 4]
+            X, Y = self.pair(rng, cone)
+            calls.clear()
+            res = min_n(X, Y, cone, n_max=5)
+            assert calls == [False] * len(res.failures)
+            failing += bool(res.failures)
+        assert failing >= 10
+        # three normals: the flow decides every n, dominated or not
+        cases = (
+            (Measure(3, {(0, 0, 0): "1/2", (1, 0, 0): "1/2"}), Cone.orthant(3)),
+            # a planar cone with a redundant third normal
+            (Measure(2, {(0, 0): "1/2", (1, 0): "1/2"}), Cone(2, [(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)], (1, 1))),
+        )
+        for X, cone in cases:
+            calls.clear()
+            assert min_n(X, shift(X, cone.unit), cone, n_max=4).failures == []
+            assert calls == [True] * 4
+            calls.clear()
+            assert len(min_n(shift(X, cone.unit), X, cone, n_max=4).failures) == 4
+            assert calls == [False] * 4
+
+    def test_sweep_coupling_is_checked(self, monkeypatch):
+        # a dominated n is reported only after its coupling's pairs pass
+        # the public predicate
+        monkeypatch.setattr(Cone, "leq_point", lambda self, x, y: False)
+        X = Measure(2, {(0, 0): "1/2", (1, 0): "1/2"})
+        with pytest.raises(RuntimeError, match="not ordered"):
+            min_n(X, shift(X, (1, 1)), Cone.orthant(2), n_max=2)
+
+
 class TestCatalyst:
     def test_dominated_pair_needs_only_delta(self):
         c = catalyst_1d(bernoulli("1/2"), bernoulli("3/4"), [0])

@@ -24,7 +24,13 @@ from walkorder import (
 )
 from walkorder import solvers, stochorder
 from walkorder.rational import ZERO, rat
-from walkorder.stochorder import _keyed_edges, _leq_flow, principal_upset_masses, tail_mass
+from walkorder.stochorder import (
+    _keyed_edges,
+    _keyed_sweep,
+    _leq_flow,
+    principal_upset_masses,
+    tail_mass,
+)
 
 from conftest import (
     CONES_1D,
@@ -691,6 +697,92 @@ class TestOrderLawsPlanar:
                     assert_certified(leq_st(a, b, cone), a, b, cone)
 
         check()
+
+
+class TestKeyedSweep:
+    """``_keyed_sweep``, the greedy coupling on two int keys behind d >= 2
+    ``min_n``, against ``leq_flow_reference``: a coupling exactly when the
+    reference finds one, on ordered pairs with the inputs as marginals."""
+
+    CONES = (
+        Cone.orthant(2),
+        Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+        Cone.from_generators(2, rays=[(2, -1), (-1, 3)]),
+        Cone.from_generators(2, normals=[(1, "1/2")]),  # a half-plane: one key
+        # a 3-D wedge {x1 >= 0, x2 >= 0}: its two normals derived from rays,
+        # then given in the other order
+        Cone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)]),
+        Cone.from_generators(3, rays=[(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, -1)], normals=[(0, 1, 0), (1, 0, 0)]),
+    )
+
+    @staticmethod
+    def agree(mu: Measure, nu: Measure, cone: Cone):
+        plan = _keyed_sweep(mu, nu, cone)
+        assert (plan is not None) == leq_flow_reference(mu, nu, cone).dominated, (mu, nu, cone)
+        if plan is not None:
+            check_coupling(plan, mu, nu, cone)
+        return plan
+
+    @staticmethod
+    def tied(rng: random.Random, cone: Cone) -> Measure:
+        """Atoms on a coarse lattice, so that many share a first key."""
+        atoms = {
+            tuple(rat(rng.randint(-2, 2)) for _ in range(cone.dim)): rat(rng.randint(1, 4))
+            for _ in range(rng.randint(1, 7))
+        }
+        return Measure(cone.dim, atoms).normalized()
+
+    def test_seeded_pairs_and_powers(self):
+        rng = random.Random(53)
+        for cone in self.CONES:
+            assert len(cone._int_normals) <= 2
+            draw = random_measure_2d if cone.dim == 2 else random_measure_3d
+            seen = set()
+            for k in range(30):
+                mu = self.tied(rng, cone) if k % 2 else draw(rng, max_atoms=6)
+                nu = TestFlowCertificates.moved_up(rng, mu, cone)
+                other = self.tied(rng, cone) if k % 3 else draw(rng, max_atoms=6)
+                n = 1 + k % 3
+                if n > 1:
+                    mu, nu, other = (convolve_power(m, n) for m in (mu, nu, other))
+                for a, b in ((mu, nu), (nu, mu), (mu, other), (other, mu)):
+                    plan = self.agree(a, b, cone)
+                    seen.add(plan is not None)
+                    if plan is not None and len(plan.entries) > len(a):
+                        seen.add("split")
+                    firsts = [key[0] for key in stochorder._normal_keys(cone, a._int_view()[1])]
+                    if len(set(firsts)) < len(firsts):
+                        seen.add("tie")
+            assert seen == {True, False, "split", "tie"}, cone
+
+    def test_hypothesis_pairs(self, hyp):
+        dens = (1, 2, 3)
+
+        @kernel_settings(hyp)
+        @hyp.given(laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 2, hyp.strategies.integers(1, 3))
+        def check(mu, other, m1, m2, n):
+            for cone in self.CONES[:4]:
+                nu = moved_up_planar(mu, cone, m1, m2)
+                assert self.agree(mu, nu, cone) is not None
+                for a, b in ((nu, mu), (mu, other), (other, mu)):
+                    self.agree(a, b, cone)
+                self.agree(convolve_power(mu, n), convolve_power(other, n), cone)
+
+        check()
+
+    def test_unordered_pair_raises(self, monkeypatch):
+        # the coupling is checked pair by pair: a predicate that rejects one
+        # of its pairs turns the verdict into an error
+        mu = Measure(2, {(0, 1): "1/2", (1, 0): "1/2"})
+        nu = Measure(2, {(1, 1): "1/2", (2, 2): "1/2"})
+        cone = Cone.orthant(2)
+        plan = _keyed_sweep(mu, nu, cone)
+        assert plan is not None
+        rejected = list(plan.entries)[-1]
+        leq_point = Cone.leq_point
+        monkeypatch.setattr(Cone, "leq_point", lambda self, x, y: (x, y) != rejected and leq_point(self, x, y))
+        with pytest.raises(RuntimeError, match=r"^coupling pairs \(1, 0\) with \(1, 1\), not ordered$"):
+            _keyed_sweep(mu, nu, cone)
 
 
 def naive_tail(mu: Measure, c):
