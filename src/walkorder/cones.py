@@ -128,8 +128,9 @@ def _dual_generators(dim: int, vectors: Sequence[Point], extra: Sequence[Point] 
     vector, deduplicated in order.  In dim 1 to 3 these are both unit
     vectors, both perpendiculars of each vector, and both signs of each
     pairwise cross product.  Minors and signs are taken on the vectors'
-    ints.  Raises before enumerating any subset when C(m, dim-1) * dim^4
-    exceeds ``MAX_DUAL_WORK`` for m vectors (``check_dual_work``).
+    ints, the signs once per distinct primitive candidate.  Raises before
+    enumerating any subset when C(m, dim-1) * dim^4 exceeds
+    ``MAX_DUAL_WORK`` for m vectors (``check_dual_work``).
     """
     check_dual_work(dim, len(vectors))
     ints = [over_lcm(v)[1] for v in vectors]
@@ -140,12 +141,14 @@ def _dual_generators(dim: int, vectors: Sequence[Point], extra: Sequence[Point] 
     seen: set[tuple[int, ...]] = set()
     out: list[Point] = []
     for c in [*candidates, *(over_lcm(e)[1] for e in extra)]:
-        if not any(c) or any(sum(map(mul, c, v)) < 0 for v in ints):
+        if not any(c):
             continue
+        # a positive multiple keeps every sign: filter each direction once
         p = _primitive(c)
         if p not in seen:
             seen.add(p)
-            out.append(as_point(p))
+            if all(sum(map(mul, p, v)) >= 0 for v in ints):
+                out.append(as_point(p))
     return out
 
 
@@ -203,21 +206,24 @@ class Cone:
                 raise ValueError("zero vectors are not allowed as rays or normals")
         # each normal as coprime ints, each ray and the unit as ints over a
         # positive denominator: every <n, x> keeps its sign
-        self._int_normals = tuple(_primitive(n) for n in self.normals)
+        primitives = [_primitive(n) for n in self.normals]
         for r in self.rays:
             _, ri = over_lcm(r)
-            for n, ni in zip(self.normals, self._int_normals):
+            for n, ni in zip(self.normals, primitives):
                 if sum(map(mul, ni, ri)) < 0:
                     raise ValueError(
                         f"ray {point_str(r)} violates normal {point_str(n)}: "
                         "descriptions are inconsistent"
                     )
         _, ui = over_lcm(self.unit)
-        for n, ni in zip(self.normals, self._int_normals):
+        for n, ni in zip(self.normals, primitives):
             if sum(map(mul, ni, ui)) <= 0:
                 raise ValueError(
                     f"unit {point_str(self.unit)} is not interior (normal {point_str(n)})"
                 )
+        # one per facet direction, in first-given order: a repeated direction
+        # adds a key coordinate that orders nothing new but steers the sweep
+        self._int_normals = tuple(dict.fromkeys(primitives))
 
     # -- constructors --------------------------------------------------------
 

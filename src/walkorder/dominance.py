@@ -3,11 +3,11 @@
 min_n certifies a stability window: the walk sums X_1+...+X_n must be
 dominated for every n from the reported n0 up to n_max, since a single
 success at one n is not an asymptotic statement.  In 1-D its powers are int
-maps on one lattice, each grown from the last by one multiply and decided by
-the int tail walk of ``leq_st``; only witnesses are decoded.  In d >= 2,
-for a cone of at most two integer normals, each n is decided by a greedy
-sweep on two int keys (Strassen 1965), and the max-flow of ``leq_st`` runs
-only at an n that fails, for its witness.  catalyst_1d
+maps on the integer normal keys of ``leq_st``, each grown from the last by
+one multiply and decided by its int tail walk; only witnesses are decoded.
+In d >= 2, for a cone of at most two integer normals, each n is decided by
+a greedy sweep on two int keys (Strassen 1965), and the max-flow of
+``leq_st`` runs only at an n that fails, for its witness.  catalyst_1d
 searches for an auxiliary independent Z on a fixed support grid by exact
 linear feasibility over the tail constraints of X+Z vs Y+Z, then re-verifies
 the winner exactly; pairs that no Z can order (X's min, mean or max above
@@ -28,7 +28,7 @@ from .measure import DEFAULT_ATOM_CAP, Measure, _convolve_packed, convolve, conv
 from .rational import Rational, ZERO, as_rat, over_lcm, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .spectrum import _Projected
-from .stochorder import _keyed_sweep, _tail_walk, _tops_1d, leq_st, tail_mass
+from .stochorder import _keyed_sweep, _over_one_lcm, _tail_walk, leq_st, tail_mass
 
 #: Largest catalyst grid: the LP has about one row and one slack column per
 #: grid point, so even its sparse tableau can grow as the square of the grid.
@@ -78,18 +78,21 @@ def min_n(
 
 def _failures_1d(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> list:
     """``(n, witness)`` for each n <= n_max at which 1-D X^n is not <= Y^n.
-    X^n maps each int level of ``_tops_1d`` to its int weight over D^n and is
-    X^{n-1} times X's k atoms; supports grow with n, so the cap check raises
-    at the n where repeated squaring would."""
-    s, _, xs, ys = _tops_1d(X, Y, cone)
-    steps, powers = (dict(xs), dict(ys)), ({0: 1}, {0: 1})
+    X^n maps each int key of ``_over_one_lcm`` (the point over S times the
+    cone's integer normal) to its int weight over D^n and is X^{n-1} times
+    X's k atoms; supports grow with n, so the cap check raises at the n
+    where repeated squaring would."""
+    point, _, sides = _over_one_lcm(X, Y, cone)
+    sign = cone._int_normals[0][0]
+    steps = [{k: w for (k,), w in zip(keys, weights)} for _, keys, weights in sides]
+    powers = ({0: 1}, {0: 1})
     failures = []
     for n in range(1, n_max + 1):
         powers = [_convolve_packed(step, power, cap) for step, power in zip(steps, powers)]
         xs, ys = (sorted(power.items(), reverse=True) for power in powers)
-        cut, _ = _tail_walk(xs, ys, couple=False)
+        cut = _tail_walk(xs, ys)
         if cut:
-            failures.append((n, sorted((rat(x, s),) for x, _ in xs[:cut])))
+            failures.append((n, sorted(point((sign * x,)) for x, _ in xs[:cut])))
     return failures
 
 

@@ -156,15 +156,15 @@ class Measure:
     def weight(self, point: Sequence) -> Rational:
         return self.atoms.get(as_point(point, self._dim), ZERO)
 
-    def _tail_index(self) -> tuple[int, list, int, list, list]:
-        """1-D only: ``(S, keys, D, weights, suffix)``, the integer view with
-        its points as ascending int keys (atom i is ``keys[i] / S`` with
-        weight ``weights[i] / D``) and ``suffix[i] = sum(weights[i:])``, so
-        the closed tail mass at c is ``suffix[bisect_left(keys, ceil(c S))] / D``."""
+    def _tail_index(self) -> tuple[int, list, int, list]:
+        """1-D only: ``(S, keys, D, suffix)``, the integer view with its points
+        as ascending int keys (atom i is ``keys[i] / S``) and ``suffix[i]``
+        the sum of the view's int weights from atom i on, so the closed tail
+        mass at c is ``suffix[bisect_left(keys, ceil(c S))] / D``."""
         if self._tails is None:
             s, coords, d, weights = self._ints
             suffix = list(accumulate(reversed(weights), initial=0))[::-1]
-            self._tails = (s, [k for k, in coords], d, weights, suffix)
+            self._tails = (s, [k for k, in coords], d, suffix)
         return self._tails
 
     def _int_view(self) -> tuple[int, list, int, list]:

@@ -1,17 +1,13 @@
 """Exact decider for the stochastic preorder between finitely supported measures.
 
-``leq_st`` is the one decider and picks its route: one walk over closed tails
-in 1-D, transportation feasibility over the admissible pairs {(x, y) : x <= y}
-otherwise.  Both return a certificate: a coupling supported on the order
-relation when dominated, or generators of a violating closed upset when not.
-In 1-D one int walk (``_tail_walk``) down the levels of both laws' sorted
-int tail indexes, put on one lattice, yields the minimal min cut or the
-comonotone (quantile) coupling, the certificates the flow route gives
-(Strassen 1965; Kamae, Krengel & O'Brien 1977); only these are decoded to
-rationals.  ``dominance.min_n`` runs the same walk on its 1-D powers.  Tail
-and upset masses are int weight sums, one ``Fraction`` per answer.
+``leq_st`` is the one decider and picks its route: a greedy sweep on the
+integer normal keys in 1-D, transportation feasibility over the admissible
+pairs {(x, y) : x <= y} otherwise.  Both return a certificate: a coupling
+supported on the order relation when dominated, or generators of a violating
+closed upset when not.  Tail and upset masses are int weight sums, one
+``Fraction`` per answer.
 
-The flow route and ``principal_upset_masses`` map each point once to its
+Each route and ``principal_upset_masses`` map each point once to its
 integer normal key (``_normal_keys``): over a common denominator S, the key
 of x is ``<n, S x>`` for every integer normal n of the cone, so x <= y iff
 each coordinate of x's key is at most y's.  The flow's admissible pairs are
@@ -20,10 +16,15 @@ by it give int suffix bitmasks, and each atom of mu ANDs the masks at its
 own coordinates and lists the set bits, the pairwise scan's edges in its
 (i, j) order.  For a cone of at most two integer normals, x <= y is the
 product order on two int keys, and ``_keyed_sweep`` finds a coupling
-greedily, without a flow; ``dominance.min_n`` decides each n with it in
-d >= 2, while ``leq_st`` keeps the flow, whose plan ``order-check`` prints.
-Before a coupling of either route is returned each of its pairs is checked
-again with ``Cone.leq_point`` (``_checked_plan``).
+greedily, without a flow.  A 1-D cone has one normal, so one key per atom,
+and there the sweep's coupling is the comonotone (quantile) one; where it
+leaves mass over, one int walk down both laws' keys (``_tail_walk``) finds
+the minimal min cut, the certificate the flow route gives (Strassen 1965;
+Kamae, Krengel & O'Brien 1977).  ``dominance.min_n`` runs the same walk on
+its 1-D powers, and decides each n with the sweep in d >= 2, while
+``leq_st`` keeps the flow there, whose plan ``order-check`` prints.  Before
+a coupling of any route is returned each of its pairs is checked again with
+``Cone.leq_point`` (``_checked_plan``).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from math import lcm
 from operator import ge, mul
 from typing import Optional, Sequence
 
-from .cones import Cone, is_upward_1d, require_same_dim
+from .cones import Cone, require_same_dim
 from .errors import DimensionMismatch, MassMismatch
 from .measure import Measure, as_point, require_equal_dims
 from .rational import Rational, over_lcm, point_str, rat
@@ -137,7 +138,7 @@ def tail_mass(mu: Measure, c) -> Rational:
     if mu.dim != 1:
         raise DimensionMismatch("tail_mass requires a 1-D measure")
     cp = as_point((c,) if not isinstance(c, (tuple, list)) else c, 1)[0]
-    s, keys, d, _, suffix = mu._tail_index()
+    s, keys, d, suffix = mu._tail_index()
     return rat(suffix[bisect_left(keys, -(-cp.numerator * s // cp.denominator))], d)
 
 
@@ -156,42 +157,27 @@ def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
         )
     if mu.dim > 1:
         return _leq_flow(mu, nu, cone)
-    # one int walk on both laws' levels; only the certificate is decoded
-    s, d, xs, ys = _tops_1d(mu, nu, cone)
-    cut, pairs = _tail_walk(xs, ys)
-    if cut:
-        return OrderVerdict(False, None, sorted((rat(x, s),) for x, _ in xs[:cut]))
-    entries = [(((rat(x, s),), (rat(y, s),)), rat(w, d)) for x, y, w in pairs]
-    # entries in sorted (x, y) order: the walk went down [0, inf)
-    return OrderVerdict(True, CouplingPlan(dict(reversed(entries) if s > 0 else entries)), None)
+    # one key per atom: the sweep's coupling is the comonotone one
+    plan = _keyed_sweep(mu, nu, cone)
+    if plan is not None:
+        return OrderVerdict(True, plan, None)
+    # mass left over: one walk down both laws' keys finds the minimal cut
+    point, _, ((xs, keys_mu, supplies), (_, keys_nu, demands)) = _over_one_lcm(mu, nu, cone)
+    top = sorted(range(len(xs)), key=keys_mu.__getitem__, reverse=True)
+    cut = _tail_walk(
+        [(keys_mu[i][0], supplies[i]) for i in top],
+        sorted(((k, w) for (k,), w in zip(keys_nu, demands)), reverse=True),
+    )
+    return OrderVerdict(False, None, sorted(point(xs[i]) for i in top[:cut]))
 
 
-def _tops_1d(mu: Measure, nu: Measure, cone: Cone) -> tuple:
-    """``(s, d, xs, ys)``: the atoms of 1-D mu and nu as ``(level, weight)``
-    int pairs, levels descending, from their tail indexes: point x is at
-    level ``x * s`` and weight w is ``w * d``, for s and d the lcms of the
-    indexes' scales; s < 0 on (-inf, 0] mirrors the order and the index."""
-    indexes = mu._tail_index(), nu._tail_index()
-    s = lcm(*(i[0] for i in indexes)) * (1 if is_upward_1d(cone) else -1)
-    d = lcm(*(i[2] for i in indexes))
-    down = -1 if s > 0 else 1
-    return (s, d, *(
-        list(zip([k * (s // sm) for k in keys], [w * (d // dm) for w in weights]))[::down]
-        for sm, keys, dm, weights, _ in indexes
-    ))
-
-
-def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, list]:
-    """``(cut, pairs)`` for ``(level, weight)`` int pairs of two laws of
-    equal total weight, each from the top (the largest level) down.  With
+def _tail_walk(xs: Sequence, ys: Sequence) -> int:
+    """``cut`` for ``(level, weight)`` int pairs of two laws of equal total
+    weight, each from the top (the largest level) down.  With
     ``gap = x(up c) - y(up c)``, the highest c of largest positive gap
     generates the minimal min cut, the first ``cut`` entries of xs; ``cut``
-    is 0 iff x <= y.  Until the first positive gap, if ``couple``, c's weight
-    is paired with entries of ys already passed, all at or above c: the
-    comonotone coupling, as ``(x level, y level, weight)`` in walk order."""
-    gap = best = rem = 0  # rem: unpaired weight of ys[k - 1]
-    cut = j = k = 0
-    pairs = []
+    is 0 iff x <= y."""
+    gap = best = cut = j = 0
     for i, (x, w) in enumerate(xs):
         gap += w
         while j < len(ys) and ys[j][0] >= x:
@@ -199,16 +185,7 @@ def _tail_walk(xs: Sequence, ys: Sequence, couple: bool = True) -> tuple[int, li
             j += 1
         if gap > best:
             best, cut = gap, i + 1
-        elif couple and not cut:
-            while w:
-                if not rem:
-                    rem = ys[k][1]
-                    k += 1
-                step = min(w, rem)
-                pairs.append((x, ys[k - 1][0], step))
-                w -= step
-                rem -= step
-    return cut, pairs
+    return cut
 
 
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
@@ -241,8 +218,10 @@ def _keyed_sweep(mu: Measure, nu: Measure, cone: Cone) -> Optional[CouplingPlan]
     over means no coupling exists (Strassen 1965).  Taking the least such
     key is safe: every later mu atom has a first key at most this one's, so
     any nu atom it could use instead serves the later atoms at least as
-    well.  The pairs are checked with ``Cone.leq_point`` before the
-    coupling is returned, as ``_leq_flow`` checks its plan.
+    well.  With one key, as in 1-D, every second key is 0, so each mu atom
+    takes the highest nu atom with mass left: the comonotone coupling.  The
+    pairs are checked with ``Cone.leq_point`` before the coupling is
+    returned, as ``_leq_flow`` checks its plan.
     """
     point, d, ((xs, keys_mu, supplies), (ys, keys_nu, demands)) = _over_one_lcm(mu, nu, cone)
     keys_mu, keys_nu = ([(*k, 0)[:2] for k in keys] for keys in (keys_mu, keys_nu))
@@ -271,7 +250,7 @@ def _keyed_sweep(mu: Measure, nu: Measure, cone: Cone) -> Optional[CouplingPlan]
 
 
 def _over_one_lcm(mu: Measure, nu: Measure, cone: Cone) -> tuple:
-    """``(point, d, sides)`` for the order routes in d >= 2: both integer
+    """``(point, d, sides)`` for the order routes: both integer
     views over one lcm S of their scales and one lcm d of their weight
     denominators, each side ``(points, normal keys, weights)`` in the
     views' sorted order, and ``point``, which decodes an int point over S,

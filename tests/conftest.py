@@ -32,12 +32,13 @@ from walkorder.solvers import (
 from walkorder.stochorder import CouplingPlan, OrderVerdict, tail_mass
 
 
-# the three shapes a 1-D cone takes: [0, inf), (-inf, 0], and (-inf, 0] with
-# a scaled normal and unit
+# the shapes a 1-D cone takes: [0, inf), (-inf, 0], (-inf, 0] with a scaled
+# normal and unit, and [0, inf) given one normal twice, at two scales
 CONES_1D = [
     Cone.halfline(),
     Cone(1, [(-1,)], [(-1,)], (-1,)),
     Cone(1, [(-2,)], [(-3,)], (-5,)),
+    Cone(1, [(1,)], [(1,), (3,)], (2,)),
 ]
 
 

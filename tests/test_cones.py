@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import time
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -47,6 +48,19 @@ class TestConstruction:
             Cone(2, [(1, 0), (0, 1)], [("1/2", 0), (0, 1)], ("2/3", "-1/7"))
         with pytest.raises(ValueError, match=r"^unit \(0, 0\) is not interior \(normal \(1, 0\)\)$"):
             Cone.orthant(2, unit=(0, 0))
+
+    def test_repeated_normal_directions_give_one_integer_normal(self):
+        # one integer normal per facet direction, in first-given order; the
+        # ray and unit checks still name the first failing given normal
+        for normals in ([(1, 0), (2, 0), (0, 1)], [(2, 0), (0, 3), (1, 0), ("1/2", 0)]):
+            cone = Cone(2, [(1, 0), (0, 1)], normals, (1, 1))
+            assert cone._int_normals == ((1, 0), (0, 1))
+        normals = [(1, 0), (2, 0), (0, 1)]
+        with pytest.raises(ValueError, match=r"^ray \(1, -1\) violates normal \(0, 1\): "):
+            Cone(2, [(1, 0), (1, -1)], normals, (1, 1))
+        with pytest.raises(ValueError, match=r"^unit \(1, 0\) is not interior \(normal \(0, 1\)\)$"):
+            Cone(2, [(1, 0), (0, 1)], normals, (1, 0))
+        assert Cone(1, [(1,)], [(1,), (3,)], (2,))._int_normals == ((1,),)
 
     def test_high_dimensional_orthant_builds_fast(self):
         # the ray/normal check runs on ints: 150 x 150 pairs of 150 coordinates
@@ -307,6 +321,26 @@ class TestConversionBound:
             Cone.from_generators(dim, **{side: vectors})
         assert time.perf_counter() - start < 5
         assert subsets == []
+
+
+class TestDualGeneratorFilter:
+    def test_sign_filter_runs_once_per_primitive_candidate(self, monkeypatch):
+        # coplanar rays give cross products that are multiples of +-e3: the
+        # sign filter pairs each distinct primitive candidate, not each
+        # candidate, with the m vectors
+        rng = random.Random(100)
+        rays = [(rng.randint(-50, 50), rng.randint(-50, 50), 0) for _ in range(100)]
+        rays = [r for r in rays if any(r)] + [(0, 0, 1)]
+        primitives = set()
+        for u, v in combinations(rays, 2):
+            c = (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+            if any(c):
+                primitives |= {_primitive(c), _primitive(tuple(-x for x in c))}
+        products = []
+        mul = cones.mul
+        monkeypatch.setattr(cones, "mul", lambda a, b: products.append(1) or mul(a, b))
+        assert cones._dual_generators(3, [as_point(r) for r in rays]) == [(0, 0, 1)]
+        assert 0 < len(products) <= len(primitives) * len(rays) * 3
 
 
 def rank_reference(vectors, dim):

@@ -282,6 +282,26 @@ class TestMinNPlanar:
             assert len(min_n(shift(X, cone.unit), X, cone, n_max=4).failures) == 4
             assert calls == [False] * 4
 
+    def test_repeated_normal_direction_keeps_the_sweep(self, monkeypatch):
+        # normals (1, 0) and (2, 0) are one facet direction: two integer
+        # normals, so the sweep decides each n and the flow runs only where
+        # it fails
+        calls = []
+
+        def counted(mu, nu, cone):
+            verdict = leq_st(mu, nu, cone)
+            calls.append(verdict.dominated)
+            return verdict
+
+        monkeypatch.setattr(dominance, "leq_st", counted)
+        cone = Cone(2, [(1, 0), (0, 1)], [(1, 0), (2, 0), (0, 1)], (1, 1))
+        X = Measure(2, {(0, 0): "1/2", (1, 0): "1/2"})
+        assert min_n(X, shift(X, cone.unit), cone, n_max=4).failures == []
+        assert calls == []
+        res = min_n(shift(X, cone.unit), X, cone, n_max=4)
+        assert len(res.failures) == 4 and calls == [False] * 4
+        assert res == min_n_reference(shift(X, cone.unit), X, cone, 4)
+
     def test_sweep_coupling_is_checked(self, monkeypatch):
         # a dominated n is reported only after its coupling's pairs pass
         # the public predicate

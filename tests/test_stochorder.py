@@ -328,11 +328,10 @@ class TestSweepCertificates:
             assert leq_st(nu, mu, cone).dominated and len(steps) >= 10
             steps.clear()
 
-    def test_one_dimensional_route_skips_flow_and_leq_point(self, monkeypatch):
+    def test_one_dimensional_route_skips_flow_and_checks_its_coupling(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("1-D leq_st must not build order edges or run the flow")
 
-        monkeypatch.setattr(Cone, "leq_point", forbidden)
         monkeypatch.setattr(solvers, "transport_feasible", forbidden)
         monkeypatch.setattr(stochorder, "transport_feasible", forbidden)
         mu = m1({0: "1/2", 1: "1/2"})
@@ -340,6 +339,13 @@ class TestSweepCertificates:
         for cone in CONES_1D:
             # one direction is dominated and the other is not, on either orientation
             assert {leq_st(mu, nu, cone).dominated, leq_st(nu, mu, cone).dominated} == {True, False}
+        # the coupling is checked pair by pair, as on the flow route: a
+        # predicate that rejects one of its pairs turns the verdict into an error
+        leq_point = Cone.leq_point
+        rejected = ((rat(1),), (rat(2),))
+        monkeypatch.setattr(Cone, "leq_point", lambda self, x, y: (x, y) != rejected and leq_point(self, x, y))
+        with pytest.raises(RuntimeError, match=r"^coupling pairs \(1\) with \(2\), not ordered$"):
+            leq_st(mu, nu, Cone.halfline())
 
 
 def laws_1d(hyp, dens):
