@@ -28,7 +28,7 @@ from .measure import DEFAULT_ATOM_CAP, Measure, _convolve_packed, convolve, conv
 from .rational import Rational, ZERO, as_rat, over_lcm, rat
 from .solvers import LinearFeasibility, lp_feasible
 from .spectrum import _Projected
-from .stochorder import _keyed_sweep, _over_one_lcm, _tail_walk, leq_st, tail_mass
+from .stochorder import _checked_cut, _keyed_sweep, _over_one_lcm, _tail_walk, leq_st, tail_mass
 
 #: Largest catalyst grid: the LP has about one row and one slack column per
 #: grid point, so even its sparse tableau can grow as the square of the grid.
@@ -81,7 +81,8 @@ def _failures_1d(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> li
     X^n maps each int key of ``_over_one_lcm`` (the point over S times the
     cone's integer normal) to its int weight over D^n and is X^{n-1} times
     X's k atoms; supports grow with n, so the cap check raises at the n
-    where repeated squaring would."""
+    where repeated squaring would.  Each cut is checked on the keys
+    (``stochorder._checked_cut``) before its witness is decoded."""
     point, _, sides = _over_one_lcm(X, Y, cone)
     sign = cone._int_normals[0][0]
     steps = [{k: w for (k,), w in zip(keys, weights)} for _, keys, weights in sides]
@@ -92,6 +93,7 @@ def _failures_1d(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> li
         xs, ys = (sorted(power.items(), reverse=True) for power in powers)
         cut = _tail_walk(xs, ys)
         if cut:
+            cut = _checked_cut(xs, ys, cut)
             failures.append((n, sorted(point((sign * x,)) for x, _ in xs[:cut])))
     return failures
 

@@ -315,9 +315,11 @@ def relative_rate_lhs(
     iff the sum is in nC, and the shift is a query at ``t - n*eps*unit``.
     In one dimension the closed upsets follow the cone: upper tails on
     [0, inf), lower tails on (-inf, 0], which x -> -x mirrors onto upper
-    tails of the half-line with unit ``-unit``.  The N thresholds are then
-    answered by ``tail_mass`` from each power's tail index, so the table
-    costs O(N log N) per n on top of the two convolution powers.
+    tails of the half-line with unit ``-unit``.  The N thresholds are read
+    off the int keys of the two powers' tail indexes, so no weight of a
+    power is decoded; each is answered by ``tail_mass`` from those indexes,
+    and the table costs O(N log N) per n on top of the two convolution
+    powers.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -332,8 +334,12 @@ def relative_rate_lhs(
     num, den = convolve_power(X, n, cap), convolve_power(Y, n, cap)
     lift = tuple(n * e * uc for uc in unit)
     if X.dim == 1:
+        # the support points off the tail indexes' int keys, weights left
+        # encoded; a set of rationals, whose order fixes the queries that run
+        # before a zero denominator ends the scan
+        (s_num, keys_num, _, _), (s_den, keys_den, _, _) = num._tail_index(), den._tail_index()
         (up,) = lift
-        thresholds = {x for (x,) in num.atoms} | {y + up for (y,) in den.atoms}
+        thresholds = {rat(k, s_num) for k in keys_num} | {rat(k, s_den) + up for k in keys_den}
         pairs = ((tail_mass(num, t), tail_mass(den, t - up)) for t in thresholds)
     else:
         gens = list(set(num.atoms) | {tuple(map(add, y, lift)) for y in den.atoms})

@@ -24,7 +24,8 @@ Kamae, Krengel & O'Brien 1977).  ``dominance.min_n`` runs the same walk on
 its 1-D powers, and decides each n with the sweep in d >= 2, while
 ``leq_st`` keeps the flow there, whose plan ``order-check`` prints.  Before
 a coupling of any route is returned each of its pairs is checked again with
-``Cone.leq_point`` (``_checked_plan``).
+``Cone.leq_point`` (``_checked_plan``), and before a 1-D cut is returned the
+two masses of its upset are compared on the int keys (``_checked_cut``).
 """
 
 from __future__ import annotations
@@ -59,12 +60,18 @@ class OrderVerdict:
 
 
 def upset_mass(mu: Measure, cone: Cone, generators: Sequence) -> Rational:
-    """Mass mu gives to the closed upset generated by the given points, summed
-    as int weights over the integer view's D."""
+    """Mass mu gives to the closed upset generated by the given points, read
+    off the integer view without decoding an atom.
+
+    Each generator g is scaled once to ``S g``; atom ``x / S`` lies above g
+    iff ``cone.leq_point(S g, x)`` on the int point x, the same order since
+    S > 0.  The atoms are tested in the view's order, and the int weights of
+    those above a generator are summed over D.
+    """
     require_same_dim(cone, mu.dim)
-    gens = [as_point(g, mu.dim) for g in generators]
-    _, _, d, weights = mu._int_view()
-    above = (any(cone.leq_point(g, x) for g in gens) for x in mu.atoms)
+    s, coords, d, weights = mu._int_view()
+    gens = [tuple(s * c for c in as_point(g, mu.dim)) for g in generators]
+    above = (any(cone.leq_point(g, x) for g in gens) for x in coords)
     return rat(sum(w for w, up in zip(weights, above) if up), d)
 
 
@@ -158,16 +165,16 @@ def leq_st(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     if mu.dim > 1:
         return _leq_flow(mu, nu, cone)
     # one key per atom: the sweep's coupling is the comonotone one
-    plan = _keyed_sweep(mu, nu, cone)
+    keyed = _over_one_lcm(mu, nu, cone)
+    plan = _keyed_sweep(mu, nu, cone, keyed)
     if plan is not None:
         return OrderVerdict(True, plan, None)
-    # mass left over: one walk down both laws' keys finds the minimal cut
-    point, _, ((xs, keys_mu, supplies), (_, keys_nu, demands)) = _over_one_lcm(mu, nu, cone)
+    # mass left over: one walk down the same keys finds the minimal cut
+    point, _, ((xs, keys_mu, supplies), (_, keys_nu, demands)) = keyed
     top = sorted(range(len(xs)), key=keys_mu.__getitem__, reverse=True)
-    cut = _tail_walk(
-        [(keys_mu[i][0], supplies[i]) for i in top],
-        sorted(((k, w) for (k,), w in zip(keys_nu, demands)), reverse=True),
-    )
+    levels_mu = [(keys_mu[i][0], supplies[i]) for i in top]
+    levels_nu = sorted(((k, w) for (k,), w in zip(keys_nu, demands)), reverse=True)
+    cut = _checked_cut(levels_mu, levels_nu, _tail_walk(levels_mu, levels_nu))
     return OrderVerdict(False, None, sorted(point(xs[i]) for i in top[:cut]))
 
 
@@ -188,6 +195,18 @@ def _tail_walk(xs: Sequence, ys: Sequence) -> int:
     return cut
 
 
+def _checked_cut(xs: Sequence, ys: Sequence, cut: int) -> int:
+    """``cut`` of ``_tail_walk(xs, ys)``, checked on the int levels: the
+    upset generated by the first ``cut`` entries of xs, every level at or
+    above the lowest of them, must weigh more under xs than under ys, or
+    ``RuntimeError`` is raised, as ``_checked_plan`` raises for a coupling."""
+    if cut:
+        low = xs[cut - 1][0]
+        if sum(w for x, w in xs if x >= low) > sum(w for y, w in ys if y >= low):
+            return cut
+    raise RuntimeError(f"cut of the top {cut} atoms is not a violating upset")
+
+
 def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # Feasible iff max flow saturates the supplies over admissible edges
     # {(x, y) : x <= y}; on failure the min cut is the supply set A.  The
@@ -204,7 +223,9 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     return OrderVerdict(False, None, [point(xs[i]) for i in sorted(result.cut)])
 
 
-def _keyed_sweep(mu: Measure, nu: Measure, cone: Cone) -> Optional[CouplingPlan]:
+def _keyed_sweep(
+    mu: Measure, nu: Measure, cone: Cone, keyed: Optional[tuple] = None
+) -> Optional[CouplingPlan]:
     """A coupling of mu and nu, of equal mass, supported on {x <= y}, or None
     when there is none; for a cone of at most two integer normals, in any
     dimension, where x <= y is the product order on two int keys.
@@ -221,9 +242,10 @@ def _keyed_sweep(mu: Measure, nu: Measure, cone: Cone) -> Optional[CouplingPlan]
     well.  With one key, as in 1-D, every second key is 0, so each mu atom
     takes the highest nu atom with mass left: the comonotone coupling.  The
     pairs are checked with ``Cone.leq_point`` before the coupling is
-    returned, as ``_leq_flow`` checks its plan.
+    returned, as ``_leq_flow`` checks its plan.  ``keyed`` is
+    ``_over_one_lcm(mu, nu, cone)`` when the caller has built it already.
     """
-    point, d, ((xs, keys_mu, supplies), (ys, keys_nu, demands)) = _over_one_lcm(mu, nu, cone)
+    point, d, ((xs, keys_mu, supplies), (ys, keys_nu, demands)) = keyed or _over_one_lcm(mu, nu, cone)
     keys_mu, keys_nu = ([(*k, 0)[:2] for k in keys] for keys in (keys_mu, keys_nu))
     arrivals = sorted(range(len(ys)), key=lambda j: keys_nu[j][0], reverse=True)
     seconds, owners = [], []  # second keys of the nu atoms seen with mass left, ascending

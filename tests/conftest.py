@@ -6,6 +6,7 @@ import math
 import random
 import sys
 from collections import deque
+from fractions import Fraction
 from itertools import product
 from operator import mul
 from types import SimpleNamespace
@@ -13,7 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from walkorder import Cone, Measure, convolve, convolve_power, leq_st
+from walkorder import Cone, Measure, convolve, convolve_power, leq_st, project
+from walkorder.cones import is_upward_1d
 from walkorder.dominance import Catalyst, MinNResult, _grid_step
 from walkorder.measure import (
     DEFAULT_ATOM_CAP,
@@ -23,7 +25,7 @@ from walkorder.measure import (
     _unpack,
     as_point,
 )
-from walkorder.rational import ZERO, as_rat, over_lcm, point_str, rat
+from walkorder.rational import ZERO, as_rat, log_rat, over_lcm, point_str, rat
 from walkorder.solvers import (
     LinearFeasibility,
     TransportResult,
@@ -274,6 +276,36 @@ def leq_flow_reference(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
         plan = {(supp_mu[i], supp_nu[j]): f for (i, j), f in sorted(result.plan.items())}
         return OrderVerdict(True, CouplingPlan(plan), None)
     return OrderVerdict(False, None, sorted(supp_mu[i] for i in result.cut))
+
+
+def upset_mass_reference(mu: Measure, cone: Cone, generators) -> Fraction:
+    """``stochorder.upset_mass`` as it ran before it read the integer view:
+    every atom decoded to a ``Fraction`` point and weight, and an atom
+    counted when ``Cone.leq_point`` puts some generator below it."""
+    gens = [as_point(g, mu.dim) for g in generators]
+    return sum((w for x, w in mu.atoms.items() if any(cone.leq_point(g, x) for g in gens)), ZERO)
+
+
+def relative_rate_lhs_1d_reference(X: Measure, Y: Measure, cone: Cone, n: int, eps) -> float:
+    """The 1-D ``ldp.relative_rate_lhs`` as it ran before it read its
+    thresholds off the tail indexes: both powers decoded to ``Fraction``
+    atoms, the thresholds their points and Y^n's shifted by ``n eps unit``,
+    each answered by ``tail_mass``.  Takes a valid 1-D pair, n >= 1 and
+    eps > 0."""
+    unit = cone.unit[0]
+    if not is_upward_1d(cone):
+        X, Y, unit = project(X, (-1,)), project(Y, (-1,)), -unit
+    num, den = convolve_power(X, n), convolve_power(Y, n)
+    up = n * as_rat(eps) * unit
+    best = -math.inf
+    for t in {x for (x,) in num.atoms} | {y + up for (y,) in den.atoms}:
+        num_mass, den_mass = tail_mass(num, t), tail_mass(den, t - up)
+        if num_mass == 0:
+            continue
+        if den_mass == 0:
+            return math.inf
+        best = max(best, (log_rat(num_mass) - log_rat(den_mass)) / n)
+    return best
 
 
 def catalyst_1d_lp_only(X: Measure, Y: Measure, grid) -> Catalyst | None:

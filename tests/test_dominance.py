@@ -190,6 +190,17 @@ class TestMinNLattice:
         monkeypatch.setattr(stochorder, "rat", forbidden)
         assert min_n(X, shift(X, (1,)), Cone.halfline(), n_max=20).n0 == 1
 
+    def test_cut_is_checked(self, monkeypatch):
+        # X puts 1/2 at 3, above all of Y, at every n: a walk that cuts at
+        # every atom of X^n names no violating upset, and raises
+        X, Y = m1({0: "1/2", 3: "1/2"}), m1({1: "1/2", 2: "1/2"})
+        for cone in CONES_1D:
+            assert [n for n, _ in min_n(X, Y, cone, n_max=4).failures] == [1, 2, 3, 4]
+        monkeypatch.setattr(dominance, "_tail_walk", lambda xs, ys: len(xs))
+        for cone in CONES_1D:
+            with pytest.raises(RuntimeError, match=r"^cut of the top 2 atoms is not a violating upset$"):
+                min_n(X, Y, cone, n_max=4)
+
 
 def _planar_law(rng: random.Random) -> Measure:
     """1 to 3 atoms on a small grid of (1/2)Z^2 or Z^2."""

@@ -39,12 +39,14 @@ from walkorder.stochorder import upset_mass
 from walkorder.rational import log_rat, rat
 
 from conftest import (
+    CONES_1D,
     bernoulli,
     cube_rays,
     log_mgf_reference,
     random_measure_1d,
     random_measure_2d,
     random_measure_3d,
+    relative_rate_lhs_1d_reference,
 )
 
 LN2 = math.log(2)
@@ -592,6 +594,36 @@ class TestRelativeRateCurve:
         X = Measure(2, {(0, 0): "1/2", (1, 1): "1/2"})
         with pytest.raises(DimensionMismatch, match="cone dimension 1 does not match 2"):
             relative_rate_curve(X, X, halfline)
+
+
+class TestRelativeRateLhsIntKeys:
+    """The 1-D table, its thresholds read off the powers' tail indexes,
+    against ``relative_rate_lhs_1d_reference``, which decodes every atom."""
+
+    def test_random_pairs_equal_decoded_reference(self):
+        rng = random.Random(76)
+        seen = set()
+        for i in range(60):
+            cone = CONES_1D[i % len(CONES_1D)]
+            X = random_measure_1d(rng, max_atoms=4, span=6).normalized()
+            Y = random_measure_1d(rng, max_atoms=4, span=6).normalized()
+            n = rng.choice([1, 2, 5, 8, 16])
+            eps = rng.choice([rat(1, 64), rat(1, 3), rat(5, 7), rat(2)])
+            got = relative_rate_lhs(X, Y, cone, n, eps)
+            assert got == relative_rate_lhs_1d_reference(X, Y, cone, n, eps), (X, Y, cone, n, eps)
+            seen.add((cone.normals[0][0] > 0, math.isinf(got)))
+        assert len(seen) == 4  # finite and infinite suprema on both half-lines
+
+    def test_decodes_no_atom(self, monkeypatch):
+        X = Measure(1, {(0,): "1/3", ("5/2",): "1/3", (1,): "1/3"})
+        Y = Measure(1, {("1/2",): "1/2", (3,): "1/2"})
+        expected = [relative_rate_lhs(X, Y, cone, n, "1/16") for cone in CONES_1D for n in (1, 8, 32)]
+        cramer = [cramer_empirical(X, (c,), cone, 16) for cone in CONES_1D for c in ("1/2", "5/4", 3)]
+        monkeypatch.setattr(Measure, "atoms", property(lambda self: pytest.fail("atoms decoded")))
+        assert [relative_rate_lhs(X, Y, cone, n, "1/16") for cone in CONES_1D for n in (1, 8, 32)] == expected
+        assert [cramer_empirical(X, (c,), cone, 16) for cone in CONES_1D for c in ("1/2", "5/4", 3)] == cramer
+        plane = Measure(2, {(0, "1/2"): "1/2", ("3/2", 1): "1/2"})
+        assert cramer_empirical(plane, ("1/2", "1/2"), Cone.orthant(2), 8) < 0
 
 
 class TestCramer:

@@ -41,6 +41,7 @@ from conftest import (
     random_measure_2d,
     random_measure_3d,
     transport_feasible_reference,
+    upset_mass_reference,
 )
 
 
@@ -96,9 +97,12 @@ class TestUpsetMass:
         return sum((w for x, w in mu.atoms.items() if any(below(g, x) for g in gens)), ZERO)
 
     def test_several_generators_match_the_fraction_scan(self):
+        # also against upset_mass_reference, the decoded route: 1-D to 3-D,
+        # both half-lines, views with S > 1, several generators, some off
+        # the view's lattice (a denominator that does not divide S)
         rng = random.Random(91)
         draws = {1: random_measure_1d, 2: random_measure_2d, 3: random_measure_3d}
-        masses = set()
+        masses, seen = set(), set()
         for i in range(90):
             cone = self.CONES[i % len(self.CONES)]
             mu = draws[cone.dim](rng)
@@ -111,10 +115,21 @@ class TestUpsetMass:
                     for _ in range(rng.randint(1, 4))
                 ]
                 got = upset_mass(walk, cone, gens)
-                assert got == self.reference(walk, cone, gens)
+                assert got == self.reference(walk, cone, gens) == upset_mass_reference(walk, cone, gens)
                 assert type(got) is Fraction
                 masses.add(got)
+                s = walk._int_view()[0]
+                up = cone.dim > 1 or cone.normals[0][0] > 0
+                off = any(s % c.denominator for g in gens for c in g)
+                seen.add((cone.dim, up, s > 1, off, len(gens) > 1, 0 < got < 1))
         assert {ZERO, 1} < masses  # empty, full and partial upsets all seen
+        assert {(d, up, True, True, True, True) for d, up in ((1, True), (1, False), (2, True), (3, True))} <= seen
+
+    def test_reads_no_decoded_atom(self, monkeypatch):
+        mu = Measure(2, {("1/2", 0): "1/3", (1, "1/3"): "2/3"})
+        expected = upset_mass(mu, Cone.orthant(2), [(0, 0), ("1/2", "1/3")])
+        monkeypatch.setattr(Measure, "atoms", property(lambda self: pytest.fail("atoms decoded")))
+        assert upset_mass(mu, Cone.orthant(2), [(0, 0), ("1/2", "1/3")]) == expected == 1
 
 
 class TestPrincipalUpsetMasses:
@@ -346,6 +361,41 @@ class TestSweepCertificates:
         monkeypatch.setattr(Cone, "leq_point", lambda self, x, y: (x, y) != rejected and leq_point(self, x, y))
         with pytest.raises(RuntimeError, match=r"^coupling pairs \(1\) with \(2\), not ordered$"):
             leq_st(mu, nu, Cone.halfline())
+
+    def test_one_dimensional_keys_built_once(self, monkeypatch):
+        # the sweep and, where it leaves mass over, the walk read one set of keys
+        calls = []
+        over_one_lcm = stochorder._over_one_lcm
+
+        def counted(*args):
+            calls.append(args)
+            return over_one_lcm(*args)
+
+        monkeypatch.setattr(stochorder, "_over_one_lcm", counted)
+        mu = m1({0: "1/2", 3: "1/2"})
+        nu = m1({1: "1/2", 2: "1/2"})
+        seen = set()
+        for cone in CONES_1D:
+            for a, b in ((mu, nu), (nu, mu), (nu, nu)):
+                calls.clear()
+                v = leq_st(a, b, cone)
+                assert len(calls) == 1
+                assert certificate(v) == certificate(_leq_flow(a, b, cone))
+                seen.add(v.dominated)
+        assert seen == {True, False}
+
+    def test_one_dimensional_cut_is_checked(self, monkeypatch):
+        # X puts 1/2 at 3, above all of Y: the walk cuts at the top atom.  A
+        # walk that cuts at both atoms, or at none, names no violating upset
+        mu = m1({0: "1/2", 3: "1/2"})
+        nu = m1({1: "1/2", 2: "1/2"})
+        for cone in CONES_1D:
+            assert not leq_st(mu, nu, cone).dominated
+        for cut in (lambda xs, ys: len(xs), lambda xs, ys: 0):
+            monkeypatch.setattr(stochorder, "_tail_walk", cut)
+            for cone in CONES_1D:
+                with pytest.raises(RuntimeError, match=r"^cut of the top [02] atoms is not a violating upset$"):
+                    leq_st(mu, nu, cone)
 
 
 def laws_1d(hyp, dens):
