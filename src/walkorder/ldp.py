@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
-from operator import add, mul, sub
+from operator import add, sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from .measure import (
     require_probability,
 )
 from .rational import as_rat, log_rat, rat
-from .spectrum import _golden_min, _log_mgf_pair, _Projected
+from .spectrum import _golden_min, _log_mgf_pair, _Projected, _row_dots
 from .stochorder import principal_upset_masses, tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
@@ -124,12 +123,6 @@ def _rate_1d(mu: Measure, c, direction: Direction, opts: RateOptions) -> RateRes
     return RateResult(value, (direction, r), GRID_REFINED)
 
 
-def _log_sum_exp(a: np.ndarray, w: np.ndarray) -> float:
-    """Stabilised log(sum_i w_i exp(a_i)): the log-MGF of weights w at exponents a."""
-    m = a.max()
-    return float(m + math.log(float(np.dot(w, np.exp(a - m)))))
-
-
 def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     directions = cone.dual_directions(opts.n_samples, opts.seed)
     # exact divergence test along each sampled ray
@@ -139,43 +132,37 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
         if cm > rat(keys[-1][0], s):
             return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
 
-    rays = [np.array([float(x) for x in d.t]) for d in directions]
-    cols = np.array(rays).T.tolist()
+    R = np.array([[float(x) for x in d.t] for d in directions])
     cf = np.array([float(x) for x in c])
     # the view's floats by int true division: float of each rational, in point order
     s, coords, dw, weights = mu._int_view()
     zs = np.array([[v / s for v in x] for x in coords])
     ws = np.array([w / dw for w in weights])
 
-    def objective(t: np.ndarray) -> float:
-        return float(t @ cf - _log_sum_exp(zs @ t, ws))
-
-    def tilted_mean_vec(t: np.ndarray) -> np.ndarray:
+    def objective(t: np.ndarray) -> tuple:
+        # the stabilised log-sum-exp, and exp(zs @ t - max) for the gradient at t
         a = zs @ t
         m = a.max()
-        e = ws * np.exp(a - m)
-        return (e[:, None] * zs).sum(axis=0) / e.sum()
+        ex = np.exp(a - m)
+        return float(t @ cf - float(m + math.log(float(np.dot(ws, ex))))), ex
 
-    best_val = 0.0
-    best_t = None
-    starts = [np.eye(len(rays))[i] for i in range(len(rays))]
-    starts.append(np.full(len(rays), 1.0 / len(rays)))
-    for lam0 in starts:
+    best_val, best_t = 0.0, None
+    for lam0 in [*np.eye(len(R)), np.full(len(R), 1.0 / len(R))]:
         lam = lam0.copy()
-        t = _conic_combination(lam, cols)
-        val = objective(t)
+        t = _conic_combination(lam, R)
+        val, ex = objective(t)
         step = 1.0
         for _ in range(MAX_ITER):
-            grad_t = cf - tilted_mean_vec(t)
-            # per-ray dots: R @ grad_t and Python-float sums round 16-25% of entries differently
-            grad_lam = np.array([r @ grad_t for r in rays])
+            # c less the tilted mean at t, dotted with every ray
+            e = ws * ex
+            grad_lam = _row_dots(R, cf - (e[:, None] * zs).sum(axis=0) / e.sum())
             improved = False
             while step > 1e-18:
                 lam_new = np.maximum(lam + step * grad_lam, 0.0)
-                t_new = _conic_combination(lam_new, cols)
-                val_new = objective(t_new)
+                t_new = _conic_combination(lam_new, R)
+                val_new, ex_new = objective(t_new)
                 if val_new > val + 1e-15:
-                    lam, t, val = lam_new, t_new, val_new
+                    lam, t, val, ex = lam_new, t_new, val_new, ex_new
                     improved = True
                     step *= 1.3
                     break
@@ -192,14 +179,11 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     return RateResult(best_val, (direction, radial), GRID_REFINED)
 
 
-def _conic_combination(lam: np.ndarray, cols: list) -> np.ndarray:
-    """``sum(l * r for l, r in zip(lam, rays))`` one coordinate at a time on
-    Python floats, where ``cols[i]`` lists coordinate i of every ray: the
-    same multiplies and adds in the same order from int 0, so the same
-    floats, without a numpy temporary per ray.  ``reduce`` rather than
-    ``sum``, which compensates float sums from Python 3.12 on."""
-    lam = lam.tolist()
-    return np.array([reduce(add, map(mul, lam, col), 0) for col in cols])
+def _conic_combination(lam: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """``sum(l * r for l, r in zip(lam, R))`` bit for bit: ``np.add.accumulate``
+    adds the rows in order (``np.add.reduce`` may sum pairwise), and ``+ 0.0``
+    turns an all-``-0.0`` column into the ``0.0`` of ``sum``'s int 0 start."""
+    return np.add.accumulate(lam[:, None] * R, axis=0)[-1] + 0.0
 
 
 def _nearest_direction(t_unit: np.ndarray, directions: list) -> Direction:

@@ -23,9 +23,9 @@ the minimal min cut, the certificate the flow route gives (Strassen 1965;
 Kamae, Krengel & O'Brien 1977).  ``dominance.min_n`` runs the same walk on
 its 1-D powers, and decides each n with the sweep in d >= 2, while
 ``leq_st`` keeps the flow there, whose plan ``order-check`` prints.  Before
-a coupling of any route is returned each of its pairs is checked again with
-``Cone.leq_point`` (``_checked_plan``), and before a 1-D cut is returned the
-two masses of its upset are compared on the int keys (``_checked_cut``).
+a coupling is returned its marginals are summed on ints and its pairs are
+checked with ``Cone.leq_point`` (``_checked_plan``); before a 1-D cut is
+returned its upset's two masses are compared on the int keys (``_checked_cut``).
 """
 
 from __future__ import annotations
@@ -215,11 +215,12 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # demands are the int weights over D.  Only the plan's weights, once per
     # entry, and the coordinates of its and the witness's points, once per
     # distinct value, are decoded to rationals.
-    point, d, ((xs, keys_mu, supplies), (ys, keys_nu, demands)) = _over_one_lcm(mu, nu, cone)
+    point, d, sides = _over_one_lcm(mu, nu, cone)
+    (xs, keys_mu, supplies), (_, keys_nu, demands) = sides
     edges = _keyed_edges(keys_mu, keys_nu)
     result = transport_feasible(TransportInstance(supplies, demands, edges))
     if result.feasible:
-        return OrderVerdict(True, _checked_plan(cone, point, d, xs, ys, result.plan), None)
+        return OrderVerdict(True, _checked_plan(cone, point, d, sides, result.plan), None)
     return OrderVerdict(False, None, [point(xs[i]) for i in sorted(result.cut)])
 
 
@@ -241,11 +242,12 @@ def _keyed_sweep(
     any nu atom it could use instead serves the later atoms at least as
     well.  With one key, as in 1-D, every second key is 0, so each mu atom
     takes the highest nu atom with mass left: the comonotone coupling.  The
-    pairs are checked with ``Cone.leq_point`` before the coupling is
-    returned, as ``_leq_flow`` checks its plan.  ``keyed`` is
+    marginals and pairs are checked before the coupling is returned, as
+    ``_leq_flow`` checks its plan.  ``keyed`` is
     ``_over_one_lcm(mu, nu, cone)`` when the caller has built it already.
     """
-    point, d, ((xs, keys_mu, supplies), (ys, keys_nu, demands)) = keyed or _over_one_lcm(mu, nu, cone)
+    point, d, sides = keyed or _over_one_lcm(mu, nu, cone)
+    (xs, keys_mu, supplies), (ys, keys_nu, demands) = sides
     keys_mu, keys_nu = ([(*k, 0)[:2] for k in keys] for keys in (keys_mu, keys_nu))
     arrivals = sorted(range(len(ys)), key=lambda j: keys_nu[j][0], reverse=True)
     seconds, owners = [], []  # second keys of the nu atoms seen with mass left, ascending
@@ -268,7 +270,7 @@ def _keyed_sweep(
             left[j] -= step
             if not left[j]:
                 del seconds[pos], owners[pos]
-    return _checked_plan(cone, point, d, xs, ys, flows)
+    return _checked_plan(cone, point, d, sides, flows)
 
 
 def _over_one_lcm(mu: Measure, nu: Measure, cone: Cone) -> tuple:
@@ -291,11 +293,19 @@ def _over_one_lcm(mu: Measure, nu: Measure, cone: Cone) -> tuple:
     return point, d, sides
 
 
-def _checked_plan(cone: Cone, point, d: int, xs: list, ys: list, flows: dict) -> CouplingPlan:
-    """The coupling of the int ``flows`` ``{(i, j): f}`` from xs to ys, in
-    (i, j) order, each entry ``f / d``; the keys' verdict is checked pair by
-    pair with the public predicate, and a pair out of order raises
-    ``RuntimeError``."""
+def _checked_plan(cone: Cone, point, d: int, sides: Sequence, flows: dict) -> CouplingPlan:
+    """The coupling of the int ``flows`` ``{(i, j): f}`` from xs to ys of
+    ``sides = ((xs, _, supplies), (ys, _, demands))``, in (i, j) order, each
+    entry ``f / d``.  The flows must sum to the supplies per row and to the
+    demands per column, and each pair is checked with the public predicate,
+    or ``RuntimeError`` is raised."""
+    (xs, _, supplies), (ys, _, demands) = sides
+    rows, cols = [0] * len(xs), [0] * len(ys)
+    for (i, j), f in flows.items():
+        rows[i] += f
+        cols[j] += f
+    if rows != supplies or cols != demands:
+        raise RuntimeError("coupling marginals differ from the two laws")
     plan = {(point(xs[i]), point(ys[j])): rat(f, d) for (i, j), f in sorted(flows.items())}
     for x, y in plan:
         if not cone.leq_point(x, y):

@@ -7,8 +7,9 @@ import random
 import sys
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from itertools import product
-from operator import mul
+from operator import add, mul
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 from walkorder import Cone, Measure, convolve, convolve_power, leq_st, project
 from walkorder.cones import is_upward_1d
 from walkorder.dominance import Catalyst, MinNResult, _grid_step
+from walkorder.ldp import EXACT_LIMIT, GRID_REFINED, MAX_ITER, RateResult, _nearest_direction
 from walkorder.measure import (
     DEFAULT_ATOM_CAP,
     _convolve_packed,
@@ -425,6 +427,78 @@ def power_by_squaring_reference(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP
         if k:
             base = _convolve_packed(base, base, cap)
     return _unpack(acc, radices, [n * a for a in low], steps, scale, denom**n)
+
+
+def rate_multid_reference(mu: Measure, c, cone: Cone, opts) -> RateResult:
+    """``ldp._rate_multid`` as it ran with one numpy call per vector
+    operation: per-ray ``r @ grad_t`` dots, ``tilted_mean_vec`` recomputing
+    its exponentials, and the conic combination summed per coordinate on
+    Python floats.  ``c`` is a point of rationals."""
+
+    def _log_sum_exp(a: np.ndarray, w: np.ndarray) -> float:
+        m = a.max()
+        return float(m + math.log(float(np.dot(w, np.exp(a - m)))))
+
+    def _conic_combination(lam: np.ndarray, cols: list) -> np.ndarray:
+        lam = lam.tolist()
+        return np.array([reduce(add, map(mul, lam, col), 0) for col in cols])
+
+    directions = cone.dual_directions(opts.n_samples, opts.seed)
+    for d in directions:
+        s, keys, _, _ = project(mu, d.t)._int_view()
+        cm = sum(tc * cc for tc, cc in zip(d.t, c))
+        if cm > rat(keys[-1][0], s):
+            return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
+
+    rays = [np.array([float(x) for x in d.t]) for d in directions]
+    cols = np.array(rays).T.tolist()
+    cf = np.array([float(x) for x in c])
+    s, coords, dw, weights = mu._int_view()
+    zs = np.array([[v / s for v in x] for x in coords])
+    ws = np.array([w / dw for w in weights])
+
+    def objective(t: np.ndarray) -> float:
+        return float(t @ cf - _log_sum_exp(zs @ t, ws))
+
+    def tilted_mean_vec(t: np.ndarray) -> np.ndarray:
+        a = zs @ t
+        m = a.max()
+        e = ws * np.exp(a - m)
+        return (e[:, None] * zs).sum(axis=0) / e.sum()
+
+    best_val = 0.0
+    best_t = None
+    starts = [np.eye(len(rays))[i] for i in range(len(rays))]
+    starts.append(np.full(len(rays), 1.0 / len(rays)))
+    for lam0 in starts:
+        lam = lam0.copy()
+        t = _conic_combination(lam, cols)
+        val = objective(t)
+        step = 1.0
+        for _ in range(MAX_ITER):
+            grad_t = cf - tilted_mean_vec(t)
+            grad_lam = np.array([r @ grad_t for r in rays])
+            improved = False
+            while step > 1e-18:
+                lam_new = np.maximum(lam + step * grad_lam, 0.0)
+                t_new = _conic_combination(lam_new, cols)
+                val_new = objective(t_new)
+                if val_new > val + 1e-15:
+                    lam, t, val = lam_new, t_new, val_new
+                    improved = True
+                    step *= 1.3
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        if val > best_val:
+            best_val = val
+            best_t = t
+    if best_t is None or best_val <= 0.0:
+        return RateResult(0.0, None, GRID_REFINED)
+    radial = float(best_t @ np.array([float(u) for u in cone.unit]))
+    direction = _nearest_direction(best_t / radial, directions)
+    return RateResult(best_val, (direction, radial), GRID_REFINED)
 
 
 def cube_rays(dim: int) -> list:

@@ -46,6 +46,7 @@ from conftest import (
     random_measure_1d,
     random_measure_2d,
     random_measure_3d,
+    rate_multid_reference,
     relative_rate_lhs_1d_reference,
 )
 
@@ -296,7 +297,7 @@ class TestConicCombination:
                 r[rng.random(dim) < 0.2] = -0.0
             lam = np.maximum(lam + 0.0 * lam, 0.0) if rng.random() < 0.5 else lam
             expected = sum(l * r for l, r in zip(lam, rays))
-            got = _conic_combination(lam, np.array(rays).T.tolist())
+            got = _conic_combination(lam, np.array(rays))
             assert got.dtype == expected.dtype == np.float64
             assert got.tobytes() == expected.tobytes()
 
@@ -304,10 +305,51 @@ class TestConicCombination:
         lam = np.array([-0.0, 0.0, -0.0])
         rays = [np.array([1.0, -2.0]), np.array([-0.0, 3.0]), np.array([-1.0, -0.0])]
         expected = sum(l * r for l, r in zip(lam, rays))
-        got = _conic_combination(lam, np.array(rays).T.tolist())
+        got = _conic_combination(lam, np.array(rays))
         assert got.tobytes() == expected.tobytes()
         # int 0 + -0.0 is 0.0 in both
         assert got.tolist() == [0.0, 0.0] and not np.signbit(got).any()
+
+
+class TestRateMultidReference:
+    """The ascent of ``_rate_multid``, one batched numpy call per vector
+    operation, against ``rate_multid_reference``, one call per ray and per
+    coordinate: the same value, maximizer direction and radial, bit for
+    bit."""
+
+    CONES = (
+        lambda: Cone.orthant(2),
+        lambda: Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+        lambda: Cone.from_generators(3, rays=cube_rays(3)),
+    )
+
+    def test_seeded_laws(self):
+        rng = random.Random(32)
+        seen = set()
+        for k in range(24):
+            cone = self.CONES[k % 3]()
+            n_atoms = (1, 2, 3, 80)[k // 3] if k < 12 else rng.randint(4, 80)
+            atoms = {}
+            while len(atoms) < n_atoms:
+                x = tuple(rat(rng.randint(-40, 40), rng.choice((1, 2, 7))) for _ in range(cone.dim))
+                atoms[x] = rng.randint(1, 9)
+            mu = Measure(cone.dim, atoms).normalized()
+            mean = [sum(w * x[i] for x, w in mu.atoms.items()) for i in range(cone.dim)]
+            top = rng.choice(list(mu.atoms))
+            s = rat(rng.choice((1, 2, 3, 4, 5)), 4)
+            c = tuple(m + s * (x - m) for m, x in zip(mean, top))
+            opts = RateOptions(n_samples=rng.choice((2, 5, 16, 32, 48)), seed=rng.randint(0, 3))
+            res = rate_function(mu, c, cone, opts)
+            ref = rate_multid_reference(mu, c, cone, opts)
+            assert type(res.value) is float and res.value.hex() == ref.value.hex(), (k, res, ref)
+            assert res.certified == ref.certified
+            if ref.maximizer is None:
+                assert res.maximizer is None
+            else:
+                assert res.maximizer[0] == ref.maximizer[0]
+                assert res.maximizer[1].hex() == ref.maximizer[1].hex()
+            seen.add("inf" if math.isinf(ref.value) else "positive" if ref.value > 0 else "zero")
+        assert seen == {"inf", "positive", "zero"}
 
 
 class TestRelativeRateLhs:

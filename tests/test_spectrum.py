@@ -37,6 +37,7 @@ from walkorder.spectrum import (
     _golden_min,
     _log_mgf_pair,
     _Projected,
+    _row_dots,
 )
 
 from conftest import (
@@ -263,6 +264,33 @@ class TestProjectedKernel:
             assert len(p.z) == n_atoms
             expected = [log_mgf_reference(p, r) for r in rs]
             assert float_bits(p.log_mgf_many(rs)) == float_bits(expected)
+
+
+class TestRowDots:
+    """``_row_dots``, the stacked matmul behind ``log_mgf_many`` and the
+    rate ascent's gradient, gives per-row ``np.dot`` bit for bit."""
+
+    def test_every_shape_up_to_600_by_200(self):
+        rng = np.random.default_rng(600)
+        shapes = [(1, 1), (1, 200), (600, 1), (600, 200)]
+        shapes += [(int(rng.integers(1, 601)), int(rng.integers(1, 201))) for _ in range(200)]
+        for rows, cols in shapes:
+            # exponentials as log_mgf_many's block holds them, over many scales
+            A = np.exp(rng.uniform(-700.0, 0.0, size=(rows, cols)))
+            A[rng.random((rows, cols)) < 0.05] = 0.0
+            v = rng.random(cols) * 10.0 ** rng.integers(-8, 3, size=cols)
+            got = _row_dots(A, v)
+            expected = np.array([np.dot(v, row) for row in A])
+            assert got.shape == (rows,) and got.dtype == np.float64
+            assert got.tobytes() == expected.tobytes(), (rows, cols)
+
+    def test_signed_vectors_in_two_and_three_dimensions(self):
+        # the rays and gradients of the d >= 2 rate ascent
+        rng = np.random.default_rng(48)
+        for _ in range(500):
+            k, d = int(rng.integers(1, 49)), int(rng.integers(2, 4))
+            R, g = rng.normal(size=(k, d)), rng.normal(size=d) * 10.0 ** rng.integers(-12, 3)
+            assert _row_dots(R, g).tobytes() == np.array([r @ g for r in R]).tobytes()
 
 
 class TestLogMgfPair:

@@ -841,6 +841,66 @@ class TestKeyedSweep:
             _keyed_sweep(mu, nu, cone)
 
 
+class TestPlanMarginals:
+    """``_checked_plan`` sums the int flows of every coupling it is handed:
+    a plan that loses or moves one unit of flow raises, on the sweep routes
+    (1-D ``leq_st``, planar ``_keyed_sweep``) and on the flow route."""
+
+    PLANAR = (
+        Measure(2, {(0, 1): "1/3", (1, 0): "2/3"}),
+        Measure(2, {(1, 1): "1/2", (2, 2): "1/2"}),
+        Cone.orthant(2),
+    )
+
+    @staticmethod
+    def drop_one_unit(flows: dict) -> dict:
+        (i, j), f = max(flows.items())
+        return {**flows, (i, j): f - 1}
+
+    @staticmethod
+    def move_one_unit(flows: dict) -> dict:
+        # the row sums stay, one column gains the unit another loses
+        (i, j), f = max(flows.items())
+        other = next(jj for (ii, jj) in flows if jj != j)
+        moved = {**flows, (i, j): f - 1}
+        moved[i, other] = moved.get((i, other), 0) + 1
+        return moved
+
+    @staticmethod
+    def patch_check(monkeypatch, alter):
+        checked_plan = stochorder._checked_plan
+        monkeypatch.setattr(
+            stochorder,
+            "_checked_plan",
+            lambda cone, point, d, sides, flows: checked_plan(cone, point, d, sides, alter(flows)),
+        )
+
+    @pytest.mark.parametrize("alter", ["drop_one_unit", "move_one_unit"])
+    def test_sweep_plans(self, monkeypatch, alter):
+        mu, nu, cone = self.PLANAR
+        halfline = Cone.halfline()
+        x, y = m1({0: "1/3", 2: "2/3"}), m1({1: "1/4", 3: "3/4"})
+        assert _keyed_sweep(mu, nu, cone) is not None and leq_st(x, y, halfline).dominated
+        self.patch_check(monkeypatch, getattr(self, alter))
+        with pytest.raises(RuntimeError, match=r"^coupling marginals differ from the two laws$"):
+            _keyed_sweep(mu, nu, cone)
+        with pytest.raises(RuntimeError, match=r"^coupling marginals differ from the two laws$"):
+            leq_st(x, y, halfline)
+
+    def test_flow_plan(self, monkeypatch):
+        mu, nu, cone = self.PLANAR
+        assert leq_st(mu, nu, cone).dominated
+        transport = stochorder.transport_feasible
+
+        def short(inst):
+            result = transport(inst)
+            return solvers.TransportResult(True, self.drop_one_unit(result.plan), None)
+
+        monkeypatch.setattr(stochorder, "transport_feasible", short)
+        with pytest.raises(RuntimeError, match=r"^coupling marginals differ from the two laws$"):
+            leq_st(mu, nu, cone)
+
+
 def naive_tail(mu: Measure, c):
     """The O(N) scan that the tail index replaces."""
     return sum((w for x, w in mu.atoms.items() if x[0] >= c), ZERO)
