@@ -30,7 +30,7 @@ import sys
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
-from .cones import Cone, Direction, check_dual_work, is_upward_1d
+from .cones import MAX_SAMPLES, Cone, Direction, check_dual_work, is_upward_1d
 from .dominance import catalyst_1d, default_catalyst_grid, min_n
 from .errors import AtomBudgetExceeded, DimensionMismatch
 from .ldp import (
@@ -466,6 +466,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         command = _COMMANDS[args.command]
         if "--n-max" in command.options and args.n_max < 1:
             raise ValueError("--n-max must be at least 1")
+        if "--samples" in command.options and not 0 <= args.samples <= MAX_SAMPLES:
+            raise ValueError(f"--samples must be from 0 to {MAX_SAMPLES}")
         check_writable(None if args.json == "-" else args.json)
         fields, code = command.run(args)
         header = {"tool": "walkorder", "version": __version__, "command": args.command}

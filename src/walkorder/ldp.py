@@ -5,8 +5,8 @@ dual cone.  In one dimension its structure is exact: +inf above the support
 maximum, 0 at or below the mean, -log(weight at the maximum) at the maximum,
 and otherwise the unique tilt solving tilted-mean(t) = c, found by bisection
 on the strictly increasing tilted mean.  In higher dimensions a multi-start
-projected gradient ascent over conic combinations of the dual rays is used
-and results are flagged as grid-refined.
+projected gradient ascent over conic combinations of the dual rays is used,
+all starts advanced in lockstep, and results are flagged as grid-refined.
 
 The relative decay rate has two sides: the right-hand side is a supremum of
 log-MGF ratios over the dual cone; the left-hand side reads closed-upset
@@ -35,7 +35,7 @@ from .measure import (
     require_probability,
 )
 from .rational import as_rat, log_rat, rat
-from .spectrum import _golden_min, _log_mgf_pair, _Projected, _row_dots
+from .spectrum import _Projected, _refine_brackets, _row_dots
 from .stochorder import principal_upset_masses, tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
@@ -139,39 +139,16 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     zs = np.array([[v / s for v in x] for x in coords])
     ws = np.array([w / dw for w in weights])
 
-    def objective(t: np.ndarray) -> tuple:
-        # the stabilised log-sum-exp, and exp(zs @ t - max) for the gradient at t
-        a = zs @ t
-        m = a.max()
-        ex = np.exp(a - m)
-        return float(t @ cf - float(m + math.log(float(np.dot(ws, ex))))), ex
-
+    # one start at each ray and one at their mean, in lockstep chunks of at
+    # most ASCENT_ELEMENTS entries; the first start that reaches the max wins
+    starts = np.vstack((np.eye(len(R)), np.full((1, len(R)), 1.0 / len(R))))
+    size = max(1, ASCENT_ELEMENTS // (zs.size + R.size))
     best_val, best_t = 0.0, None
-    for lam0 in [*np.eye(len(R)), np.full(len(R), 1.0 / len(R))]:
-        lam = lam0.copy()
-        t = _conic_combination(lam, R)
-        val, ex = objective(t)
-        step = 1.0
-        for _ in range(MAX_ITER):
-            # c less the tilted mean at t, dotted with every ray
-            e = ws * ex
-            grad_lam = _row_dots(R, cf - (e[:, None] * zs).sum(axis=0) / e.sum())
-            improved = False
-            while step > 1e-18:
-                lam_new = np.maximum(lam + step * grad_lam, 0.0)
-                t_new = _conic_combination(lam_new, R)
-                val_new, ex_new = objective(t_new)
-                if val_new > val + 1e-15:
-                    lam, t, val, ex = lam_new, t_new, val_new, ex_new
-                    improved = True
-                    step *= 1.3
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        if val > best_val:
-            best_val = val
-            best_t = t
+    for i in range(0, len(starts), size):
+        vals, ts = _ascend(starts[i:i + size], R, zs, ws, cf)
+        for val, t in zip(vals.tolist(), ts):
+            if val > best_val:
+                best_val, best_t = val, t
     if best_t is None or best_val <= 0.0:
         return RateResult(0.0, None, GRID_REFINED)
     radial = float(best_t @ np.array([float(u) for u in cone.unit]))
@@ -179,11 +156,76 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     return RateResult(best_val, (direction, radial), GRID_REFINED)
 
 
+#: Bound on the entries of one lockstep chunk of the d >= 2 ascent: its
+#: starts times the coordinates of all atoms and rays.
+ASCENT_ELEMENTS = 1 << 16
+
+
+def _objectives(T: np.ndarray, zs: np.ndarray, ws: np.ndarray, cf: np.ndarray) -> tuple:
+    """``<t, c> - log E e^{<t, X>}`` at each row t of ``T``, and the rows
+    ``exp(zs @ t - max)`` for the gradients, bit for bit the one-row
+    floats: ``zs @ t`` as one gemv per row, ``np.dot(ws, ex)`` and
+    ``t @ cf`` as one ``ddot`` per row, and ``math.log`` per row."""
+    A = np.matmul(zs, T[:, :, None])[:, :, 0]
+    m = A.max(axis=1)
+    ex = np.exp(A - m[:, None])
+    logs = np.array([math.log(x) for x in _row_dots(ex, ws).tolist()])
+    return _row_dots(T, cf) - (m + logs), ex
+
+
+def _gradients(ex: np.ndarray, R: np.ndarray, zs: np.ndarray, ws: np.ndarray, cf: np.ndarray):
+    """Per row: c less the tilted mean at the row's t, dotted with every ray
+    (one ``ddot`` per ray), from the row's exponentials ``ex``."""
+    e = ws * ex
+    g = cf - (e[:, :, None] * zs).sum(axis=1) / e.sum(axis=1)[:, None]
+    return np.matmul(R[None, :, None, :], g[:, None, :, None])[:, :, 0, 0]
+
+
+def _ascend(lam: np.ndarray, R: np.ndarray, zs: np.ndarray, ws: np.ndarray, cf: np.ndarray):
+    """The projected gradient ascent over conic combinations of the rays
+    ``R`` from each row of ``lam``, every start in lockstep: the final
+    objective values and points t, bit for bit those of the ascents run one
+    after another.
+
+    Each step makes one trial per open start at its own step length.  A
+    trial that raises the value by more than 1e-15 is taken and grows the
+    step by 1.3; one that does not halves it.  A start stops after
+    ``MAX_ITER`` taken trials, or when its step falls to 1e-18.  Open starts
+    are kept in compact arrays; ``idx`` maps them back to their rows."""
+    lam = lam.copy()
+    T = _conic_combination(lam, R)
+    val, ex = _objectives(T, zs, ws, cf)
+    grad = _gradients(ex, R, zs, ws, cf)
+    step = np.ones(len(lam))
+    taken = np.zeros(len(lam), dtype=int)
+    idx = np.arange(len(lam))
+    vals, ts = np.empty(len(lam)), np.empty_like(T)
+    while idx.size:
+        lam_new = np.maximum(lam + step[:, None] * grad, 0.0)
+        T_new = _conic_combination(lam_new, R)
+        val_new, ex_new = _objectives(T_new, zs, ws, cf)
+        up = val_new > val + 1e-15
+        lam[up], T[up], val[up], ex[up] = lam_new[up], T_new[up], val_new[up], ex_new[up]
+        step = np.where(up, step * 1.3, step * 0.5)
+        taken += up
+        done = np.where(up, taken >= MAX_ITER, step <= 1e-18)
+        more = up & ~done
+        if more.any():
+            grad[more] = _gradients(ex[more], R, zs, ws, cf)
+        if done.any():
+            vals[idx[done]], ts[idx[done]] = val[done], T[done]
+            keep = ~done
+            lam, T, val, ex, grad = lam[keep], T[keep], val[keep], ex[keep], grad[keep]
+            step, taken, idx = step[keep], taken[keep], idx[keep]
+    return vals, ts
+
+
 def _conic_combination(lam: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """``sum(l * r for l, r in zip(lam, R))`` bit for bit: ``np.add.accumulate``
-    adds the rows in order (``np.add.reduce`` may sum pairwise), and ``+ 0.0``
-    turns an all-``-0.0`` column into the ``0.0`` of ``sum``'s int 0 start."""
-    return np.add.accumulate(lam[:, None] * R, axis=0)[-1] + 0.0
+    """``sum(l * r for l, r in zip(row, R))`` for each row of ``lam``, bit
+    for bit: ``np.add.accumulate`` adds the rays in order (``np.add.reduce``
+    may sum pairwise), and ``+ 0.0`` turns an all-``-0.0`` column into the
+    ``0.0`` of ``sum``'s int 0 start."""
+    return np.add.accumulate(lam[:, :, None] * R, axis=1)[:, -1] + 0.0
 
 
 def _nearest_direction(t_unit: np.ndarray, directions: list) -> Direction:
@@ -206,48 +248,60 @@ def relative_rate_rhs(
     contributes 0, and the r -> inf limit is handled exactly: +inf when the
     support maximum of the X projection exceeds that of Y, and the exact
     log-ratio of the weights at tied maxima otherwise.
+
+    The first ray whose X maximum is the larger returns +inf before any
+    grid is swept.  Then every ray's grid is swept, the local maxima of all
+    rays are refined by one ``spectrum._refine_brackets`` call (in lockstep
+    from ``LOCKSTEP_MIN`` brackets on), and the candidates are taken in the
+    order of a ray-by-ray sweep: per ray the tied limit, then per grid point
+    its refined maximum and its grid value.
     """
     opts = opts or RateOptions()
     require_walk_pair(X, Y, cone)
 
-    best_val = 0.0
-    best: Optional[tuple] = None
-    for d in cone.dual_directions(opts.n_samples, opts.seed):
-        px = _Projected.of(X, d.t)
-        py = _Projected.of(Y, d.t)
+    directions = cone.dual_directions(opts.n_samples, opts.seed)
+    pairs = []
+    for d in directions:
+        px, py = _Projected.of(X, d.t), _Projected.of(Y, d.t)
         if px.max > py.max:
             return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
-        if px.max == py.max:
-            limit = log_rat(px.w_max / py.w_max)
-            if limit > best_val:
-                best_val, best = limit, (d, math.inf)
+        pairs.append((px, py))
 
-        pair = _log_mgf_pair(px, py)
-
-        def g(theta: float) -> float:
-            r = math.tan(theta)
-            if r == 0.0:
-                return 0.0  # both measures are normalized
-            a, b = pair(r)
-            return a - b
-
-        thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
-        rs = [math.tan(th) for th in thetas]
+    thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
+    rs = [math.tan(th) for th in thetas]
+    last = len(thetas) - 1
+    profiles, brackets = [], []
+    for ray, (px, py) in enumerate(pairs):
         vals = [
             0.0 if r == 0.0 else a - b
             for r, a, b in zip(rs, px.log_mgf_many(rs), py.log_mgf_many(rs))
         ]
-        for idx in range(len(thetas)):
-            v = vals[idx]
+        peaks = set()
+        for idx, v in enumerate(vals):
             left = vals[idx - 1] if idx > 0 else -math.inf
-            right = vals[idx + 1] if idx + 1 < len(thetas) else -math.inf
+            right = vals[idx + 1] if idx < last else -math.inf
             if v >= left and v >= right:
-                lo = thetas[max(idx - 1, 0)]
-                hi = thetas[min(idx + 1, len(thetas) - 1)]
+                lo, hi = thetas[max(idx - 1, 0)], thetas[min(idx + 1, last)]
                 if lo < hi:
-                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi)
-                    if -neg > best_val:
-                        best_val, best = -neg, (d, math.tan(theta_star))
+                    peaks.add(idx)
+                    brackets.append((ray, lo, hi))
+        profiles.append((vals, peaks))
+    # g is maximised as the golden minimum of -g, and g(0) = 0 since both
+    # laws are normalized
+    refined = iter(_refine_brackets(pairs, brackets, lambda r, a, b: -(a - b), [-0.0] * len(pairs)))
+
+    best_val = 0.0
+    best: Optional[tuple] = None
+    for d, (px, py), (vals, peaks) in zip(directions, pairs, profiles):
+        if px.max == py.max:
+            limit = log_rat(px.w_max / py.w_max)
+            if limit > best_val:
+                best_val, best = limit, (d, math.inf)
+        for idx, v in enumerate(vals):
+            if idx in peaks:
+                theta_star, neg = next(refined)
+                if -neg > best_val:
+                    best_val, best = -neg, (d, math.tan(theta_star))
             if v > best_val:
                 best_val, best = v, (d, rs[idx])
     return RateResult(best_val, best, GRID_REFINED)

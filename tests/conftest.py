@@ -18,7 +18,7 @@ import pytest
 from walkorder import Cone, Measure, convolve, convolve_power, leq_st, project
 from walkorder.cones import is_upward_1d
 from walkorder.dominance import Catalyst, MinNResult, _grid_step
-from walkorder.ldp import EXACT_LIMIT, GRID_REFINED, MAX_ITER, RateResult, _nearest_direction
+from walkorder.ldp import EXACT_LIMIT, GRID_REFINED, MAX_ITER, RateOptions, RateResult, _nearest_direction
 from walkorder.measure import (
     DEFAULT_ATOM_CAP,
     _convolve_packed,
@@ -33,6 +33,7 @@ from walkorder.solvers import (
     TransportResult,
     lp_feasible,
 )
+from walkorder.spectrum import REFINE_TOL, _golden_min, _Projected
 from walkorder.stochorder import CouplingPlan, OrderVerdict, tail_mass
 
 
@@ -429,11 +430,13 @@ def power_by_squaring_reference(mu: Measure, n: int, cap: int = DEFAULT_ATOM_CAP
     return _unpack(acc, radices, [n * a for a in low], steps, scale, denom**n)
 
 
-def rate_multid_reference(mu: Measure, c, cone: Cone, opts) -> RateResult:
+def rate_multid_reference(mu: Measure, c, cone: Cone, opts, steps_taken=None) -> RateResult:
     """``ldp._rate_multid`` as it ran with one numpy call per vector
-    operation: per-ray ``r @ grad_t`` dots, ``tilted_mean_vec`` recomputing
-    its exponentials, and the conic combination summed per coordinate on
-    Python floats.  ``c`` is a point of rationals."""
+    operation, one start after another: per-ray ``r @ grad_t`` dots,
+    ``tilted_mean_vec`` recomputing its exponentials, and the conic
+    combination summed per coordinate on Python floats.  ``c`` is a point of
+    rationals.  A ``steps_taken`` list gets the number of taken steps of
+    each start, in start order."""
 
     def _log_sum_exp(a: np.ndarray, w: np.ndarray) -> float:
         m = a.max()
@@ -474,7 +477,7 @@ def rate_multid_reference(mu: Measure, c, cone: Cone, opts) -> RateResult:
         lam = lam0.copy()
         t = _conic_combination(lam, cols)
         val = objective(t)
-        step = 1.0
+        step, taken = 1.0, 0
         for _ in range(MAX_ITER):
             grad_t = cf - tilted_mean_vec(t)
             grad_lam = np.array([r @ grad_t for r in rays])
@@ -491,6 +494,9 @@ def rate_multid_reference(mu: Measure, c, cone: Cone, opts) -> RateResult:
                 step *= 0.5
             if not improved:
                 break
+            taken += 1
+        if steps_taken is not None:
+            steps_taken.append(taken)
         if val > best_val:
             best_val = val
             best_t = t
@@ -499,6 +505,49 @@ def rate_multid_reference(mu: Measure, c, cone: Cone, opts) -> RateResult:
     radial = float(best_t @ np.array([float(u) for u in cone.unit]))
     direction = _nearest_direction(best_t / radial, directions)
     return RateResult(best_val, (direction, radial), GRID_REFINED)
+
+
+def relative_rate_rhs_reference(X, Y, cone, opts=None) -> tuple:
+    """``ldp.relative_rate_rhs`` as it ran ray by ray, before its scan read
+    Python floats: each ray's profile in a numpy array, read back as numpy
+    scalars, and each local maximum refined at once by its own
+    ``_golden_min`` on ``_Projected.log_mgf``.  Returns ``(value,
+    maximizer)``."""
+    opts = opts or RateOptions()
+    best_val = 0.0
+    best = None
+    for d in cone.dual_directions(opts.n_samples, opts.seed):
+        px = _Projected.of(X, d.t)
+        py = _Projected.of(Y, d.t)
+        if px.max > py.max:
+            return math.inf, (d, math.inf)
+        if px.max == py.max:
+            limit = log_rat(px.w_max / py.w_max)
+            if limit > best_val:
+                best_val, best = limit, (d, math.inf)
+
+        def g(theta):
+            r = math.tan(theta)
+            if r == 0.0:
+                return 0.0
+            return px.log_mgf(r) - py.log_mgf(r)
+
+        thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1]
+        vals = np.array([g(th) for th in thetas])
+        for idx in range(len(thetas)):
+            v = vals[idx]
+            left = vals[idx - 1] if idx > 0 else -math.inf
+            right = vals[idx + 1] if idx + 1 < len(thetas) else -math.inf
+            if v >= left and v >= right:
+                lo = thetas[max(idx - 1, 0)]
+                hi = thetas[min(idx + 1, len(thetas) - 1)]
+                if lo < hi:
+                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi, REFINE_TOL)
+                    if -neg > best_val:
+                        best_val, best = -neg, (d, math.tan(theta_star))
+            if v > best_val:
+                best_val, best = float(v), (d, float(math.tan(thetas[idx])))
+    return best_val, best
 
 
 def cube_rays(dim: int) -> list:

@@ -26,6 +26,7 @@ from walkorder.cli import (
     main,
     parse_measure,
 )
+from walkorder.cones import MAX_SAMPLES
 from walkorder.rational import rat
 
 from conftest import cube_rays, kernel_settings, literals, measure_reference
@@ -880,6 +881,18 @@ class TestFailBeforeWork:
         report.write_text("kept\n", encoding="utf-8")
         assert main(self.argv(files, command) + [option, "--json", str(report)]) == EXIT_ERROR
         assert capsys.readouterr().err == "error: --n-max must be at least 1\n"
+        assert report.read_text(encoding="utf-8") == "kept\n"
+
+    @pytest.mark.parametrize("command", ["spectrum", "dominate", "rate-fn", "rel-rate"])
+    @pytest.mark.parametrize("samples", [-1, MAX_SAMPLES + 1, 10**8])
+    def test_samples_out_of_range_exit1(self, capsys, files, no_sweep, command, samples):
+        # --samples 10**8 drew directions for minutes before any sweep, which
+        # would then have run for days
+        report = files["dir"] / "report.json"
+        report.write_text("kept\n", encoding="utf-8")
+        argv = self.argv(files, command) + ["--samples", str(samples), "--json", str(report)]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: --samples must be from 0 to {MAX_SAMPLES}\n"
         assert report.read_text(encoding="utf-8") == "kept\n"
 
     def test_failed_run_leaves_no_new_file(self, capsys, files):

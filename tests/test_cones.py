@@ -581,6 +581,20 @@ class TestDualDirections:
         c = orthant2.dual_directions(16, seed=8)
         assert [d.t for d in a] != [d.t for d in c]
 
+    def test_sample_count_bounded_before_any_draw(self, orthant2, monkeypatch):
+        dirs = orthant2.dual_directions(cones.MAX_SAMPLES, seed=1)
+        assert len(dirs) <= 3 + cones.MAX_SAMPLES
+
+        def no_draw(seed):
+            raise AssertionError("a direction was drawn")
+
+        monkeypatch.setattr(cones, "SplitMix64", no_draw)
+        for n in (cones.MAX_SAMPLES + 1, 10**8):
+            with pytest.raises(ValueError, match=f"^n_samples must be at most {cones.MAX_SAMPLES}$"):
+                orthant2.dual_directions(n)
+        with pytest.raises(ValueError, match="^n_samples must be nonnegative$"):
+            orthant2.dual_directions(-1)
+
 
 class TestSplitMix64:
     def test_known_stream(self):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import random
@@ -26,15 +27,18 @@ from walkorder import (
     relative_rate_lhs,
     relative_rate_rhs,
 )
+import walkorder.ldp as ldp_mod
+import walkorder.spectrum as spectrum_mod
 from walkorder.ldp import (
     EXACT_LIMIT,
     GRID_REFINED,
+    MAX_ITER,
     RateOptions,
     _conic_combination,
     relative_rate_curve,
 )
 from walkorder.measure import project, shift
-from walkorder.spectrum import REFINE_TOL, _golden_min, _Projected
+from walkorder.spectrum import _Projected
 from walkorder.stochorder import upset_mass
 from walkorder.rational import log_rat, rat
 
@@ -48,6 +52,7 @@ from conftest import (
     random_measure_3d,
     rate_multid_reference,
     relative_rate_lhs_1d_reference,
+    relative_rate_rhs_reference,
 )
 
 LN2 = math.log(2)
@@ -217,46 +222,6 @@ class TestRelativeRateRhs:
             assert relative_rate_rhs(X, Y, halfline).value == 0.0
 
 
-def relative_rate_rhs_reference(X, Y, cone, opts=None):
-    """relative_rate_rhs as it was before its scan read Python floats: the
-    profile values in a numpy array, read back as numpy scalars."""
-    opts = opts or RateOptions()
-    best_val = 0.0
-    best = None
-    for d in cone.dual_directions(opts.n_samples, opts.seed):
-        px = _Projected.of(X, d.t)
-        py = _Projected.of(Y, d.t)
-        if px.max > py.max:
-            return math.inf, (d, math.inf)
-        if px.max == py.max:
-            limit = log_rat(px.w_max / py.w_max)
-            if limit > best_val:
-                best_val, best = limit, (d, math.inf)
-
-        def g(theta):
-            r = math.tan(theta)
-            if r == 0.0:
-                return 0.0
-            return px.log_mgf(r) - py.log_mgf(r)
-
-        thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1]
-        vals = np.array([g(th) for th in thetas])
-        for idx in range(len(thetas)):
-            v = vals[idx]
-            left = vals[idx - 1] if idx > 0 else -math.inf
-            right = vals[idx + 1] if idx + 1 < len(thetas) else -math.inf
-            if v >= left and v >= right:
-                lo = thetas[max(idx - 1, 0)]
-                hi = thetas[min(idx + 1, len(thetas) - 1)]
-                if lo < hi:
-                    theta_star, neg = _golden_min(lambda th: -g(th), lo, hi, REFINE_TOL)
-                    if -neg > best_val:
-                        best_val, best = -neg, (d, math.tan(theta_star))
-            if v > best_val:
-                best_val, best = float(v), (d, float(math.tan(thetas[idx])))
-    return best_val, best
-
-
 class TestRelativeRateRhsEquivalence:
     def test_matches_the_numpy_scalar_loop(self, halfline, orthant2):
         rng = random.Random(71)
@@ -284,7 +249,106 @@ class TestRelativeRateRhsEquivalence:
         assert finite >= 3
 
 
+def count_refinements(monkeypatch) -> dict:
+    """Count the brackets each refinement route of ``spectrum`` searches."""
+    calls = {"scalar": 0, "lockstep": 0}
+    scalar, many = spectrum_mod._golden_min, spectrum_mod._golden_min_many
+
+    def counted_scalar(f, lo, hi, *rest):
+        calls["scalar"] += 1
+        return scalar(f, lo, hi, *rest)
+
+    def counted_many(f, lo, hi, *rest):
+        calls["lockstep"] += len(lo)
+        return many(f, lo, hi, *rest)
+
+    monkeypatch.setattr(spectrum_mod, "_golden_min", counted_scalar)
+    monkeypatch.setattr(spectrum_mod, "_golden_min_many", counted_many)
+    return calls
+
+
+class TestRelativeRateRhsManyRays:
+    """All rays' brackets refined by one call, against the ray-by-ray
+    reference: the same value and maximizer bit for bit, on both routes."""
+
+    CONES = (
+        lambda: Cone.orthant(2),
+        lambda: Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+        lambda: Cone.orthant(3),
+        lambda: Cone.from_generators(3, rays=cube_rays(3)),
+    )
+
+    @staticmethod
+    def assert_matches(X, Y, cone, opts):
+        res = relative_rate_rhs(X, Y, cone, opts)
+        value, best = relative_rate_rhs_reference(X, Y, cone, opts)
+        assert type(res.value) is float and res.value.hex() == value.hex()
+        assert res.maximizer == best
+        if best is not None:
+            assert res.maximizer[1].hex() == best[1].hex()
+        return res
+
+    def test_two_and_three_dimensional_pairs(self, monkeypatch):
+        calls = count_refinements(monkeypatch)
+        rng = random.Random(33)
+        seen = set()
+        for i in range(16):
+            cone = self.CONES[i % 4]()
+            draw = random_measure_2d if cone.dim == 2 else random_measure_3d
+            X = draw(rng, max_atoms=5).normalized()
+            kind = (i // 4) % 3
+            if kind == 0:
+                Y = draw(rng, max_atoms=5).normalized()
+            elif kind == 1:
+                # the same top on every ray with less weight there: each
+                # ray's r -> inf limit is log 2, and the grid rises to it
+                low = tuple(min(c) - 1 for c in zip(*X.atoms))
+                Y = mix([(rat(1, 2), X), (rat(1, 2), delta(low))])
+            else:
+                Y = shift(X, tuple(rat(rng.randint(0, 2), 3) for _ in range(cone.dim)))
+            opts = RateOptions(grid_points=rng.choice([65, 129]), n_samples=rng.randint(8, 16),
+                               seed=rng.randint(0, 9))
+            for lockstep_min in (1, 10**9):
+                monkeypatch.setattr(spectrum_mod, "LOCKSTEP_MIN", lockstep_min)
+                res = self.assert_matches(X, Y, cone, opts)
+            if kind == 1:
+                assert res.value == pytest.approx(LN2, abs=1e-12)
+                seen.add("tied limit")
+            elif math.isinf(res.value):
+                seen.add("inf")
+            elif res.value > 0:
+                seen.add("interior")
+        assert seen == {"inf", "tied limit", "interior"}
+        assert calls["scalar"] > 0 and calls["lockstep"] > 0
+
+    def test_infinite_exit_on_a_later_ray(self, monkeypatch):
+        # X's top exceeds Y's on the ray (0, 1) only, which comes second
+        calls = count_refinements(monkeypatch)
+        X = Measure(2, {(0, 3): "1/2", (0, 0): "1/2"})
+        Y = Measure(2, {(1, 2): "1/2", (0, 0): "1/2"})
+        cone = Cone.orthant(2)
+        first, second = cone.dual_directions(0)[:2]
+        assert _Projected.of(X, first.t).max <= _Projected.of(Y, first.t).max
+        assert _Projected.of(X, second.t).max > _Projected.of(Y, second.t).max
+        res = self.assert_matches(X, Y, cone, RateOptions(n_samples=12))
+        assert res.value == math.inf and res.maximizer == (second, math.inf)
+        assert res.certified == EXACT_LIMIT
+        assert calls == {"scalar": 0, "lockstep": 0}  # no grid was swept
+
+    def test_one_dimensional_lattice_pairs_stay_scalar(self, monkeypatch, halfline):
+        # distinct two-atom steps on {0, 1} with weights over 11, as the 1-D
+        # rel-rate queries of the benchmark draw them: one ray, 6 to 9
+        # brackets, where equal steps give a flat profile of 513 brackets
+        calls = count_refinements(monkeypatch)
+        for a, b in itertools.permutations(range(1, 11), 2):
+            X, Y = m1({0: rat(a, 11), 1: rat(11 - a, 11)}), m1({0: rat(b, 11), 1: rat(11 - b, 11)})
+            self.assert_matches(X, Y, halfline, None)
+        assert calls["scalar"] > 0 and calls["lockstep"] == 0
+
+
 class TestConicCombination:
+    """Each row of ``lam`` against the sum of its conic combination."""
+
     def test_bitwise_equal_to_the_array_sum(self):
         rng = np.random.default_rng(72)
         for _ in range(300):
@@ -296,32 +360,45 @@ class TestConicCombination:
             for r in rays:
                 r[rng.random(dim) < 0.2] = -0.0
             lam = np.maximum(lam + 0.0 * lam, 0.0) if rng.random() < 0.5 else lam
-            expected = sum(l * r for l, r in zip(lam, rays))
-            got = _conic_combination(lam, np.array(rays))
-            assert got.dtype == expected.dtype == np.float64
-            assert got.tobytes() == expected.tobytes()
+            rows = np.array([lam, lam[::-1], 0.5 * lam])
+            got = _conic_combination(rows, np.array(rays))
+            assert got.shape == (3, dim) and got.dtype == np.float64
+            for row, value in zip(rows, got):
+                expected = sum(l * r for l, r in zip(row, rays))
+                assert value.tobytes() == expected.tobytes()
 
     def test_signed_zeros(self):
-        lam = np.array([-0.0, 0.0, -0.0])
+        rows = np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]])
         rays = [np.array([1.0, -2.0]), np.array([-0.0, 3.0]), np.array([-1.0, -0.0])]
-        expected = sum(l * r for l, r in zip(lam, rays))
-        got = _conic_combination(lam, np.array(rays))
-        assert got.tobytes() == expected.tobytes()
+        got = _conic_combination(rows, np.array(rays))
+        for row, value in zip(rows, got):
+            expected = sum(l * r for l, r in zip(row, rays))
+            assert value.tobytes() == expected.tobytes()
         # int 0 + -0.0 is 0.0 in both
-        assert got.tolist() == [0.0, 0.0] and not np.signbit(got).any()
+        assert got.tolist() == [[0.0, 0.0], [0.0, 0.0]] and not np.signbit(got).any()
 
 
 class TestRateMultidReference:
-    """The ascent of ``_rate_multid``, one batched numpy call per vector
-    operation, against ``rate_multid_reference``, one call per ray and per
-    coordinate: the same value, maximizer direction and radial, bit for
-    bit."""
+    """The ascent of ``_rate_multid``, all starts in lockstep, against
+    ``rate_multid_reference``, one start after another and one call per ray
+    and per coordinate: the same value, maximizer direction and radial, bit
+    for bit."""
 
     CONES = (
         lambda: Cone.orthant(2),
         lambda: Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
         lambda: Cone.from_generators(3, rays=cube_rays(3)),
     )
+
+    @staticmethod
+    def assert_same(res, ref, case=None):
+        assert type(res.value) is float and res.value.hex() == ref.value.hex(), (case, res, ref)
+        assert res.certified == ref.certified
+        if ref.maximizer is None:
+            assert res.maximizer is None
+        else:
+            assert res.maximizer[0] == ref.maximizer[0]
+            assert res.maximizer[1].hex() == ref.maximizer[1].hex()
 
     def test_seeded_laws(self):
         rng = random.Random(32)
@@ -341,15 +418,63 @@ class TestRateMultidReference:
             opts = RateOptions(n_samples=rng.choice((2, 5, 16, 32, 48)), seed=rng.randint(0, 3))
             res = rate_function(mu, c, cone, opts)
             ref = rate_multid_reference(mu, c, cone, opts)
-            assert type(res.value) is float and res.value.hex() == ref.value.hex(), (k, res, ref)
-            assert res.certified == ref.certified
-            if ref.maximizer is None:
-                assert res.maximizer is None
-            else:
-                assert res.maximizer[0] == ref.maximizer[0]
-                assert res.maximizer[1].hex() == ref.maximizer[1].hex()
+            self.assert_same(res, ref, k)
             seen.add("inf" if math.isinf(ref.value) else "positive" if ref.value > 0 else "zero")
         assert seen == {"inf", "positive", "zero"}
+
+    @staticmethod
+    def lattice_law(seed: int) -> tuple:
+        """A law of 20 to 60 lattice atoms, a threshold between its mean and
+        one atom, a cone and options, drawn from ``seed``."""
+        rng = random.Random(seed)
+        cone = (
+            Cone.orthant(2),
+            Cone.from_generators(2, rays=[(1, 0), (1, 1)]),
+            Cone.from_generators(3, rays=cube_rays(3)),
+            Cone.orthant(3),
+        )[seed % 4]
+        n_atoms, box = rng.randint(20, 60), 20 if cone.dim == 2 else 8
+        atoms = {}
+        while len(atoms) < n_atoms:
+            atoms[tuple(rng.randint(0, box) for _ in range(cone.dim))] = rng.randint(1, 9)
+        mu = Measure(cone.dim, atoms).normalized()
+        mean = [sum(w * x[i] for x, w in mu.atoms.items()) for i in range(cone.dim)]
+        top = rng.choice(list(mu.atoms))
+        s = rat(rng.choice((1, 2, 3)), 4)
+        c = tuple(m + s * (x - m) for m, x in zip(mean, top))
+        return mu, c, cone, RateOptions(n_samples=rng.randint(4, 16), seed=rng.randint(0, 9))
+
+    def test_starts_stop_at_different_steps(self):
+        # seed 2: 18 starts take 88 to 200 steps, 8 of them MAX_ITER;
+        # seeds 21 and 37: 18 to 135 and 16 to 106 steps
+        reached_max = 0
+        for seed in (2, 21, 37):
+            mu, c, cone, opts = self.lattice_law(seed)
+            taken = []
+            ref = rate_multid_reference(mu, c, cone, opts, taken)
+            self.assert_same(rate_function(mu, c, cone, opts), ref, seed)
+            assert ref.value > 0 and len(set(taken)) > 1
+            reached_max += taken.count(MAX_ITER)
+        assert reached_max > 0
+
+    def test_more_starts_than_one_chunk(self, monkeypatch):
+        chunks = []
+        ascend = ldp_mod._ascend
+
+        def counted(lam, *rest):
+            chunks.append(len(lam))
+            return ascend(lam, *rest)
+
+        monkeypatch.setattr(ldp_mod, "_ascend", counted)
+        mu, c, cone, opts = self.lattice_law(2)
+        ref = rate_multid_reference(mu, c, cone, opts)
+        default = ldp_mod.ASCENT_ELEMENTS
+        for budget in (1, 200, default):
+            monkeypatch.setattr(ldp_mod, "ASCENT_ELEMENTS", budget)
+            del chunks[:]
+            self.assert_same(rate_function(mu, c, cone, opts), ref, budget)
+            assert sum(chunks) == len(cone.dual_directions(opts.n_samples, opts.seed)) + 1
+            assert (len(chunks) > 1) == (budget < default)
 
 
 class TestRelativeRateLhs:

@@ -35,8 +35,11 @@ from walkorder.spectrum import (
     VIOLATED,
     VIOLATED_ON_RAY,
     _golden_min,
+    _golden_min_many,
     _log_mgf_pair,
+    _LogMgfRows,
     _Projected,
+    _refine_brackets,
     _row_dots,
 )
 
@@ -340,6 +343,226 @@ class TestLogMgfPair:
         self.assert_pair_matches(py, px, [math.tan(th / 3) for th in thetas if th != 0.0])
 
 
+INVPHI = (math.sqrt(5) - 1) / 2
+
+
+def golden_pairs(results) -> list:
+    """``[(theta, f), ...]`` flattened to float bit patterns."""
+    return float_bits([v for pair in results for v in pair])
+
+
+class TestGoldenMinMany:
+    """The lockstep golden section against one ``_golden_min`` per bracket."""
+
+    @staticmethod
+    def lockstep(fs, lo, hi, tol=REFINE_TOL):
+        visited = []
+
+        def f(rows, thetas):
+            assert rows.dtype.kind == "i" and len(rows) == len(thetas)
+            visited.extend(zip(rows.tolist(), thetas.tolist()))
+            return np.array([fs[i](th) for i, th in zip(rows.tolist(), thetas.tolist())])
+
+        return _golden_min_many(f, lo, hi, tol), visited
+
+    @staticmethod
+    def one_by_one(fs, lo, hi, tol=REFINE_TOL):
+        results, visited = [], []
+        for i, (f, a, b) in enumerate(zip(fs, lo, hi)):
+            def g(theta, f=f, i=i):
+                visited.append((i, theta))
+                return f(theta)
+
+            results.append(_golden_min(g, a, b, tol))
+        return results, visited
+
+    def assert_same(self, fs, lo, hi, tol=REFINE_TOL):
+        got, seen = self.lockstep(fs, lo, hi, tol)
+        expected, visited = self.one_by_one(fs, lo, hi, tol)
+        assert golden_pairs(got) == golden_pairs(expected)
+        # each bracket visits the same points, in the same order
+        assert sorted(seen, key=lambda v: v[0]) == visited
+        return got, seen
+
+    def test_widths_ties_and_plateaus(self):
+        def step(x):
+            return round(8 * x) / 8  # plateaus: fc == fd on most steps
+
+        fs = [
+            lambda x: (x - 0.3) ** 2,
+            lambda x: 1.0,  # a tie at every step
+            step,
+            lambda x: -math.cos(3 * x) + 0.1 * x,
+            lambda x: abs(math.sin(40 * x)),  # many minima in the bracket
+            lambda x: math.log1p(x * x) - 0.8 * x,
+            lambda x: -x,  # the minimum at the right end
+            lambda x: x,  # and at the left end
+        ]
+        # widths from below tol (no step) to 3: the brackets finish at
+        # different steps
+        widths = [1e-13, 1e-12, 2e-12, 1e-9, 1e-6, 0.01, 0.0122, 1.0, 3.0]
+        lo, hi, family = [], [], []
+        for k, w in enumerate(widths):
+            for j, f in enumerate(fs):
+                a = -1.0 + 0.37 * j - 0.11 * k
+                lo.append(a)
+                hi.append(a + w)
+                family.append(f)
+        _, seen = self.assert_same(family, lo, hi)
+        counts = {i: 0 for i in range(len(lo))}
+        for i, _ in seen:
+            counts[i] += 1
+        assert len(set(counts.values())) > 3
+
+    def test_random_brackets_and_tolerances(self):
+        rng = random.Random(70)
+        for tol in (REFINE_TOL, 1e-9, 1e-3):
+            fs, lo, hi = [], [], []
+            for _ in range(60):
+                a, w = rng.uniform(-1.5, 1.5), 10.0 ** rng.uniform(-14, 0.5)
+                c0, c1, c2 = rng.uniform(-1, 1), rng.uniform(-3, 3), rng.uniform(-2, 2)
+                fs.append(lambda x, c0=c0, c1=c1, c2=c2: c0 * x * x + math.sin(c1 * x) + c2 * x)
+                lo.append(a)
+                hi.append(a + w)
+            self.assert_same(fs, lo, hi, tol)
+
+    def test_nan_values_take_the_right_branch(self):
+        fs = [lambda x: math.nan if x < 0.5 else x, lambda x: math.nan]
+        self.assert_same(fs, [0.0, 0.0], [1.0, 1.0])
+
+    def test_a_point_at_theta_zero(self):
+        # d = a + invphi * (b - a) is exactly 0.0 on this bracket, where a
+        # sweep's f takes its r == 0 value
+        lo, hi = -INVPHI, 1.0 - INVPHI
+        assert lo + INVPHI * (hi - lo) == 0.0
+
+        def f(theta):
+            return -1.0 if math.tan(theta) == 0.0 else theta * theta
+
+        got, _ = self.assert_same([f, f], [lo, lo], [hi, hi])
+        assert got[0] == (0.0, -1.0)
+
+    def test_empty(self):
+        assert _golden_min_many(lambda rows, thetas: thetas, [], []) == []
+
+
+def pair_laws(rng: random.Random, sizes) -> list:
+    """One ``(px, py)`` per ``(nx, ny)`` in ``sizes``: 1-D laws on
+    thirteenths with those many atoms."""
+
+    def law(n_atoms):
+        points = rng.sample(range(-999, 1000), n_atoms)
+        return Measure(1, {(rat(k, 13),): rng.randint(1, 9) for k in points}).normalized()
+
+    return [(_Projected.of(law(nx), (1,)), _Projected.of(law(ny), (1,))) for nx, ny in sizes]
+
+
+class TestLogMgfRows:
+    """The batched two-law kernel against ``_Projected.log_mgf``."""
+
+    def test_mixed_lengths_in_one_batch(self):
+        rng = random.Random(71)
+        sizes = [(1, 1), (1, 7), (7, 1), (2, 150), (33, 34), (60, 60), (60, 60), (150, 3)]
+        pairs = pair_laws(rng, sizes)
+        # brackets sorted by shape, several per ray, as _refine_brackets
+        # hands them over
+        ray_of = sorted((ray for ray in range(len(pairs)) for _ in range(3)),
+                        key=lambda ray: sizes[ray])
+        kernel = _LogMgfRows(pairs, ray_of)
+        radial = [s * 10.0**k * f for s in (1, -1) for k in range(-12, 17) for f in (1.0, 0.61)]
+        radial += [TAN_NEAR_HALF_PI, -TAN_NEAR_HALF_PI, 5e-324, -5e-324]
+        for trial in range(40):
+            rows = np.array(sorted(rng.sample(range(len(ray_of)), rng.randint(1, len(ray_of)))))
+            rs = np.array([rng.choice(radial) for _ in rows])
+            lx, ly = kernel(rows, rs)
+            for row, r, x, y in zip(rows.tolist(), rs.tolist(), lx.tolist(), ly.tolist()):
+                px, py = pairs[ray_of[row]]
+                assert float_bits([x, y]) == float_bits([px.log_mgf(r), py.log_mgf(r)]), (row, r)
+
+    def test_one_shape(self, curated_pair):
+        X, Y = curated_pair
+        pairs = [(_Projected.of(X, (1,)), _Projected.of(Y, (1,)))]
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 259)[1:-1].tolist()
+        rs = np.array([math.tan(th) for th in thetas if th != 0.0])
+        lx, ly = _LogMgfRows(pairs, [0] * len(rs))(np.arange(len(rs)), rs)
+        assert float_bits(lx.tolist()) == float_bits([pairs[0][0].log_mgf(r) for r in rs.tolist()])
+        assert float_bits(ly.tolist()) == float_bits([pairs[0][1].log_mgf(r) for r in rs.tolist()])
+
+
+class TestRefineBrackets:
+    """Both routes of ``_refine_brackets`` give ``_golden_min`` on the
+    ray's exact margin, bit for bit, and the route follows ``LOCKSTEP_MIN``."""
+
+    @staticmethod
+    def margin(r, lx, ly):
+        return ly / r - lx / r
+
+    def brackets(self, rng, pairs, count):
+        thetas = np.linspace(-math.pi / 2, math.pi / 2, 259)[1:-1].tolist()
+        out = []
+        for _ in range(count):
+            k = rng.randrange(len(thetas) - 2)
+            out.append((rng.randrange(len(pairs)), thetas[k], thetas[k + rng.choice((1, 2))]))
+        return out
+
+    def reference(self, pairs, brackets, at_zero):
+        out = []
+        for ray, lo, hi in brackets:
+            px, py = pairs[ray]
+
+            def f(theta, px=px, py=py, zero=at_zero[ray]):
+                r = math.tan(theta)
+                return zero if r == 0.0 else self.margin(r, px.log_mgf(r), py.log_mgf(r))
+
+            out.append(_golden_min(f, lo, hi))
+        return out
+
+    def test_route_on_both_sides_of_lockstep_min(self, monkeypatch):
+        import walkorder.spectrum as spectrum_mod
+
+        calls = []
+        scalar, many = spectrum_mod._golden_min, spectrum_mod._golden_min_many
+        monkeypatch.setattr(spectrum_mod, "_golden_min",
+                            lambda *a: calls.append("scalar") or scalar(*a))
+        monkeypatch.setattr(spectrum_mod, "_golden_min_many",
+                            lambda *a: calls.append("lockstep") or many(*a))
+        rng = random.Random(72)
+        pairs = pair_laws(rng, [(5, 9), (12, 12), (5, 9), (1, 30)])
+        at_zero = [0.25, -0.5, 0.0, 1.0]
+        n = spectrum_mod.LOCKSTEP_MIN
+        for count, route in ((n - 1, ["scalar"] * (n - 1)), (n, ["lockstep"]), (3 * n, ["lockstep"])):
+            brackets = self.brackets(rng, pairs, count)
+            del calls[:]
+            got = _refine_brackets(pairs, brackets, self.margin, at_zero)
+            assert calls == route
+            assert golden_pairs(got) == golden_pairs(self.reference(pairs, brackets, at_zero))
+
+    def test_chunks_and_a_bracket_through_theta_zero(self, monkeypatch):
+        import walkorder.spectrum as spectrum_mod
+
+        rng = random.Random(73)
+        pairs = pair_laws(rng, [(20, 30), (3, 3), (30, 20), (40, 2)])
+        at_zero = [0.5, -1e9, 0.125, 2.0]
+        brackets = self.brackets(rng, pairs, 40) + [(1, -INVPHI, 1.0 - INVPHI)]
+        expected = self.reference(pairs, brackets, at_zero)
+        assert expected[-1] == (0.0, -1e9)  # the r == 0 value is the minimum there
+        chunks = []
+        many = spectrum_mod._golden_min_many
+
+        def counted(f, lo, hi, *rest):
+            chunks.append(len(lo))
+            return many(f, lo, hi, *rest)
+
+        monkeypatch.setattr(spectrum_mod, "_golden_min_many", counted)
+        for budget in (1, 200, 1000, spectrum_mod.LOCKSTEP_ELEMENTS):
+            monkeypatch.setattr(spectrum_mod, "LOCKSTEP_ELEMENTS", budget)
+            del chunks[:]
+            got = _refine_brackets(pairs, brackets, self.margin, at_zero)
+            assert golden_pairs(got) == golden_pairs(expected)
+            assert sum(chunks) == len(brackets)
+            assert chunks == [len(brackets)] if budget >= 2 * 40 * len(brackets) else len(chunks) > 1
+
+
 def projected_reference(proj: Measure) -> _Projected:
     """The float and exact views built from the sorted rational atoms, the
     construction _Projected used before it read the integer view."""
@@ -537,13 +760,15 @@ class TestCompareOnRayEquivalence:
 
     def test_pruned_brackets_on_2d_and_3d_pairs(self, monkeypatch):
         """compare_on_ray against the reference, which refines every bracket,
-        on seeded 2-D and 3-D pairs: the same bits, pruning fires, and every
-        bracket it skips refines, in the reference, to a margin above the
-        least interior grid margin."""
+        on seeded 2-D and 3-D pairs, with the brackets refined one by one and
+        in lockstep: the same bits, pruning fires, and every bracket it skips
+        refines, in the reference, to a margin above the least interior grid
+        margin."""
         import walkorder.spectrum as spectrum_mod
 
         module = sys.modules[__name__]
         reference_golden, refined = [], []
+        routes = {"scalar": 0, "lockstep": 0}
 
         def recording(into, golden):
             def run(f, lo, hi, tol=REFINE_TOL):
@@ -553,9 +778,21 @@ class TestCompareOnRayEquivalence:
 
             return run
 
+        def recording_many(f, lo, hi, tol=REFINE_TOL):
+            results = _golden_min_many(f, lo, hi, tol)
+            refined.extend(((a, b), m) for a, b, (_, m) in zip(lo, hi, results))
+            routes["lockstep"] += len(results)
+            return results
+
         golden = _golden_min
+
+        def recording_scalar(f, lo, hi, tol=REFINE_TOL):
+            routes["scalar"] += 1
+            return recording(refined, golden)(f, lo, hi, tol)
+
         monkeypatch.setattr(module, "_golden_min", recording(reference_golden, golden))
-        monkeypatch.setattr(spectrum_mod, "_golden_min", recording(refined, golden))
+        monkeypatch.setattr(spectrum_mod, "_golden_min", recording_scalar)
+        monkeypatch.setattr(spectrum_mod, "_golden_min_many", recording_many)
         rng = random.Random(67)
         cones = {2: Cone.orthant(2), 3: Cone.orthant(3)}
         pruned_total = brackets_total = 0
@@ -572,31 +809,36 @@ class TestCompareOnRayEquivalence:
             else:
                 Y = draw(rng).normalized()
             for t in cones[dim].dual_directions(2, seed=i):
-                del reference_golden[:], refined[:]
                 opts = SpectrumOptions(grid_points=rng.choice([33, 65, 129]))
-                rc = compare_on_ray(X, Y, t, opts)
                 min_margin, argmin_radial, verdict, samples = compare_on_ray_reference(X, Y, t, opts)
-                assert float_bits([rc.min_margin, rc.argmin_radial]) == float_bits(
-                    [min_margin, argmin_radial]
-                )
-                assert rc.verdict == verdict
-                assert [float_bits(row) for row in rc.samples] == [float_bits(row) for row in samples]
-                verdicts.add(verdict)
-                # the refined brackets are the reference's, in order, less the pruned ones
-                done = [bracket for bracket, _ in refined]
-                pruned = [(b, m) for b, m in reference_golden if b not in done]
-                assert done == [b for b, _ in reference_golden if b in done]
-                assert [m for _, m in refined] == [m for b, m in reference_golden if b in done]
-                grid_floor = min(row[4] for row in samples[1:-1] if row[1] != 0.0)
-                assert all(m > grid_floor for _, m in pruned)
-                # and the monotone bound lev_Y(r_lo) - lev_X(r_hi) says so
-                row_at = {row[0]: row for row in samples}
-                for (lo, hi), _ in pruned:
-                    assert row_at[lo][3] - row_at[hi][2] > grid_floor
+                # every bracket in lockstep, then one by one
+                for lockstep_min in (1, 10**9):
+                    monkeypatch.setattr(spectrum_mod, "LOCKSTEP_MIN", lockstep_min)
+                    del refined[:]
+                    rc = compare_on_ray(X, Y, t, opts)
+                    assert float_bits([rc.min_margin, rc.argmin_radial]) == float_bits(
+                        [min_margin, argmin_radial]
+                    )
+                    assert rc.verdict == verdict
+                    assert [float_bits(row) for row in rc.samples] == [float_bits(row) for row in samples]
+                    verdicts.add(verdict)
+                    # the refined brackets are the reference's, in order, less the pruned ones
+                    done = [bracket for bracket, _ in refined]
+                    pruned = [(b, m) for b, m in reference_golden if b not in done]
+                    assert done == [b for b, _ in reference_golden if b in done]
+                    assert [m for _, m in refined] == [m for b, m in reference_golden if b in done]
+                    grid_floor = min(row[4] for row in samples[1:-1] if row[1] != 0.0)
+                    assert all(m > grid_floor for _, m in pruned)
+                    # and the monotone bound lev_Y(r_lo) - lev_X(r_hi) says so
+                    row_at = {row[0]: row for row in samples}
+                    for (lo, hi), _ in pruned:
+                        assert row_at[lo][3] - row_at[hi][2] > grid_floor
                 pruned_total += len(pruned)
                 brackets_total += len(reference_golden)
+                del reference_golden[:]
         assert 0 < pruned_total < brackets_total
         assert {STRICT_ON_RAY, VIOLATED_ON_RAY} <= verdicts
+        assert routes["scalar"] == routes["lockstep"] > 0
 
 
 class TestCompareOnRay:
