@@ -35,7 +35,7 @@ from .measure import (
     require_probability,
 )
 from .rational import as_rat, log_rat, rat
-from .spectrum import _Projected, _refine_brackets, _row_dots
+from .spectrum import BATCH_ELEMENTS, _local_minima, _Projected, _refine_brackets, _row_dots
 from .stochorder import principal_upset_masses, tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
@@ -140,25 +140,21 @@ def _rate_multid(mu: Measure, c, cone: Cone, opts: RateOptions) -> RateResult:
     ws = np.array([w / dw for w in weights])
 
     # one start at each ray and one at their mean, in lockstep chunks of at
-    # most ASCENT_ELEMENTS entries; the first start that reaches the max wins
+    # most BATCH_ELEMENTS entries; the first start that reaches the max wins,
+    # and one that ends at t = 0 scores exactly 0, not its float -log(sum ws)
     starts = np.vstack((np.eye(len(R)), np.full((1, len(R)), 1.0 / len(R))))
-    size = max(1, ASCENT_ELEMENTS // (zs.size + R.size))
+    size = max(1, BATCH_ELEMENTS // (zs.size + R.size))
     best_val, best_t = 0.0, None
     for i in range(0, len(starts), size):
         vals, ts = _ascend(starts[i:i + size], R, zs, ws, cf)
         for val, t in zip(vals.tolist(), ts):
-            if val > best_val:
+            if val > best_val and t.any():
                 best_val, best_t = val, t
     if best_t is None or best_val <= 0.0:
         return RateResult(0.0, None, GRID_REFINED)
     radial = float(best_t @ np.array([float(u) for u in cone.unit]))
     direction = _nearest_direction(best_t / radial, directions)
     return RateResult(best_val, (direction, radial), GRID_REFINED)
-
-
-#: Bound on the entries of one lockstep chunk of the d >= 2 ascent: its
-#: starts times the coordinates of all atoms and rays.
-ASCENT_ELEMENTS = 1 << 16
 
 
 def _objectives(T: np.ndarray, zs: np.ndarray, ws: np.ndarray, cf: np.ndarray) -> tuple:
@@ -250,9 +246,10 @@ def relative_rate_rhs(
     log-ratio of the weights at tied maxima otherwise.
 
     The first ray whose X maximum is the larger returns +inf before any
-    grid is swept.  Then every ray's grid is swept, the local maxima of all
-    rays are refined by one ``spectrum._refine_brackets`` call (in lockstep
-    from ``LOCKSTEP_MIN`` brackets on), and the candidates are taken in the
+    grid is swept.  Then every ray's grid is swept, with its local maxima
+    read as the local minima of -g by the spectral sweep's scan
+    (``spectrum._local_minima``), and the maxima of all rays are refined by
+    one ``spectrum._refine_brackets`` call.  The candidates are taken in the
     order of a ray-by-ray sweep: per ray the tied limit, then per grid point
     its refined maximum and its grid value.
     """
@@ -269,25 +266,17 @@ def relative_rate_rhs(
 
     thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
     rs = [math.tan(th) for th in thetas]
-    last = len(thetas) - 1
     profiles, brackets = [], []
     for ray, (px, py) in enumerate(pairs):
         vals = [
             0.0 if r == 0.0 else a - b
             for r, a, b in zip(rs, px.log_mgf_many(rs), py.log_mgf_many(rs))
         ]
-        peaks = set()
-        for idx, v in enumerate(vals):
-            left = vals[idx - 1] if idx > 0 else -math.inf
-            right = vals[idx + 1] if idx < last else -math.inf
-            if v >= left and v >= right:
-                lo, hi = thetas[max(idx - 1, 0)], thetas[min(idx + 1, last)]
-                if lo < hi:
-                    peaks.add(idx)
-                    brackets.append((ray, lo, hi))
-        profiles.append((vals, peaks))
-    # g is maximised as the golden minimum of -g, and g(0) = 0 since both
-    # laws are normalized
+        peaks = _local_minima([-v for v in vals], thetas)
+        brackets += ((ray, thetas[i_lo], thetas[i_hi]) for _, i_lo, i_hi in peaks)
+        profiles.append((vals, {idx for idx, _, _ in peaks}))
+    # the maxima of g are scanned and refined as the minima of -g, and
+    # g(0) = 0 since both laws are normalized
     refined = iter(_refine_brackets(pairs, brackets, lambda r, a, b: -(a - b), [-0.0] * len(pairs)))
 
     best_val = 0.0

@@ -19,16 +19,17 @@ swept on a tan(theta) grid, local minima are refined by golden section, and
 margins within +/- margin_tol yield an inconclusive verdict rather than a
 guess.
 
-A sweep refines its brackets through one helper, ``_refine_brackets``.
-Below ``LOCKSTEP_MIN`` brackets each is a scalar ``_golden_min`` whose steps
-evaluate both log-MGFs of a ray through one fused kernel, ``_log_mgf_pair``:
-one preallocated buffer over both supports, in place ``numpy`` ufuncs and
-one dot per law.  From ``LOCKSTEP_MIN`` brackets on, ``_golden_min_many``
-advances all of them together, one array operation per golden update, and
-``_LogMgfRows`` evaluates both laws of every open bracket at once, with one
-stacked dot per law and support shape.  Both paths visit the same points
-and give the same floats as ``_Projected.log_mgf``; a lockstep run has a
-fixed cost of about 1.6 ms, against about 0.2 ms a scalar bracket.
+This sweep and ``ldp.relative_rate_rhs`` (which scans -g for the maxima of
+g) find their brackets by one scan, ``_local_minima``, and refine them by
+one helper, ``_refine_brackets``.  Below ``LOCKSTEP_MIN`` brackets each is a
+scalar ``_golden_min`` on one fused kernel per ray, ``_log_mgf_pair``: one
+buffer over both supports, in place ``numpy`` ufuncs and one dot per law.
+From ``LOCKSTEP_MIN`` on, ``_golden_min_many`` advances them together, and
+``_LogMgfRows`` evaluates both laws of every open bracket at once, in chunks
+of ``BATCH_ELEMENTS``, the budget of every batched call.  Every float
+log-MGF takes its max at the sorted end of the support, so both paths give
+the floats of ``_Projected.log_mgf``; a lockstep run has a fixed cost of
+about 1.6 ms, against about 0.2 ms a scalar bracket.
 
 A local minimum is refined only when it could lower the result.  lev is
 nondecreasing in r, so on a bracket ``[r_lo, r_hi]`` the margin is at least
@@ -168,7 +169,7 @@ class _Projected:
 
     def lev_curve(self, rs: np.ndarray) -> np.ndarray:
         a = rs[:, None] * self.z[None, :]
-        m = a.max(axis=1)
+        m = np.where(rs > 0, a[:, -1], a[:, 0])
         zero = rs == 0.0
         safe = np.where(zero, 1.0, rs)
         vals = (m + np.log((self.w[None, :] * np.exp(a - m[:, None])).sum(axis=1))) / safe
@@ -242,20 +243,23 @@ def _prune_slack(z_abs: float, r_lo: float, r_hi: float) -> float:
     return PRUNE_SLACK * (1.0 + z_abs + 1.0 / min(abs(r_lo), abs(r_hi)))
 
 
+#: The golden ratio's inverse, the step of both golden-section searches.
+INVPHI = (math.sqrt(5) - 1) / 2
+
+
 def _golden_min(f, lo: float, hi: float, tol: float = REFINE_TOL) -> tuple[float, float]:
-    invphi = (math.sqrt(5) - 1) / 2
     a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
     fc, fd = f(c), f(d)
     while (b - a) > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
+            c = b - INVPHI * (b - a)
             fc = f(c)
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
+            d = a + INVPHI * (b - a)
             fd = f(d)
     return (c, fc) if fc <= fd else (d, fd)
 
@@ -269,11 +273,10 @@ def _golden_min_many(f, lo, hi, tol: float = REFINE_TOL) -> list:
     operations on the open brackets, one new point each, and asks ``f`` for
     their values in one call.  A bracket no wider than ``tol`` leaves the
     compact open arrays with its result, so it is evaluated no further."""
-    invphi = (math.sqrt(5) - 1) / 2
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
     rows = np.arange(len(a))
     fc, fd = f(rows, c), f(rows, d)
     theta, value = np.empty(len(a)), np.empty(len(a))
@@ -290,7 +293,7 @@ def _golden_min_many(f, lo, hi, tol: float = REFINE_TOL) -> list:
         left = fc <= fd
         a = np.where(left, a, c)
         b = np.where(left, d, b)
-        step = invphi * (b - a)
+        step = INVPHI * (b - a)
         p = np.where(left, b - step, a + step)
         fp = f(rows, p)
         c, d = np.where(left, p, d), np.where(left, c, p)
@@ -347,9 +350,26 @@ class _LogMgfRows:
 #: is one scalar ``_golden_min``, which costs less than the fixed cost of a
 #: lockstep run.
 LOCKSTEP_MIN = 12
-#: Bound on the padded entries of one lockstep chunk: two laws per bracket
-#: times the sweep's widest support.
-LOCKSTEP_ELEMENTS = 1 << 16
+#: Bound on the entries of one batched numpy call: two padded laws per
+#: bracket here, starts times atom and ray coordinates in ``ldp._ascend``.
+BATCH_ELEMENTS = 1 << 16
+
+
+def _local_minima(values: list, thetas: list) -> list:
+    """``(idx, i_lo, i_hi)`` for each grid index whose value is at most both
+    neighbours' (``inf`` past either end) and whose clipped bracket
+    ``[thetas[i_lo], thetas[i_hi]]`` is not empty.  A scan for maxima passes
+    the negated values: negation is exact, so each comparison is the one
+    ``>=`` makes on the values, ``-0.0``, ``inf`` and NaN included."""
+    padded = [math.inf, *values, math.inf]
+    last = len(values) - 1
+    found = []
+    for idx, (left, v, right) in enumerate(zip(padded, padded[1:], padded[2:])):
+        if v <= left and v <= right:
+            i_lo, i_hi = max(idx - 1, 0), min(idx + 1, last)
+            if thetas[i_lo] < thetas[i_hi]:
+                found.append((idx, i_lo, i_hi))
+    return found
 
 
 def _refine_brackets(pairs: list, brackets: list, value, at_zero: list) -> list:
@@ -359,9 +379,11 @@ def _refine_brackets(pairs: list, brackets: list, value, at_zero: list) -> list:
     ``f(theta)`` is ``value(r, lx, ly)`` at ``r = math.tan(theta)``, with
     ``(lx, ly)`` the log-MGFs of ``pairs[ray]`` at r, and ``at_zero[ray]``
     where r == 0.  ``value`` takes Python floats or float64 arrays alike.
-    Fewer than ``LOCKSTEP_MIN`` brackets run one ``_golden_min`` each on the
-    ray's ``_log_mgf_pair``; more run ``_golden_min_many`` on chunks of at
-    most ``LOCKSTEP_ELEMENTS`` padded row entries."""
+    The brackets come from ``_local_minima`` scans.  Fewer than
+    ``LOCKSTEP_MIN`` brackets run one ``_golden_min`` each on the ray's
+    ``_log_mgf_pair``; more run ``_golden_min_many`` on chunks of at most
+    ``BATCH_ELEMENTS`` padded row entries.  Both searches step by the one
+    ``INVPHI``."""
     if len(brackets) < LOCKSTEP_MIN:
         kernels: dict = {}
         out = []
@@ -382,7 +404,7 @@ def _refine_brackets(pairs: list, brackets: list, value, at_zero: list) -> list:
     # the kernel's rows, which are padded to the widest support
     shape = [tuple(len(law.z) for law in pairs[ray]) for ray, _, _ in brackets]
     order = sorted(range(len(brackets)), key=shape.__getitem__)
-    size = max(1, LOCKSTEP_ELEMENTS // (2 * max(map(max, shape))))
+    size = max(1, BATCH_ELEMENTS // (2 * max(map(max, shape))))
     out = [None] * len(brackets)
     for i in range(0, len(order), size):
         ks = order[i:i + size]
@@ -414,8 +436,8 @@ def compare_on_ray(
 
     The exceptional points are compared exactly; interior minima of the
     margin are located on the compactified grid r = tan(theta) and refined by
-    golden section until the theta bracket is below ``REFINE_TOL``, all
-    brackets of the ray through one ``_refine_brackets`` call.
+    golden section until the theta bracket is below ``REFINE_TOL``: the
+    brackets of ``_local_minima``, all through one ``_refine_brackets`` call.
 
     A bracket ``[r_lo, r_hi]`` is refined only when it could matter.  lev
     is nondecreasing in r, so on the bracket the margin is at least
@@ -447,39 +469,27 @@ def compare_on_ray(
     grid_floor = min((m for m, r in zip(margin, rs) if r != 0.0), default=math.inf)
     z_abs = max(abs(float(v)) for v in (px.min, px.max, py.min, py.max))
     brackets, at = [], []
-    for idx in range(len(rs)):
-        m = margin[idx]
-        left = margin[idx - 1] if idx > 0 else math.inf
-        right = margin[idx + 1] if idx + 1 < len(rs) else math.inf
-        if m <= left and m <= right:
-            i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(rs) - 1)
-            lo, hi = thetas[i_lo], thetas[i_hi]
-            if lo < hi:
-                bound = levy[i_lo] - levx[i_hi]
-                if bound > grid_floor + _prune_slack(z_abs, rs[i_lo], rs[i_hi]):
-                    continue
-                brackets.append((0, lo, hi))
-                at.append(idx)
+    for idx, i_lo, i_hi in _local_minima(margin, thetas):
+        if levy[i_lo] - levx[i_hi] > grid_floor + _prune_slack(z_abs, rs[i_lo], rs[i_hi]):
+            continue
+        brackets.append((0, thetas[i_lo], thetas[i_hi]))
+        at.append(idx)
     mean_margin = py.lev_at(0.0) - px.lev_at(0.0)
-    refined = dict(zip(at, _refine_brackets(
-        [(px, py)], brackets, lambda r, lx, ly: ly / r - lx / r, [mean_margin]
-    )))
+    refined = _refine_brackets([(px, py)], brackets, lambda r, lx, ly: ly / r - lx / r, [mean_margin])
+    stars = {idx: (m_star, math.tan(theta_star)) for idx, (theta_star, m_star) in zip(at, refined)}
     candidates: list[tuple[float, float]] = [(float(m), r) for r, m in exact_margins]
-    for idx, (m, r) in enumerate(zip(margin, rs)):
-        candidates.append((m, r))
-        if idx in refined:
-            theta_star, m_star = refined[idx]
-            candidates.append((m_star, math.tan(theta_star)))
+    for idx, point in enumerate(zip(margin, rs)):
+        candidates.append(point)
+        if idx in stars:
+            candidates.append(stars[idx])
 
     min_margin, argmin_radial = min(candidates, key=lambda c: (c[0], abs(c[1])))
 
     exact_neg = [r for r, m in exact_margins if m < 0]
     exact_tie = any(m == 0 for _, m in exact_margins)
     all_exact_pos = all(m > 0 for _, m in exact_margins)
-    interior_min = min(
-        (c[0] for c in candidates if not math.isinf(c[1]) and c[1] != 0.0),
-        default=math.inf,
-    )
+    # the exact ends are never interior, and a refined r* is finite
+    interior_min = min([grid_floor] + [m for m, r in stars.values() if r != 0.0])
 
     if exact_neg:
         verdict = VIOLATED_ON_RAY

@@ -179,6 +179,52 @@ def log_mgf_reference(p, r: float) -> float:
     return float(m + math.log(float(np.dot(p.w, np.exp(a - m)))))
 
 
+def lev_curve_reference(p, rs: np.ndarray) -> np.ndarray:
+    """``_Projected.lev_curve`` as written with each row's max taken by
+    ``a.max(axis=1)``, before it read the max at an end of the sorted ``z``."""
+    a = rs[:, None] * p.z[None, :]
+    m = a.max(axis=1)
+    zero = rs == 0.0
+    safe = np.where(zero, 1.0, rs)
+    vals = (m + np.log((p.w[None, :] * np.exp(a - m[:, None])).sum(axis=1))) / safe
+    if zero.any():
+        vals[zero] = float(p.mean)
+    return vals
+
+
+def margin_minima_reference(margin, thetas) -> list:
+    """The local-minimum scan that ``compare_on_ray`` ran on its margins
+    before ``spectrum._local_minima``, up to its pruning test: ``(idx, lo,
+    hi)`` for each bracket it went on to test."""
+    found = []
+    for idx in range(len(margin)):
+        m = margin[idx]
+        left = margin[idx - 1] if idx > 0 else math.inf
+        right = margin[idx + 1] if idx + 1 < len(margin) else math.inf
+        if m <= left and m <= right:
+            i_lo, i_hi = max(idx - 1, 0), min(idx + 1, len(margin) - 1)
+            lo, hi = thetas[i_lo], thetas[i_hi]
+            if lo < hi:
+                found.append((idx, lo, hi))
+    return found
+
+
+def profile_maxima_reference(vals, thetas) -> list:
+    """The local-maximum scan that ``relative_rate_rhs`` ran on each ray's
+    profile before ``spectrum._local_minima``: ``(idx, lo, hi)`` for each
+    bracket it refined."""
+    last = len(thetas) - 1
+    found = []
+    for idx, v in enumerate(vals):
+        left = vals[idx - 1] if idx > 0 else -math.inf
+        right = vals[idx + 1] if idx < last else -math.inf
+        if v >= left and v >= right:
+            lo, hi = thetas[max(idx - 1, 0)], thetas[min(idx + 1, last)]
+            if lo < hi:
+                found.append((idx, lo, hi))
+    return found
+
+
 def transport_feasible_reference(inst) -> TransportResult:
     """``solvers.transport_feasible`` as it ran on ``Fraction`` supplies and
     demands, before the max-flow moved to ints over one common denominator.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -1161,3 +1164,144 @@ class TestAtomOrder:
             assert outputs(x_atoms[::-1], y_atoms[::-1]) == expected
             assert outputs(shuffled_x, shuffled_y) == expected
         assert found == (dim == 1)
+
+
+class TestFuzz:
+    """Command lines of every command on 1-D to 3-D files, well formed or
+    not, with odd option values, through ``main`` in process.  Every call
+    ends with exit 0, 1 or 2 inside a fixed time budget, no exception
+    escapes while RuntimeWarning is an error, and an exit 1 prints exactly
+    one line on stderr.  ``--n-max`` stays at most 8: 3-D ``min-n`` and
+    ``rel-rate`` at 64 take tens of seconds."""
+
+    BUDGET_S = 10.0
+    COORDINATES = ["0", "1", "-1", "1/2", "-3/4", "2", "0.5", 3, -2]
+    # one flaw per file at most, or none: a file with a flaw exits 1, and so
+    # does an unnormalized one, unless --normalize is given
+    FLAWS = [None] * 7 + ["coordinate", "weight", "width", "dim", "no atoms", "mass", "text"]
+    BAD = {
+        "coordinate": ["nan", "inf", "1/0", "x", "", "1e400", None, [1], True],
+        "weight": ["0", "-1/2", "nan", "1/0", "w", None],
+        "dim": [0, -1, "2", 4, None],
+        "text": ["{", "[]", "", '{"dim": 1}', '{"dim": 2, "atoms": {}}'],
+    }
+    # each option value is drawn from the first list three times as often as
+    # from the second, odd one
+    OPTION_VALUES = {
+        "--n-max": (["1", "2", "3", "8"], ["-1", "0", "abc"]),
+        "--samples": (["1", "2", "5"], ["0", "-1", "2000"]),
+        "--eps": (["1/64", "1/2"], ["0", "-1/4", "nan", ""]),
+        "--grid-step": (["1/4", "1/2"], ["", "0", "-1", "nan"]),
+        "--margin-tol": (["1e-9", "0"], ["-1", "nan", "inf"]),
+        "--seed": (["0", "3"], ["-1"]),
+        "--c": (["0", "1/2", "1", "-1", "2"], ["nan", "x", ""]),
+    }
+
+    @classmethod
+    def strategies(cls, st):
+        def value(option):
+            good, odd = cls.OPTION_VALUES[option]
+            return st.sampled_from(good * 3 + odd)
+
+        @st.composite
+        def measure(draw, dim):
+            point = st.lists(st.sampled_from(cls.COORDINATES), min_size=dim, max_size=dim)
+            points = draw(st.lists(point, min_size=1, max_size=4))
+            weights = [draw(st.sampled_from([1, 2, 3, 5])) for _ in points]
+            atoms = [{"x": x, "w": f"{w}/{sum(weights)}"} for x, w in zip(points, weights)]
+            payload = {"dim": dim, "atoms": atoms}
+            flaw = draw(st.sampled_from(cls.FLAWS))
+            if flaw == "text":
+                return draw(st.sampled_from(cls.BAD["text"]))
+            if flaw == "coordinate":
+                atoms[0]["x"][-1] = draw(st.sampled_from(cls.BAD["coordinate"]))
+            elif flaw == "weight":
+                atoms[-1]["w"] = draw(st.sampled_from(cls.BAD["weight"]))
+            elif flaw == "width":
+                atoms[0]["x"] = atoms[0]["x"][1:] if draw(st.booleans()) else atoms[0]["x"] + [1]
+            elif flaw == "dim":
+                payload["dim"] = draw(st.sampled_from(cls.BAD["dim"]))
+            elif flaw == "no atoms":
+                payload["atoms"] = []
+            elif flaw == "mass":
+                for atom, w in zip(atoms, weights):
+                    atom["w"] = w
+            return json.dumps(payload)
+
+        @st.composite
+        def cone(draw, dim):
+            kinds = ["halfline", "orthant", "rays", "normals", "bad", "missing"]
+            kind = draw(st.sampled_from(["halfline" if dim == 1 else "orthant"] * 6 + kinds))
+            if kind in ("halfline", "orthant", "missing"):
+                return kind, None
+            if kind == "bad":
+                vectors = draw(st.sampled_from([[], [[1] * (dim + 1)], [[0] * dim], [["x"] * dim]]))
+            elif dim == 3 and draw(st.booleans()):
+                vectors = [list(r) for r in cube_rays(3)]
+            else:
+                vectors = [[int(i == j) for j in range(dim)] for i in range(dim)]
+            key = "normals" if kind == "normals" else "rays"
+            return "file", json.dumps({"dim": dim, key: vectors})
+
+        def point(dim):
+            size = st.sampled_from([dim] * 6 + [max(dim - 1, 1), dim + 1])
+            return size.flatmap(lambda n: st.lists(value("--c"), min_size=n, max_size=n)).map(",".join)
+
+        @st.composite
+        def case(draw):
+            command = draw(st.sampled_from(sorted(OPTIONS)))
+            dim = draw(st.integers(1, 3))
+            pair = command not in ("rate-fn", "cramer")
+            files = [draw(measure(dim)) for _ in range(2 if pair else 1)]
+            options = []
+            for option in sorted(OPTIONS[command] | {"--seed"}):
+                if option == "--c":
+                    options += [f"--c={draw(point(dim))}"]
+                elif option == "--csv":
+                    options += ["--csv", "CSV"] if draw(st.booleans()) else []
+                elif option == "--n-max" or draw(st.booleans()):
+                    # the default n-max, 64, is too slow for 3-D files
+                    options += [option, draw(value(option))]
+            if draw(st.booleans()):
+                options += ["--normalize"]
+            return command, files, draw(cone(dim)), options
+
+        return case()
+
+    def test_every_call_ends_with_a_known_exit(self, hyp, tmp_path):
+        codes = set()
+
+        @hyp.settings(kernel_settings(hyp), max_examples=200)
+        @hyp.given(self.strategies(hyp.strategies))
+        def check(case):
+            command, files, (cone_kind, cone_text), options = case
+            argv = [command]
+            for i, text in enumerate(files):
+                path = tmp_path / f"m{i}.json"
+                path.write_text(text, encoding="utf-8")
+                argv.append(str(path))
+            if cone_kind == "file":
+                (tmp_path / "cone.json").write_text(cone_text, encoding="utf-8")
+                argv += ["--cone", str(tmp_path / "cone.json")]
+            elif cone_kind == "missing":
+                argv += ["--cone", str(tmp_path / "no-such-cone.json")]
+            else:
+                argv += ["--cone", cone_kind]
+            argv += [str(tmp_path / "out.csv") if a == "CSV" else a for a in options] + ["--json", "-"]
+            out, err = io.StringIO(), io.StringIO()
+            start = time.perf_counter()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            elapsed = time.perf_counter() - start
+            assert code in (EXIT_OK, EXIT_ERROR, EXIT_EPISTEMIC), argv
+            assert elapsed < self.BUDGET_S, argv
+            if code == EXIT_ERROR:
+                assert len(err.getvalue().splitlines()) == 1, (argv, err.getvalue())
+            codes.add(code)
+
+        check()
+        assert codes == {EXIT_OK, EXIT_ERROR, EXIT_EPISTEMIC}

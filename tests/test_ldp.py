@@ -457,6 +457,21 @@ class TestRateMultidReference:
             reached_max += taken.count(MAX_ITER)
         assert reached_max > 0
 
+    def test_a_start_that_ends_at_zero_scores_zero(self):
+        # every start of these two ends at t = 0, where the float objective is
+        # the residue -log(sum ws) > 0; it must not win, or t = 0 would be
+        # the maximizer and the nearest direction would read 0 / 0
+        mu, c, cone, _ = self.lattice_law(32)
+        ten = Measure(2, {(i, i % 3): rat(1, 10) for i in range(10)})
+        for law, point, opts in ((mu, c, RateOptions(n_samples=5, seed=7)), (ten, (0, 0), RateOptions())):
+            s, coords, dw, weights = law._int_view()
+            zs = np.array([[v / s for v in x] for x in coords])
+            ws = np.array([w / dw for w in weights])
+            residue, _ = ldp_mod._objectives(np.zeros((1, 2)), zs, ws, np.zeros(2))
+            assert residue[0] > 0.0
+            res = rate_function(law, point, Cone.orthant(2), opts)
+            assert (res.value, res.maximizer, res.certified) == (0.0, None, GRID_REFINED)
+
     def test_more_starts_than_one_chunk(self, monkeypatch):
         chunks = []
         ascend = ldp_mod._ascend
@@ -468,9 +483,9 @@ class TestRateMultidReference:
         monkeypatch.setattr(ldp_mod, "_ascend", counted)
         mu, c, cone, opts = self.lattice_law(2)
         ref = rate_multid_reference(mu, c, cone, opts)
-        default = ldp_mod.ASCENT_ELEMENTS
+        default = ldp_mod.BATCH_ELEMENTS
         for budget in (1, 200, default):
-            monkeypatch.setattr(ldp_mod, "ASCENT_ELEMENTS", budget)
+            monkeypatch.setattr(ldp_mod, "BATCH_ELEMENTS", budget)
             del chunks[:]
             self.assert_same(rate_function(mu, c, cone, opts), ref, budget)
             assert sum(chunks) == len(cone.dual_directions(opts.n_samples, opts.seed)) + 1

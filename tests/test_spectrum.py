@@ -36,6 +36,7 @@ from walkorder.spectrum import (
     VIOLATED_ON_RAY,
     _golden_min,
     _golden_min_many,
+    _local_minima,
     _log_mgf_pair,
     _LogMgfRows,
     _Projected,
@@ -45,7 +46,10 @@ from walkorder.spectrum import (
 
 from conftest import (
     kernel_settings,
+    lev_curve_reference,
     log_mgf_reference,
+    margin_minima_reference,
+    profile_maxima_reference,
     random_measure_1d,
     random_measure_2d,
     random_measure_3d,
@@ -267,6 +271,88 @@ class TestProjectedKernel:
             assert len(p.z) == n_atoms
             expected = [log_mgf_reference(p, r) for r in rs]
             assert float_bits(p.log_mgf_many(rs)) == float_bits(expected)
+
+
+class TestLevCurveMaxRule:
+    """``lev_curve`` takes each row's max at the sorted end of ``z``, the rule
+    of ``log_mgf``, and gives the bytes of ``a.max(axis=1)``."""
+
+    def test_bytes_equal_the_row_max_form(self):
+        rng = random.Random(34)
+        rs = np.tan(np.linspace(-math.pi / 2, math.pi / 2, 259)[1:-1])
+        ends = [0.0, -0.0, 1e-6, -1e-6, 1e-300, -1e-300, TAN_NEAR_HALF_PI, -TAN_NEAR_HALF_PI]
+        rs = np.concatenate((rs, ends))
+        assert (rs < 0).any() and (rs == 0).any() and (rs > 0).any()
+        laws = [m1({0: 1}), m1({-3: 1}), m1({rat(5, 2): 1}), m1({-2: "1/2", 0: "1/2"})]
+        for _ in range(80):
+            points = rng.sample(range(-60, 61), rng.randint(1, 12))
+            if rng.random() < 0.5:
+                points[0] = 0
+            atoms = {(rat(x, rng.randint(1, 7)),): rng.randint(1, 9) for x in points}
+            laws.append(Measure(1, atoms).normalized())
+        seen = set()
+        for law in laws:
+            p = _Projected.of(law, (1,))
+            assert p.lev_curve(rs).tobytes() == lev_curve_reference(p, rs).tobytes()
+            cases = {"one atom": len(p.z) == 1, "zero": 0.0 in p.z, "negative": p.z[0] < 0}
+            seen |= {case for case, hit in cases.items() if hit}
+        assert seen == {"one atom", "zero", "negative"}
+
+    def test_spectral_laws_on_the_sweep_grid(self):
+        rs = np.tan(np.linspace(-math.pi / 2, math.pi / 2, 259)[1:-1])
+        for law in spectral_laws(random.Random(35)):
+            p = _Projected.of(law, (1,))
+            assert p.lev_curve(rs).tobytes() == lev_curve_reference(p, rs).tobytes()
+
+
+class TestLocalMinima:
+    """``_local_minima`` against the scans it replaced: ``compare_on_ray``'s
+    on the margins, and ``relative_rate_rhs``'s on a profile g, which it
+    reads as the minima of -g."""
+
+    @staticmethod
+    def check(values, thetas) -> tuple:
+        found = _local_minima(values, thetas)
+        negated = _local_minima([-v for v in values], thetas)
+        last = len(values) - 1
+        for idx, i_lo, i_hi in found + negated:
+            assert (i_lo, i_hi) == (max(idx - 1, 0), min(idx + 1, last))
+        brackets = [[(idx, thetas[lo], thetas[hi]) for idx, lo, hi in scan] for scan in (found, negated)]
+        assert brackets == [margin_minima_reference(values, thetas), profile_maxima_reference(values, thetas)]
+        return found, negated
+
+    def test_named_cases(self):
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        inf, nan = math.inf, math.nan
+        cases = [
+            ([], [], [], []),
+            ([1.0], [0.0], [], []),
+            ([1.0, 0.0], [0.0, 1.0], [(1, 0, 1)], [(0, 0, 1)]),
+            ([0.5, 0.5], [0.0, 1.0], [(0, 0, 1), (1, 0, 1)], [(0, 0, 1), (1, 0, 1)]),
+            ([1.0, 0.0, 0.0, 0.0, 1.0], grid, [(1, 0, 2), (2, 1, 3), (3, 2, 4)],
+             [(0, 0, 1), (2, 1, 3), (4, 3, 4)]),
+            ([0.0, -0.0, 0.0, -0.0, 0.0], grid, [(i, max(i - 1, 0), min(i + 1, 4)) for i in range(5)],
+             [(i, max(i - 1, 0), min(i + 1, 4)) for i in range(5)]),
+            ([inf, -inf, inf, inf, -inf], grid, [(1, 0, 2), (4, 3, 4)], [(0, 0, 1), (2, 1, 3), (3, 2, 4)]),
+            ([1.0, nan, 0.0, nan, 2.0], grid, [], []),
+            ([nan, 1.0, 2.0], grid[:3], [], [(2, 1, 2)]),
+            ([0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0], [(2, 1, 3)], [(1, 0, 2), (3, 2, 4)]),
+        ]
+        for values, thetas, minima, maxima in cases:
+            assert self.check(values, thetas) == (minima, maxima), values
+
+    def test_random_grids(self):
+        rng = random.Random(36)
+        pool = [0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, math.inf, -math.inf, math.nan]
+        counts = [0, 0]
+        for _ in range(5000):
+            n = rng.randint(0, 7)
+            values = [rng.choice(pool) for _ in range(n)]
+            thetas = sorted(rng.choice((-1.0, -0.0, 0.0, 0.5, 1.0, 2.0)) for _ in range(n))
+            found, negated = self.check(values, thetas)
+            counts[0] += len(found)
+            counts[1] += len(negated)
+        assert min(counts) > 1000
 
 
 class TestRowDots:
@@ -554,8 +640,8 @@ class TestRefineBrackets:
             return many(f, lo, hi, *rest)
 
         monkeypatch.setattr(spectrum_mod, "_golden_min_many", counted)
-        for budget in (1, 200, 1000, spectrum_mod.LOCKSTEP_ELEMENTS):
-            monkeypatch.setattr(spectrum_mod, "LOCKSTEP_ELEMENTS", budget)
+        for budget in (1, 200, 1000, spectrum_mod.BATCH_ELEMENTS):
+            monkeypatch.setattr(spectrum_mod, "BATCH_ELEMENTS", budget)
             del chunks[:]
             got = _refine_brackets(pairs, brackets, self.margin, at_zero)
             assert golden_pairs(got) == golden_pairs(expected)

@@ -34,6 +34,7 @@ from walkorder.stochorder import (
 
 from conftest import (
     CONES_1D,
+    cube_rays,
     kernel_settings,
     leq_flow_reference,
     measures_on,
@@ -676,14 +677,14 @@ def laws_planar(hyp):
     return measures_on(hyp, 2, (1, 2, 3)).map(Measure.normalized)
 
 
-def moved_up_planar(mu: Measure, cone: Cone, first: list, second: list) -> Measure:
+def moved_up_on(mu: Measure, cone: Cone, first: list, second: list) -> Measure:
     """Half of each atom i (of at most 10) of mu moved up by ``m[i]`` times
     one of the cone's rays plus ``m[i - 5]`` times its unit, for m =
     ``first``, the other half for m = ``second``; every move lies in the
-    cone, so mu <= the result."""
+    cone, so mu <= the result, in any dimension."""
     atoms = sorted(mu.atoms.items())
     rays, unit = cone.rays, cone.unit
-    return Measure(2, [
+    return Measure(mu.dim, [
         (tuple(c + m[i] * r + m[i - 5] * u for c, r, u in zip(x, rays[i % len(rays)], unit)), w / 2)
         for m in (first, second)
         for i, (x, w) in enumerate(atoms)
@@ -714,8 +715,8 @@ class TestOrderLawsPlanar:
         @hyp.given(laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 4)
         def check(mu, other, m1, m2, m3, m4):
             for cone in self.CONES:
-                nu = moved_up_planar(mu, cone, m1, m2)
-                rho = moved_up_planar(nu, cone, m3, m4)
+                nu = moved_up_on(mu, cone, m1, m2)
+                rho = moved_up_on(nu, cone, m3, m4)
                 assert leq_st(mu, nu, cone).dominated and leq_st(nu, rho, cone).dominated
                 assert leq_st(mu, rho, cone).dominated
                 if leq_st(other, nu, cone).dominated:
@@ -732,7 +733,7 @@ class TestOrderLawsPlanar:
         @hyp.given(laws_planar(hyp), laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 2)
         def check(mu, other, kappa, m1, m2):
             for cone in self.CONES:
-                for nu in (moved_up_planar(mu, cone, m1, m2), other):
+                for nu in (moved_up_on(mu, cone, m1, m2), other):
                     v = leq_st(mu, nu, cone)
                     assert v.dominated or nu is other
                     w = leq_st(convolve(mu, kappa), convolve(nu, kappa), cone)
@@ -748,11 +749,74 @@ class TestOrderLawsPlanar:
         @hyp.given(laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 2)
         def check(mu, other, m1, m2):
             for cone in self.CONES:
-                nu = moved_up_planar(mu, cone, m1, m2)
+                nu = moved_up_on(mu, cone, m1, m2)
                 for a, b in ((mu, nu), (nu, mu), (mu, other), (other, mu)):
                     assert_certified(leq_st(a, b, cone), a, b, cone)
 
         check()
+
+
+class TestOrderLaws3D:
+    """Order laws of ``leq_st`` in d = 3, on the orthant and on the cone over
+    a square, each verdict certified: every coupling passes
+    ``check_coupling``, every upset carries more mass of the lower law."""
+
+    CONES = (Cone.orthant(3), Cone.from_generators(3, rays=cube_rays(3)))
+    DENS = (1, 2)
+
+    @classmethod
+    def laws(cls, hyp):
+        return measures_on(hyp, 3, cls.DENS).map(Measure.normalized)
+
+    @staticmethod
+    def leq(mu: Measure, nu: Measure, cone: Cone) -> bool:
+        v = leq_st(mu, nu, cone)
+        assert_certified(v, mu, nu, cone)
+        return v.dominated
+
+    def test_reflexive(self, hyp):
+        @kernel_settings(hyp)
+        @hyp.given(self.laws(hyp))
+        def check(mu):
+            for cone in self.CONES:
+                v = leq_st(mu, mu, cone)
+                check_coupling(v.witness_coupling, mu, mu, cone)
+                assert v.witness_coupling.entries == {(x, x): w for x, w in sorted(mu.atoms.items())}
+
+        check()
+
+    def test_moved_up_chains_are_transitive(self, hyp):
+        @kernel_settings(hyp)
+        @hyp.given(self.laws(hyp), self.laws(hyp), *[moves(hyp, self.DENS)] * 4)
+        def check(mu, other, m1, m2, m3, m4):
+            for cone in self.CONES:
+                nu = moved_up_on(mu, cone, m1, m2)
+                rho = moved_up_on(nu, cone, m3, m4)
+                assert self.leq(mu, nu, cone) and self.leq(nu, rho, cone)
+                assert self.leq(mu, rho, cone)
+                if self.leq(other, nu, cone):
+                    assert self.leq(other, rho, cone)
+                if self.leq(nu, other, cone):
+                    assert self.leq(mu, other, cone)
+
+        check()
+
+    def test_convolution_preserves_the_order(self, hyp):
+        seen = set()
+
+        @hyp.settings(kernel_settings(hyp), max_examples=30)
+        @hyp.given(self.laws(hyp), self.laws(hyp), self.laws(hyp), *[moves(hyp, self.DENS)] * 2)
+        def check(mu, other, kappa, m1, m2):
+            for cone in self.CONES:
+                for nu in (moved_up_on(mu, cone, m1, m2), other):
+                    below = self.leq(mu, nu, cone)
+                    assert below or nu is other
+                    after = self.leq(convolve(mu, kappa), convolve(nu, kappa), cone)
+                    assert after or not below
+                    seen.add((below, after))
+
+        check()
+        assert {(True, True), (False, False)} <= seen
 
 
 class TestKeyedSweep:
@@ -818,7 +882,7 @@ class TestKeyedSweep:
         @hyp.given(laws_planar(hyp), laws_planar(hyp), *[moves(hyp, dens)] * 2, hyp.strategies.integers(1, 3))
         def check(mu, other, m1, m2, n):
             for cone in self.CONES[:4]:
-                nu = moved_up_planar(mu, cone, m1, m2)
+                nu = moved_up_on(mu, cone, m1, m2)
                 assert self.agree(mu, nu, cone) is not None
                 for a, b in ((nu, mu), (mu, other), (other, mu)):
                     self.agree(a, b, cone)
