@@ -35,7 +35,7 @@ from .measure import (
     require_probability,
 )
 from .rational import as_rat, log_rat, rat
-from .spectrum import BATCH_ELEMENTS, _local_minima, _Projected, _refine_brackets, _row_dots
+from .spectrum import BATCH_ELEMENTS, _local_minima, _LogMgfRows, _Projected, _refine_brackets, _row_dots
 from .stochorder import principal_upset_masses, tail_mass, upset_mass
 
 EXACT_LIMIT = "exact-limit"
@@ -246,12 +246,13 @@ def relative_rate_rhs(
     log-ratio of the weights at tied maxima otherwise.
 
     The first ray whose X maximum is the larger returns +inf before any
-    grid is swept.  Then every ray's grid is swept, with its local maxima
-    read as the local minima of -g by the spectral sweep's scan
+    grid is swept.  Then every ray's grid is swept, one call each of the
+    sweep's one batched log-MGF ``spectrum._LogMgfRows``, with its local
+    maxima read as the local minima of -g by the spectral sweep's scan
     (``spectrum._local_minima``), and the maxima of all rays are refined by
-    one ``spectrum._refine_brackets`` call.  The candidates are taken in the
-    order of a ray-by-ray sweep: per ray the tied limit, then per grid point
-    its refined maximum and its grid value.
+    one ``spectrum._refine_brackets`` call on the same kernel.  The
+    candidates are taken in the order of a ray-by-ray sweep: per ray the
+    tied limit, then per grid point its refined maximum and its grid value.
     """
     opts = opts or RateOptions()
     require_walk_pair(X, Y, cone)
@@ -266,18 +267,18 @@ def relative_rate_rhs(
 
     thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
     rs = [math.tan(th) for th in thetas]
+    kernel, grid = _LogMgfRows(pairs), np.array(rs)
     profiles, brackets = [], []
-    for ray, (px, py) in enumerate(pairs):
-        vals = [
-            0.0 if r == 0.0 else a - b
-            for r, a, b in zip(rs, px.log_mgf_many(rs), py.log_mgf_many(rs))
-        ]
+    for ray in range(len(pairs)):
+        lx, ly = kernel(np.full(len(rs), ray), grid)
+        vals = [0.0 if r == 0.0 else v for r, v in zip(rs, (lx - ly).tolist())]
         peaks = _local_minima([-v for v in vals], thetas)
         brackets += ((ray, thetas[i_lo], thetas[i_hi]) for _, i_lo, i_hi in peaks)
         profiles.append((vals, {idx for idx, _, _ in peaks}))
     # the maxima of g are scanned and refined as the minima of -g, and
     # g(0) = 0 since both laws are normalized
-    refined = iter(_refine_brackets(pairs, brackets, lambda r, a, b: -(a - b), [-0.0] * len(pairs)))
+    zeros = [-0.0] * len(pairs)
+    refined = iter(_refine_brackets(pairs, brackets, lambda r, a, b: -(a - b), zeros, kernel))
 
     best_val = 0.0
     best: Optional[tuple] = None
@@ -303,20 +304,20 @@ def relative_rate_curve(
 
     The grid is fixed at 256 points per ray, ``theta = (pi/2) k / 257`` for
     k = 1..256, whatever ``opts.grid_points`` says; the rows are written to
-    the ``rel-rate`` curve CSV.
+    the ``rel-rate`` curve CSV.  One ``spectrum._LogMgfRows`` over the
+    projected pairs of all rays evaluates each ray's grid in one call.
     """
     opts = opts or RateOptions()
     require_walk_pair(X, Y, cone)
     thetas = [(math.pi / 2) * k / 257 for k in range(1, 257)]
     rs = [math.tan(theta) for theta in thetas]
+    directions = cone.dual_directions(opts.n_samples, opts.seed)
+    pairs = [(_Projected.of(X, d.t), _Projected.of(Y, d.t)) for d in directions]
+    kernel, grid = _LogMgfRows(pairs), np.array(rs)
     rows = []
-    for ray_idx, d in enumerate(cone.dual_directions(opts.n_samples, opts.seed)):
-        px = _Projected.of(X, d.t)
-        py = _Projected.of(Y, d.t)
-        rows += (
-            (ray_idx, theta, r, a - b)
-            for theta, r, a, b in zip(thetas, rs, px.log_mgf_many(rs), py.log_mgf_many(rs))
-        )
+    for ray in range(len(pairs)):
+        lx, ly = kernel(np.full(len(rs), ray), grid)
+        rows += zip([ray] * len(rs), thetas, rs, (lx - ly).tolist())
     return rows
 
 
@@ -362,10 +363,13 @@ def relative_rate_lhs(
     lift = tuple(n * e * uc for uc in unit)
     if X.dim == 1:
         # the support points off the tail indexes' int keys, weights left
-        # encoded; a set of rationals, whose order fixes the queries that run
-        # before a zero denominator ends the scan
+        # encoded.  A threshold has mass above and none below iff X^n's top
+        # lies above Y^n's lifted top, so that one exact comparison is the
+        # scan's zero-denominator exit, taken before any query runs
         (s_num, keys_num, _, _), (s_den, keys_den, _, _) = num._tail_index(), den._tail_index()
         (up,) = lift
+        if rat(keys_num[-1], s_num) > rat(keys_den[-1], s_den) + up:
+            return math.inf
         thresholds = {rat(k, s_num) for k in keys_num} | {rat(k, s_den) + up for k in keys_den}
         pairs = ((tail_mass(num, t), tail_mass(den, t - up)) for t in thresholds)
     else:

@@ -26,10 +26,12 @@ scalar ``_golden_min`` on one fused kernel per ray, ``_log_mgf_pair``: one
 buffer over both supports, in place ``numpy`` ufuncs and one dot per law.
 From ``LOCKSTEP_MIN`` on, ``_golden_min_many`` advances them together, and
 ``_LogMgfRows`` evaluates both laws of every open bracket at once, in chunks
-of ``BATCH_ELEMENTS``, the budget of every batched call.  Every float
-log-MGF takes its max at the sorted end of the support, so both paths give
-the floats of ``_Projected.log_mgf``; a lockstep run has a fixed cost of
-about 1.6 ms, against about 0.2 ms a scalar bracket.
+of ``BATCH_ELEMENTS``, the budget of every batched call.  ``_LogMgfRows`` is
+the one batched log-MGF of projected pairs: built once per sweep, it also
+evaluates each ray's ``rel-rate`` grid in one call.  Every float log-MGF
+takes its max at the sorted end of the support, so all paths give the
+floats of ``_Projected.log_mgf``; a lockstep run has a fixed cost of about
+1.6 ms, against about 0.2 ms a scalar bracket.
 
 A local minimum is refined only when it could lower the result.  lev is
 nondecreasing in r, so on a bracket ``[r_lo, r_hi]`` the margin is at least
@@ -143,16 +145,6 @@ class _Projected:
         a = r * self.z
         m = a[-1] if r > 0 else a[0]
         return float(m + math.log(float(np.dot(self.w, np.exp(a - m)))))
-
-    def log_mgf_many(self, rs) -> list:
-        """``[self.log_mgf(r) for r in rs]`` from one ``rs x z`` block, one
-        ``np.exp`` and one ``_row_dots``: the first two work element by
-        element, so every dot and log sees the same floats."""
-        rs = np.asarray(rs, dtype=float)
-        a = rs[:, None] * self.z
-        m = np.where(rs > 0, a[:, -1], a[:, 0])
-        e = np.exp(a - m[:, None])
-        return [mi + math.log(di) for mi, di in zip(m.tolist(), _row_dots(e, self.w).tolist())]
 
     def tilted_mean(self, r: float) -> float:
         a = r * self.z
@@ -302,48 +294,52 @@ def _golden_min_many(f, lo, hi, tol: float = REFINE_TOL) -> list:
 
 
 class _LogMgfRows:
-    """``(rows, rs) -> (lx, ly)``: ``px.log_mgf(r)`` and ``py.log_mgf(r)``
-    of the pair of each bracket in ``rows``, at its own ``r``, bit for bit.
-    The brackets come sorted by shape ``(len(px.z), len(py.z))``.
+    """``(rays, rs) -> (lx, ly)``: ``px.log_mgf(r)`` and ``py.log_mgf(r)``
+    of ``pairs[ray]`` for each ray of ``rays`` at its own ``r``, bit for
+    bit.  One kernel serves a sweep: the ``rel-rate`` grids, one call per
+    ray, and the lockstep refinements.
 
-    Both laws of each bracket's ray are stacked once, padded to the longest
-    support with their own largest atom, so ``r * z``, the max at the padded
-    end and ``exp`` run element by element on one block, and the padding
-    holds only ``exp`` of values <= 0.  The dots are stacked 1 x n by n x 1
-    matmuls, one ``ddot`` per row as ``np.dot(w, e)`` runs it, two per shape,
-    each over the rows' own n entries: padding the weights with zeros would
-    change the ``ddot`` sums.  ``math.log`` takes each dot."""
+    For each side the laws of each support size are stacked once in one
+    table, with no padding and no zero weights; each ray keeps its row in
+    its two tables and its shape ``(len(px.z), len(py.z))``.  The rays come
+    sorted by shape, so each shape is one run of them, and a shape with no
+    rays costs nothing.  Each run and side is ``log_mgf``'s block: ``r * z``,
+    the max at the sorted end and ``exp`` element by element, in place on
+    the gathered copy of its rows (no fresh block per step), one ``ddot``
+    per row by stacked 1 x n by n x 1 matmul, then ``math.log`` per row."""
 
-    def __init__(self, pairs: list, ray_of: list):
-        rays = list(dict.fromkeys(ray_of))
-        laws = [law for ray in rays for law in pairs[ray]]  # X then Y of each ray
-        width = max(len(law.z) for law in laws)
-        self.z, self.w = np.empty((len(laws), width)), np.zeros((len(laws), width))
-        for zrow, wrow, law in zip(self.z, self.w, laws):
-            zrow[: len(law.z)], zrow[len(law.z):] = law.z, law.z[-1]
-            wrow[: len(law.w)] = law.w
-        pos = {ray: 2 * i for i, ray in enumerate(rays)}
-        self.laws_of = np.array([(pos[ray], pos[ray] + 1) for ray in ray_of])
-        shapes = [tuple(len(law.z) for law in pairs[ray]) for ray in ray_of]
+    def __init__(self, pairs: list):
+        shapes = [(len(px.z), len(py.z)) for px, py in pairs]
         self.shapes = list(dict.fromkeys(shapes))
         self.shape_of = np.array([self.shapes.index(shape) for shape in shapes])
+        self.row_of = np.empty((2, len(pairs)), dtype=int)
+        self.tables: list = [{}, {}]
+        for side, table in enumerate(self.tables):
+            by_size: dict = {}
+            for ray, pair in enumerate(pairs):
+                laws = by_size.setdefault(len(pair[side].z), [])
+                self.row_of[side, ray] = len(laws)
+                laws.append(pair[side])
+            for n, laws in by_size.items():
+                table[n] = np.array([law.z for law in laws]), np.array([law.w for law in laws])
 
-    def __call__(self, rows: np.ndarray, rs: np.ndarray) -> tuple:
-        laws = self.laws_of[rows]
-        a = rs[:, None, None] * self.z[laws]
-        m = np.where(rs[:, None] > 0, a[:, :, -1], a[:, :, 0])
-        e = np.exp(a - m[:, :, None])
-        w = self.w[laws]
-        if len(self.shapes) == 1:
-            bounds = [0, len(rows)]
-        else:
-            bounds = np.searchsorted(self.shape_of[rows], np.arange(len(self.shapes) + 1)).tolist()
-        dots = np.empty(m.shape)
-        for (lo, hi), shape in zip(zip(bounds, bounds[1:]), self.shapes):
-            for side, n in enumerate(shape):
-                dots[lo:hi, side] = np.matmul(w[lo:hi, side, None, :n], e[lo:hi, side, :n, None])[:, 0, 0]
+    def __call__(self, rays: np.ndarray, rs: np.ndarray) -> tuple:
+        shape_of = self.shape_of[rays]
+        edges = np.concatenate(([-1], shape_of, [-1]))
+        cuts = np.flatnonzero(edges[1:] != edges[:-1]).tolist()
+        m, dots = np.empty((2, len(rays))), np.empty((2, len(rays)))
+        rows, pos, rcol = self.row_of[:, rays], rs > 0, rs[:, None]
+        for lo, hi in zip(cuts, cuts[1:]):
+            for side, n in enumerate(self.shapes[shape_of[lo]]):
+                z, w = self.tables[side][n]
+                e = z[rows[side, lo:hi]]
+                e *= rcol[lo:hi]
+                top = m[side, lo:hi] = np.where(pos[lo:hi], e[:, -1], e[:, 0])
+                e -= top[:, None]
+                np.exp(e, out=e)
+                dots[side, lo:hi] = np.matmul(e[:, None, :], w[rows[side, lo:hi], :, None])[:, 0, 0]
         out = m + np.array([math.log(x) for x in dots.ravel().tolist()]).reshape(m.shape)
-        return out[:, 0], out[:, 1]
+        return out[0], out[1]
 
 
 #: Fewest brackets that one sweep refines in lockstep: below it each bracket
@@ -372,7 +368,7 @@ def _local_minima(values: list, thetas: list) -> list:
     return found
 
 
-def _refine_brackets(pairs: list, brackets: list, value, at_zero: list) -> list:
+def _refine_brackets(pairs: list, brackets: list, value, at_zero: list, kernel=None) -> list:
     """The golden-section minimum ``(theta, f)`` of each bracket
     ``(ray, lo, hi)``, bit for bit ``_golden_min``'s.
 
@@ -381,9 +377,10 @@ def _refine_brackets(pairs: list, brackets: list, value, at_zero: list) -> list:
     where r == 0.  ``value`` takes Python floats or float64 arrays alike.
     The brackets come from ``_local_minima`` scans.  Fewer than
     ``LOCKSTEP_MIN`` brackets run one ``_golden_min`` each on the ray's
-    ``_log_mgf_pair``; more run ``_golden_min_many`` on chunks of at most
-    ``BATCH_ELEMENTS`` padded row entries.  Both searches step by the one
-    ``INVPHI``."""
+    ``_log_mgf_pair``; more run ``_golden_min_many`` on ``kernel``, the
+    sweep's ``_LogMgfRows(pairs)`` (built here if not given), in chunks of
+    at most ``BATCH_ELEMENTS`` entries at the bracketed rays' widest
+    support.  Both searches step by the one ``INVPHI``."""
     if len(brackets) < LOCKSTEP_MIN:
         kernels: dict = {}
         out = []
@@ -400,8 +397,9 @@ def _refine_brackets(pairs: list, brackets: list, value, at_zero: list) -> list:
             out.append(_golden_min(f, lo, hi))
         return out
 
-    # sorted by shape, so that each shape's open brackets are one slice of
-    # the kernel's rows, which are padded to the widest support
+    kernel, at_zero = kernel or _LogMgfRows(pairs), np.array(at_zero)
+    # sorted by shape, so that the open brackets of each shape are one run
+    # of the kernel's rows
     shape = [tuple(len(law.z) for law in pairs[ray]) for ray, _, _ in brackets]
     order = sorted(range(len(brackets)), key=shape.__getitem__)
     size = max(1, BATCH_ELEMENTS // (2 * max(map(max, shape))))
@@ -409,18 +407,16 @@ def _refine_brackets(pairs: list, brackets: list, value, at_zero: list) -> list:
     for i in range(0, len(order), size):
         ks = order[i:i + size]
         chunk = [brackets[k] for k in ks]
-        ray_of = [ray for ray, _, _ in chunk]
-        kernel = _LogMgfRows(pairs, ray_of)
-        zeros = np.array([at_zero[ray] for ray in ray_of])
+        ray_of = np.array([ray for ray, _, _ in chunk])
 
-        def f(rows, thetas, kernel=kernel, zeros=zeros):
+        def f(rows, thetas, ray_of=ray_of):
             rs = np.array(list(map(math.tan, thetas.tolist())))
             zero = rs == 0.0
             if zero.any():
                 rs[zero] = 1.0  # any nonzero r: the value is replaced
-            vals = value(rs, *kernel(rows, rs))
+            vals = value(rs, *kernel(ray_of[rows], rs))
             if zero.any():
-                vals[zero] = zeros[rows[zero]]
+                vals[zero] = at_zero[ray_of[rows[zero]]]
             return vals
 
         found = _golden_min_many(f, [lo for _, lo, _ in chunk], [hi for _, _, hi in chunk])

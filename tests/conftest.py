@@ -357,6 +357,29 @@ def relative_rate_lhs_1d_reference(X: Measure, Y: Measure, cone: Cone, n: int, e
     return best
 
 
+def relative_rate_lhs_scan_reference(X: Measure, Y: Measure, cone: Cone, n: int, eps) -> float:
+    """The 1-D ``ldp.relative_rate_lhs`` as it ran before it decided the
+    infinite case by one comparison of the two tops: its thresholds off the
+    tail indexes' int keys, each answered by ``tail_mass``, and ``+inf``
+    returned at the first threshold with mass above and none below.  Takes a
+    valid 1-D pair, n >= 1 and eps > 0."""
+    unit = cone.unit[0]
+    if not is_upward_1d(cone):
+        X, Y, unit = project(X, (-1,)), project(Y, (-1,)), -unit
+    num, den = convolve_power(X, n), convolve_power(Y, n)
+    (s_num, keys_num, _, _), (s_den, keys_den, _, _) = num._tail_index(), den._tail_index()
+    up = n * as_rat(eps) * unit
+    best = -math.inf
+    for t in {rat(k, s_num) for k in keys_num} | {rat(k, s_den) + up for k in keys_den}:
+        num_mass, den_mass = tail_mass(num, t), tail_mass(den, t - up)
+        if num_mass == 0:
+            continue
+        if den_mass == 0:
+            return math.inf
+        best = max(best, (log_rat(num_mass) - log_rat(den_mass)) / n)
+    return best
+
+
 def catalyst_1d_lp_only(X: Measure, Y: Measure, grid) -> Catalyst | None:
     """``dominance.catalyst_1d`` with the LP as the only judge: no endpoint
     screen, and one ``tail_mass`` gap per threshold and grid point, each row

@@ -52,6 +52,7 @@ from conftest import (
     random_measure_3d,
     rate_multid_reference,
     relative_rate_lhs_1d_reference,
+    relative_rate_lhs_scan_reference,
     relative_rate_rhs_reference,
 )
 
@@ -756,8 +757,12 @@ class TestRelativeRateCurve:
 
     def test_rows_match_the_per_point_reference(self, halfline, orthant2):
         rng = random.Random(76)
-        for i in range(8):
-            cone, draw = (orthant2, random_measure_2d) if i % 2 else (halfline, random_measure_1d)
+        cases = [(orthant2, random_measure_2d) if i % 2 else (halfline, random_measure_1d) for i in range(8)]
+        # 3-D laws: the projections along the sampled rays merge atoms
+        # differently, so one curve kernel holds several support sizes
+        cases += [(Cone.orthant(3), random_measure_3d)] * 4
+        sizes = set()
+        for i, (cone, draw) in enumerate(cases):
             X, Y = draw(rng).normalized(), draw(rng).normalized()
             opts = RateOptions(n_samples=3, seed=i, grid_points=33)
             rows = relative_rate_curve(X, Y, cone, opts)
@@ -766,6 +771,10 @@ class TestRelativeRateCurve:
             assert [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows] == [
                 tuple(v.hex() if isinstance(v, float) else v for v in row) for row in expected
             ]
+            if X.dim == 3:
+                directions = cone.dual_directions(3, i)
+                sizes.add(len({len(_Projected.of(X, d.t).z) for d in directions}))
+        assert max(sizes) > 1
 
     def test_measure_dimensions_checked(self, orthant2):
         X = Measure(2, {(0, 0): "1/2", (1, 1): "1/2"})
@@ -793,6 +802,27 @@ class TestRelativeRateLhsIntKeys:
             eps = rng.choice([rat(1, 64), rat(1, 3), rat(5, 7), rat(2)])
             got = relative_rate_lhs(X, Y, cone, n, eps)
             assert got == relative_rate_lhs_1d_reference(X, Y, cone, n, eps), (X, Y, cone, n, eps)
+            seen.add((cone.normals[0][0] > 0, math.isinf(got)))
+        assert len(seen) == 4  # finite and infinite suprema on both half-lines
+
+    def test_infinite_case_runs_no_query(self, monkeypatch):
+        # +inf comes from comparing the two tops before any threshold is
+        # queried; every value is the one the threshold scan gave
+        calls = []
+        counted = ldp_mod.tail_mass
+        monkeypatch.setattr(ldp_mod, "tail_mass", lambda *a: calls.append(a) or counted(*a))
+        rng = random.Random(600)
+        seen = set()
+        for i in range(600):
+            cone = CONES_1D[i % len(CONES_1D)]
+            X = random_measure_1d(rng, max_atoms=5, span=8).normalized()
+            Y = random_measure_1d(rng, max_atoms=5, span=8).normalized()
+            n = rng.choice([1, 2, 3, 7])
+            eps = rng.choice([rat(1, 64), rat(1, 3), rat(5, 7), rat(2)])
+            del calls[:]
+            got = relative_rate_lhs(X, Y, cone, n, eps)
+            assert got == relative_rate_lhs_scan_reference(X, Y, cone, n, eps), (X, Y, cone, n, eps)
+            assert (calls == []) == math.isinf(got)
             seen.add((cone.normals[0][0] > 0, math.isinf(got)))
         assert len(seen) == 4  # finite and infinite suprema on both half-lines
 

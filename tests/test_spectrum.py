@@ -232,8 +232,16 @@ def projected_laws(st):
     )
 
 
+def grid_log_mgf(p: _Projected, rs) -> list:
+    """``p.log_mgf`` on the grid ``rs`` by one grid call of ``_LogMgfRows``,
+    as ``relative_rate_rhs`` and ``relative_rate_curve`` make it."""
+    lx, _ = _LogMgfRows([(p, p)])(np.zeros(len(rs), dtype=int), np.array(rs, dtype=float))
+    return lx.tolist()
+
+
 class TestProjectedKernel:
-    """The endpoint max and the grid batch give the reference floats bit for bit."""
+    """The endpoint max and the grid call of ``_LogMgfRows`` give the
+    reference floats bit for bit."""
 
     def test_endpoint_max_matches_the_reduction(self, hyp):
         st = hyp.strategies
@@ -253,7 +261,7 @@ class TestProjectedKernel:
         @kernel_settings(hyp)
         @hyp.given(projected_laws(st), st.lists(radials(st), min_size=1, max_size=40))
         def check(p, rs):
-            many = p.log_mgf_many(rs)
+            many = grid_log_mgf(p, rs)
             assert float_bits(many) == float_bits([p.log_mgf(r) for r in rs])
             assert many == [log_mgf_reference(p, r) for r in rs]
 
@@ -270,7 +278,7 @@ class TestProjectedKernel:
             p = _Projected.of(law, (1,))
             assert len(p.z) == n_atoms
             expected = [log_mgf_reference(p, r) for r in rs]
-            assert float_bits(p.log_mgf_many(rs)) == float_bits(expected)
+            assert float_bits(grid_log_mgf(p, rs)) == float_bits(expected)
 
 
 class TestLevCurveMaxRule:
@@ -356,15 +364,15 @@ class TestLocalMinima:
 
 
 class TestRowDots:
-    """``_row_dots``, the stacked matmul behind ``log_mgf_many`` and the
-    rate ascent's gradient, gives per-row ``np.dot`` bit for bit."""
+    """``_row_dots``, the stacked matmul behind the rate ascent's objective
+    and gradient, gives per-row ``np.dot`` bit for bit."""
 
     def test_every_shape_up_to_600_by_200(self):
         rng = np.random.default_rng(600)
         shapes = [(1, 1), (1, 200), (600, 1), (600, 200)]
         shapes += [(int(rng.integers(1, 601)), int(rng.integers(1, 201))) for _ in range(200)]
         for rows, cols in shapes:
-            # exponentials as log_mgf_many's block holds them, over many scales
+            # exponentials as a log-MGF block holds them, over many scales
             A = np.exp(rng.uniform(-700.0, 0.0, size=(rows, cols)))
             A[rng.random((rows, cols)) < 0.05] = 0.0
             v = rng.random(cols) * 10.0 ** rng.integers(-8, 3, size=cols)
@@ -546,6 +554,16 @@ def pair_laws(rng: random.Random, sizes) -> list:
 class TestLogMgfRows:
     """The batched two-law kernel against ``_Projected.log_mgf``."""
 
+    RADIAL = [s * 10.0**k * f for s in (1, -1) for k in range(-12, 17) for f in (1.0, 0.61)]
+    RADIAL += [TAN_NEAR_HALF_PI, -TAN_NEAR_HALF_PI, 5e-324, -5e-324]
+
+    @staticmethod
+    def assert_scalar(pairs, rays, rs, lx, ly):
+        assert len(lx) == len(ly) == len(rays)
+        for ray, r, x, y in zip(rays.tolist(), rs.tolist(), lx.tolist(), ly.tolist()):
+            px, py = pairs[ray]
+            assert float_bits([x, y]) == float_bits([px.log_mgf(r), py.log_mgf(r)]), (ray, r)
+
     def test_mixed_lengths_in_one_batch(self):
         rng = random.Random(71)
         sizes = [(1, 1), (1, 7), (7, 1), (2, 150), (33, 34), (60, 60), (60, 60), (150, 3)]
@@ -554,25 +572,42 @@ class TestLogMgfRows:
         # hands them over
         ray_of = sorted((ray for ray in range(len(pairs)) for _ in range(3)),
                         key=lambda ray: sizes[ray])
-        kernel = _LogMgfRows(pairs, ray_of)
-        radial = [s * 10.0**k * f for s in (1, -1) for k in range(-12, 17) for f in (1.0, 0.61)]
-        radial += [TAN_NEAR_HALF_PI, -TAN_NEAR_HALF_PI, 5e-324, -5e-324]
+        kernel = _LogMgfRows(pairs)
         for trial in range(40):
-            rows = np.array(sorted(rng.sample(range(len(ray_of)), rng.randint(1, len(ray_of)))))
-            rs = np.array([rng.choice(radial) for _ in rows])
-            lx, ly = kernel(rows, rs)
-            for row, r, x, y in zip(rows.tolist(), rs.tolist(), lx.tolist(), ly.tolist()):
-                px, py = pairs[ray_of[row]]
-                assert float_bits([x, y]) == float_bits([px.log_mgf(r), py.log_mgf(r)]), (row, r)
+            rows = sorted(rng.sample(range(len(ray_of)), rng.randint(1, len(ray_of))))
+            rays = np.array([ray_of[row] for row in rows])
+            rs = np.array([rng.choice(self.RADIAL) for _ in rows])
+            self.assert_scalar(pairs, rays, rs, *kernel(rays, rs))
 
     def test_one_shape(self, curated_pair):
         X, Y = curated_pair
         pairs = [(_Projected.of(X, (1,)), _Projected.of(Y, (1,)))]
         thetas = np.linspace(-math.pi / 2, math.pi / 2, 259)[1:-1].tolist()
         rs = np.array([math.tan(th) for th in thetas if th != 0.0])
-        lx, ly = _LogMgfRows(pairs, [0] * len(rs))(np.arange(len(rs)), rs)
+        lx, ly = _LogMgfRows(pairs)(np.zeros(len(rs), dtype=int), rs)
         assert float_bits(lx.tolist()) == float_bits([pairs[0][0].log_mgf(r) for r in rs.tolist()])
         assert float_bits(ly.tolist()) == float_bits([pairs[0][1].log_mgf(r) for r in rs.tolist()])
+
+    def test_one_ray_some_shapes_and_no_rows(self):
+        # a kernel over rays of several support sizes, where some sizes are
+        # shared by rays of other shapes, called as the grids and a chunk of
+        # the lockstep call it
+        rng = random.Random(74)
+        sizes = [(3, 9), (9, 3), (3, 3), (40, 9), (9, 3), (1, 40), (40, 40)]
+        pairs = pair_laws(rng, sizes)
+        kernel = _LogMgfRows(pairs)
+        for ray in range(len(pairs)):
+            rs = np.array([rng.choice(self.RADIAL) for _ in range(17)])
+            rays = np.full(len(rs), ray)
+            self.assert_scalar(pairs, rays, rs, *kernel(rays, rs))
+        for trial in range(20):
+            picked = rng.sample(range(len(pairs)), rng.randint(1, 3))
+            rays = [ray for ray in picked for _ in range(rng.randint(1, 4))]
+            rays = np.array(sorted(rays, key=sizes.__getitem__))
+            rs = np.array([rng.choice(self.RADIAL) for _ in rays])
+            self.assert_scalar(pairs, rays, rs, *kernel(rays, rs))
+        lx, ly = kernel(np.array([], dtype=int), np.array([]))
+        assert lx.shape == ly.shape == (0,)
 
 
 class TestRefineBrackets:
