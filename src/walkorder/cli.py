@@ -231,7 +231,7 @@ def _cmd_order_check(args) -> tuple[dict, int]:
         if verdict.witness_coupling is None
         else [
             {"x": point_json(x), "y": point_json(y), "w": rat_str(w)}
-            for (x, y), w in sorted(verdict.witness_coupling.entries.items())
+            for (x, y), w in verdict.witness_coupling.entries.items()
         ],
         witness_upset=None
         if verdict.witness_upset is None

@@ -2,11 +2,13 @@
 
 min_n certifies a stability window: the walk sums X_1+...+X_n must be
 dominated for every n from the reported n0 up to n_max, since a single
-success at one n is not an asymptotic statement.  In 1-D its powers are int
-maps on the integer normal keys of ``leq_st``, each grown from the last by
-one multiply and decided by its int tail walk; only witnesses are decoded.
-In d >= 2, for a cone of at most two integer normals, each n is decided by
-a greedy sweep on two int keys (Strassen 1965), and the max-flow of
+success at one n is not an asymptotic statement.  min_n alone decides which
+n it tries; each route is a stream that yields, for n = 1, 2, ..., the
+witness upset of a failing n or None.  In 1-D its powers are int maps on
+the integer normal keys of ``leq_st``, each grown from the last by one
+multiply and decided by its int tail walk; only witnesses are decoded.  In
+d >= 2, for a cone of at most two integer normals, each n is decided by a
+greedy sweep on two int keys (Strassen 1965), and the max-flow of
 ``leq_st`` runs only at an n that fails, for its witness.  catalyst_1d
 searches for an auxiliary independent Z on a fixed support grid by exact
 linear feasibility over the tail constraints of X+Z vs Y+Z, then re-verifies
@@ -19,8 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import count
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cones import Cone, require_walk_pair
 from .errors import DimensionMismatch
@@ -59,62 +62,54 @@ def min_n(
 ) -> MinNResult:
     """Smallest n0 such that X^{*n} <= Y^{*n} for every n in [n0, n_max].
 
-    1-D powers grow by one multiply each (``_failures_1d``); in d >= 2 each
-    is computed by ``convolve_power`` and decided by the keyed sweep when
-    the cone has at most two integer normals, by ``leq_st`` otherwise and
-    at every n the sweep finds not dominated (``_failures_multid``).
-    Either way ``AtomBudgetExceeded`` rises at the first n where the
-    support of X^n, then of Y^n, exceeds ``cap``.
+    This loop alone decides which n are tried.  Each route is a stream of
+    per-n witnesses, None where X^n <= Y^n: ``_witnesses_1d`` grows 1-D
+    powers by one multiply each, ``_witnesses_multid`` takes each power in
+    d >= 2 from ``convolve_power``.  The range is zipped first, so no power
+    past n_max is built, and ``AtomBudgetExceeded`` rises at the first n
+    where the support of X^n, then of Y^n, exceeds ``cap``.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     require_walk_pair(X, Y, cone)
-    failures = (_failures_1d if X.dim == 1 else _failures_multid)(X, Y, cone, n_max, cap)
-    if failures and failures[-1][0] == n_max:
-        return MinNResult(found=False, n0=None, stable_through=n_max, failures=failures)
+    witnesses = (_witnesses_1d if X.dim == 1 else _witnesses_multid)(X, Y, cone, cap)
+    failures = [(n, w) for n, w in zip(range(1, n_max + 1), witnesses) if w is not None]
     last_fail = failures[-1][0] if failures else 0
-    return MinNResult(found=True, n0=last_fail + 1, stable_through=n_max, failures=failures)
+    found = last_fail < n_max
+    return MinNResult(found, last_fail + 1 if found else None, n_max, failures)
 
 
-def _failures_1d(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> list:
-    """``(n, witness)`` for each n <= n_max at which 1-D X^n is not <= Y^n.
-    X^n maps each int key of ``_over_one_lcm`` (the point over S times the
-    cone's integer normal) to its int weight over D^n and is X^{n-1} times
-    X's k atoms; supports grow with n, so the cap check raises at the n
-    where repeated squaring would.  Each cut is checked on the keys
+def _witnesses_1d(X: Measure, Y: Measure, cone: Cone, cap: int) -> Iterator:
+    """For n = 1, 2, ...: the witness upset at which 1-D X^n is not <= Y^n,
+    or None.  X^n maps each int key of ``_over_one_lcm`` (the point over S
+    times the cone's integer normal) to its int weight over D^n and is
+    X^{n-1} times X's k atoms; supports grow with n, so the cap check raises
+    at the n where repeated squaring would.  Each cut is checked on the keys
     (``stochorder._checked_cut``) before its witness is decoded."""
     point, _, sides = _over_one_lcm(X, Y, cone)
     sign = cone._int_normals[0][0]
     steps = [{k: w for (k,), w in zip(keys, weights)} for _, keys, weights in sides]
     powers = ({0: 1}, {0: 1})
-    failures = []
-    for n in range(1, n_max + 1):
+    while True:
         powers = [_convolve_packed(step, power, cap) for step, power in zip(steps, powers)]
         xs, ys = (sorted(power.items(), reverse=True) for power in powers)
         cut = _tail_walk(xs, ys)
-        if cut:
-            cut = _checked_cut(xs, ys, cut)
-            failures.append((n, sorted(point((sign * x,)) for x, _ in xs[:cut])))
-    return failures
+        yield sorted(point((sign * x,)) for x, _ in xs[: _checked_cut(xs, ys, cut)]) if cut else None
 
 
-def _failures_multid(X: Measure, Y: Measure, cone: Cone, n_max: int, cap: int) -> list:
-    """``(n, witness)`` for each n <= n_max at which X^n is not <= Y^n, in
-    d >= 2.  Each power comes from ``convolve_power``, X^n then Y^n.  For a
-    cone of at most two integer normals ``stochorder._keyed_sweep`` decides
-    each n, and ``leq_st`` runs only where it leaves mass over, for its
-    witness; the sweep is exact, so the failures are those of ``leq_st``
-    at every n.  Other cones take ``leq_st`` at every n."""
+def _witnesses_multid(X: Measure, Y: Measure, cone: Cone, cap: int) -> Iterator:
+    """For n = 1, 2, ...: the witness upset at which X^n is not <= Y^n, in
+    d >= 2, or None.  Each power comes from ``convolve_power``, X^n then
+    Y^n.  For a cone of at most two integer normals
+    ``stochorder._keyed_sweep`` decides each n, and ``leq_st`` runs only
+    where it leaves mass over, for its witness; the sweep is exact, so the
+    witnesses are those of ``leq_st`` at every n.  Other cones take
+    ``leq_st`` at every n."""
     sweep = len(cone._int_normals) <= 2
-    failures = []
-    for n in range(1, n_max + 1):
+    for n in count(1):
         xn, yn = convolve_power(X, n, cap), convolve_power(Y, n, cap)
-        if sweep and _keyed_sweep(xn, yn, cone) is not None:
-            continue
-        verdict = leq_st(xn, yn, cone)
-        if not verdict.dominated:
-            failures.append((n, verdict.witness_upset))
-    return failures
+        dominated = sweep and _keyed_sweep(xn, yn, cone) is not None
+        yield None if dominated else leq_st(xn, yn, cone).witness_upset
 
 
 def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:

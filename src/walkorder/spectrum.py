@@ -549,5 +549,5 @@ def spectral_verdict(
         verdict=verdict,
         per_ray=per_ray,
         witnesses=witnesses,
-        sampled_only=len(cone.normals) > 1,
+        sampled_only=len(cone._int_normals) > 1,
     )

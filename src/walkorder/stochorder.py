@@ -295,10 +295,11 @@ def _over_one_lcm(mu: Measure, nu: Measure, cone: Cone) -> tuple:
 
 def _checked_plan(cone: Cone, point, d: int, sides: Sequence, flows: dict) -> CouplingPlan:
     """The coupling of the int ``flows`` ``{(i, j): f}`` from xs to ys of
-    ``sides = ((xs, _, supplies), (ys, _, demands))``, in (i, j) order, each
-    entry ``f / d``.  The flows must sum to the supplies per row and to the
-    demands per column, and each pair is checked with the public predicate,
-    or ``RuntimeError`` is raised."""
+    ``sides = ((xs, _, supplies), (ys, _, demands))``, in (i, j) order, which
+    is (x, y) order on the point-sorted views, each entry ``f / d``.  The
+    flows must sum to the supplies per row and to the demands per column,
+    and each pair is checked with the public predicate, or ``RuntimeError``
+    is raised."""
     (xs, _, supplies), (ys, _, demands) = sides
     rows, cols = [0] * len(xs), [0] * len(ys)
     for (i, j), f in flows.items():

@@ -41,6 +41,12 @@ from conftest import (
 CURATED_N0 = 14
 CURATED_FAILURES = [1, 2, 3, 4, 5, 7, 9, 11, 13]
 
+# a planar pair on the orthant that fails at n = 1, 3 and 5 only
+PLANAR_N0_6 = (
+    Measure(2, {(0, 0): "9/17", (2, 0): "3/17", (2, 2): "5/17"}),
+    Measure(2, {(1, 1): "3/8", (1, 3): "1/2", (3, 3): "1/8"}),
+)
+
 
 def m1(mapping) -> Measure:
     return Measure(1, {(k,): v for k, v in mapping.items()})
@@ -122,6 +128,24 @@ class TestMinN:
         mu = m1({0: "1/3", "1/3": "1/3", "1/2": "1/3"})
         with pytest.raises(AtomBudgetExceeded):
             min_n(mu, shift(mu, (1,)), halfline, n_max=40, cap=50)
+
+    def test_builds_n_max_powers_per_side(self, halfline, curated_pair, monkeypatch):
+        # the range bounds the witness stream: a stream pulled once more
+        # than n_max would build one more power of each side
+        calls = []
+
+        def counted(name):
+            built = getattr(dominance, name)
+            monkeypatch.setattr(dominance, name, lambda *args: calls.append(name) or built(*args))
+
+        counted("_convolve_packed")
+        counted("convolve_power")
+        res = min_n(*curated_pair, halfline, n_max=16)
+        assert res.n0 == CURATED_N0 and calls == ["_convolve_packed"] * 32
+        calls.clear()
+        res = min_n(*PLANAR_N0_6, Cone.orthant(2), n_max=8)
+        assert [n for n, _ in res.failures] == [1, 3, 5] and res.n0 == 6
+        assert calls == ["convolve_power"] * 16
 
 
 def _lattice_law(rng: random.Random) -> Measure:
@@ -259,6 +283,37 @@ class TestMinNPlanar:
             assert got == outcome(min_n_reference, *case)
             raised += got == f"convolution support exceeded the atom cap of {case[-1]}"
         assert raised >= 10
+
+    def test_three_normals_equal_to_the_reference(self):
+        # leq_st decides every n: on the 3-D orthant, and on the orthant given
+        # a redundant third normal, each with the pair of PLANAR_N0_6 (in 3-D
+        # on the plane x3 = 0) and with seeded pairs, some reaching the cap
+        def outcome(run, X, Y, cone, n_max, cap):
+            try:
+                return run(X, Y, cone, n_max, cap)
+            except AtomBudgetExceeded as exc:
+                return str(exc)
+
+        cones = (Cone.orthant(3), Cone(2, [(1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)], (1, 1)))
+        lifted = [Measure(3, [((*x, 0), w) for x, w in mu.atoms.items()]) for mu in PLANAR_N0_6]
+        cases = [(*lifted, cones[0], 8, 400), (*PLANAR_N0_6, cones[1], 8, 400)]
+        rng = random.Random(69)
+        for i in range(40):
+            cone = cones[i % 2]
+            points = {tuple(rat(rng.randint(-1, 1), rng.choice((1, 2))) for _ in range(cone.dim)) for _ in range(3)}
+            X = Measure(cone.dim, list(zip(points, composition(rng, len(points), 12))))
+            moves = [rng.choice((-1, 1, 1, 2)) for _ in X.atoms]
+            Y = Measure(cone.dim, [
+                (tuple(c + m * u for c, u in zip(x, cone.unit)), w) for (x, w), m in zip(X.atoms.items(), moves)
+            ])
+            cases.append((X, Y, cone, rng.randint(1, 4), rng.choice((12, 40, 400))))
+        outcomes = []
+        for case in cases:
+            got = outcome(min_n, *case)
+            assert got == outcome(min_n_reference, *case), case
+            outcomes.append(got if isinstance(got, str) else (got.found, bool(got.failures)))
+        assert {(True, False), (True, True), (False, True)} < set(outcomes)
+        assert outcomes[:2] == [(True, True)] * 2 and sum(isinstance(o, str) for o in outcomes) >= 2
 
     def test_flow_runs_only_at_failing_n(self, monkeypatch):
         calls = []

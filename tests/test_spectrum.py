@@ -1050,6 +1050,23 @@ class TestSpectralVerdict:
         assert rep.verdict == STRICT
         assert rep.sampled_only
 
+    @pytest.mark.parametrize(
+        "rays, normals, sampled",
+        [
+            # one facet direction given twice: the dual is one ray, swept whole
+            ([(1,)], [(1,), (2,)], False),
+            ([(1, 0), (-1, 0), (0, 1)], [(0, 1), (0, 2)], False),
+            ([(1, 0), (0, 1)], [(1, 0), (2, 0), (0, 1)], True),
+        ],
+    )
+    def test_sampling_counts_each_facet_direction_once(self, rays, normals, sampled):
+        cone = Cone.from_generators(len(rays[0]), rays=rays, normals=normals)
+        X = Measure(cone.dim, {(0,) * cone.dim: "1/2", cone.unit: "1/2"})
+        rep = spectral_verdict(X, shift(X, cone.unit), cone, SpectrumOptions(n_samples=8))
+        assert rep.verdict == STRICT
+        assert rep.sampled_only is sampled
+        assert (len(rep.per_ray) > 1) is sampled
+
 
 class TestForwardNecessity:
     def test_dominated_pairs_never_violated(self, halfline):

@@ -34,6 +34,7 @@ from walkorder.stochorder import (
 
 from conftest import (
     CONES_1D,
+    composition,
     cube_rays,
     kernel_settings,
     leq_flow_reference,
@@ -963,6 +964,35 @@ class TestPlanMarginals:
         monkeypatch.setattr(stochorder, "transport_feasible", short)
         with pytest.raises(RuntimeError, match=r"^coupling marginals differ from the two laws$"):
             leq_st(mu, nu, cone)
+
+    @pytest.mark.parametrize(
+        "cone, law",
+        [
+            (Cone.halfline(), random_measure_1d),
+            (CONES_1D[1], random_measure_1d),
+            (Cone.orthant(2), random_measure_2d),
+            (Cone.from_generators(2, rays=[(1, 0), (1, 1)]), random_measure_2d),
+            (Cone.orthant(3), random_measure_3d),
+        ],
+    )
+    def test_plans_come_in_point_order(self, cone, law):
+        # order-check writes each coupling in the order of its entries, with
+        # no sort of its own: every route builds its plan in (x, y) order
+        rng = random.Random(47)
+        plans = 0
+        for _ in range(60):
+            mu = law(rng)
+            # nu is mu times a law on points of the cone, so mu <= nu
+            combos = [[rat(rng.randint(0, 3), rng.randint(1, 2)) for _ in cone.rays] for _ in range(3)]
+            ups = {tuple(sum(k * r[c] for k, r in zip(ks, cone.rays)) for c in range(cone.dim)) for ks in combos}
+            nu = convolve(mu, Measure(cone.dim, list(zip(ups, composition(rng, len(ups), 6)))))
+            for x, y in ((mu, nu), (mu, law(rng))):
+                v = leq_st(x, y, cone)
+                if v.dominated:
+                    entries = list(v.witness_coupling.entries)
+                    assert entries == sorted(entries)
+                    plans += len(entries) > 1
+        assert plans >= 60
 
 
 def naive_tail(mu: Measure, c):
