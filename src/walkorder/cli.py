@@ -27,6 +27,8 @@ import json
 import math
 import os
 import sys
+from itertools import groupby
+from operator import is_, itemgetter
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import __version__
@@ -36,6 +38,7 @@ from .errors import AtomBudgetExceeded, DimensionMismatch
 from .ldp import (
     RateOptions,
     cramer_empirical,
+    projected_rays,
     rate_function,
     relative_rate_curve,
     relative_rate_lhs,
@@ -249,14 +252,29 @@ def _write_csv(path: str, header: str, rows) -> None:
         fh.writelines(rows)
 
 
+def _grid_reprs(blocks, i: int):
+    """For each block of rows, the strings ``f"{row[i]!r},{row[i + 1]!r},"``
+    of its rows: the grid coordinates of a CSV, formatted once per file.  A
+    block whose two columns hold the very float objects of the block last
+    formatted reuses its strings; equal values are not enough, as 0.0 and
+    -0.0 have different reprs."""
+    ref, heads = (), []
+    for rows in blocks:
+        cols = list(map(itemgetter(i), rows)), list(map(itemgetter(i + 1), rows))
+        if not (ref and all(len(c) == len(r) and all(map(is_, c, r)) for c, r in zip(cols, ref))):
+            ref, heads = cols, [f"{a!r},{b!r}," for a, b in zip(*cols)]
+        yield heads
+
+
 def _write_spectrum_csv(result, path: str) -> None:
+    blocks = [rc.samples for rc in result.per_ray]
     _write_csv(
         path,
         "ray,theta,radial,lev_x,lev_y,margin",
         (
-            f"{ray_idx},{theta!r},{radial!r},{lx!r},{ly!r},{m!r}\r\n"
-            for ray_idx, rc in enumerate(result.per_ray)
-            for theta, radial, lx, ly, m in rc.samples
+            f"{ray_idx},{head}{lx!r},{ly!r},{m!r}\r\n"
+            for ray_idx, (rows, heads) in enumerate(zip(blocks, _grid_reprs(blocks, 0)))
+            for head, (_, _, lx, ly, m) in zip(heads, rows)
         ),
     )
     with open(path + ".gp", "w", encoding="utf-8") as fh:
@@ -353,10 +371,15 @@ def _cmd_rate_fn(args) -> tuple[dict, int]:
 
 def _write_rel_rate_csv(path: str, table: list, rhs: float, curve: list) -> None:
     _write_csv(path, "n,lhs,rhs", (f"{n},{v!r},{rhs!r}\r\n" for n, v in table))
+    blocks = [list(rows) for _, rows in groupby(curve, itemgetter(0))]
     _write_csv(
         path + ".curve.csv",
         "ray,theta,r,g",
-        (f"{ray_idx},{theta!r},{r!r},{g!r}\r\n" for ray_idx, theta, r, g in curve),
+        (
+            f"{ray_idx},{head}{g!r}\r\n"
+            for rows, heads in zip(blocks, _grid_reprs(blocks, 1))
+            for head, (ray_idx, _, _, g) in zip(heads, rows)
+        ),
     )
 
 
@@ -369,9 +392,11 @@ def _cmd_rel_rate(args) -> tuple[dict, int]:
     check_writable(args.csv, args.csv and args.csv + ".curve.csv")
     ns = [n for n in (8, 16, 32, 64, 128, 256, 512) if n <= args.n_max] or [args.n_max]
     table = [(n, relative_rate_lhs(X, Y, cone, n, eps)) for n in ns]
-    rhs = relative_rate_rhs(X, Y, cone, opts)
+    # the CSV's curve and the rhs share one draw of the rays and projections
+    rays = list(projected_rays(X, Y, cone, opts)) if args.csv else None
+    rhs = relative_rate_rhs(X, Y, cone, opts, rays)
     if args.csv:
-        _write_rel_rate_csv(args.csv, table, rhs.value, relative_rate_curve(X, Y, cone, opts))
+        _write_rel_rate_csv(args.csv, table, rhs.value, relative_rate_curve(X, Y, cone, opts, rays))
     return dict(
         eps=rat_str(eps),
         rhs=_float_or_str(rhs.value),

@@ -234,8 +234,17 @@ def _nearest_direction(t_unit: np.ndarray, directions: list) -> Direction:
     return best
 
 
+def projected_rays(X: Measure, Y: Measure, cone: Cone, opts: RateOptions):
+    """``(d, px, py)`` for each sampled dual direction d of ``opts``, with
+    the ``spectrum._Projected`` views of X and Y along it, one ray at a
+    time.  ``rel-rate --csv`` lists them once for ``relative_rate_rhs`` and
+    ``relative_rate_curve``, which otherwise draw their own."""
+    for d in cone.dual_directions(opts.n_samples, opts.seed):
+        yield d, _Projected.of(X, d.t), _Projected.of(Y, d.t)
+
+
 def relative_rate_rhs(
-    X: Measure, Y: Measure, cone: Cone, opts: RateOptions | None = None
+    X: Measure, Y: Measure, cone: Cone, opts: RateOptions | None = None, rays=None
 ) -> RateResult:
     """sup over the dual cone of log E[e^{<t,X>}] - log E[e^{<t,Y>}].
 
@@ -253,16 +262,18 @@ def relative_rate_rhs(
     one ``spectrum._refine_brackets`` call on the same kernel.  The
     candidates are taken in the order of a ray-by-ray sweep: per ray the
     tied limit, then per grid point its refined maximum and its grid value.
+
+    ``rays`` are the ``projected_rays`` of ``(X, Y, cone, opts)``, drawn
+    here when not given.
     """
     opts = opts or RateOptions()
     require_walk_pair(X, Y, cone)
 
-    directions = cone.dual_directions(opts.n_samples, opts.seed)
-    pairs = []
-    for d in directions:
-        px, py = _Projected.of(X, d.t), _Projected.of(Y, d.t)
+    directions, pairs = [], []
+    for d, px, py in rays or projected_rays(X, Y, cone, opts):
         if px.max > py.max:
             return RateResult(math.inf, (d, math.inf), EXACT_LIMIT)
+        directions.append(d)
         pairs.append((px, py))
 
     thetas = np.linspace(0.0, math.pi / 2, opts.grid_points + 1)[:-1].tolist()
@@ -298,7 +309,7 @@ def relative_rate_rhs(
 
 
 def relative_rate_curve(
-    X: Measure, Y: Measure, cone: Cone, opts: RateOptions | None = None
+    X: Measure, Y: Measure, cone: Cone, opts: RateOptions | None = None, rays=None
 ) -> list:
     """Sampled radial profile rows (ray index, theta, r, g(r)) for CSV export.
 
@@ -306,13 +317,13 @@ def relative_rate_curve(
     k = 1..256, whatever ``opts.grid_points`` says; the rows are written to
     the ``rel-rate`` curve CSV.  One ``spectrum._LogMgfRows`` over the
     projected pairs of all rays evaluates each ray's grid in one call.
+    ``rays`` are as in ``relative_rate_rhs``.
     """
     opts = opts or RateOptions()
     require_walk_pair(X, Y, cone)
     thetas = [(math.pi / 2) * k / 257 for k in range(1, 257)]
     rs = [math.tan(theta) for theta in thetas]
-    directions = cone.dual_directions(opts.n_samples, opts.seed)
-    pairs = [(_Projected.of(X, d.t), _Projected.of(Y, d.t)) for d in directions]
+    pairs = [(px, py) for _, px, py in rays or projected_rays(X, Y, cone, opts)]
     kernel, grid = _LogMgfRows(pairs), np.array(rs)
     rows = []
     for ray in range(len(pairs)):

@@ -40,12 +40,26 @@ grid margin by more than the float error of lev (``_prune_slack``), the
 refined value could never be the minimum, and the search is skipped.  Every
 verdict, witness and sample stays bit for bit what refining every bracket
 gives.
+
+Every ray of a sweep reads one grid: ``_sweep_grid(grid_points)`` is built
+once per ``grid_points`` and cached.  It holds r = tan(theta) as a read-only
+float64 array, the thetas and rs as tuples of Python floats, the grid points
+where r != 0, and the sample rows' theta and radial columns, so each ray's
+``samples`` share those float objects (the CSV writers format them once per
+file).  A ray's ``min_margin`` and ``argmin_radial`` are the first candidate
+of least ``(margin, |r|)`` over the exact ends, then each grid point followed
+by its refined minimum: ``_least_candidate`` finds the least margin by one
+``min`` over the bare floats, and ranks only the candidates equal to it by
+``|r|``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from itertools import compress
+from typing import NamedTuple
 
 import numpy as np
 
@@ -160,11 +174,19 @@ class _Projected:
         return self.log_mgf(r) / r
 
     def lev_curve(self, rs: np.ndarray) -> np.ndarray:
+        """``lev_at`` at each r of ``rs``: ``log_mgf``'s ufuncs, each in place
+        on one block of ``r * z`` (the sum runs on a block of the same shape
+        and layout), so the floats are those of a fresh array per step."""
         a = rs[:, None] * self.z[None, :]
         m = np.where(rs > 0, a[:, -1], a[:, 0])
+        a -= m[:, None]
+        np.exp(a, out=a)
+        a *= self.w
+        vals = a.sum(axis=1)
+        np.log(vals, out=vals)
+        vals += m
         zero = rs == 0.0
-        safe = np.where(zero, 1.0, rs)
-        vals = (m + np.log((self.w[None, :] * np.exp(a - m[:, None])).sum(axis=1))) / safe
+        vals /= np.where(zero, 1.0, rs)
         if zero.any():
             vals[zero] = float(self.mean)
         return vals
@@ -425,6 +447,54 @@ def _refine_brackets(pairs: list, brackets: list, value, at_zero: list, kernel=N
     return out
 
 
+class _SweepGrid(NamedTuple):
+    """The tan(theta) grid of ``compare_on_ray`` for one ``grid_points``."""
+
+    rs: np.ndarray  # r = tan(theta) at each grid point, float64, read-only
+    theta_list: tuple  # the grid's thetas, Python floats
+    r_list: tuple  # rs as Python floats
+    nonzero: tuple  # r != 0 at each grid point
+    theta_col: tuple  # the samples' theta column: -pi/2, theta_list, pi/2
+    r_col: tuple  # the samples' radial column: -inf, r_list, +inf
+
+
+@functools.cache
+def _sweep_grid(grid_points: int) -> _SweepGrid:
+    thetas = np.linspace(-math.pi / 2, math.pi / 2, grid_points + 2)[1:-1]
+    rs = np.tan(thetas)
+    rs.flags.writeable = False
+    theta_col = (-math.pi / 2, *thetas.tolist(), math.pi / 2)
+    r_col = (-math.inf, *rs.tolist(), math.inf)
+    theta_list, r_list = theta_col[1:-1], r_col[1:-1]
+    nonzero = tuple(r != 0.0 for r in r_list)
+    return _SweepGrid(rs, theta_list, r_list, nonzero, theta_col, r_col)
+
+
+def _least_candidate(exact: list, margin: list, rs, stars: dict) -> tuple:
+    """``min(candidates, key=lambda c: (c[0], abs(c[1])))`` over the
+    candidates ``(margin, r)`` in the order ``exact``, then per grid index
+    ``i`` the point ``(margin[i], rs[i])`` and its refined ``stars[i]``, if
+    any.
+
+    One ``min`` over the bare margins finds the least value; only the
+    candidates equal to it are ranked, by ``|r|``, the first of equal rank
+    winning.  The exact margins are finite and come first, so a NaN margin
+    is never the least, as it never was under the key."""
+    least = min([m for m, _ in exact] + margin + [m for m, _ in stars.values()])
+    at, i = set(), -1
+    for _ in range(margin.count(least)):
+        i = margin.index(least, i + 1)
+        at.add(i)
+    at.update(i for i, (m, _) in stars.items() if m == least)
+    ties = [c for c in exact if c[0] == least]
+    for i in sorted(at):
+        if margin[i] == least:
+            ties.append((margin[i], rs[i]))
+        if i in stars and stars[i][0] == least:
+            ties.append(stars[i])
+    return min(ties, key=lambda c: abs(c[1]))
+
+
 def compare_on_ray(
     X: Measure, Y: Measure, t: Direction, opts: SpectrumOptions | None = None
 ) -> RayComparison:
@@ -453,16 +523,15 @@ def compare_on_ray(
         (math.inf, py.max - px.max),
     ]
 
-    thetas = np.linspace(-math.pi / 2, math.pi / 2, opts.grid_points + 2)[1:-1]
-    rs = np.tan(thetas)
-    levx = px.lev_curve(rs)
-    levy = py.lev_curve(rs)
+    grid = _sweep_grid(opts.grid_points)
+    levx = px.lev_curve(grid.rs)
+    levy = py.lev_curve(grid.rs)
     margin = (levy - levx).tolist()
     # the scan and the sample rows read Python floats: the same values, and
     # no numpy scalar per grid point
-    thetas, rs, levx, levy = thetas.tolist(), rs.tolist(), levx.tolist(), levy.tolist()
+    thetas, rs, levx, levy = grid.theta_list, grid.r_list, levx.tolist(), levy.tolist()
 
-    grid_floor = min((m for m, r in zip(margin, rs) if r != 0.0), default=math.inf)
+    grid_floor = min(compress(margin, grid.nonzero), default=math.inf)
     z_abs = max(abs(float(v)) for v in (px.min, px.max, py.min, py.max))
     brackets, at = [], []
     for idx, i_lo, i_hi in _local_minima(margin, thetas):
@@ -473,13 +542,8 @@ def compare_on_ray(
     mean_margin = py.lev_at(0.0) - px.lev_at(0.0)
     refined = _refine_brackets([(px, py)], brackets, lambda r, lx, ly: ly / r - lx / r, [mean_margin])
     stars = {idx: (m_star, math.tan(theta_star)) for idx, (theta_star, m_star) in zip(at, refined)}
-    candidates: list[tuple[float, float]] = [(float(m), r) for r, m in exact_margins]
-    for idx, point in enumerate(zip(margin, rs)):
-        candidates.append(point)
-        if idx in stars:
-            candidates.append(stars[idx])
-
-    min_margin, argmin_radial = min(candidates, key=lambda c: (c[0], abs(c[1])))
+    exact = [(float(m), r) for r, m in exact_margins]
+    min_margin, argmin_radial = _least_candidate(exact, margin, rs, stars)
 
     exact_neg = [r for r, m in exact_margins if m < 0]
     exact_tie = any(m == 0 for _, m in exact_margins)
@@ -499,9 +563,15 @@ def compare_on_ray(
     else:
         verdict = INCONCLUSIVE_ON_RAY
 
-    samples = [(-math.pi / 2, -math.inf, float(px.min), float(py.min), float(py.min - px.min))]
-    samples += zip(thetas, rs, levx, levy, margin)
-    samples.append((math.pi / 2, math.inf, float(px.max), float(py.max), float(py.max - px.max)))
+    # the end rows take their theta and radial from the grid too, so every
+    # ray's samples share those float objects
+    samples = list(zip(
+        grid.theta_col,
+        grid.r_col,
+        [float(px.min), *levx, float(px.max)],
+        [float(py.min), *levy, float(py.max)],
+        [exact[0][0], *margin, exact[2][0]],
+    ))
 
     return RayComparison(
         direction=t,

@@ -225,6 +225,19 @@ def profile_maxima_reference(vals, thetas) -> list:
     return found
 
 
+def least_candidate_reference(exact, margin, rs, stars) -> tuple:
+    """``compare_on_ray``'s least candidate as it was taken before
+    ``spectrum._least_candidate``: the exact candidates, then per grid index
+    its point and its refined candidate, if any, in one list, and a key call
+    per candidate."""
+    candidates = list(exact)
+    for idx, point in enumerate(zip(margin, rs)):
+        candidates.append(point)
+        if idx in stars:
+            candidates.append(stars[idx])
+    return min(candidates, key=lambda c: (c[0], abs(c[1])))
+
+
 def transport_feasible_reference(inst) -> TransportResult:
     """``solvers.transport_feasible`` as it ran on ``Fraction`` supplies and
     demands, before the max-flow moved to ints over one common denominator.

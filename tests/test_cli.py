@@ -230,6 +230,70 @@ class TestCommands:
                 tmp_path / "c_ref.csv", ["ray", "theta", "r", "g"], curve
             )
 
+        # grid coordinates formatted once per file: rays whose coordinates
+        # are equal in value but not in the sign of zero keep their own
+        # reprs, where a memo keyed on the float values would write ray 0's
+        lev = (0.25, -0.5, 1.0)
+        plus = [(0.0, 0.0, *lev), (0.1, -1.5, *lev)]
+        minus = [(-0.0, -0.0, *lev), (0.1, -1.5, *lev)]
+        result = SimpleNamespace(per_ray=[SimpleNamespace(samples=s) for s in (plus, minus, plus, minus)])
+        _write_spectrum_csv(result, str(tmp_path / "z.csv"))
+        expected = with_writer(
+            tmp_path / "z_ref.csv",
+            ["ray", "theta", "radial", "lev_x", "lev_y", "margin"],
+            [(i, *row) for i, rc in enumerate(result.per_ray) for row in rc.samples],
+        )
+        assert (tmp_path / "z.csv").read_bytes() == expected
+        assert b"\r\n1,-0.0,-0.0,0.25," in expected and b"\r\n2,0.0,0.0,0.25," in expected
+        curve = [(ray, *row[:2], row[2]) for ray, rows in enumerate((plus, minus, plus, minus)) for row in rows]
+        _write_rel_rate_csv(str(tmp_path / "z.csv"), table, 0.5, curve)
+        expected = with_writer(tmp_path / "z_ref.csv", ["ray", "theta", "r", "g"], curve)
+        assert (tmp_path / "z.csv.curve.csv").read_bytes() == expected
+        assert b"\r\n1,-0.0,-0.0,0.25\r\n" in expected and b"\r\n2,0.0,0.0,0.25\r\n" in expected
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_rel_rate_csv_draws_the_rays_once(self, capsys, tmp_path, monkeypatch, shift):
+        """``rel-rate --csv`` draws the dual directions once per query, for
+        both the rhs and the curve, and writes the bytes of the two separate
+        draws: the report of a run without ``--csv`` and the curve of
+        ``relative_rate_curve`` on its own.  With the shift -1 the rhs is
+        +inf, and the curve still has every ray."""
+        import csv
+
+        from walkorder.cones import Cone
+        from walkorder.ldp import RateOptions, relative_rate_curve
+
+        atoms = [((1, 0), "1/4"), ((0, 1), "1/4"), ((2, 2), "1/2")]
+        paths = {}
+        for name, dy in (("X", 0), ("Y", shift)):
+            paths[name] = tmp_path / f"{name}.json"
+            payload = [{"x": [x, y + dy], "w": w} for (x, y), w in atoms]
+            paths[name].write_text(json.dumps({"dim": 2, "atoms": payload}), encoding="utf-8")
+        argv = ["rel-rate", str(paths["X"]), str(paths["Y"]), "--cone", "orthant", "--samples", "5",
+                "--seed", "3", "--n-max", "8", "--json", "-"]
+        draws = []
+        original = Cone.dual_directions
+
+        def counted(self, *args, **kwargs):
+            draws.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Cone, "dual_directions", counted)
+        csv_path = tmp_path / "r.csv"
+        code, report = run(capsys, argv + ["--csv", str(csv_path)])
+        assert draws == [(5, 3)]
+        assert run(capsys, argv) == (code, report)
+        assert (json.loads(report)["rhs"] == "inf") == (shift == -1)
+
+        X, Y = (cli.load_measure(str(paths[name])) for name in ("X", "Y"))
+        curve = relative_rate_curve(X, Y, Cone.orthant(2), RateOptions(n_samples=5, seed=3))
+        with open(tmp_path / "c_ref.csv", "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["ray", "theta", "r", "g"])
+            writer.writerows([ray, *map(repr, row)] for ray, *row in curve)
+        assert (tmp_path / "r.csv.curve.csv").read_bytes() == (tmp_path / "c_ref.csv").read_bytes()
+        assert len(curve) == 256 * len(original(Cone.orthant(2), 5, 3))
+
     def test_normalize_flag(self, capsys, tmp_path, files):
         raw = tmp_path / "unnorm.json"
         raw.write_text('{"dim": 1, "atoms": [{"x": ["0"], "w": "2"}, {"x": ["1"], "w": "2"}]}')

@@ -46,6 +46,7 @@ from walkorder.spectrum import (
 
 from conftest import (
     kernel_settings,
+    least_candidate_reference,
     lev_curve_reference,
     log_mgf_reference,
     margin_minima_reference,
@@ -995,6 +996,94 @@ class TestCompareOnRay:
             compare_on_ray(delta((0,)), plane, direction_1d())
         with pytest.raises(ValueError, match="^Y must be normalized to total mass 1$"):
             compare_on_ray(delta((0,)), Measure(2, {(0, 0): "1/2"}), direction_1d())
+
+
+class TestLeastCandidate:
+    """``compare_on_ray`` takes its least candidate by one ``min`` over the
+    margins and ranks only the ties by ``|r|``: the candidate of the key min
+    over the whole candidate list (``conftest.least_candidate_reference``),
+    the very float objects, on every sweep of these cases."""
+
+    GRIDS = (0, 1, 2, 256, 257)
+
+    @staticmethod
+    def pairs() -> list:
+        rng = random.Random(37)
+        plane, space = Cone.orthant(2), Cone.orthant(3)
+        b = m1({0: "1/2", 1: "1/2"})
+        X2 = random_measure_2d(rng, max_atoms=5).normalized()
+        X3 = random_measure_3d(rng).normalized()
+        return [
+            ("identical", b, b, [direction_1d()]),
+            ("identical", X2, X2, plane.dual_directions(3, seed=1)),
+            ("constant gap", b, shift(b, ("1/3",)), [direction_1d()]),
+            ("constant gap", X2, shift(X2, (1, 2)), plane.dual_directions(3, seed=2)),
+            ("flat", delta((0, 0)), delta((1, 1)), plane.dual_directions(3, seed=3)),
+            ("flat", delta((0, 0, 0)), delta((1, 1, 2)), space.dual_directions(3, seed=4)),
+            ("random", X2, random_measure_2d(rng).normalized(), plane.dual_directions(3, seed=5)),
+            ("random", X3, random_measure_3d(rng).normalized(), space.dual_directions(3, seed=6)),
+        ]
+
+    def test_matches_the_key_min_over_the_candidate_list(self, monkeypatch):
+        import walkorder.spectrum as spectrum_mod
+
+        least = spectrum_mod._least_candidate
+        seen = {"ties": 0, "zero on the grid": set(), "no zero on the grid": set()}
+
+        def checked(exact, margin, rs, stars):
+            got, want = least(exact, margin, rs, stars), least_candidate_reference(exact, margin, rs, stars)
+            assert got[0] is want[0] and got[1] is want[1], (got, want)
+            values = [m for m, _ in exact] + margin + [m for m, _ in stars.values()]
+            seen["ties"] += values.count(got[0]) > 1
+            seen["zero on the grid" if 0.0 in rs else "no zero on the grid"].add(len(rs))
+            return got
+
+        monkeypatch.setattr(spectrum_mod, "_least_candidate", checked)
+        for _, X, Y, rays in self.pairs():
+            for grid_points in self.GRIDS:
+                for t in rays:
+                    rc = compare_on_ray(X, Y, t, SpectrumOptions(grid_points=grid_points))
+                    assert len(rc.samples) == grid_points + 2
+        assert seen["ties"] > 0
+        assert seen["zero on the grid"] and seen["no zero on the grid"]
+        assert seen["zero on the grid"] | seen["no zero on the grid"] == set(self.GRIDS)
+
+    def test_an_empty_grid_ranks_the_exact_points(self):
+        """With no grid point the candidates are the three exact margins, as
+        they were before: no ``min`` of an empty sequence."""
+        for grid_points in (0, 1):
+            rc = compare_on_ray(delta((0,)), delta((1,)), direction_1d(), SpectrumOptions(grid_points=grid_points))
+            assert rc.verdict == STRICT_ON_RAY
+            assert (rc.min_margin, rc.argmin_radial) == (1.0, 0.0)
+            assert [row[1] for row in rc.samples] == [-math.inf, *[0.0] * grid_points, math.inf]
+        b = m1({0: "1/2", 1: "1/2"})
+        rc = compare_on_ray(b, b, direction_1d(), SpectrumOptions(grid_points=0))
+        assert (rc.verdict, rc.min_margin, rc.argmin_radial) == (TIE_ON_RAY, 0.0, 0.0)
+
+    def test_callers_cannot_change_the_next_rays_grid(self):
+        """The grid of a ``grid_points`` is built once and shared by every
+        ray: its arrays are read-only, its columns tuples, and each ray's
+        ``samples`` a list of its own."""
+        import walkorder.spectrum as spectrum_mod
+
+        X, Y = m1({0: "1/2", 1: "1/2"}), m1({0: "1/4", 2: "3/4"})
+        opts = SpectrumOptions(grid_points=33)
+        first = compare_on_ray(X, Y, direction_1d(), opts)
+        expected = [float_bits(row) for row in first.samples]
+        first.samples[1] = (0.0,) * 5
+        first.samples.append(first.samples[0])
+        del first.samples[2:5]
+        grid = spectrum_mod._sweep_grid(33)
+        with pytest.raises(ValueError):
+            grid.rs[0] = 0.0
+        assert grid.rs.base is None
+        for column in (grid.theta_list, grid.r_list, grid.nonzero, grid.theta_col, grid.r_col):
+            assert type(column) is tuple
+        lev_x = _Projected.of(X, (1,)).lev_curve(grid.rs)
+        lev_x[:] = 0.0  # an array a caller gets back is its own
+        second = compare_on_ray(X, Y, direction_1d(), opts)
+        assert [float_bits(row) for row in second.samples] == expected
+        assert second.samples is not first.samples
 
 
 class TestSpectralVerdict:
