@@ -30,7 +30,6 @@ from .errors import DimensionMismatch
 from .measure import DEFAULT_ATOM_CAP, Measure, _convolve_packed, convolve, convolve_power, shift
 from .rational import Rational, ZERO, as_rat, over_lcm, rat
 from .solvers import LinearFeasibility, lp_feasible
-from .spectrum import _Projected
 from .stochorder import _checked_cut, _keyed_sweep, _over_one_lcm, _tail_walk, leq_st, tail_mass
 
 #: Largest catalyst grid: the LP has about one row and one slack column per
@@ -179,11 +178,13 @@ def catalyst_1d(X: Measure, Y: Measure, grid: Sequence) -> Optional[Catalyst]:
 
 
 def _endpoint_obstructed(X: Measure, Y: Measure) -> bool:
-    """True when min X > min Y, E X > E Y or max X > max Y, read exactly from
-    the ``spectrum._Projected`` views: each rules out X*Z <= Y*Z for every
-    finitely supported Z."""
-    px, py = _Projected.of(X, (1,)), _Projected.of(Y, (1,))
-    return px.min > py.min or px.mean > py.mean or px.max > py.max
+    """True when min X > min Y, E X > E Y or max X > max Y: each rules out
+    X*Z <= Y*Z for every finitely supported Z.  Read exactly off the sorted
+    integer views, ``k / S`` against ``k' / S'`` as ``k S' > k' S`` and the
+    means ``sum(k w) / (S D)`` likewise."""
+    (sx, cx, dx, wx), (sy, cy, dy, wy) = X._int_view(), Y._int_view()
+    mx, my = (sum(k * w for (k,), w in zip(c, ws)) for c, ws in ((cx, wx), (cy, wy)))
+    return cx[0][0] * sy > cy[0][0] * sx or mx * sy * dy > my * sx * dx or cx[-1][0] * sy > cy[-1][0] * sx
 
 
 def default_catalyst_grid(X: Measure, Y: Measure, step=None) -> list:

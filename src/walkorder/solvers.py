@@ -7,8 +7,9 @@ Each demand keeps the sorted positions of its carrying supplies, those with
 positive flow into it, so a BFS step back from a demand scans only those; linear
 feasibility on int rows by a phase-1 simplex with Bland's rule, whose sparse
 int tableau rows pivot exactly as the dense rational tableau does.
-Everything is exact, so certificates never depend on a tolerance, and every
-returned point, plan or cut is re-checked exactly.
+Everything is exact, so certificates never depend on a tolerance.  Every
+returned LP point is re-checked exactly here; the max-flow hands back its
+plan or cut as found, and ``stochorder.leq_st`` checks it.
 """
 
 from __future__ import annotations
@@ -73,7 +74,8 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
     order, then shortest augmenting paths by BFS.  Rational supplies scaled
     by a common D > 0 keep every comparison and every bottleneck, so the
     plan over D and the cut are those of the same max-flow on the
-    rationals.  The certificate is re-checked before it is handed back.
+    rationals.  The plan or cut is returned as found; ``stochorder.leq_st``
+    checks it before building its verdict.
 
     ``carried[j]`` lists, sorted, the positions in ``radj[j]`` of the supplies
     that carry positive flow into demand j: a position is inserted when its
@@ -159,36 +161,8 @@ def transport_feasible(inst: TransportInstance) -> TransportResult:
         r_d[target] -= bottleneck
 
     if all(r == 0 for r in r_s):
-        plan = {e: f for e, f in flow.items() if f > 0}
-        _check_certificate(inst, plan, None)
-        return TransportResult(feasible=True, plan=plan, cut=None)
-    cut = frozenset(prev_s)
-    _check_certificate(inst, None, cut)
-    return TransportResult(feasible=False, plan=None, cut=cut)
-
-
-def _check_certificate(inst: TransportInstance, plan: Optional[dict], cut: Optional[frozenset]) -> None:
-    """Re-check a plan or a cut; raise RuntimeError if it fails.
-
-    A plan puts positive flow on listed edges only and meets every supply
-    and demand exactly.  A cut A has more supply than the total demand of
-    A's neighbours.
-    """
-    if plan is not None:
-        edges = set(inst.edges)
-        out = [0] * len(inst.supplies)
-        into = [0] * len(inst.demands)
-        for (i, j), f in plan.items():
-            if f <= 0 or (i, j) not in edges:
-                raise RuntimeError(f"max-flow returned flow {f} on edge ({i}, {j})")
-            out[i] += f
-            into[j] += f
-        if tuple(out) != inst.supplies or tuple(into) != inst.demands:
-            raise RuntimeError("max-flow returned a plan that misses a supply or a demand")
-    else:
-        neighbours = {j for i, j in inst.edges if i in cut}
-        if sum(inst.supplies[i] for i in cut) <= sum(inst.demands[j] for j in neighbours):
-            raise RuntimeError("max-flow returned a cut that its neighbours can absorb")
+        return TransportResult(True, {e: f for e, f in flow.items() if f > 0}, None)
+    return TransportResult(False, None, frozenset(prev_s))
 
 
 @dataclass(frozen=True)

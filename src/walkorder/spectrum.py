@@ -174,9 +174,12 @@ class _Projected:
         return self.log_mgf(r) / r
 
     def lev_curve(self, rs: np.ndarray) -> np.ndarray:
-        """``lev_at`` at each r of ``rs``: ``log_mgf``'s ufuncs, each in place
-        on one block of ``r * z`` (the sum runs on a block of the same shape
-        and layout), so the floats are those of a fresh array per step."""
+        """The lev at each r of ``rs``, bit for bit
+        ``conftest.lev_curve_reference``: its ufuncs, each in place on one
+        block of ``r * z`` (the row sums, ``(exp * w).sum(axis=1)``, run on a
+        block of the same shape and layout), so the floats are those of a
+        fresh array per step.  They are not ``lev_at``'s, whose ``np.dot``
+        rounds some sums differently."""
         a = rs[:, None] * self.z[None, :]
         m = np.where(rs > 0, a[:, -1], a[:, 0])
         a -= m[:, None]

@@ -22,10 +22,15 @@ leaves mass over, one int walk down both laws' keys (``_tail_walk``) finds
 the minimal min cut, the certificate the flow route gives (Strassen 1965;
 Kamae, Krengel & O'Brien 1977).  ``dominance.min_n`` runs the same walk on
 its 1-D powers, and decides each n with the sweep in d >= 2, while
-``leq_st`` keeps the flow there, whose plan ``order-check`` prints.  Before
-a coupling is returned its marginals are summed on ints and its pairs are
-checked with ``Cone.leq_point`` (``_checked_plan``); before a 1-D cut is
-returned its upset's two masses are compared on the int keys (``_checked_cut``).
+``leq_st`` keeps the flow there, whose plan ``order-check`` prints.
+
+This module is the one place that checks order certificates, each once; the
+max-flow returns its plan or cut unchecked.  Before a coupling is returned
+its marginals are summed on ints, and its entries must be positive and its
+pairs pass ``Cone.leq_point`` (``_checked_plan``).  Before a 1-D cut is
+returned its upset's two masses are compared on the int keys
+(``_checked_cut``); before the flow's cut is decoded its supply is compared
+with the demand its edges reach.
 """
 
 from __future__ import annotations
@@ -138,9 +143,9 @@ def tail_mass(mu: Measure, c) -> Rational:
 
     ``c`` is an exact rational, an int, a fraction string or a 1-tuple of
     one; floats raise TypeError.  The first call on a measure builds its tail
-    index in O(N log N); a call then bisects its ints at ``ceil(c S)`` in
-    O(log N) and builds one ``Fraction``, so a sweep over all N thresholds is
-    O(N log N).
+    index, one suffix sum over the sorted view, in O(N); a call then bisects
+    its ints at ``ceil(c S)`` in O(log N) and builds one ``Fraction``, so a
+    sweep over all N thresholds is O(N log N).
     """
     if mu.dim != 1:
         raise DimensionMismatch("tail_mass requires a 1-D measure")
@@ -212,16 +217,20 @@ def _leq_flow(mu: Measure, nu: Measure, cone: Cone) -> OrderVerdict:
     # {(x, y) : x <= y}; on failure the min cut is the supply set A.  The
     # edges come from the normal keys of both views over one lcm, by bitmask
     # rows in the (i, j) order of the pairwise scan, and the supplies and
-    # demands are the int weights over D.  Only the plan's weights, once per
-    # entry, and the coordinates of its and the witness's points, once per
-    # distinct value, are decoded to rationals.
+    # demands are the int weights over D.  A cut must weigh more than the
+    # demand its edges reach.  Only the plan's weights, once per entry, and
+    # the coordinates of its and the witness's points, once per distinct
+    # value, are decoded to rationals.
     point, d, sides = _over_one_lcm(mu, nu, cone)
     (xs, keys_mu, supplies), (_, keys_nu, demands) = sides
     edges = _keyed_edges(keys_mu, keys_nu)
     result = transport_feasible(TransportInstance(supplies, demands, edges))
     if result.feasible:
         return OrderVerdict(True, _checked_plan(cone, point, d, sides, result.plan), None)
-    return OrderVerdict(False, None, [point(xs[i]) for i in sorted(result.cut)])
+    cut = result.cut
+    if sum(supplies[i] for i in cut) <= sum(demands[j] for j in {j for i, j in edges if i in cut}):
+        raise RuntimeError("max-flow returned a cut that its neighbours can absorb")
+    return OrderVerdict(False, None, [point(xs[i]) for i in sorted(cut)])
 
 
 def _keyed_sweep(
@@ -298,8 +307,8 @@ def _checked_plan(cone: Cone, point, d: int, sides: Sequence, flows: dict) -> Co
     ``sides = ((xs, _, supplies), (ys, _, demands))``, in (i, j) order, which
     is (x, y) order on the point-sorted views, each entry ``f / d``.  The
     flows must sum to the supplies per row and to the demands per column,
-    and each pair is checked with the public predicate, or ``RuntimeError``
-    is raised."""
+    then each entry must be positive and each pair pass the public
+    predicate, or ``RuntimeError`` is raised."""
     (xs, _, supplies), (ys, _, demands) = sides
     rows, cols = [0] * len(xs), [0] * len(ys)
     for (i, j), f in flows.items():
@@ -307,6 +316,10 @@ def _checked_plan(cone: Cone, point, d: int, sides: Sequence, flows: dict) -> Co
         cols[j] += f
     if rows != supplies or cols != demands:
         raise RuntimeError("coupling marginals differ from the two laws")
+    for (i, j), f in flows.items():
+        if f <= 0:
+            x, y = point_str(point(xs[i])), point_str(point(ys[j]))
+            raise RuntimeError(f"coupling puts weight {rat(f, d)} on {x} with {y}")
     plan = {(point(xs[i]), point(ys[j])): rat(f, d) for (i, j), f in sorted(flows.items())}
     for x, y in plan:
         if not cone.leq_point(x, y):

@@ -8,12 +8,13 @@ from types import SimpleNamespace
 
 import pytest
 
-from walkorder import Cone, Measure, dominance, leq_st, solvers
+from walkorder import Cone, Measure, dominance, leq_st, solvers, stochorder
 from walkorder.dominance import catalyst_1d, default_catalyst_grid
 from walkorder.rational import ZERO, as_rat, over_lcm, rat
 from walkorder.solvers import (
     LinearFeasibility,
     TransportInstance,
+    TransportResult,
     _eliminate,
     lp_feasible,
     transport_feasible,
@@ -266,43 +267,77 @@ class TestTransportChecks:
         with pytest.raises(ValueError, match=r"edge \(0, 1\) out of range"):
             TransportInstance([1], [1], [(0, 1)])
 
-    # supplies 1, 2 and demands 2, 1 on edges (0, 0), (1, 0), (1, 1)
-    INST = TransportInstance([1, 2], [2, 1], [(0, 0), (1, 0), (1, 1)])
+    # The max-flow returns its plan or cut unchecked, and leq_st checks it.
+    # A patched flow hands back each plan or cut below on one instance:
+    # supplies 1, 2 and demands 2, 1 over D = 3, on the edges (0, 0), (1, 0)
+    # and (1, 1); (0, 1) pairs (0, 1) with (2, 0), which are unordered.
+    MU = Measure(2, {(0, 1): "1/3", (1, 0): "2/3"})
+    NU = Measure(2, {(1, 1): "2/3", (2, 0): "1/3"})
+    CONE = Cone.orthant(2)
+    PLAN = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
 
-    def test_valid_plan_passes(self):
-        plan = {(0, 0): 1, (1, 0): 1, (1, 1): 1}
-        solvers._check_certificate(self.INST, plan, None)
+    @staticmethod
+    def returning(monkeypatch, plan=None, cut=None) -> list:
+        instances = []
+
+        def fixed(inst):
+            instances.append(inst)
+            return TransportResult(plan is not None, plan, cut)
+
+        monkeypatch.setattr(stochorder, "transport_feasible", fixed)
+        return instances
+
+    def test_valid_plan_passes(self, monkeypatch):
+        instances = self.returning(monkeypatch, self.PLAN)
+        v = leq_st(self.MU, self.NU, self.CONE)
+        assert instances == [TransportInstance([1, 2], [2, 1], [(0, 0), (1, 0), (1, 1)])]
+        assert transport_feasible(instances[0]).plan == self.PLAN
+        third = rat(1, 3)
+        assert v.witness_coupling.entries == {
+            ((0, 1), (1, 1)): third, ((1, 0), (1, 1)): third, ((1, 0), (2, 0)): third
+        }
 
     @pytest.mark.parametrize(
         "plan, message",
         [
-            ({(0, 0): 1, (1, 0): 0, (1, 1): 1}, r"flow 0 on edge \(1, 0\)"),
-            ({(0, 0): 1, (1, 0): -1, (1, 1): 1}, r"flow -1 on edge \(1, 0\)"),
-            ({(0, 1): 1, (1, 0): 2}, r"flow 1 on edge \(0, 1\)"),  # meets every total
-            ({(0, 0): 1, (1, 0): 1}, "misses a supply or a demand"),
-            ({(0, 0): 1, (1, 0): 2, (1, 1): 1}, "misses a supply or a demand"),
+            # every total is met: the entry's sign is what fails
+            ({(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 0}, r"^coupling puts weight 0 on \(0, 1\) with \(1, 1\)$"),
+            ({(0, 0): -1, (0, 1): 2, (1, 0): 3, (1, 1): -1}, r"^coupling puts weight -1/3 on \(0, 1\) with \(1, 1\)$"),
+            ({(0, 1): 1, (1, 0): 2}, r"^coupling pairs \(0, 1\) with \(2, 0\), not ordered$"),
+            ({(0, 0): 1, (1, 0): 1}, r"^coupling marginals differ from the two laws$"),
+            ({(0, 0): 1, (1, 0): 2, (1, 1): 1}, r"^coupling marginals differ from the two laws$"),
         ],
         ids=["zero", "negative", "off-edge", "short", "over"],
     )
-    def test_bad_plan_raises(self, plan, message):
+    def test_bad_plan_raises(self, monkeypatch, plan, message):
+        self.returning(monkeypatch, plan)
         with pytest.raises(RuntimeError, match=message):
-            solvers._check_certificate(self.INST, plan, None)
+            leq_st(self.MU, self.NU, self.CONE)
 
-    def test_deficient_cut_passes(self):
-        inst = TransportInstance([2], [1, 1], [(0, 0)])
-        solvers._check_certificate(inst, None, frozenset({0}))
+    def test_deficient_cut_passes(self, monkeypatch):
+        # no point of NU lies below a point of MU: the flow cuts both supplies
+        v = leq_st(self.NU, self.MU, self.CONE)
+        assert v.witness_upset == [(1, 1), (2, 0)]
+        self.returning(monkeypatch, cut=frozenset({0}))
+        assert leq_st(self.NU, self.MU, self.CONE).witness_upset == [(1, 1)]
 
     @pytest.mark.parametrize("cut", [frozenset({0}), frozenset({1}), frozenset({0, 1}), frozenset()])
-    def test_absorbed_cut_raises(self, cut):
-        with pytest.raises(RuntimeError, match="max-flow returned a cut"):
-            solvers._check_certificate(self.INST, None, cut)
+    def test_absorbed_cut_raises(self, monkeypatch, cut):
+        self.returning(monkeypatch, cut=cut)
+        with pytest.raises(RuntimeError, match=r"^max-flow returned a cut that its neighbours can absorb$"):
+            leq_st(self.MU, self.NU, self.CONE)
 
-    def test_transport_feasible_checks_what_it_returns(self, monkeypatch):
-        checked = []
-        monkeypatch.setattr(solvers, "_check_certificate", lambda *args: checked.append(args[1:]))
-        transport_feasible(self.INST)
-        transport_feasible(TransportInstance([2], [1, 1], [(0, 0)]))
-        assert checked == [({(0, 0): 1, (1, 0): 1, (1, 1): 1}, None), (None, frozenset({0}))]
+    def test_leq_st_checks_what_the_flow_returns(self, monkeypatch):
+        # the flow's own plan reaches _checked_plan once, unchanged, and its
+        # own cut becomes the witness
+        returned, checked = [], []
+        flow, checked_plan = stochorder.transport_feasible, stochorder._checked_plan
+        monkeypatch.setattr(stochorder, "transport_feasible", lambda inst: returned.append(flow(inst)) or returned[-1])
+        monkeypatch.setattr(stochorder, "_checked_plan", lambda *args: checked.append(args[-1]) or checked_plan(*args))
+        assert leq_st(self.MU, self.NU, self.CONE).dominated
+        assert not leq_st(self.NU, self.MU, self.CONE).dominated
+        assert [(r.plan, r.cut) for r in returned] == [(self.PLAN, None), (None, frozenset({0, 1}))]
+        assert checked == [self.PLAN]
 
 
 class TestLpFeasible:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from operator import le, sub
+from operator import add, le, sub
 
 import pytest
 
@@ -993,6 +993,54 @@ class TestPlanMarginals:
                     assert entries == sorted(entries)
                     plans += len(entries) > 1
         assert plans >= 60
+
+
+def crossing_pair(rng: random.Random, dim: int) -> tuple:
+    """Two-atom laws X and Y whose first coordinates cross, x1 < y1 < x2 < y2
+    with P(X = x1) < P(Y = y1), so X <= Y fails at n = 1, while every
+    coordinate has the smaller mean under X, so X^n <= Y^n for large n.  In
+    d = 2 the second coordinates are drawn at random, 0 to 2 under X and 1
+    to 3 under Y."""
+    while True:
+        x1, y1, x2, y2 = sorted(rng.sample(range(9), 4))
+        p, q = (rat(k, 10) for k in sorted(rng.sample(range(1, 10), 2)))
+        s, t = [rng.randint(0, 2) for _ in range(2)], [rng.randint(1, 3) for _ in range(2)]
+        xs, ys = [(x1, s[0]), (x2, s[1])], [(y1, t[0]), (y2, t[1])]
+        means = [[p * u[c] + (1 - p) * v[c] for u, v in (xs, ys)] for c in range(dim)]
+        if all(mx < my for mx, my in means):
+            return tuple(Measure(dim, {u[:dim]: r, v[:dim]: 1 - r}) for (u, v), r in ((xs, p), (ys, q)))
+
+
+class TestSemigroupLaw:
+    """The law behind min-n's stability window: if X^a <= Y^a and
+    X^b <= Y^b, then X^(a+b) <= Y^(a+b), since the cone order is invariant
+    under translation and K + K lies in K.  The product of the two
+    couplings, (x + x', y + y') with weight pi_a(x, y) pi_b(x', y'), is a
+    coupling of X^(a+b) and Y^(a+b) on ordered pairs."""
+
+    @pytest.mark.parametrize("cone", [Cone.halfline(), Cone.orthant(2)], ids=["halfline", "orthant"])
+    def test_product_of_couplings_certifies_the_sum(self, cone):
+        rng = random.Random(21)
+        beyond = 0
+        for _ in range(20):
+            X, Y = crossing_pair(rng, cone.dim)
+            powers = {n: (convolve_power(X, n), convolve_power(Y, n)) for n in range(1, 13)}
+            verdicts = {n: leq_st(*powers[n], cone) for n in range(1, 7)}
+            dominated = [a for a, v in verdicts.items() if v.dominated]
+            for a in dominated:
+                for b in dominated:
+                    # the sum and the product measure are symmetric in a and b
+                    if b < a:
+                        continue
+                    assert leq_st(*powers[a + b], cone).dominated
+                    product = {}
+                    for (x, y), w in verdicts[a].witness_coupling.entries.items():
+                        for (u, v), r in verdicts[b].witness_coupling.entries.items():
+                            pair = tuple(map(add, x, u)), tuple(map(add, y, v))
+                            product[pair] = product.get(pair, ZERO) + w * r
+                    check_coupling(stochorder.CouplingPlan(product), *powers[a + b], cone)
+                    beyond += a + b > 6
+        assert beyond >= 70, beyond  # sums past the n already tried
 
 
 def naive_tail(mu: Measure, c):
